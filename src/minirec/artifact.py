@@ -4,8 +4,9 @@ Layout:
   8 bytes   magic "ERMODEL1"
   4 bytes   u32 little-endian header length
   N bytes   canonical header JSON: config, model_version, seed, step_count,
-            tensor directory [{name, shape, offset}] with byte offsets into
-            the payload, strictly increasing and gapless from 0
+            tensor directory [{name, shape, offset}] listing the config's
+            `tensor_shapes` in order, with byte offsets into the payload,
+            gapless from 0
   rest      tensor payloads, little-endian float32, directory order
 
 The embedded config is the exact config the model was trained with, so an
@@ -15,14 +16,15 @@ artifact alone is enough to regenerate features and score consistently.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig, build_config, canonical_json, to_plain
-from .errors import FormatError, IoError
-from .model import ModelParams, mlp_layer_dims, tensor_items
+from .errors import ConfigError, FormatError, IoError
+from .model import ModelParams, tensor_shapes
 
 MAGIC = b"ERMODEL1"
 
@@ -39,70 +41,8 @@ class ModelArtifact:
         return self.params.model_version
 
 
-def expected_tensor_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    m = cfg.model_config
-    for spec in cfg.feature_config:
-        vocab = spec.table_vocab_size
-        shapes[f"emb:{spec.name}"] = (vocab, m.embedding_dim)
-        shapes[f"fo:{spec.name}"] = (vocab, 1)
-    if m.model_type == "deepfm":
-        for i, (fan_in, fan_out) in enumerate(
-            mlp_layer_dims(len(cfg.feature_config), m.embedding_dim, m.mlp_hidden_dims)
-        ):
-            shapes[f"mlp:W{i}"] = (fan_in, fan_out)
-            shapes[f"mlp:b{i}"] = (fan_out,)
-    shapes["bias"] = (1,)
-    return shapes
-
-
-def params_from_tensors(
-    cfg: PipelineConfig, tensors: dict[str, np.ndarray], model_version: int
-) -> ModelParams:
-    from .model import EmbeddingTable
-
-    expected = expected_tensor_shapes(cfg)
-    for name, shape in expected.items():
-        if name not in tensors:
-            raise FormatError(f"missing tensor {name!r}")
-        if tuple(tensors[name].shape) != shape:
-            raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
-    for name in tensors:
-        if name not in expected:
-            raise FormatError(f"unexpected tensor {name!r}")
-
-    m = cfg.model_config
-    tables = {}
-    for spec in cfg.feature_config:
-        tables[spec.name] = EmbeddingTable(
-            name=spec.name,
-            vocab_size=spec.table_vocab_size,
-            dim=m.embedding_dim,
-            values=tensors[f"emb:{spec.name}"],
-            first_order=tensors[f"fo:{spec.name}"],
-        )
-    mlp_weights = []
-    mlp_biases = []
-    if m.model_type == "deepfm":
-        layer = 0
-        while f"mlp:W{layer}" in tensors:
-            mlp_weights.append(tensors[f"mlp:W{layer}"])
-            mlp_biases.append(tensors[f"mlp:b{layer}"])
-            layer += 1
-    return ModelParams(
-        specs=cfg.feature_config,
-        model_type=m.model_type,
-        embedding_dim=m.embedding_dim,
-        tables=tables,
-        mlp_weights=mlp_weights,
-        mlp_biases=mlp_biases,
-        bias=tensors["bias"],
-        model_version=model_version,
-    )
-
-
 def save_artifact(artifact: ModelArtifact, path: str) -> None:
-    items = tensor_items(artifact.params)
+    items = artifact.params.tensors.items()
     directory = []
     offset = 0
     for name, arr in items:
@@ -146,30 +86,45 @@ def load_artifact(path: str) -> ModelArtifact:
         header = json.loads(blob[len(MAGIC) + 4 : header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid header JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError("header is not a JSON object")
     for key in ("config", "model_version", "seed", "step_count", "tensors"):
         if key not in header:
             raise FormatError(f"header missing {key!r}")
+        if key not in ("config", "tensors") and type(header[key]) is not int:
+            raise FormatError(f"header {key!r} is not an integer")
+    try:
+        cfg = build_config(header["config"])
+    except ConfigError as exc:
+        raise FormatError(f"invalid embedded config: {exc}") from None
 
-    cfg = build_config(header["config"])
-    payload = blob[header_end:]
+    shapes = tensor_shapes(cfg)
+    directory = header["tensors"]
+    if not isinstance(directory, list) or len(directory) != len(shapes):
+        raise FormatError(f"tensor directory must be a list of {len(shapes)} entries")
+    payload_len = len(blob) - header_end
     tensors: dict[str, np.ndarray] = {}
-    expected_offset = 0
-    for entry in header["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if offset != expected_offset:
-            raise FormatError(f"tensor {name!r} offset {offset}, expected {expected_offset}")
-        size = 1
-        for s in shape:
-            size *= s
-        end = offset + size * 4
-        if end > len(payload):
+    offset = 0
+    for entry, (name, shape) in zip(directory, shapes.items()):
+        want = {"name": name, "shape": list(shape), "offset": offset}
+        if entry != want:
+            raise FormatError(f"tensor directory entry {entry!r}, expected {want!r}")
+        count = math.prod(shape)
+        end = offset + 4 * count
+        if end > payload_len:
             raise FormatError(f"tensor {name!r} extends past end of file")
-        tensors[name] = np.frombuffer(payload[offset:end], dtype="<f4").reshape(shape).astype(np.float32)
-        expected_offset = end
-    if expected_offset != len(payload):
+        data = np.frombuffer(blob, dtype="<f4", count=count, offset=header_end + offset)
+        tensors[name] = data.reshape(shape).astype(np.float32)
+        offset = end
+    if offset != payload_len:
         raise FormatError("trailing bytes after last tensor")
 
-    params = params_from_tensors(cfg, tensors, int(header["model_version"]))
-    return ModelArtifact(
-        config=cfg, params=params, seed=int(header["seed"]), step_count=int(header["step_count"])
+    m = cfg.model_config
+    params = ModelParams(
+        specs=cfg.feature_config,
+        model_type=m.model_type,
+        embedding_dim=m.embedding_dim,
+        tensors=tensors,
+        model_version=header["model_version"],
     )
+    return ModelArtifact(config=cfg, params=params, seed=header["seed"], step_count=header["step_count"])

@@ -194,6 +194,8 @@ def _cmd_hpo(args) -> None:
 
 
 def _cmd_select_features(args) -> None:
+    if not 0.0 < args.keep_fraction <= 1.0:
+        raise InvalidValue("--keep-fraction", "must be in (0, 1]")
     cfg = _load_config(args.config, args.seed)
     result = fs_mod.train_with_gates(
         cfg,

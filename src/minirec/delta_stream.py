@@ -41,7 +41,7 @@ from .errors import (
     UnknownSlot,
     UnknownTensor,
 )
-from .model import ModelParams, is_sparse_tensor, tensor_items
+from .model import ModelParams, is_sparse_tensor
 
 DELTA_MAGIC = b"ERDU"
 FORMAT_VERSION = 1
@@ -128,7 +128,7 @@ def decode_delta(frame: bytes) -> DeltaMessage:
 
 def validate_message(params: ModelParams, msg: DeltaMessage) -> None:
     """Check every record resolves against params; raises before any write."""
-    items = tensor_items(params)
+    items = list(params.tensors.items())
     for rec in msg.sparse:
         if not 0 <= rec.tensor_index < len(items):
             raise UnknownSlot(rec.tensor_index)
@@ -153,10 +153,6 @@ def validate_message(params: ModelParams, msg: DeltaMessage) -> None:
             )
 
 
-def message_tensor_indices(msg: DeltaMessage) -> set[int]:
-    return {rec.tensor_index for rec in msg.sparse} | {rec.tensor_index for rec in msg.dense}
-
-
 def apply_message(params: ModelParams, msg: DeltaMessage) -> None:
     """Write a validated message's values into params, in place.
 
@@ -165,12 +161,12 @@ def apply_message(params: ModelParams, msg: DeltaMessage) -> None:
     record-resolution logic and the replay tool.
     """
     validate_message(params, msg)
-    items = tensor_items(params)
+    arrays = list(params.tensors.values())
     for rec in msg.sparse:
-        _, arr = items[rec.tensor_index]
+        arr = arrays[rec.tensor_index]
         arr[rec.row_id] = np.asarray(rec.values, dtype=np.float32)
     for rec in msg.dense:
-        _, arr = items[rec.tensor_index]
+        arr = arrays[rec.tensor_index]
         arr[...] = np.asarray(rec.values, dtype=np.float32).reshape(arr.shape)
     params.model_version = msg.model_version
 

@@ -26,7 +26,7 @@ from .config import PipelineConfig
 from .features import FeatureSpec
 from .model import ModelParams, backward, forward, init_params
 from .optim import AdamOptimizer, ScalarAdam
-from .trainer import average_gradients, load_dataset
+from .trainer import load_dataset, train_step
 
 DEFAULT_TAU = 0.5
 DEFAULT_LAMBDA_G = 1e-3
@@ -112,14 +112,9 @@ def train_with_gates(
     for _ in range(t.num_epochs):
         order = shuffle_rng.permutation(len(train_fvs))
         for start in range(0, len(order), t.batch_size):
-            batch = order[start : start + t.batch_size]
-            grads = []
-            for idx in batch:
-                fv = train_fvs[idx]
-                z = _sample_gates(gates, slot_names, noise_rng)
-                trace = forward(params, fv, slot_scale=z)
-                grads.append(backward(trace, fv, int(train_labels[idx]), reg))
-            weight_opt.apply(params, average_gradients(grads, params))
+            batch = [(train_fvs[i], int(train_labels[i])) for i in order[start : start + t.batch_size]]
+            draws = [_sample_gates(gates, slot_names, noise_rng) for _ in batch]
+            train_step(params, weight_opt, batch, reg, draws)
             steps += 1
 
             gate_grad = np.zeros(len(slot_names))

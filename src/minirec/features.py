@@ -89,28 +89,10 @@ class FeatureVector:
 
     Slots of hashed/bucketized kinds appear in `ids` (possibly empty when
     the source column is missing). numeric_raw slots appear in `dense`.
-    `weights`, when present for a slot, must parallel its id list; the
-    built-in operators never emit weights but the representation and the
-    canonical serialization carry them.
     """
 
     ids: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    weights: dict[str, tuple[float, ...]] = field(default_factory=dict)
     dense: dict[str, float] = field(default_factory=dict)
-
-    def validate(self, specs: Sequence[FeatureSpec]) -> None:
-        by_name = {s.name: s for s in specs}
-        for name, ids in self.ids.items():
-            spec = by_name.get(name)
-            if spec is None:
-                raise InvalidValue(name, "slot not declared in specs")
-            limit = spec.table_vocab_size
-            for i in ids:
-                if not 0 <= i < limit:
-                    raise InvalidValue(name, f"id {i} outside vocab range [0, {limit})")
-            w = self.weights.get(name)
-            if w is not None and len(w) != len(ids):
-                raise InvalidValue(name, "weight list length differs from id list")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -211,7 +193,7 @@ def canonical_bytes(fv: FeatureVector) -> bytes:
     """Canonical serialization used for byte-level consistency checks.
 
     One line per slot, sorted by slot name:
-      <name>=ids:<comma-separated decimal ids>[;w:<comma-separated floats>]
+      <name>=ids:<comma-separated decimal ids>
       <name>=dense:<repr of float>
     Floats use Python repr (shortest round-trip form), so equal values
     serialize to equal bytes.
@@ -220,9 +202,6 @@ def canonical_bytes(fv: FeatureVector) -> bytes:
     for name in sorted(set(fv.ids) | set(fv.dense)):
         if name in fv.ids:
             line = f"{name}=ids:" + ",".join(str(i) for i in fv.ids[name])
-            w = fv.weights.get(name)
-            if w is not None:
-                line += ";w:" + ",".join(repr(float(x)) for x in w)
         else:
             line = f"{name}=dense:{float(fv.dense[name])!r}"
         lines.append(line)

@@ -12,6 +12,7 @@ cached path runs the exact same float operations as the uncached one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -33,27 +34,17 @@ _F32 = np.float32
 
 
 @dataclass
-class EmbeddingTable:
-    name: str
-    vocab_size: int
-    dim: int
-    values: np.ndarray
-    first_order: np.ndarray
-
-    def check(self) -> None:
-        assert self.values.shape == (self.vocab_size, self.dim)
-        assert self.first_order.shape == (self.vocab_size, 1)
-
-
-@dataclass
 class ModelParams:
+    """Model state: every parameter tensor by name, in `tensor_shapes` order.
+
+    A tensor's position in `tensors` is its wire index in delta messages
+    and its position in the artifact payload.
+    """
+
     specs: tuple[FeatureSpec, ...]
     model_type: str
     embedding_dim: int
-    tables: dict[str, EmbeddingTable]
-    mlp_weights: list[np.ndarray]
-    mlp_biases: list[np.ndarray]
-    bias: np.ndarray
+    tensors: dict[str, np.ndarray]
     model_version: int = 0
 
     @property
@@ -75,7 +66,6 @@ class SlotPart(NamedTuple):
 @dataclass
 class ForwardTrace:
     params: ModelParams
-    fv: FeatureVector
     parts: dict[str, SlotPart]
     slot_scale: Mapping[str, float] | None
     scaled_pooled: list[np.ndarray]
@@ -89,67 +79,68 @@ class ForwardTrace:
 
 @dataclass
 class SparseGradient:
+    """Per-slot rows of the emb/fo tables, and whole dense tensors by name."""
+
     emb_rows: dict[str, dict[int, np.ndarray]]
     fo_rows: dict[str, dict[int, np.float32]]
-    mlp_weights: list[np.ndarray]
-    mlp_biases: list[np.ndarray]
-    bias: np.float32
+    dense: dict[str, np.ndarray]
     slot_scale: dict[str, float] | None = None
 
 
-def mlp_layer_dims(num_slots: int, embedding_dim: int, hidden: Sequence[int]) -> list[tuple[int, int]]:
-    dims = [num_slots * embedding_dim, *hidden, 1]
-    return list(zip(dims, dims[1:]))
+def tensor_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in canonical order.
+
+    Per slot in config order an embedding table `emb:<slot>` and a
+    first-order table `fo:<slot>`; for deepfm the MLP layers `mlp:W<i>`,
+    `mlp:b<i>` from the pooled-embedding concatenation down to one output;
+    then the global `bias`. This is the only place the order is decided.
+    """
+    m = cfg.model_config
+    shapes: dict[str, tuple[int, ...]] = {}
+    for spec in cfg.feature_config:
+        shapes[f"emb:{spec.name}"] = (spec.table_vocab_size, m.embedding_dim)
+        shapes[f"fo:{spec.name}"] = (spec.table_vocab_size, 1)
+    if m.model_type == "deepfm":
+        dims = [len(cfg.feature_config) * m.embedding_dim, *m.mlp_hidden_dims, 1]
+        for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+            shapes[f"mlp:W{i}"] = (fan_in, fan_out)
+            shapes[f"mlp:b{i}"] = (fan_out,)
+    shapes["bias"] = (1,)
+    return shapes
 
 
 def init_params(cfg: PipelineConfig, rng: np.random.Generator) -> ModelParams:
     """Fresh parameters: embeddings U(-0.01, 0.01), MLP Glorot, rest zero.
 
-    Draw order is fixed (tables in config order, then MLP layers) so a
-    seeded generator produces identical parameters on every run.
+    Draws follow tensor order (tables in config order, then MLP layers),
+    so a seeded generator produces identical parameters on every run.
     """
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in tensor_shapes(cfg).items():
+        if name.startswith("emb:"):
+            tensors[name] = rng.uniform(-0.01, 0.01, size=shape).astype(_F32)
+        elif name.startswith("mlp:W"):
+            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(_F32)
+        else:
+            tensors[name] = np.zeros(shape, dtype=_F32)
     m = cfg.model_config
-    tables: dict[str, EmbeddingTable] = {}
-    for spec in cfg.feature_config:
-        vocab = spec.table_vocab_size
-        values = rng.uniform(-0.01, 0.01, size=(vocab, m.embedding_dim)).astype(_F32)
-        first_order = np.zeros((vocab, 1), dtype=_F32)
-        tables[spec.name] = EmbeddingTable(spec.name, vocab, m.embedding_dim, values, first_order)
-    mlp_weights: list[np.ndarray] = []
-    mlp_biases: list[np.ndarray] = []
-    if m.model_type == "deepfm":
-        for fan_in, fan_out in mlp_layer_dims(len(cfg.feature_config), m.embedding_dim, m.mlp_hidden_dims):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            mlp_weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(_F32))
-            mlp_biases.append(np.zeros(fan_out, dtype=_F32))
     return ModelParams(
         specs=cfg.feature_config,
         model_type=m.model_type,
         embedding_dim=m.embedding_dim,
-        tables=tables,
-        mlp_weights=mlp_weights,
-        mlp_biases=mlp_biases,
-        bias=np.zeros(1, dtype=_F32),
-        model_version=0,
+        tensors=tensors,
     )
 
 
-def tensor_items(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """All tensors in canonical directory order.
-
-    The position of a tensor in this list is its wire index for delta
-    messages, and its position in the artifact payload.
-    """
-    out: list[tuple[str, np.ndarray]] = []
-    for spec in params.specs:
-        table = params.tables[spec.name]
-        out.append((f"emb:{spec.name}", table.values))
-        out.append((f"fo:{spec.name}", table.first_order))
-    for i, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
-        out.append((f"mlp:W{i}", w))
-        out.append((f"mlp:b{i}", b))
-    out.append(("bias", params.bias))
-    return out
+def mlp_layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) of each MLP layer, input side first; empty for logreg."""
+    t = params.tensors
+    layers = []
+    while f"mlp:W{len(layers)}" in t:
+        i = len(layers)
+        layers.append((t[f"mlp:W{i}"], t[f"mlp:b{i}"]))
+    return layers
 
 
 def is_sparse_tensor(name: str) -> bool:
@@ -157,60 +148,42 @@ def is_sparse_tensor(name: str) -> bool:
     return name.startswith("emb:") or name.startswith("fo:")
 
 
-def copy_params(params: ModelParams) -> ModelParams:
-    tables = {
-        name: EmbeddingTable(t.name, t.vocab_size, t.dim, t.values.copy(), t.first_order.copy())
-        for name, t in params.tables.items()
-    }
-    return ModelParams(
-        specs=params.specs,
-        model_type=params.model_type,
-        embedding_dim=params.embedding_dim,
-        tables=tables,
-        mlp_weights=[w.copy() for w in params.mlp_weights],
-        mlp_biases=[b.copy() for b in params.mlp_biases],
-        bias=params.bias.copy(),
-        model_version=params.model_version,
-    )
+def copy_params(params: ModelParams, names: Iterable[str] | None = None) -> ModelParams:
+    """Copy with fresh arrays for the `names` tensors (default all); the rest are shared."""
+    tensors = dict(params.tensors)
+    for name in tensors if names is None else names:
+        tensors[name] = tensors[name].copy()
+    return dataclasses.replace(params, tensors=tensors)
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    items_a, items_b = tensor_items(a), tensor_items(b)
-    if [n for n, _ in items_a] != [n for n, _ in items_b]:
+    if list(a.tensors) != list(b.tensors):
         return False
-    return all(x.shape == y.shape and np.array_equal(x, y) for (_, x), (_, y) in zip(items_a, items_b))
+    return all(
+        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a.tensors.values(), b.tensors.values())
+    )
 
 
-def pooled_lookup(
-    table: EmbeddingTable,
-    ids: Sequence[int],
-    pooling: str = "sum",
-    weights: Sequence[float] | None = None,
-) -> np.ndarray:
+def pooled_lookup(table: np.ndarray, ids: Sequence[int], pooling: str = "sum") -> np.ndarray:
     """Sum (or mean) of table rows, accumulated in id-list position order."""
-    out = np.zeros(table.dim, dtype=_F32)
-    for j, row_id in enumerate(ids):
-        if not 0 <= row_id < table.vocab_size:
-            raise IndexOutOfRange(row_id, table.vocab_size)
-        row = table.values[row_id]
-        if weights is None:
-            out += row
-        else:
-            out += _F32(weights[j]) * row
+    vocab_size, dim = table.shape
+    out = np.zeros(dim, dtype=_F32)
+    for row_id in ids:
+        if not 0 <= row_id < vocab_size:
+            raise IndexOutOfRange(row_id, vocab_size)
+        out += table[row_id]
     if pooling == "mean" and ids:
         out /= _F32(len(ids))
     return out
 
 
-def first_order_sum(
-    table: EmbeddingTable, ids: Sequence[int], weights: Sequence[float] | None = None
-) -> np.float32:
+def first_order_sum(table: np.ndarray, ids: Sequence[int]) -> np.float32:
+    vocab_size = table.shape[0]
     total = _F32(0.0)
-    for j, row_id in enumerate(ids):
-        if not 0 <= row_id < table.vocab_size:
-            raise IndexOutOfRange(row_id, table.vocab_size)
-        w = table.first_order[row_id, 0]
-        total = total + (w if weights is None else _F32(weights[j]) * w)
+    for row_id in ids:
+        if not 0 <= row_id < vocab_size:
+            raise IndexOutOfRange(row_id, vocab_size)
+        total = total + table[row_id, 0]
     return total
 
 
@@ -253,16 +226,16 @@ def compute_parts(
     need_pooled = params.model_type == "deepfm"
     parts: dict[str, SlotPart] = {}
     for spec in params.specs if specs is None else specs:
-        table = params.tables[spec.name]
+        emb = params.tensors[f"emb:{spec.name}"]
+        fo = params.tensors[f"fo:{spec.name}"]
         if spec.kind == "numeric_raw":
             value = _F32(fv.dense.get(spec.name, 0.0))
-            pooled = value * table.values[0] if need_pooled else None
-            parts[spec.name] = SlotPart(pooled, value * table.first_order[0, 0])
+            pooled = value * emb[0] if need_pooled else None
+            parts[spec.name] = SlotPart(pooled, value * fo[0, 0])
         else:
             ids = fv.ids.get(spec.name, ())
-            weights = fv.weights.get(spec.name)
-            pooled = pooled_lookup(table, ids, spec.pooling, weights) if need_pooled else None
-            parts[spec.name] = SlotPart(pooled, first_order_sum(table, ids, weights))
+            pooled = pooled_lookup(emb, ids, spec.pooling) if need_pooled else None
+            parts[spec.name] = SlotPart(pooled, first_order_sum(fo, ids))
     return parts
 
 
@@ -273,7 +246,6 @@ def _clip_probability(logit: np.float32) -> np.float32:
 
 def assemble(
     params: ModelParams,
-    fv: FeatureVector,
     parts: dict[str, SlotPart],
     slot_scale: Mapping[str, float] | None = None,
 ) -> ForwardTrace:
@@ -283,7 +255,7 @@ def assemble(
     contribution before they enter the logit; the feature-selection gates
     drive this hook. Absent slots default to scale 1.
     """
-    logit = params.bias[0]
+    logit = params.tensors["bias"][0]
     for spec in params.specs:
         scale = _F32(1.0) if slot_scale is None else _F32(slot_scale.get(spec.name, 1.0))
         logit = logit + scale * parts[spec.name].fo
@@ -301,8 +273,9 @@ def assemble(
         logit = logit + fm
         mlp_input = np.concatenate(scaled_pooled) if scaled_pooled else np.zeros(0, dtype=_F32)
         x = mlp_input
-        last = len(params.mlp_weights) - 1
-        for i, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
+        layers = mlp_layers(params)
+        last = len(layers) - 1
+        for i, (w, b) in enumerate(layers):
             pre = x @ w + b
             pre_activations.append(pre)
             x = pre if i == last else np.maximum(pre, _F32(0.0))
@@ -311,7 +284,6 @@ def assemble(
 
     return ForwardTrace(
         params=params,
-        fv=fv,
         parts=parts,
         slot_scale=dict(slot_scale) if slot_scale is not None else None,
         scaled_pooled=scaled_pooled,
@@ -327,7 +299,7 @@ def assemble(
 def forward(
     params: ModelParams, fv: FeatureVector, slot_scale: Mapping[str, float] | None = None
 ) -> ForwardTrace:
-    return assemble(params, fv, compute_parts(params, fv), slot_scale)
+    return assemble(params, compute_parts(params, fv), slot_scale)
 
 
 def backward(trace: ForwardTrace, fv: FeatureVector, label: int, reg: float = 0.0) -> SparseGradient:
@@ -343,20 +315,19 @@ def backward(trace: ForwardTrace, fv: FeatureVector, label: int, reg: float = 0.
     grad = SparseGradient(
         emb_rows={},
         fo_rows={},
-        mlp_weights=[np.zeros_like(w) for w in params.mlp_weights],
-        mlp_biases=[np.zeros_like(b) for b in params.mlp_biases],
-        bias=d,
+        dense={"bias": np.array([d], dtype=_F32)},
         slot_scale={} if trace.slot_scale is not None else None,
     )
 
     grad_input: np.ndarray | None = None
-    if params.model_type == "deepfm" and params.mlp_weights:
+    layers = mlp_layers(params)
+    if layers:
         delta = np.array([d], dtype=_F32)
-        for i in range(len(params.mlp_weights) - 1, -1, -1):
+        for i in range(len(layers) - 1, -1, -1):
             x = trace.activations[i - 1] if i > 0 else trace.mlp_input
-            grad.mlp_weights[i] = np.outer(x, delta).astype(_F32)
-            grad.mlp_biases[i] = delta.copy()
-            delta = delta @ params.mlp_weights[i].T
+            grad.dense[f"mlp:W{i}"] = np.outer(x, delta).astype(_F32)
+            grad.dense[f"mlp:b{i}"] = delta.copy()
+            delta = delta @ layers[i][0].T
             if i > 0:
                 delta = delta * (trace.pre_activations[i - 1] > 0)
         grad_input = delta
@@ -399,21 +370,20 @@ def backward(trace: ForwardTrace, fv: FeatureVector, label: int, reg: float = 0.
                     emb_slot[0] = grad_pooled * value
         else:
             ids = fv.ids.get(spec.name, ())
-            weights = fv.weights.get(spec.name)
-            divisor = _F32(len(ids)) if spec.pooling == "mean" and ids else _F32(1.0)
-            for j, row_id in enumerate(ids):
-                w = _F32(1.0) if weights is None else _F32(weights[j])
-                fo_slot[row_id] = fo_slot.get(row_id, _F32(0.0)) + d * scale * w
+            # The float32 reciprocal, not a division: dividing rounds differently.
+            inv = _F32(1.0) / _F32(len(ids)) if spec.pooling == "mean" and ids else _F32(1.0)
+            for row_id in ids:
+                fo_slot[row_id] = fo_slot.get(row_id, _F32(0.0)) + d * scale
                 if grad_pooled is not None:
-                    contrib = grad_pooled * (w / divisor)
+                    contrib = grad_pooled * inv
                     if row_id in emb_slot:
                         emb_slot[row_id] = emb_slot[row_id] + contrib
                     else:
                         emb_slot[row_id] = contrib.copy()
         if reg > 0.0 and params.model_type == "deepfm":
-            table = params.tables[spec.name]
+            emb = params.tensors[f"emb:{spec.name}"]
             for row_id in list(emb_slot):
-                emb_slot[row_id] = emb_slot[row_id] + _F32(2.0 * reg) * table.values[row_id]
+                emb_slot[row_id] = emb_slot[row_id] + _F32(2.0 * reg) * emb[row_id]
         if emb_slot:
             grad.emb_rows[spec.name] = emb_slot
         if fo_slot:

@@ -43,8 +43,7 @@ class AdamOptimizer:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        self._emb: dict[str, _SparseState] = {}
-        self._fo: dict[str, _SparseState] = {}
+        self._sparse: dict[str, _SparseState] = {}
         self._dense: dict[str, _DenseState] = {}
 
     def _sparse_row_update(self, state: _SparseState, row: np.ndarray, grad: np.ndarray, row_id: int) -> None:
@@ -80,22 +79,18 @@ class AdamOptimizer:
 
     def apply(self, params: ModelParams, grad: SparseGradient) -> None:
         """Update params in place. Rows absent from grad are not read."""
-        for slot in sorted(grad.emb_rows):
-            table = params.tables[slot]
-            state = self._emb.setdefault(slot, _SparseState())
-            for row_id in sorted(grad.emb_rows[slot]):
-                self._sparse_row_update(state, table.values[row_id], grad.emb_rows[slot][row_id], row_id)
-        for slot in sorted(grad.fo_rows):
-            table = params.tables[slot]
-            state = self._fo.setdefault(slot, _SparseState())
-            for row_id in sorted(grad.fo_rows[slot]):
-                g = np.array([grad.fo_rows[slot][row_id]], dtype=_F32)
-                self._sparse_row_update(state, table.first_order[row_id], g, row_id)
-        for i, g in enumerate(grad.mlp_weights):
-            self._dense_update(f"mlp:W{i}", params.mlp_weights[i], g)
-        for i, g in enumerate(grad.mlp_biases):
-            self._dense_update(f"mlp:b{i}", params.mlp_biases[i], g)
-        self._dense_update("bias", params.bias, np.array([grad.bias], dtype=_F32))
+        for prefix, rows_by_slot in (("emb", grad.emb_rows), ("fo", grad.fo_rows)):
+            for slot in sorted(rows_by_slot):
+                name = f"{prefix}:{slot}"
+                table = params.tensors[name]
+                state = self._sparse.setdefault(name, _SparseState())
+                rows = rows_by_slot[slot]
+                for row_id in sorted(rows):
+                    # A first-order gradient is a scalar; its row is a length-1 view.
+                    g = np.asarray(rows[row_id], dtype=_F32).reshape(table.shape[1:])
+                    self._sparse_row_update(state, table[row_id], g, row_id)
+        for name, g in grad.dense.items():
+            self._dense_update(name, params.tensors[name], g)
 
 
 @dataclass

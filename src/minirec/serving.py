@@ -24,10 +24,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .artifact import load_artifact
 from .config import PipelineConfig
-from .delta_stream import DeltaMessage, apply_message, decode_delta, message_tensor_indices, validate_message
+from .delta_stream import DeltaMessage, apply_message, decode_delta, validate_message
 from .errors import MinirecError
-from .features import FeatureSpec, FeatureVector, generate
-from .model import EmbeddingTable, ModelParams, SlotPart, assemble, compute_parts, tensor_items
+from .features import FeatureSpec, generate
+from .model import ModelParams, SlotPart, assemble, compute_parts, copy_params
 
 log = logging.getLogger("minirec.serving")
 
@@ -86,10 +86,6 @@ class LruCache:
         return len(self._data)
 
 
-def lru_get_or_insert(cache: LruCache, key, compute) -> tuple[object, bool]:
-    return cache.get_or_insert(key, compute)
-
-
 @dataclass
 class ScoreResponse:
     scores: list[float | None]
@@ -131,38 +127,11 @@ class ServingModel:
             if msg.model_version <= current.model_version:
                 return None
             validate_message(current, msg)
-            fresh = _cow_copy(current, message_tensor_indices(msg))
+            names = list(current.tensors)
+            fresh = copy_params(current, {names[rec.tensor_index] for rec in (*msg.sparse, *msg.dense)})
             apply_message(fresh, msg)
             self._params = fresh
             return fresh.model_version
-
-
-def _cow_copy(params: ModelParams, affected: set[int]) -> ModelParams:
-    """Structural copy sharing every tensor not in `affected`."""
-    arrays = [arr.copy() if i in affected else arr for i, (_, arr) in enumerate(tensor_items(params))]
-    tables = {}
-    pos = 0
-    for spec in params.specs:
-        old = params.tables[spec.name]
-        tables[spec.name] = EmbeddingTable(
-            old.name, old.vocab_size, old.dim, arrays[pos], arrays[pos + 1]
-        )
-        pos += 2
-    mlp_weights, mlp_biases = [], []
-    for _ in params.mlp_weights:
-        mlp_weights.append(arrays[pos])
-        mlp_biases.append(arrays[pos + 1])
-        pos += 2
-    return ModelParams(
-        specs=params.specs,
-        model_type=params.model_type,
-        embedding_dim=params.embedding_dim,
-        tables=tables,
-        mlp_weights=mlp_weights,
-        mlp_biases=mlp_biases,
-        bias=arrays[pos],
-        model_version=params.model_version,
-    )
 
 
 def load_model(path: str) -> ServingModel:
@@ -172,15 +141,6 @@ def load_model(path: str) -> ServingModel:
 
 def _as_record(features: dict) -> dict[str, str]:
     return {str(k): v if isinstance(v, str) else str(v) for k, v in features.items()}
-
-
-def _merge_feature_vectors(*fvs: FeatureVector) -> FeatureVector:
-    merged = FeatureVector()
-    for fv in fvs:
-        merged.ids.update(fv.ids)
-        merged.weights.update(fv.weights)
-        merged.dense.update(fv.dense)
-    return merged
 
 
 def score(
@@ -205,22 +165,20 @@ def score(
                 raise MinirecError("item entry needs a key")
             item_record = _as_record(item.get("features") or {})
 
-            def compute_item() -> tuple[FeatureVector, dict[str, SlotPart]]:
-                fv = generate(item_record, part.item)
-                return fv, compute_parts(params, fv, part.item)
+            def compute_item() -> dict[str, SlotPart]:
+                return compute_parts(params, generate(item_record, part.item), part.item)
 
             if cache is not None:
-                (item_fv, item_parts), hit = cache.get_or_insert(
+                item_parts, hit = cache.get_or_insert(
                     (params.model_version, str(item["key"])), compute_item
                 )
                 hits += hit
             else:
-                item_fv, item_parts = compute_item()
+                item_parts = compute_item()
 
             cross_fv = generate({**user_record, **item_record}, part.cross)
             cross_parts = compute_parts(params, cross_fv, part.cross)
-            merged_fv = _merge_feature_vectors(user_fv, item_fv, cross_fv)
-            trace = assemble(params, merged_fv, {**user_parts, **item_parts, **cross_parts})
+            trace = assemble(params, {**user_parts, **item_parts, **cross_parts})
             scores.append(float(trace.probability))
         except MinirecError:
             scores.append(None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .model import (
     forward,
     init_params,
     is_sparse_tensor,
-    tensor_items,
 )
 from .optim import AdamOptimizer
 
@@ -80,7 +80,7 @@ def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
     params.model_version += 1
     sparse: list[SparseRecord] = []
     dense: list[DenseRecord] = []
-    for index, (name, arr) in enumerate(tensor_items(params)):
+    for index, (name, arr) in enumerate(params.tensors.items()):
         if is_sparse_tensor(name):
             rows = acc.touched.get(name)
             if rows:
@@ -150,15 +150,13 @@ def evaluate_params(
     return {name: metrics[name] for name in cfg.eval_config.metrics}
 
 
-def average_gradients(grads: list[SparseGradient], params: ModelParams) -> SparseGradient:
+def average_gradients(grads: list[SparseGradient]) -> SparseGradient:
     """Mean of per-sample gradients; rows keep sparse union of touched sets."""
     scale = _F32(1.0 / len(grads))
     out = SparseGradient(
         emb_rows={},
         fo_rows={},
-        mlp_weights=[np.zeros_like(w) for w in params.mlp_weights],
-        mlp_biases=[np.zeros_like(b) for b in params.mlp_biases],
-        bias=_F32(0.0),
+        dense={name: np.zeros_like(g) for name, g in grads[0].dense.items()},
     )
     for g in grads:
         for slot, rows in g.emb_rows.items():
@@ -172,22 +170,40 @@ def average_gradients(grads: list[SparseGradient], params: ModelParams) -> Spars
             acc_fo = out.fo_rows.setdefault(slot, {})
             for row_id, val in rows.items():
                 acc_fo[row_id] = acc_fo.get(row_id, _F32(0.0)) + val
-        for i, w in enumerate(g.mlp_weights):
-            out.mlp_weights[i] += w
-        for i, b in enumerate(g.mlp_biases):
-            out.mlp_biases[i] += b
-        out.bias = out.bias + g.bias
+        for name, arr in g.dense.items():
+            out.dense[name] += arr
     for slot, rows in out.emb_rows.items():
         for row_id in rows:
             rows[row_id] = rows[row_id] * scale
     for slot, rows in out.fo_rows.items():
         for row_id in rows:
             rows[row_id] = rows[row_id] * scale
-    for i in range(len(out.mlp_weights)):
-        out.mlp_weights[i] *= scale
-        out.mlp_biases[i] *= scale
-    out.bias = out.bias * scale
+    for arr in out.dense.values():
+        arr *= scale
     return out
+
+
+def train_step(
+    params: ModelParams,
+    optimizer: AdamOptimizer,
+    batch: Sequence[tuple[FeatureVector, int]],
+    reg: float,
+    slot_scales: Sequence[Mapping[str, float]] | None = None,
+) -> SparseGradient:
+    """One optimizer step on the batch's mean gradient, which it returns.
+
+    slot_scales, when given, holds one slot-scale map per sample (the
+    feature-selection gates). forward and backward are looked up in this
+    module, so wrappers installed on trainer.forward/backward see every
+    training sample of both loops.
+    """
+    grads = []
+    for i, (fv, label) in enumerate(batch):
+        trace = forward(params, fv, None if slot_scales is None else slot_scales[i])
+        grads.append(backward(trace, fv, label, reg))
+    avg = average_gradients(grads)
+    optimizer.apply(params, avg)
+    return avg
 
 
 def train(
@@ -235,15 +251,8 @@ def train(
     for epoch in range(1, t.num_epochs + 1):
         order = shuffle_rng.permutation(len(fvs))
         for start in range(0, len(order), t.batch_size):
-            batch = order[start : start + t.batch_size]
-            grads = []
-            for idx in batch:
-                fv = fvs[idx]
-                trace = forward(params, fv)
-                grads.append(backward(trace, fv, int(labels[idx]), reg))
-            avg = average_gradients(grads, params)
-            optimizer.apply(params, avg)
-            acc.add(avg)
+            batch = [(fvs[i], int(labels[i])) for i in order[start : start + t.batch_size]]
+            acc.add(train_step(params, optimizer, batch, reg))
             report.steps += 1
             if sink is not None and report.steps % t.delta_period_steps == 0:
                 sink.publish(encode_delta(emit_delta(acc, params)))

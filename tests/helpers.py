@@ -73,11 +73,10 @@ def mean_logloss(scores, labels) -> float:
 
 def straight_line_pooled(params, specs, fv, scale=None):
     pooled = []
-    fo_total = float(params.bias[0])
+    fo_total = float(params.tensors["bias"][0])
     for spec in specs:
-        table = params.tables[spec.name]
-        values = table.values.astype(np.float64)
-        first = table.first_order.astype(np.float64)
+        values = params.tensors[f"emb:{spec.name}"].astype(np.float64)
+        first = params.tensors[f"fo:{spec.name}"].astype(np.float64)
         factor = 1.0 if scale is None else float(scale[spec.name])
         if spec.kind == "numeric_raw":
             v = float(fv.dense.get(spec.name, 0.0))
@@ -85,7 +84,7 @@ def straight_line_pooled(params, specs, fv, scale=None):
             fo_total += factor * v * first[0, 0]
             continue
         ids = fv.ids.get(spec.name, ())
-        vec = np.zeros(table.dim, dtype=np.float64)
+        vec = np.zeros(values.shape[1], dtype=np.float64)
         fo_slot = 0.0
         for row in ids:
             vec += values[row]
@@ -107,8 +106,10 @@ def straight_line_probability(params, specs, fv, scale=None) -> float:
             for j in range(i + 1, len(pooled)):
                 fm += float(pooled[i] @ pooled[j])
         x = np.concatenate(pooled)
-        last = len(params.mlp_weights) - 1
-        for i, (w, b) in enumerate(zip(params.mlp_weights, params.mlp_biases)):
+        depth = sum(name.startswith("mlp:W") for name in params.tensors)
+        last = depth - 1
+        for i in range(depth):
+            w, b = params.tensors[f"mlp:W{i}"], params.tensors[f"mlp:b{i}"]
             x = x @ w.astype(np.float64) + b.astype(np.float64)
             if i < last:
                 x = np.maximum(x, 0.0)
@@ -122,12 +123,12 @@ def straight_line_loss(params, specs, fv, label, reg) -> float:
     loss = -math.log(p) if label == 1 else -math.log(1.0 - p)
     if reg > 0.0 and params.model_type == "deepfm":
         for spec in specs:
-            table = params.tables[spec.name]
+            values = params.tensors[f"emb:{spec.name}"]
             rows = set(fv.ids.get(spec.name, ()))
             if spec.kind == "numeric_raw" and fv.dense.get(spec.name, 0.0) != 0.0:
                 rows = {0}
             for row in rows:
-                vec = table.values[row].astype(np.float64)
+                vec = values[row].astype(np.float64)
                 loss += reg * float(vec @ vec)
     return loss
 

@@ -35,7 +35,7 @@ from minirec.delta_stream import (
     open_publisher,
 )
 from minirec.errors import ChecksumError, FormatError
-from minirec.features import FeatureSpec, canonical_bytes, generate
+from minirec.features import FeatureSpec, FeatureVector, canonical_bytes, generate
 from minirec.hpo import run_search
 from minirec.model import (
     copy_params,
@@ -44,13 +44,11 @@ from minirec.model import (
     init_params,
     is_sparse_tensor,
     params_equal,
-    tensor_items,
 )
 from minirec.sample_stream import Event, JoinConfig, Joiner
 from minirec.serving import (
     LruCache,
     ServingModel,
-    _merge_feature_vectors,
     http_serve,
     load_model,
     partition_slots,
@@ -149,11 +147,13 @@ def test_criterion_01_feature_consistency(tmp_path):
         for rec, off in zip(records, offline):
             user_rec = {k: v for k, v in rec.items() if k.startswith("user_")}
             item_rec = {k: v for k, v in rec.items() if k.startswith("item_")}
-            online = _merge_feature_vectors(
+            sides = [
                 generate(user_rec, part.user),
                 generate(item_rec, part.item),
                 generate({**user_rec, **item_rec}, part.cross),
-            )
+            ]
+            online = FeatureVector(ids={k: v for fv in sides for k, v in fv.ids.items()},
+                                   dense={k: v for fv in sides for k, v in fv.dense.items()})
             assert canonical_bytes(off) == canonical_bytes(online)
 
 
@@ -171,7 +171,7 @@ def _smooth_setup(cfg, seed):
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt])
         params = init_params(cfg, np.random.default_rng([seed, 0]))
-        for _, arr in tensor_items(params):
+        for arr in params.tensors.values():
             arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
         fv = generate(_random_record(rng), cfg.feature_config)
         label = int(rng.integers(2))
@@ -587,7 +587,7 @@ def _random_artifact(rng, tmp_path, tag):
                                     "mlp_hidden_dims": [int(rng.integers(2, 9))]})
     artifact = ModelArtifact(config=cfg, params=init_params(cfg, rng),
                              seed=int(tag), step_count=int(rng.integers(1000)))
-    for _, arr in tensor_items(artifact.params):
+    for arr in artifact.params.tensors.values():
         arr += rng.normal(0, 0.5, arr.shape).astype(np.float32)
     artifact.params.model_version = int(rng.integers(100))
     return artifact
@@ -656,7 +656,7 @@ def test_criterion_11_concurrency_consistency(tmp_path):
         base = copy_params(model.snapshot())
 
         sparse_info, dense_info = [], []
-        for i, (name, arr) in enumerate(tensor_items(base)):
+        for i, (name, arr) in enumerate(base.tensors.items()):
             if is_sparse_tensor(name):
                 sparse_info.append(
                     (i, arr.shape[0], arr.shape[1] if arr.ndim == 2 else 1))

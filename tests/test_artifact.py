@@ -9,24 +9,29 @@ import pytest
 from minirec.artifact import (
     MAGIC,
     ModelArtifact,
-    expected_tensor_shapes,
     load_artifact,
     save_artifact,
 )
 from minirec.errors import FormatError
-from minirec.model import init_params, params_equal, tensor_items
+from minirec.model import init_params, params_equal, tensor_shapes
 
 from helpers import make_config
 
 
-def _artifact(tmp_path, seed=42):
-    cfg = make_config(tmp_path)
+def _artifact(tmp_path, seed=42, model_type="deepfm"):
+    cfg = make_config(tmp_path, model_config={"model_type": model_type})
     params = init_params(cfg, np.random.default_rng([seed, 0]))
     return ModelArtifact(config=cfg, params=params, seed=seed, step_count=0)
 
 
-def test_roundtrip_bitwise(tmp_path):
-    art = _artifact(tmp_path)
+def _split(blob):
+    header_len = struct.unpack("<I", blob[8:12])[0]
+    return json.loads(blob[12:12 + header_len]), blob[12 + header_len:]
+
+
+@pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+def test_roundtrip_bitwise(tmp_path, model_type):
+    art = _artifact(tmp_path, model_type=model_type)
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
     loaded = load_artifact(path)
@@ -39,7 +44,7 @@ def test_roundtrip_bitwise(tmp_path):
 def test_roundtrip_many_seeds(tmp_path):
     for seed in range(10):
         art = _artifact(tmp_path, seed=seed)
-        for _, arr in tensor_items(art.params):
+        for arr in art.params.tensors.values():
             arr += np.random.default_rng(seed).normal(0, 1, arr.shape).astype(np.float32)
         path = str(tmp_path / f"m{seed}.erm")
         save_artifact(art, path)
@@ -63,7 +68,7 @@ def test_header_layout(tmp_path):
     header_len = struct.unpack("<I", blob[8:12])[0]
     header = json.loads(blob[12:12 + header_len])
     assert set(header) == {"config", "model_version", "seed", "step_count", "tensors"}
-    shapes = expected_tensor_shapes(art.config)
+    shapes = tensor_shapes(art.config)
     offset = 0
     for entry in header["tensors"]:
         assert entry["offset"] == offset
@@ -72,17 +77,47 @@ def test_header_layout(tmp_path):
     assert len(blob) == 12 + header_len + offset
 
 
-def test_tensor_directory_order(tmp_path):
+@pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+def test_tensor_directory_order(tmp_path, model_type):
     """Directory lists emb/fo pairs in feature order, then MLP, then bias."""
+    art = _artifact(tmp_path, model_type=model_type)
+    path = str(tmp_path / "model.erm")
+    save_artifact(art, path)
+    names = [t["name"] for t in _split(open(path, "rb").read())[0]["tensors"]]
+    assert names == list(tensor_shapes(art.config)) == list(art.params.tensors)
+    assert names[0].startswith("emb:") and names[1].startswith("fo:")
+    assert names[-1] == "bias"
+    assert any(n.startswith("mlp:") for n in names) == (model_type == "deepfm")
+
+
+def _set(key, value):
+    return lambda header: header.__setitem__(key, value)
+
+
+def _set_entry(key, value):
+    return lambda header: header["tensors"][0].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda header: header["tensors"].__setitem__(0, ["emb:user_id", [2000, 8], 0]),
+    lambda header: header["tensors"][0].pop("offset"),
+    _set_entry("shape", "2000x8"),
+    _set("tensors", 3),
+    _set("model_version", "x"),
+    _set_entry("shape", [-1, 8]),
+], ids=["entry_is_list", "entry_without_offset", "shape_is_string", "tensors_is_int",
+        "model_version_not_int", "negative_dimension"])
+def test_malformed_header_is_format_error(tmp_path, tamper):
     art = _artifact(tmp_path)
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
-    blob = open(path, "rb").read()
-    header_len = struct.unpack("<I", blob[8:12])[0]
-    names = [t["name"] for t in json.loads(blob[12:12 + header_len])["tensors"]]
-    assert names == [name for name, _ in tensor_items(art.params)]
-    assert names[0].startswith("emb:") and names[1].startswith("fo:")
-    assert names[-1] == "bias"
+    header, payload = _split(open(path, "rb").read())
+    tamper(header)
+    text = json.dumps(header).encode()
+    bad = tmp_path / "bad.erm"
+    bad.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + payload)
+    with pytest.raises(FormatError):
+        load_artifact(str(bad))
 
 
 def test_bad_magic(tmp_path):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from minirec import trainer
+from minirec import feature_select, trainer
 from minirec.artifact import load_artifact, save_artifact
 from minirec.cli import main
 from minirec.config import parse_config
@@ -158,6 +158,15 @@ class TestSelectFeaturesCommand:
         report = json.loads(report_path.read_text())
         assert len(report["importances"]) == 6
         assert [s["name"] for s in report["kept_feature_config"]] == summary["kept"]
+
+    @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
+    def test_bad_keep_fraction_rejected_before_training(self, workspace, capsys, monkeypatch,
+                                                        fraction):
+        monkeypatch.setattr(feature_select, "train_with_gates",
+                            lambda *args, **kwargs: pytest.fail("gate training started"))
+        code, _ = _run(capsys, [
+            "select-features", "-c", str(workspace), "--keep-fraction", fraction])
+        assert code == 2
 
 
 class TestStreamJoinCommand:

@@ -34,7 +34,7 @@ from minirec.errors import (
     UnknownSlot,
     UnknownTensor,
 )
-from minirec.model import init_params, params_equal, tensor_items
+from minirec.model import init_params, params_equal
 
 from helpers import make_config
 
@@ -127,7 +127,7 @@ class TestValidateAndApply:
         msg = DeltaMessage(5, (SparseRecord(0, 10, tuple(float(i) for i in range(8))),), ())
         apply_message(params, msg)
         np.testing.assert_array_equal(
-            params.tables["user_id"].values[10], np.arange(8, dtype=np.float32))
+            params.tensors["emb:user_id"][10], np.arange(8, dtype=np.float32))
         assert params.model_version == 5
 
     def test_idempotent(self, tmp_path):
@@ -135,9 +135,9 @@ class TestValidateAndApply:
         msg = DeltaMessage(5, (SparseRecord(0, 3, tuple([1.0] * 8)),),
                            (DenseRecord(4, tuple([0.5] * 16 * 16)),))
         apply_message(params, msg)
-        snapshot = {name: arr.copy() for name, arr in tensor_items(params)}
+        snapshot = {name: arr.copy() for name, arr in params.tensors.items()}
         apply_message(params, msg)
-        for name, arr in tensor_items(params):
+        for name, arr in params.tensors.items():
             np.testing.assert_array_equal(arr, snapshot[name])
 
     def test_unknown_sparse_index(self, tmp_path):
@@ -166,12 +166,12 @@ class TestValidateAndApply:
 
     def test_rejected_message_leaves_state(self, tmp_path):
         cfg, params = _params(tmp_path)
-        before = {name: arr.copy() for name, arr in tensor_items(params)}
+        before = {name: arr.copy() for name, arr in params.tensors.items()}
         msg = DeltaMessage(5, (SparseRecord(0, 0, (1.0,) * 8),
                                SparseRecord(99, 0, (1.0,) * 8)), ())
         with pytest.raises(UnknownSlot):
             apply_message(params, msg)
-        for name, arr in tensor_items(params):
+        for name, arr in params.tensors.items():
             np.testing.assert_array_equal(arr, before[name])
         assert params.model_version == 0
 

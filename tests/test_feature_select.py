@@ -77,7 +77,7 @@ class TestGatedForward:
         plain = forward(params, fv)
         parts = compute_parts(params, fv)
         scale = {spec.name: 1.0 for spec in cfg.feature_config}
-        gated = assemble(params, fv, parts, slot_scale=scale)
+        gated = assemble(params, parts, slot_scale=scale)
         assert float(gated.probability) == pytest.approx(float(plain.probability), abs=1e-6)
 
     def test_zero_gate_silences_slot(self, tmp_path):
@@ -87,7 +87,7 @@ class TestGatedForward:
         absent = generate({"beta": "b2", "gamma": "c3"}, cfg.feature_config)
         parts = compute_parts(params, fv)
         scale = {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
-        gated = assemble(params, fv, parts, slot_scale=scale)
+        gated = assemble(params, parts, slot_scale=scale)
         plain = forward(params, absent)
         assert float(gated.probability) == pytest.approx(float(plain.probability), abs=1e-6)
 
@@ -98,8 +98,8 @@ class TestGateGradient:
         cfg = _gate_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([42, 0]))
         for spec in cfg.feature_config:
-            params.tables[spec.name].values += np.random.default_rng(1).normal(
-                0, 0.2, params.tables[spec.name].values.shape).astype(np.float32)
+            params.tensors[f"emb:{spec.name}"] += np.random.default_rng(1).normal(
+                0, 0.2, params.tensors[f"emb:{spec.name}"].shape).astype(np.float32)
         fv = generate({"alpha": "a5", "beta": "b1", "gamma": "c9"}, cfg.feature_config)
         tau, lambda_g = 0.5, 1e-3
         rng = np.random.default_rng(43)
@@ -116,7 +116,7 @@ class TestGateGradient:
 
             scale = {n: gate_value(log_alpha[n], u[n], tau) for n in log_alpha}
             parts = compute_parts(params, fv)
-            trace = assemble(params, fv, parts, slot_scale=scale)
+            trace = assemble(params, parts, slot_scale=scale)
             grad = backward(trace, fv, label, 0.0)
             h = 1e-4
             for name in log_alpha:

@@ -12,7 +12,6 @@ from minirec.errors import (
 )
 from minirec.features import FeatureSpec, generate
 from minirec.model import (
-    EmbeddingTable,
     auc,
     backward,
     copy_params,
@@ -22,10 +21,9 @@ from minirec.model import (
     forward,
     init_params,
     logloss,
-    mlp_layer_dims,
     params_equal,
     pooled_lookup,
-    tensor_items,
+    tensor_shapes,
 )
 
 from helpers import (
@@ -37,21 +35,15 @@ from helpers import (
 )
 
 
-def _table(rng, vocab=10, dim=4, name="slot"):
-    return EmbeddingTable(
-        name=name,
-        vocab_size=vocab,
-        dim=dim,
-        values=rng.uniform(-1, 1, (vocab, dim)).astype(np.float32),
-        first_order=rng.uniform(-1, 1, (vocab, 1)).astype(np.float32),
-    )
+def _table(rng, vocab=10, dim=4):
+    return rng.uniform(-1, 1, (vocab, dim)).astype(np.float32)
 
 
 class TestPooledLookup:
     def test_duplicate_row_doubles(self):
         table = _table(np.random.default_rng(0))
         out = pooled_lookup(table, [3, 3], "sum")
-        np.testing.assert_allclose(out, 2 * table.values[3], rtol=1e-6)
+        np.testing.assert_allclose(out, 2 * table[3], rtol=1e-6)
 
     def test_empty_ids_zero_vector(self):
         table = _table(np.random.default_rng(1))
@@ -62,12 +54,12 @@ class TestPooledLookup:
         rng = np.random.default_rng(2)
         for _ in range(100):
             table = _table(rng, vocab=int(rng.integers(2, 30)), dim=int(rng.integers(1, 9)))
-            ids = list(rng.integers(0, table.vocab_size, size=rng.integers(0, 8)))
+            ids = list(rng.integers(0, table.shape[0], size=rng.integers(0, 8)))
             for pooling in ("sum", "mean"):
                 got = pooled_lookup(table, ids, pooling)
-                want = np.zeros(table.dim, dtype=np.float64)
+                want = np.zeros(table.shape[1], dtype=np.float64)
                 for i in ids:
-                    want += table.values[i].astype(np.float64)
+                    want += table[i].astype(np.float64)
                 if pooling == "mean" and ids:
                     want /= len(ids)
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
@@ -134,7 +126,7 @@ class TestForward:
     def test_zero_params_give_half(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([1, 0]))
-        for _, arr in tensor_items(params):
+        for arr in params.tensors.values():
             arr[:] = 0
         fv = generate(_random_record(np.random.default_rng(5)), cfg.feature_config)
         assert forward(params, fv).probability == pytest.approx(0.5)
@@ -142,9 +134,9 @@ class TestForward:
     def test_bias_only(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([1, 0]))
-        for _, arr in tensor_items(params):
+        for arr in params.tensors.values():
             arr[:] = 0
-        params.bias[0] = 2.0
+        params.tensors["bias"][0] = 2.0
         fv = generate({"user_id": "u1"}, cfg.feature_config)
         assert float(forward(params, fv).probability) == pytest.approx(0.880797, abs=1e-5)
 
@@ -153,7 +145,7 @@ class TestForward:
         rng = np.random.default_rng(6)
         for trial in range(50):
             params = init_params(cfg, np.random.default_rng([trial, 0]))
-            for _, arr in tensor_items(params):
+            for arr in params.tensors.values():
                 arr += rng.normal(0, 0.3, arr.shape).astype(np.float32)
             fv = generate(_random_record(rng), cfg.feature_config)
             got = float(forward(params, fv).probability)
@@ -166,7 +158,7 @@ class TestForward:
         fv = generate(_random_record(np.random.default_rng(7)), cfg.feature_config)
         base = float(forward(params, fv).probability)
         for spec in cfg.feature_config:
-            params.tables[spec.name].values[:] = 99.0
+            params.tensors[f"emb:{spec.name}"][:] = 99.0
         assert float(forward(params, fv).probability) == base
 
     def test_bitwise_reproducible(self, tmp_path):
@@ -181,13 +173,13 @@ class TestForward:
     def test_probability_clipped(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([4, 0]))
-        for _, arr in tensor_items(params):
+        for arr in params.tensors.values():
             arr[:] = 0
         fv = generate({"user_id": "u1"}, cfg.feature_config)
-        params.bias[0] = 40.0
+        params.tensors["bias"][0] = 40.0
         high = float(forward(params, fv).probability)
         assert high == float(np.float32(1 - 1e-7)) and high < 1.0
-        params.bias[0] = -40.0
+        params.tensors["bias"][0] = -40.0
         low = float(forward(params, fv).probability)
         assert low == float(np.float32(1e-7)) and low > 0.0
 
@@ -209,22 +201,18 @@ def _fd_check(params, cfg, fv, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
         assert abs(fd - analytic) / scale < tol, (index, fd, analytic)
 
     for slot, rows in grad.emb_rows.items():
-        table = params.tables[slot]
+        table = params.tensors[f"emb:{slot}"]
         for row, vec in rows.items():
             for k in range(len(vec)):
-                check(table.values, (row, k), float(vec[k]))
+                check(table, (row, k), float(vec[k]))
     for slot, rows in grad.fo_rows.items():
-        table = params.tables[slot]
+        table = params.tensors[f"fo:{slot}"]
         for row, value in rows.items():
-            check(table.first_order, (row, 0), float(value))
-    for layer in range(len(params.mlp_weights)):
-        w, b = params.mlp_weights[layer], params.mlp_biases[layer]
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                check(w, (i, j), float(grad.mlp_weights[layer][i, j]))
-        for i in range(b.shape[0]):
-            check(b, (i,), float(grad.mlp_biases[layer][i]))
-    check(params.bias, (0,), float(grad.bias))
+            check(table, (row, 0), float(value))
+    assert set(grad.dense) == {n for n in params.tensors if n.startswith("mlp:") or n == "bias"}
+    for name, g in grad.dense.items():
+        for index in np.ndindex(g.shape):
+            check(params.tensors[name], index, float(g[index]))
     return grad
 
 
@@ -233,18 +221,18 @@ class TestBackward:
         """p=0.5, label 0 gives d(loss)/d(logit) = 0.5, visible in the bias."""
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([5, 0]))
-        for _, arr in tensor_items(params):
+        for arr in params.tensors.values():
             arr[:] = 0
         fv = generate({"user_id": "u1"}, cfg.feature_config)
         grad = backward(forward(params, fv), fv, 0, 0.0)
-        assert float(grad.bias) == pytest.approx(0.5)
+        assert float(grad.dense["bias"][0]) == pytest.approx(0.5)
 
     def test_finite_differences(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         rng = np.random.default_rng(9)
         for trial in range(3):
             params = init_params(cfg, np.random.default_rng([trial, 0]))
-            for _, arr in tensor_items(params):
+            for arr in params.tensors.values():
                 arr += rng.normal(0, 0.1, arr.shape).astype(np.float32)
             fv = generate(_random_record(rng), cfg.feature_config)
             _fd_check(params, cfg, fv, int(rng.integers(2)), reg=1e-4)
@@ -257,7 +245,7 @@ class TestBackward:
         bare = backward(trace, fv, 1, 0.0)
         reg = backward(trace, fv, 1, 0.01)
         row = fv.ids["user_id"][0]
-        want = bare.emb_rows["user_id"][row] + 2 * 0.01 * params.tables["user_id"].values[row]
+        want = bare.emb_rows["user_id"][row] + 2 * 0.01 * params.tensors["emb:user_id"][row]
         np.testing.assert_allclose(reg.emb_rows["user_id"][row], want, rtol=1e-6)
 
     def test_sparse_parts_cover_only_touched_rows(self, tmp_path):
@@ -276,15 +264,23 @@ class TestBackward:
         fv = generate(_random_record(np.random.default_rng(10)), cfg.feature_config)
         grad = backward(forward(params, fv), fv, 1, 0.01)
         assert grad.emb_rows == {} or all(not v for v in grad.emb_rows.values())
-        assert grad.mlp_weights == []
+        assert list(grad.dense) == ["bias"]
         assert any(grad.fo_rows.values())
 
 
 class TestMlpLayerDims:
-    def test_chains_to_scalar(self):
-        assert mlp_layer_dims(3, 4, [8]) == [(12, 8), (8, 1)]
-        assert mlp_layer_dims(2, 8, []) == [(16, 1)]
-        assert mlp_layer_dims(2, 2, [6, 3]) == [(4, 6), (6, 3), (3, 1)]
+    @staticmethod
+    def _mlp_shapes(tmp_path, slots, dim, hidden):
+        features = [{"name": f"s{i}", "kind": "id", "source_columns": [f"c{i}"], "vocab_size": 5}
+                    for i in range(slots)]
+        cfg = make_config(tmp_path, feature_config=features, model_config={
+            "model_type": "deepfm", "embedding_dim": dim, "mlp_hidden_dims": hidden})
+        return [shape for name, shape in tensor_shapes(cfg).items() if name.startswith("mlp:W")]
+
+    def test_chains_to_scalar(self, tmp_path):
+        assert self._mlp_shapes(tmp_path, 3, 4, [8]) == [(12, 8), (8, 1)]
+        assert self._mlp_shapes(tmp_path, 2, 8, []) == [(16, 1)]
+        assert self._mlp_shapes(tmp_path, 2, 2, [6, 3]) == [(4, 6), (6, 3), (3, 1)]
 
 
 class TestMetrics:
@@ -336,7 +332,7 @@ def test_copy_params_is_deep(tmp_path):
     params = init_params(cfg, np.random.default_rng([9, 0]))
     clone = copy_params(params)
     assert params_equal(params, clone)
-    clone.tables["user_id"].values[0, 0] += 1.0
+    clone.tensors["emb:user_id"][0, 0] += 1.0
     assert not params_equal(params, clone)
 
 
@@ -353,13 +349,13 @@ def test_embedding_init_range(tmp_path):
     cfg = _three_slot_config(tmp_path)
     params = init_params(cfg, np.random.default_rng([42, 0]))
     for spec in cfg.feature_config:
-        values = params.tables[spec.name].values
+        values = params.tensors[f"emb:{spec.name}"]
         assert float(np.max(np.abs(values))) <= 0.01
 
 
 def test_first_order_sum_scalar_loop(tmp_path):
     rng = np.random.default_rng(13)
-    table = _table(rng)
+    table = _table(rng, dim=1)
     ids = [1, 5, 1]
-    want = sum(float(table.first_order[i, 0]) for i in ids)
+    want = sum(float(table[i, 0]) for i in ids)
     assert float(first_order_sum(table, ids)) == pytest.approx(want, rel=1e-6)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minirec.model import SparseGradient, init_params, tensor_items
+from minirec.model import SparseGradient, init_params
 from minirec.optim import AdamOptimizer, ScalarAdam
 
 from helpers import make_config
@@ -22,15 +22,14 @@ def _config(tmp_path):
 
 
 def _grad(params, emb_rows, fo_rows, fill=0.1):
-    mlp_w = [np.full_like(w, fill) for w in params.mlp_weights]
-    mlp_b = [np.full_like(b, fill) for b in params.mlp_biases]
+    dense = {name: np.full_like(arr, fill) for name, arr in params.tensors.items()
+             if name.startswith("mlp:") or name == "bias"}
     emb = {
         slot: {row: np.full(4, fill, np.float32) for row in rows}
         for slot, rows in emb_rows.items()
     }
     fo = {slot: {row: np.float32(fill) for row in rows} for slot, rows in fo_rows.items()}
-    return SparseGradient(emb_rows=emb, fo_rows=fo, mlp_weights=mlp_w,
-                          mlp_biases=mlp_b, bias=np.float32(fill))
+    return SparseGradient(emb_rows=emb, fo_rows=fo, dense=dense)
 
 
 def _adam_reference(value, grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
@@ -50,70 +49,70 @@ class TestLazySparseAdam:
     def test_untouched_rows_bit_frozen(self, tmp_path):
         cfg = _config(tmp_path)
         params = init_params(cfg, np.random.default_rng([1, 0]))
-        before = {name: arr.copy() for name, arr in tensor_items(params)}
+        before = {name: arr.copy() for name, arr in params.tensors.items()}
         opt = AdamOptimizer(learning_rate=0.01)
         opt.apply(params, _grad(params, {"user_id": [3]}, {"user_id": [3]}))
-        table = params.tables["user_id"]
-        for row in range(table.vocab_size):
+        table = params.tensors["emb:user_id"]
+        for row in range(table.shape[0]):
             if row == 3:
                 continue
-            np.testing.assert_array_equal(table.values[row], before["emb:user_id"][row])
-        np.testing.assert_array_equal(params.tables["item_id"].values, before["emb:item_id"])
+            np.testing.assert_array_equal(table[row], before["emb:user_id"][row])
+        np.testing.assert_array_equal(params.tensors["emb:item_id"], before["emb:item_id"])
 
     def test_touched_row_matches_reference(self, tmp_path):
         cfg = _config(tmp_path)
         params = init_params(cfg, np.random.default_rng([2, 0]))
-        start = float(params.tables["user_id"].values[5, 0])
+        start = float(params.tensors["emb:user_id"][5, 0])
         opt = AdamOptimizer(learning_rate=0.01)
         for _ in range(3):
             opt.apply(params, _grad(params, {"user_id": [5]}, {}, fill=0.1))
         want = _adam_reference(start, [0.1, 0.1, 0.1])
-        assert float(params.tables["user_id"].values[5, 0]) == pytest.approx(want, rel=1e-5)
+        assert float(params.tensors["emb:user_id"][5, 0]) == pytest.approx(want, rel=1e-5)
 
     def test_per_row_step_counts(self, tmp_path):
         """A row first touched at global step 3 gets step-1 bias correction."""
         cfg = _config(tmp_path)
         params = init_params(cfg, np.random.default_rng([3, 0]))
-        early = float(params.tables["user_id"].values[1, 0])
-        late = float(params.tables["user_id"].values[2, 0])
+        early = float(params.tensors["emb:user_id"][1, 0])
+        late = float(params.tensors["emb:user_id"][2, 0])
         opt = AdamOptimizer(learning_rate=0.01)
         opt.apply(params, _grad(params, {"user_id": [1]}, {}, fill=0.2))
         opt.apply(params, _grad(params, {"user_id": [1]}, {}, fill=0.2))
         opt.apply(params, _grad(params, {"user_id": [1, 2]}, {}, fill=0.2))
         # float32 arithmetic leaves ~1e-7 noise; a wrong step count would be
         # off by ~3.6e-3 (the t=3 bias correction shrinks the step by a third)
-        assert float(params.tables["user_id"].values[1, 0]) == pytest.approx(
+        assert float(params.tensors["emb:user_id"][1, 0]) == pytest.approx(
             _adam_reference(early, [0.2, 0.2, 0.2]), abs=1e-6)
-        assert float(params.tables["user_id"].values[2, 0]) == pytest.approx(
+        assert float(params.tensors["emb:user_id"][2, 0]) == pytest.approx(
             _adam_reference(late, [0.2]), abs=1e-6)
 
     def test_first_order_rows_lazy_too(self, tmp_path):
         cfg = _config(tmp_path)
         params = init_params(cfg, np.random.default_rng([4, 0]))
-        start = float(params.tables["item_id"].first_order[7, 0])
+        start = float(params.tensors["fo:item_id"][7, 0])
         opt = AdamOptimizer(learning_rate=0.05)
         opt.apply(params, _grad(params, {}, {"item_id": [7]}, fill=0.3))
         want = _adam_reference(start, [0.3], lr=0.05)
-        assert float(params.tables["item_id"].first_order[7, 0]) == pytest.approx(want, rel=1e-5)
+        assert float(params.tensors["fo:item_id"][7, 0]) == pytest.approx(want, rel=1e-5)
 
     def test_dense_uses_shared_steps(self, tmp_path):
         """MLP weights update on every apply; second update uses t=2."""
         cfg = _config(tmp_path)
         params = init_params(cfg, np.random.default_rng([5, 0]))
-        start = float(params.mlp_weights[0][0, 0])
+        start = float(params.tensors["mlp:W0"][0, 0])
         opt = AdamOptimizer(learning_rate=0.01)
         opt.apply(params, _grad(params, {}, {}, fill=0.1))
         opt.apply(params, _grad(params, {}, {}, fill=0.1))
         want = _adam_reference(start, [0.1, 0.1])
-        assert float(params.mlp_weights[0][0, 0]) == pytest.approx(want, rel=1e-5)
+        assert float(params.tensors["mlp:W0"][0, 0]) == pytest.approx(want, rel=1e-5)
 
     def test_bias_updates(self, tmp_path):
         cfg = _config(tmp_path)
         params = init_params(cfg, np.random.default_rng([6, 0]))
-        start = float(params.bias[0])
+        start = float(params.tensors["bias"][0])
         opt = AdamOptimizer(learning_rate=0.01)
         opt.apply(params, _grad(params, {}, {}, fill=-0.4))
-        assert float(params.bias[0]) == pytest.approx(_adam_reference(start, [-0.4]), rel=1e-5)
+        assert float(params.tensors["bias"][0]) == pytest.approx(_adam_reference(start, [-0.4]), rel=1e-5)
 
     def test_deterministic_replay(self, tmp_path):
         cfg = _config(tmp_path)
@@ -126,7 +125,7 @@ class TestLazySparseAdam:
                 rows = sorted(set(rng.integers(0, 20, 3).tolist()))
                 opt.apply(params, _grad(params, {"user_id": rows}, {"user_id": rows},
                                         fill=float(rng.uniform(-1, 1))))
-            runs.append({name: arr.copy() for name, arr in tensor_items(params)})
+            runs.append({name: arr.copy() for name, arr in params.tensors.items()})
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name], runs[1][name])
 

@@ -17,13 +17,12 @@ from minirec.delta_stream import (
 )
 from minirec.errors import MinirecError
 from minirec.features import FeatureSpec
-from minirec.model import init_params, tensor_items
+from minirec.model import init_params
 from minirec.serving import (
     LruCache,
     ServingModel,
     _Metrics,
     http_serve,
-    lru_get_or_insert,
     partition_slots,
     score,
 )
@@ -79,7 +78,7 @@ class TestLruCache:
         calls = []
         value, hit = cache.get_or_insert("k", lambda: calls.append(1) or "v")
         assert (value, hit) == ("v", False)
-        value, hit = lru_get_or_insert(cache, "k", lambda: calls.append(1) or "v2")
+        value, hit = cache.get_or_insert("k", lambda: calls.append(1) or "v2")
         assert (value, hit) == ("v", True)
         assert len(calls) == 1
 
@@ -152,7 +151,7 @@ def _make_model(tmp_path, seed=60):
     cfg = _serving_config(tmp_path)
     params = init_params(cfg, np.random.default_rng([seed, 0]))
     rng = np.random.default_rng(seed)
-    for _, arr in tensor_items(params):
+    for arr in params.tensors.values():
         arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
     return ServingModel(params, cfg)
 
@@ -250,7 +249,7 @@ class TestApplyDelta:
         assert model.apply_delta(msg) == 1
         assert model.version == 1
         np.testing.assert_array_equal(
-            model.snapshot().tables["user_id"].values[7],
+            model.snapshot().tensors["emb:user_id"][7],
             np.asarray(values, dtype=np.float32),
         )
 
@@ -258,11 +257,11 @@ class TestApplyDelta:
         """Readers holding the previous snapshot never see new values."""
         model = _make_model(tmp_path)
         old = model.snapshot()
-        row_before = old.tables["user_id"].values[7].copy()
+        row_before = old.tensors["emb:user_id"][7].copy()
         msg = DeltaMessage(model_version=1,
                            sparse=(SparseRecord(0, 7, (9.0, 9.0, 9.0, 9.0)),))
         model.apply_delta(msg)
-        np.testing.assert_array_equal(old.tables["user_id"].values[7], row_before)
+        np.testing.assert_array_equal(old.tensors["emb:user_id"][7], row_before)
         assert old.model_version == 0
 
     def test_copy_on_write_shares_untouched_tensors(self, tmp_path):
@@ -272,10 +271,10 @@ class TestApplyDelta:
                            sparse=(SparseRecord(0, 7, (9.0, 9.0, 9.0, 9.0)),))
         model.apply_delta(msg)
         new = model.snapshot()
-        assert new.tables["user_id"].values is not old.tables["user_id"].values
-        assert new.tables["item_id"].values is old.tables["item_id"].values
-        assert new.tables["user_id"].first_order is old.tables["user_id"].first_order
-        assert new.bias is old.bias
+        assert new.tensors["emb:user_id"] is not old.tensors["emb:user_id"]
+        assert new.tensors["emb:item_id"] is old.tensors["emb:item_id"]
+        assert new.tensors["fo:user_id"] is old.tensors["fo:user_id"]
+        assert new.tensors["bias"] is old.tensors["bias"]
 
     def test_stale_version_skipped(self, tmp_path):
         model = _make_model(tmp_path)
@@ -432,7 +431,7 @@ class TestPoller:
             assert status == 200
             assert snap["deltas_applied"] == 1
             np.testing.assert_array_equal(
-                model.snapshot().tables["user_id"].values[2],
+                model.snapshot().tensors["emb:user_id"][2],
                 np.asarray([4.0, 3.0, 2.0, 1.0], dtype=np.float32),
             )
         finally:

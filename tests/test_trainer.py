@@ -5,7 +5,7 @@ import pytest
 
 from minirec.delta_stream import decode_delta, encode_delta
 from minirec.errors import DataError, IoError
-from minirec.model import init_params, params_equal, tensor_items
+from minirec.model import init_params, params_equal
 from minirec.trainer import (
     DeltaAccumulator,
     early_stop_check,
@@ -212,7 +212,7 @@ class TestDeltaEmission:
         art, _ = train(cfg, sink=sink)
         final = decode_delta(sink.frames[-1])
         for record in final.sparse:
-            name, arr = tensor_items(art.params)[record.tensor_index]
+            name, arr = list(art.params.tensors.items())[record.tensor_index]
             if name.startswith("emb:"):
                 np.testing.assert_array_equal(
                     np.asarray(record.values, np.float32), arr[record.row_id])
