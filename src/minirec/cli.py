@@ -30,6 +30,7 @@ from .config import (
 )
 from .delta_stream import open_consumer, open_publisher
 from .errors import InvalidValue, IoError, MinirecError
+from .features import generate
 from .model import init_params
 
 log = logging.getLogger("minirec.cli")
@@ -78,7 +79,13 @@ def _parse_bind(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
         raise InvalidValue("--bind", "expected host:port")
-    return host, int(port)
+    try:
+        number = int(port)
+    except ValueError:
+        raise InvalidValue("--bind", f"port {port!r} is not an integer") from None
+    if not 0 <= number <= 65535:
+        raise InvalidValue("--bind", f"port {number} is outside 0-65535")
+    return host, number
 
 
 def _cmd_train(args) -> None:
@@ -133,6 +140,7 @@ def _cmd_export(args) -> None:
 
 
 def _cmd_serve(args) -> None:
+    bind = _parse_bind(args.bind)
     model = serving.load_model(args.model)
     cache = serving.LruCache(args.cache_capacity) if args.cache_capacity > 0 else None
     consumer = open_consumer(args.queue) if args.queue else None
@@ -140,7 +148,7 @@ def _cmd_serve(args) -> None:
         model,
         cache,
         consumer=consumer,
-        bind=_parse_bind(args.bind),
+        bind=bind,
         poll_interval_ms=args.poll_interval_ms,
     )
     _emit(
@@ -243,13 +251,8 @@ def _cmd_stream_join(args) -> None:
 def _cmd_predict_file(args) -> None:
     art = artifact_mod.load_artifact(args.model)
     records = trainer.load_records(args.input, art.config.data_config.delimiter)
-    from .features import generate
-    from .model import forward
-
-    scores = []
-    for record in records:
-        fv = generate(record, art.config.feature_config)
-        scores.append(float(forward(art.params, fv).probability))
+    fvs = [generate(record, art.config.feature_config) for record in records]
+    scores = trainer.score_all(art.params, fvs)
     with open(args.out, "w") as fh:
         for s in scores:
             fh.write(f"{s!r}\n")

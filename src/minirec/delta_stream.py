@@ -154,13 +154,20 @@ def validate_message(params: ModelParams, msg: DeltaMessage) -> None:
 
 
 def apply_message(params: ModelParams, msg: DeltaMessage) -> None:
-    """Write a validated message's values into params, in place.
+    """Validate a message, then write its values into params, in place.
 
-    Sets model_version last. Callers needing snapshot semantics copy the
-    affected tensors first (see serving); this helper is the shared
-    record-resolution logic and the replay tool.
+    The replay tool: nothing is written unless every record resolves.
     """
     validate_message(params, msg)
+    write_message(params, msg)
+
+
+def write_message(params: ModelParams, msg: DeltaMessage) -> None:
+    """Write an already validated message's values into params, in place.
+
+    Sets model_version last. Callers needing snapshot semantics validate,
+    then copy the affected tensors and write into the copy (see serving).
+    """
     arrays = list(params.tensors.values())
     for rec in msg.sparse:
         arr = arrays[rec.tensor_index]

@@ -8,6 +8,8 @@ The forward pass is split into `compute_parts` (per-slot pooled embedding
 and first-order sums) and `assemble` (FM + MLP + bias on top of the
 parts). The serving cache stores per-slot parts and re-assembles, so the
 cached path runs the exact same float operations as the uncached one.
+`assemble` also takes many rows' parts stacked by `stack_parts` and
+scores them in one pass; every row gets the bits its own pass would give.
 """
 
 from __future__ import annotations
@@ -56,15 +58,18 @@ class SlotPart(NamedTuple):
     """Per-slot forward intermediates: pooled embedding and first-order sum.
 
     `pooled` is None for the logreg model type, which never reads the
-    embedding tables.
+    embedding tables. Stacked parts (see `stack_parts`) hold N rows: `fo`
+    of shape (N,) and `pooled` of shape (N, D).
     """
 
     pooled: np.ndarray | None
-    fo: np.float32
+    fo: np.float32 | np.ndarray
 
 
 @dataclass
 class ForwardTrace:
+    """Intermediates of `assemble`; `fm`, `logit` and `probability` are (N,) for stacked parts."""
+
     params: ModelParams
     parts: dict[str, SlotPart]
     slot_scale: Mapping[str, float] | None
@@ -190,22 +195,26 @@ def first_order_sum(table: np.ndarray, ids: Sequence[int]) -> np.float32:
 def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
     """Second-order FM term via 0.5 * sum_k[(sum_i e_ik)^2 - sum_i e_ik^2].
 
-    Equal to the sum of pairwise dot products of the vectors.
+    Equal to the sum of pairwise dot products of the vectors. Vectors of
+    shape (N, D) give one term per row; the sum over k runs in the same
+    order for every row, so a row's term does not depend on the others.
     """
     vectors = list(pooled)
     if not vectors:
         return _F32(0.0)
-    dim = vectors[0].shape[0]
-    total = np.zeros(dim, dtype=_F32)
-    total_sq = np.zeros(dim, dtype=_F32)
+    dim = vectors[0].shape[-1]
+    total = np.zeros(vectors[0].shape, dtype=_F32)
+    total_sq = np.zeros(vectors[0].shape, dtype=_F32)
     for v in vectors:
-        if v.shape[0] != dim:
-            raise DimensionMismatch(f"expected dim {dim}, got {v.shape[0]}")
+        if v.shape[-1] != dim:
+            raise DimensionMismatch(f"expected dim {dim}, got {v.shape[-1]}")
         total += v
         total_sq += v * v
+    # Transposed so that [k] is a scalar for one row and a column for N rows.
+    terms = (total * total - total_sq).T
     acc = _F32(0.0)
     for k in range(dim):
-        acc = acc + (total[k] * total[k] - total_sq[k])
+        acc = acc + terms[k]
     return _F32(0.5) * acc
 
 
@@ -239,9 +248,32 @@ def compute_parts(
     return parts
 
 
-def _clip_probability(logit: np.float32) -> np.float32:
-    p = 1.0 / (1.0 + math.exp(-float(logit)))
-    return _F32(min(max(p, PROB_CLIP), 1.0 - PROB_CLIP))
+def stack_parts(rows: Sequence[dict[str, SlotPart]]) -> dict[str, SlotPart]:
+    """Stack the parts of N rows, slot by slot, for one `assemble` pass."""
+    stacked: dict[str, SlotPart] = {}
+    for name, first in rows[0].items():
+        pooled = None
+        if first.pooled is not None:
+            pooled = np.array([r[name].pooled for r in rows], dtype=_F32)
+        stacked[name] = SlotPart(pooled, np.array([r[name].fo for r in rows], dtype=_F32))
+    return stacked
+
+
+def _clip_probability(logit: float) -> float:
+    p = 1.0 / (1.0 + math.exp(-logit))
+    return min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
+
+
+def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w with one matrix-vector product per row of a 2-D x.
+
+    A 2-D `x @ w` is a gemm whose blocking, and so its rounding, changes
+    with the number of rows. Stacked as (N, 1, in) it runs the same gemv
+    per row as a 1-D `x @ w`, so a row's bits do not depend on its batch.
+    """
+    if x.ndim == 1:
+        return x @ w
+    return (x[:, None, :] @ w)[:, 0, :]
 
 
 def assemble(
@@ -250,6 +282,11 @@ def assemble(
     slot_scale: Mapping[str, float] | None = None,
 ) -> ForwardTrace:
     """Combine per-slot parts into the final logit and probability.
+
+    `parts` holds one row (scalar `fo`, `pooled` of shape (D,)) or N rows
+    stacked by `stack_parts`, which give (N,) logits and probabilities.
+    Every operation is elementwise or per row, so each stacked row's
+    result is bit-identical to assembling that row alone.
 
     `slot_scale` multiplies a slot's pooled embedding and first-order
     contribution before they enter the logit; the feature-selection gates
@@ -271,17 +308,25 @@ def assemble(
             scaled_pooled.append(scale * parts[spec.name].pooled)
         fm = fm_second_order(scaled_pooled)
         logit = logit + fm
-        mlp_input = np.concatenate(scaled_pooled) if scaled_pooled else np.zeros(0, dtype=_F32)
+        mlp_input = (
+            np.concatenate(scaled_pooled, axis=-1) if scaled_pooled else np.zeros(0, dtype=_F32)
+        )
         x = mlp_input
         layers = mlp_layers(params)
         last = len(layers) - 1
         for i, (w, b) in enumerate(layers):
-            pre = x @ w + b
+            pre = _rowwise_matmul(x, w) + b
             pre_activations.append(pre)
             x = pre if i == last else np.maximum(pre, _F32(0.0))
             activations.append(x)
-        logit = logit + x[0]
+        logit = logit + x.T[0]
 
+    if np.ndim(logit):
+        # math.exp per row: np.exp need not round like it.
+        probability = np.array([_clip_probability(v) for v in logit.tolist()], dtype=_F32)
+    else:
+        logit = _F32(logit)
+        probability = _F32(_clip_probability(float(logit)))
     return ForwardTrace(
         params=params,
         parts=parts,
@@ -291,8 +336,8 @@ def assemble(
         mlp_input=mlp_input,
         pre_activations=pre_activations,
         activations=activations,
-        logit=_F32(logit),
-        probability=_clip_probability(_F32(logit)),
+        logit=logit,
+        probability=probability,
     )
 
 

@@ -24,14 +24,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .artifact import load_artifact
 from .config import PipelineConfig
-from .delta_stream import DeltaMessage, apply_message, decode_delta, validate_message
+from .delta_stream import DeltaMessage, decode_delta, validate_message, write_message
 from .errors import MinirecError
 from .features import FeatureSpec, generate
-from .model import ModelParams, SlotPart, assemble, compute_parts, copy_params
+from .model import ModelParams, SlotPart, assemble, compute_parts, copy_params, stack_parts
 
 log = logging.getLogger("minirec.serving")
 
 METRICS_WINDOW = 10_000
+# Largest /v1/predict body accepted; a longer Content-Length is refused unread.
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class ServingModel:
             validate_message(current, msg)
             names = list(current.tensors)
             fresh = copy_params(current, {names[rec.tensor_index] for rec in (*msg.sparse, *msg.dense)})
-            apply_message(fresh, msg)
+            write_message(fresh, msg)
             self._params = fresh
             return fresh.model_version
 
@@ -148,8 +150,11 @@ def score(
 ) -> ScoreResponse:
     """Score every item in the request against one parameter snapshot.
 
-    Per-item feature failures yield a null score in that position; other
-    items are unaffected. cache_hits counts item-side cache hits.
+    Features and parts are computed per item; the items' parts are then
+    stacked and assembled in one pass, whose per-row results do not depend
+    on the other items. Per-item feature failures yield a null score in
+    that position; other items are unaffected. cache_hits counts
+    item-side cache hits.
     """
     params = model.snapshot()
     part = model.partition
@@ -157,9 +162,12 @@ def score(
     user_fv = generate(user_record, part.user)
     user_parts = compute_parts(params, user_fv, part.user)
 
-    scores: list[float | None] = []
+    items = request.get("items") or []
+    scores: list[float | None] = [None] * len(items)
+    rows: list[dict[str, SlotPart]] = []
+    positions: list[int] = []
     hits = 0
-    for item in request.get("items") or []:
+    for position, item in enumerate(items):
         try:
             if not isinstance(item, dict) or "key" not in item:
                 raise MinirecError("item entry needs a key")
@@ -178,10 +186,14 @@ def score(
 
             cross_fv = generate({**user_record, **item_record}, part.cross)
             cross_parts = compute_parts(params, cross_fv, part.cross)
-            trace = assemble(params, {**user_parts, **item_parts, **cross_parts})
-            scores.append(float(trace.probability))
         except MinirecError:
-            scores.append(None)
+            continue
+        rows.append({**user_parts, **item_parts, **cross_parts})
+        positions.append(position)
+    if rows:
+        probabilities = assemble(params, stack_parts(rows)).probability.tolist()
+        for position, probability in zip(positions, probabilities):
+            scores[position] = probability
     return ScoreResponse(scores=scores, model_version=params.model_version, cache_hits=hits)
 
 
@@ -286,17 +298,29 @@ def http_serve(
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body go out in two writes; with Nagle on, the second
+        # waits for the client's delayed ACK (about 40 ms) on keep-alive.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):
             log.debug("http: " + fmt, *args)
 
-        def _reply(self, status: int, payload: dict) -> None:
+        def _reply(self, status: int, payload: dict, close: bool = False) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        def _body_length(self) -> int | None:
+            """The declared body length, or None unless it is digits up to MAX_BODY_BYTES."""
+            text = self.headers.get("Content-Length", "0")
+            if not (text.isascii() and text.isdigit()) or int(text) > MAX_BODY_BYTES:
+                return None
+            return int(text)
 
         def do_GET(self) -> None:
             if self.path == "/v1/version":
@@ -310,8 +334,15 @@ def http_serve(
             if self.path != "/v1/predict":
                 self._reply(404, {"error": f"no such path {self.path!r}"})
                 return
+            length = self._body_length()
+            if length is None:
+                # The body is left unread, so the connection cannot be reused.
+                self._reply(
+                    400, {"error": f"Content-Length must be an integer in 0..{MAX_BODY_BYTES}"},
+                    close=True,
+                )
+                return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
                 request = json.loads(self.rfile.read(length).decode("utf-8"))
                 if not isinstance(request, dict) or not isinstance(request.get("items"), list):
                     raise ValueError("request must be an object with an items array")

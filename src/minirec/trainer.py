@@ -24,11 +24,14 @@ from .features import FeatureVector, generate
 from .model import (
     ModelParams,
     SparseGradient,
+    assemble,
     backward,
+    compute_parts,
     evaluate_metrics,
     forward,
     init_params,
     is_sparse_tensor,
+    stack_parts,
 )
 from .optim import AdamOptimizer
 
@@ -139,7 +142,11 @@ def load_dataset(cfg: PipelineConfig, path: str) -> tuple[list[FeatureVector], n
 
 
 def score_all(params: ModelParams, fvs: list[FeatureVector]) -> list[float]:
-    return [float(forward(params, fv).probability) for fv in fvs]
+    """Probabilities of every row, assembled in one pass; each equals its own `forward`."""
+    if not fvs:
+        return []
+    rows = [compute_parts(params, fv) for fv in fvs]
+    return assemble(params, stack_parts(rows)).probability.tolist()
 
 
 def evaluate_params(

@@ -216,6 +216,14 @@ class TestExitCodes:
             "--model-dir", str(tmp_path / "m")])
         assert code == 2
 
+    @pytest.mark.parametrize("bind", ["127.0.0.1:abc", "127.0.0.1:65536", "127.0.0.1:-1"])
+    def test_bad_bind_port_is_runtime_error(self, workspace, tmp_path, capsys, bind):
+        model_dir = tmp_path / "init"
+        assert main(["export", "-c", str(workspace), "--model-dir", str(model_dir)]) == 0
+        code = main(["serve", "--model", str(model_dir / "model.erm"), "--bind", bind])
+        assert code == 2
+        assert "--bind" in capsys.readouterr().err
+
     def test_corrupt_artifact_is_runtime_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.erm"
         bad.write_bytes(b"junk")

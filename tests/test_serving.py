@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import statistics
 import threading
 import time
 
@@ -16,9 +17,10 @@ from minirec.delta_stream import (
     open_publisher,
 )
 from minirec.errors import MinirecError
-from minirec.features import FeatureSpec
-from minirec.model import init_params
+from minirec.features import FeatureSpec, generate
+from minirec.model import forward, init_params
 from minirec.serving import (
+    MAX_BODY_BYTES,
     LruCache,
     ServingModel,
     _Metrics,
@@ -26,6 +28,7 @@ from minirec.serving import (
     partition_slots,
     score,
 )
+from minirec.trainer import score_all
 
 from helpers import LruSimulator, make_config
 
@@ -241,6 +244,95 @@ class TestScore:
         assert set(plain) == {"scores", "model_version", "cache_hits"}
 
 
+def _five_kind_model(tmp_path, model_type, seed=64):
+    """All five feature kinds over user, item and cross slots; perturbed weights."""
+    features = [
+        {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 200},
+        {"name": "user_tags", "kind": "multi_id", "source_columns": ["user_tags"],
+         "vocab_size": 50, "pooling": "mean"},
+        {"name": "user_age", "kind": "numeric_bucket", "source_columns": ["user_age"],
+         "boundaries": [18, 30, 50]},
+        {"name": "item_id", "kind": "id", "source_columns": ["item_id"], "vocab_size": 200},
+        {"name": "item_cats", "kind": "multi_id", "source_columns": ["item_cats"],
+         "vocab_size": 30},
+        {"name": "item_price", "kind": "numeric_raw", "source_columns": ["item_price"]},
+        {"name": "user_x_item", "kind": "cross",
+         "source_columns": ["user_id", "item_id"], "vocab_size": 500},
+    ]
+    cfg = make_config(tmp_path, feature_config=features, model_config={
+        "model_type": model_type, "embedding_dim": 8, "mlp_hidden_dims": [64, 32]})
+    params = init_params(cfg, np.random.default_rng([seed, 0]))
+    rng = np.random.default_rng(seed)
+    for arr in params.tensors.values():
+        arr += rng.normal(0.0, 0.1, arr.shape).astype(np.float32)
+    return ServingModel(params, cfg)
+
+
+_INVALID_ITEMS = (
+    {"features": {"item_id": "x"}},
+    {"key": "bad", "features": {"item_id": "x", "item_price": "abc"}},
+    "not an object",
+)
+
+
+def _mixed_items(rng, count):
+    """`count` valid items with invalid entries interleaved; returns (items, valid positions)."""
+    items, valid = [], []
+    for n in range(count):
+        if n % 3 == 0:
+            items.append(_INVALID_ITEMS[(n // 3) % len(_INVALID_ITEMS)])
+        k = int(rng.integers(0, 40))
+        valid.append(len(items))
+        items.append({"key": f"i{k}", "features": {
+            "item_id": f"i{k}", "item_cats": f"c{k % 7}|c{k % 5}",
+            "item_price": f"{0.5 + k / 8:.3f}"}})
+    return items, valid
+
+
+class TestBatchInvariance:
+    """A row's score is the same bits whatever else is in its request."""
+
+    @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+    def test_every_item_scores_as_alone_and_as_forward(self, tmp_path, model_type):
+        model = _five_kind_model(tmp_path, model_type)
+        specs = model.config.feature_config
+        rng = np.random.default_rng(65)
+        cache = LruCache(1000)
+        for size in (1, 7, 64):
+            user = {"user_id": f"u{size}", "user_tags": "t1|t4|t9", "user_age": "33"}
+            items, valid = _mixed_items(rng, size)
+            request = {"user": user, "items": items}
+            uncached = score(model, request).scores
+            cached_cold = score(model, request, cache).scores
+            cached_warm = score(model, request, cache).scores
+            assert uncached == cached_cold == cached_warm
+            assert [i for i, s in enumerate(uncached) if s is not None] == valid
+            for position in valid:
+                item = items[position]
+                alone = score(model, {"user": user, "items": [item]}).scores
+                assert alone == [uncached[position]]
+                fv = generate({**user, **item["features"]}, specs)
+                assert float(forward(model.snapshot(), fv).probability) == uncached[position]
+
+    @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+    def test_score_all_equals_per_sample_forward(self, tmp_path, model_type):
+        model = _five_kind_model(tmp_path, model_type)
+        params = model.snapshot()
+        rng = np.random.default_rng(66)
+        records = [
+            {"user_id": f"u{rng.integers(0, 50)}", "user_tags": f"t{rng.integers(0, 9)}",
+             "user_age": str(rng.integers(10, 70)), "item_id": f"i{rng.integers(0, 50)}",
+             "item_cats": f"c{rng.integers(0, 9)}", "item_price": f"{rng.uniform(0, 5):.3f}"}
+            for _ in range(200)
+        ]
+        fvs = [generate(r, model.config.feature_config) for r in records]
+        want = [float(forward(params, fv).probability) for fv in fvs]
+        assert len(set(want)) > 100
+        for size in (1, 7, 64, 200):
+            assert score_all(params, fvs[:size]) == want[:size]
+        assert score_all(params, []) == []
+
+
 class TestApplyDelta:
     def test_applies_and_bumps_version(self, tmp_path):
         model = _make_model(tmp_path)
@@ -391,6 +483,45 @@ class TestHttpService:
         status, payload = _http(handle, "POST", "/v1/predict", body)
         assert status == 400
         assert "error" in payload
+
+    @pytest.mark.parametrize("length", ["-1", str(MAX_BODY_BYTES + 1), "12abc"])
+    def test_bad_content_length_refused_unread(self, served, length):
+        _, handle = served
+        conn = http.client.HTTPConnection(*handle.address, timeout=5)
+        try:
+            start = time.perf_counter()
+            conn.putrequest("POST", "/v1/predict")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 1.0
+        assert resp.status == 400
+        assert "Content-Length" in payload["error"]
+        assert resp.getheader("Connection") == "close"
+
+    def test_sequential_keepalive_requests_do_not_stall(self, served):
+        # Headers and body in two writes with Nagle on wait out the client's
+        # delayed ACK: about 40 ms per request instead of well under 1 ms.
+        _, handle = served
+        body = json.dumps(_request("u1", ["a"])).encode()
+        conn = http.client.HTTPConnection(*handle.address, timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("POST", "/v1/predict", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append(time.perf_counter() - start)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.010
 
     def test_unknown_paths(self, served):
         _, handle = served
