@@ -66,13 +66,15 @@ class GateTrainResult:
 
 
 def _sample_gates(
-    gates: GateParams, slot_names: tuple[str, ...], rng: np.random.Generator
-) -> dict[str, float]:
-    draws = {}
-    for name in slot_names:
-        u = min(max(rng.random(), _U_CLIP), 1.0 - _U_CLIP)
-        draws[name] = gate_value(gates.log_alpha[name], u, gates.tau)
-    return draws
+    gates: GateParams, slot_names: tuple[str, ...], rng: np.random.Generator, count: int
+) -> dict[str, np.ndarray]:
+    """Gate draws for `count` samples, per slot; drawn sample by sample in slot order."""
+    draws = np.zeros((count, len(slot_names)))
+    for row in draws:
+        for i, name in enumerate(slot_names):
+            u = min(max(rng.random(), _U_CLIP), 1.0 - _U_CLIP)
+            row[i] = gate_value(gates.log_alpha[name], u, gates.tau)
+    return {name: draws[:, i] for i, name in enumerate(slot_names)}
 
 
 def train_with_gates(
@@ -113,27 +115,25 @@ def train_with_gates(
         order = shuffle_rng.permutation(len(train_fvs))
         for start in range(0, len(order), t.batch_size):
             batch = [(train_fvs[i], int(train_labels[i])) for i in order[start : start + t.batch_size]]
-            draws = [_sample_gates(gates, slot_names, noise_rng) for _ in batch]
+            draws = _sample_gates(gates, slot_names, noise_rng, len(batch))
             train_step(params, weight_opt, batch, reg, draws)
             steps += 1
 
-            gate_grad = np.zeros(len(slot_names))
-            count = 0
+            picked = []
             for _ in range(min(t.batch_size, len(valid_fvs))):
                 if valid_pos >= len(valid_order):
                     valid_order = list(shuffle_rng.permutation(len(valid_fvs)))
                     valid_pos = 0
-                idx = valid_order[valid_pos]
+                picked.append(valid_order[valid_pos])
                 valid_pos += 1
-                fv = valid_fvs[idx]
-                z = _sample_gates(gates, slot_names, noise_rng)
-                trace = forward(params, fv, slot_scale=z)
-                grad = backward(trace, fv, int(valid_labels[idx]), 0.0)
-                for i, name in enumerate(slot_names):
-                    zi = z[name]
-                    gate_grad[i] += grad.slot_scale[name] * zi * (1.0 - zi) / gates.tau
-                count += 1
-            gate_grad /= count
+            z = _sample_gates(gates, slot_names, noise_rng, len(picked))
+            trace = forward(params, [valid_fvs[i] for i in picked], slot_scale=z)
+            grad = backward(trace, valid_labels[picked], 0.0)
+            gate_grad = np.zeros(len(slot_names))
+            for i, name in enumerate(slot_names):
+                for g, zi in zip(grad.slot_scale[name].tolist(), z[name].tolist()):
+                    gate_grad[i] += g * zi * (1.0 - zi) / gates.tau
+            gate_grad /= len(picked)
             for i, name in enumerate(slot_names):
                 p = _sigmoid(gates.log_alpha[name])
                 gate_grad[i] += lambda_g * p * (1.0 - p)
@@ -149,8 +149,9 @@ def train_with_gates(
 
 def evaluate_gated(params: ModelParams, gates: GateParams, fvs: list) -> list[float]:
     """Deterministic gated scores: each slot scaled by its keep probability."""
-    scale = gates.keep_probabilities()
-    return [float(forward(params, fv, slot_scale=scale).probability) for fv in fvs]
+    if not fvs:
+        return []
+    return forward(params, fvs, slot_scale=gates.keep_probabilities()).probability.tolist()
 
 
 def select(

@@ -8,8 +8,9 @@ The forward pass is split into `compute_parts` (per-slot pooled embedding
 and first-order sums) and `assemble` (FM + MLP + bias on top of the
 parts). The serving cache stores per-slot parts and re-assembles, so the
 cached path runs the exact same float operations as the uncached one.
-`assemble` also takes many rows' parts stacked by `stack_parts` and
-scores them in one pass; every row gets the bits its own pass would give.
+Both work on N rows at once, and training's `backward` and the
+optimizer take a whole batch in one pass; every row gets the bits its
+own one-row pass would give.
 """
 
 from __future__ import annotations
@@ -54,42 +55,76 @@ class ModelParams:
         return tuple(s.name for s in self.specs)
 
 
-class SlotPart(NamedTuple):
-    """Per-slot forward intermediates: pooled embedding and first-order sum.
+class SlotRows(NamedTuple):
+    """One slot's table rows over N samples in CSR form, flat in sample order.
 
-    `pooled` is None for the logreg model type, which never reads the
-    embedding tables. Stacked parts (see `stack_parts`) hold N rows: `fo`
-    of shape (N,) and `pooled` of shape (N, D).
+    Entry e reads row `ids[e]` for sample `owner[e]` with weight `value[e]`:
+    1 for a hashed or bucketized id, the raw value for numeric_raw, whose
+    one row 0 every sample reads. `divisor[n]` is sample n's float32 entry
+    count for mean pooling, 1 for a sample without entries.
+    """
+
+    ids: np.ndarray
+    owner: np.ndarray
+    value: np.ndarray
+    divisor: np.ndarray
+
+
+class SlotPart(NamedTuple):
+    """Per-slot forward intermediates of N rows: pooled embeddings and first-order sums.
+
+    `pooled` is (N, D), or None for the logreg model type, which never
+    reads the embedding tables; `fo` is (N,).
     """
 
     pooled: np.ndarray | None
-    fo: np.float32 | np.ndarray
+    fo: np.ndarray
 
 
 @dataclass
 class ForwardTrace:
-    """Intermediates of `assemble`; `fm`, `logit` and `probability` are (N,) for stacked parts."""
+    """Intermediates of `assemble` over N rows; `fm`, `logit` and `probability` are (N,).
+
+    `slot_scale` holds each slot's float32 scale, a scalar or one per row;
+    `rows` is set by `forward` for `backward`.
+    """
 
     params: ModelParams
     parts: dict[str, SlotPart]
-    slot_scale: Mapping[str, float] | None
+    slot_scale: dict[str, np.ndarray] | None
     scaled_pooled: list[np.ndarray]
-    fm: np.float32
+    fm: np.ndarray
     mlp_input: np.ndarray | None
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
-    logit: np.float32
-    probability: np.float32
+    logit: np.ndarray
+    probability: np.ndarray
+    rows: dict[str, SlotRows] | None = None
+
+
+@dataclass
+class SparseRows:
+    """Gradient of some rows of one table: sorted unique row ids, one value row each."""
+
+    ids: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass
 class SparseGradient:
-    """Per-slot rows of the emb/fo tables, and whole dense tensors by name."""
+    """Per-slot rows of the emb/fo tables, and whole dense tensors by name.
 
-    emb_rows: dict[str, dict[int, np.ndarray]]
-    fo_rows: dict[str, dict[int, np.float32]]
+    `slot_scale`, present when the forward pass had slot scales, holds the
+    gradient of each slot's scale, one per sample.
+    """
+
+    emb_rows: dict[str, SparseRows]
+    fo_rows: dict[str, SparseRows]
     dense: dict[str, np.ndarray]
-    slot_scale: dict[str, float] | None = None
+    slot_scale: dict[str, np.ndarray] | None = None
 
 
 def tensor_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
@@ -169,27 +204,49 @@ def params_equal(a: ModelParams, b: ModelParams) -> bool:
     )
 
 
-def pooled_lookup(table: np.ndarray, ids: Sequence[int], pooling: str = "sum") -> np.ndarray:
-    """Sum (or mean) of table rows, accumulated in id-list position order."""
-    vocab_size, dim = table.shape
-    out = np.zeros(dim, dtype=_F32)
-    for row_id in ids:
-        if not 0 <= row_id < vocab_size:
-            raise IndexOutOfRange(row_id, vocab_size)
-        out += table[row_id]
-    if pooling == "mean" and ids:
-        out /= _F32(len(ids))
+def _fold(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum `values` into `size` bins by `index`; each bin is a left fold from zero in input order."""
+    out = np.zeros((size, *values.shape[1:]), dtype=_F32)
+    np.add.at(out, index, values)
     return out
 
 
-def first_order_sum(table: np.ndarray, ids: Sequence[int]) -> np.float32:
-    vocab_size = table.shape[0]
-    total = _F32(0.0)
-    for row_id in ids:
-        if not 0 <= row_id < vocab_size:
-            raise IndexOutOfRange(row_id, vocab_size)
-        total = total + table[row_id, 0]
-    return total
+def _sum_samples(values: np.ndarray) -> np.ndarray:
+    """Sum over the first axis as a left fold from zero in row order.
+
+    np.sum may sum pairwise along a contiguous axis, which rounds differently.
+    """
+    out = np.zeros(values.shape[1:], dtype=_F32)
+    for row in values:
+        out += row
+    return out
+
+
+def id_rows(id_lists: Sequence[Sequence[int]], vocab_size: int) -> SlotRows:
+    """CSR rows of one hashed or bucketized slot; raises IndexOutOfRange on a bad id."""
+    flat = [i for ids in id_lists for i in ids]
+    if flat and (min(flat) < 0 or max(flat) >= vocab_size):
+        raise IndexOutOfRange(next(i for i in flat if not 0 <= i < vocab_size), vocab_size)
+    owner = [n for n, ids in enumerate(id_lists) for _ in ids]
+    return SlotRows(
+        ids=np.array(flat, dtype=np.intp),
+        owner=np.array(owner, dtype=np.intp),
+        value=np.ones(len(flat), dtype=_F32),
+        divisor=np.array([len(ids) or 1 for ids in id_lists], dtype=_F32),
+    )
+
+
+def pooled_lookup(table: np.ndarray, rows: SlotRows, pooling: str = "sum") -> np.ndarray:
+    """(N, D) sums (or means) of each sample's rows, accumulated in id-list position order."""
+    out = _fold(rows.owner, table[rows.ids], len(rows.divisor))
+    if pooling == "mean":
+        out /= rows.divisor[:, None]
+    return out
+
+
+def first_order_sum(table: np.ndarray, rows: SlotRows) -> np.ndarray:
+    """(N,) sums of each sample's first-order weights, in id-list position order."""
+    return _fold(rows.owner, table[rows.ids, 0], len(rows.divisor))
 
 
 def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
@@ -218,45 +275,72 @@ def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
     return _F32(0.5) * acc
 
 
-def compute_parts(
-    params: ModelParams, fv: FeatureVector, specs: Sequence[FeatureSpec] | None = None
-) -> dict[str, SlotPart]:
-    """Per-slot pooled embeddings and first-order sums.
+def _slot_rows(
+    params: ModelParams, fvs: Sequence[FeatureVector], specs: Sequence[FeatureSpec] | None = None
+) -> dict[str, SlotRows]:
+    """Each slot's table rows over the samples `fvs`, ids range-checked.
 
-    This is the cacheable unit in serving: a slot's part depends only on
-    that slot's features and tables, never on other slots. `specs`
-    restricts computation to a subset of the model's slots (serving
-    computes user-side, item-side, and cross parts separately).
+    A numeric_raw slot reads its single row 0 once per sample, weighted by
+    the raw value. `specs` restricts the result to a subset of the slots.
     """
     known = set(params.slot_names)
-    for name in set(fv.ids) | set(fv.dense):
-        if name not in known:
-            raise SlotMismatch(f"feature vector has undeclared slot {name!r}")
+    for fv in fvs:
+        for name in (*fv.ids, *fv.dense):
+            if name not in known:
+                raise SlotMismatch(f"feature vector has undeclared slot {name!r}")
+    n = len(fvs)
+    rows: dict[str, SlotRows] = {}
+    for spec in params.specs if specs is None else specs:
+        if spec.kind == "numeric_raw":
+            value = np.array([fv.dense.get(spec.name, 0.0) for fv in fvs], dtype=_F32)
+            rows[spec.name] = SlotRows(np.zeros(n, np.intp), np.arange(n), value, np.ones(n, _F32))
+        else:
+            vocab_size = params.tensors[f"fo:{spec.name}"].shape[0]
+            rows[spec.name] = id_rows([fv.ids.get(spec.name, ()) for fv in fvs], vocab_size)
+    return rows
+
+
+def _pool(params: ModelParams, rows: dict[str, SlotRows]) -> dict[str, SlotPart]:
     need_pooled = params.model_type == "deepfm"
     parts: dict[str, SlotPart] = {}
-    for spec in params.specs if specs is None else specs:
+    for spec in params.specs:
+        if spec.name not in rows:
+            continue
+        r = rows[spec.name]
         emb = params.tensors[f"emb:{spec.name}"]
         fo = params.tensors[f"fo:{spec.name}"]
         if spec.kind == "numeric_raw":
-            value = _F32(fv.dense.get(spec.name, 0.0))
-            pooled = value * emb[0] if need_pooled else None
-            parts[spec.name] = SlotPart(pooled, value * fo[0, 0])
+            pooled = r.value[:, None] * emb[0] if need_pooled else None
+            parts[spec.name] = SlotPart(pooled, r.value * fo[0, 0])
         else:
-            ids = fv.ids.get(spec.name, ())
-            pooled = pooled_lookup(emb, ids, spec.pooling) if need_pooled else None
-            parts[spec.name] = SlotPart(pooled, first_order_sum(fo, ids))
+            pooled = pooled_lookup(emb, r, spec.pooling) if need_pooled else None
+            parts[spec.name] = SlotPart(pooled, first_order_sum(fo, r))
     return parts
 
 
-def stack_parts(rows: Sequence[dict[str, SlotPart]]) -> dict[str, SlotPart]:
-    """Stack the parts of N rows, slot by slot, for one `assemble` pass."""
-    stacked: dict[str, SlotPart] = {}
-    for name, first in rows[0].items():
+def compute_parts(
+    params: ModelParams, fvs: Sequence[FeatureVector], specs: Sequence[FeatureSpec] | None = None
+) -> dict[str, SlotPart]:
+    """Per-slot pooled embeddings and first-order sums of N samples, stacked.
+
+    This is the cacheable unit in serving: a slot's part depends only on
+    that slot's features and tables, never on other slots, and a row's
+    part never on the other rows. `specs` restricts computation to a
+    subset of the model's slots (serving computes user-side, item-side,
+    and cross parts separately).
+    """
+    return _pool(params, _slot_rows(params, fvs, specs))
+
+
+def concat_parts(groups: Sequence[dict[str, SlotPart]]) -> dict[str, SlotPart]:
+    """Join groups of stacked parts row-wise, slot by slot, for one `assemble` pass."""
+    joined: dict[str, SlotPart] = {}
+    for name, first in groups[0].items():
         pooled = None
         if first.pooled is not None:
-            pooled = np.array([r[name].pooled for r in rows], dtype=_F32)
-        stacked[name] = SlotPart(pooled, np.array([r[name].fo for r in rows], dtype=_F32))
-    return stacked
+            pooled = np.concatenate([g[name].pooled for g in groups])
+        joined[name] = SlotPart(pooled, np.concatenate([g[name].fo for g in groups]))
+    return joined
 
 
 def _clip_probability(logit: float) -> float:
@@ -279,23 +363,25 @@ def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def assemble(
     params: ModelParams,
     parts: dict[str, SlotPart],
-    slot_scale: Mapping[str, float] | None = None,
+    slot_scale: Mapping[str, float | np.ndarray] | None = None,
 ) -> ForwardTrace:
-    """Combine per-slot parts into the final logit and probability.
+    """Combine the stacked per-slot parts of N rows into (N,) logits and probabilities.
 
-    `parts` holds one row (scalar `fo`, `pooled` of shape (D,)) or N rows
-    stacked by `stack_parts`, which give (N,) logits and probabilities.
-    Every operation is elementwise or per row, so each stacked row's
-    result is bit-identical to assembling that row alone.
+    Every operation is elementwise or per row, so each row's result is
+    bit-identical to assembling that row alone.
 
     `slot_scale` multiplies a slot's pooled embedding and first-order
-    contribution before they enter the logit; the feature-selection gates
-    drive this hook. Absent slots default to scale 1.
+    contribution before they enter the logit: one scale for every row, or
+    an (N,) array of per-row scales. The feature-selection gates drive this
+    hook. Absent slots default to scale 1.
     """
+    scales = None
+    if slot_scale is not None:
+        scales = {s.name: np.asarray(slot_scale.get(s.name, 1.0), dtype=_F32) for s in params.specs}
     logit = params.tensors["bias"][0]
     for spec in params.specs:
-        scale = _F32(1.0) if slot_scale is None else _F32(slot_scale.get(spec.name, 1.0))
-        logit = logit + scale * parts[spec.name].fo
+        fo = parts[spec.name].fo
+        logit = logit + (fo if scales is None else scales[spec.name] * fo)
 
     scaled_pooled: list[np.ndarray] = []
     fm = _F32(0.0)
@@ -304,8 +390,8 @@ def assemble(
     activations: list[np.ndarray] = []
     if params.model_type == "deepfm":
         for spec in params.specs:
-            scale = _F32(1.0) if slot_scale is None else _F32(slot_scale.get(spec.name, 1.0))
-            scaled_pooled.append(scale * parts[spec.name].pooled)
+            pooled = parts[spec.name].pooled
+            scaled_pooled.append(pooled if scales is None else scales[spec.name][..., None] * pooled)
         fm = fm_second_order(scaled_pooled)
         logit = logit + fm
         mlp_input = (
@@ -321,16 +407,12 @@ def assemble(
             activations.append(x)
         logit = logit + x.T[0]
 
-    if np.ndim(logit):
-        # math.exp per row: np.exp need not round like it.
-        probability = np.array([_clip_probability(v) for v in logit.tolist()], dtype=_F32)
-    else:
-        logit = _F32(logit)
-        probability = _F32(_clip_probability(float(logit)))
+    # math.exp per row: np.exp need not round like it.
+    probability = np.array([_clip_probability(v) for v in logit.tolist()], dtype=_F32)
     return ForwardTrace(
         params=params,
         parts=parts,
-        slot_scale=dict(slot_scale) if slot_scale is not None else None,
+        slot_scale=scales,
         scaled_pooled=scaled_pooled,
         fm=fm,
         mlp_input=mlp_input,
@@ -342,97 +424,104 @@ def assemble(
 
 
 def forward(
-    params: ModelParams, fv: FeatureVector, slot_scale: Mapping[str, float] | None = None
+    params: ModelParams,
+    fvs: Sequence[FeatureVector],
+    slot_scale: Mapping[str, float | np.ndarray] | None = None,
 ) -> ForwardTrace:
-    return assemble(params, compute_parts(params, fv), slot_scale)
+    """Forward pass over N samples; one sample is a one-row batch."""
+    rows = _slot_rows(params, fvs)
+    trace = assemble(params, _pool(params, rows), slot_scale)
+    trace.rows = rows
+    return trace
 
 
-def backward(trace: ForwardTrace, fv: FeatureVector, label: int, reg: float = 0.0) -> SparseGradient:
-    """Exact gradient of logloss + reg * sum_touched ||row||^2.
+def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> SparseGradient:
+    """Exact gradient of the batch mean of logloss + reg * sum_touched ||row||^2.
 
-    Sparse entries cover exactly the rows fv references; for the logreg
-    model type the embedding tables never enter the loss, so only
-    first-order rows and the bias appear.
+    `trace` comes from `forward` over the samples that `labels` label.
+    Every gradient is a left fold from zero over the samples in batch
+    order, times the float32 1/N. Sparse entries cover exactly the rows the
+    samples reference; for the logreg model type the embedding tables never
+    enter the loss, so only first-order rows and the bias appear. With
+    gates on, `slot_scale` holds each sample's own gate gradient, unscaled.
     """
     params = trace.params
-    d = _F32(trace.probability - _F32(label))
+    n = len(trace.logit)
+    mean = _F32(1.0 / n)
+    d = trace.probability - np.asarray(labels, dtype=_F32)
 
     grad = SparseGradient(
         emb_rows={},
         fo_rows={},
-        dense={"bias": np.array([d], dtype=_F32)},
+        dense={"bias": _sum_samples(d[:, None]) * mean},
         slot_scale={} if trace.slot_scale is not None else None,
     )
 
     grad_input: np.ndarray | None = None
     layers = mlp_layers(params)
     if layers:
-        delta = np.array([d], dtype=_F32)
+        delta = d[:, None]
         for i in range(len(layers) - 1, -1, -1):
             x = trace.activations[i - 1] if i > 0 else trace.mlp_input
-            grad.dense[f"mlp:W{i}"] = np.outer(x, delta).astype(_F32)
-            grad.dense[f"mlp:b{i}"] = delta.copy()
-            delta = delta @ layers[i][0].T
+            grad.dense[f"mlp:W{i}"] = _sum_samples(x[:, :, None] * delta[:, None, :]) * mean
+            grad.dense[f"mlp:b{i}"] = _sum_samples(delta) * mean
+            delta = _rowwise_matmul(delta, layers[i][0].T)
             if i > 0:
                 delta = delta * (trace.pre_activations[i - 1] > 0)
         grad_input = delta
 
     fm_total: np.ndarray | None = None
     if params.model_type == "deepfm":
-        fm_total = np.zeros(params.embedding_dim, dtype=_F32)
+        fm_total = np.zeros((n, params.embedding_dim), dtype=_F32)
         for u in trace.scaled_pooled:
             fm_total += u
 
     dim = params.embedding_dim
     for slot_index, spec in enumerate(params.specs):
         part = trace.parts[spec.name]
-        scale = _F32(1.0)
-        if trace.slot_scale is not None:
-            scale = _F32(trace.slot_scale.get(spec.name, 1.0))
+        scale = None if trace.slot_scale is None else trace.slot_scale[spec.name]
 
         grad_pooled = None
         grad_scaled = None
         if params.model_type == "deepfm":
             u = trace.scaled_pooled[slot_index]
-            grad_scaled = d * (fm_total - u)
+            grad_scaled = d[:, None] * (fm_total - u)
             if grad_input is not None:
-                grad_scaled = grad_scaled + grad_input[slot_index * dim : (slot_index + 1) * dim]
-            grad_pooled = scale * grad_scaled
+                grad_scaled = grad_scaled + grad_input[:, slot_index * dim : (slot_index + 1) * dim]
+            grad_pooled = grad_scaled if scale is None else scale[..., None] * grad_scaled
 
         if grad.slot_scale is not None:
             gate = d * part.fo
             if grad_scaled is not None:
-                gate = gate + float(np.dot(grad_scaled, part.pooled))
-            grad.slot_scale[spec.name] = float(gate)
+                # One dot per row: a batched reduction need not round like it.
+                gate = gate + np.array([np.dot(g, p) for g, p in zip(grad_scaled, part.pooled)], dtype=_F32)
+            grad.slot_scale[spec.name] = gate
 
-        emb_slot: dict[int, np.ndarray] = {}
-        fo_slot: dict[int, np.float32] = {}
-        if spec.kind == "numeric_raw":
-            value = _F32(fv.dense.get(spec.name, 0.0))
-            if value != 0.0:
-                fo_slot[0] = d * scale * value
-                if grad_pooled is not None:
-                    emb_slot[0] = grad_pooled * value
-        else:
-            ids = fv.ids.get(spec.name, ())
-            # The float32 reciprocal, not a division: dividing rounds differently.
-            inv = _F32(1.0) / _F32(len(ids)) if spec.pooling == "mean" and ids else _F32(1.0)
-            for row_id in ids:
-                fo_slot[row_id] = fo_slot.get(row_id, _F32(0.0)) + d * scale
-                if grad_pooled is not None:
-                    contrib = grad_pooled * inv
-                    if row_id in emb_slot:
-                        emb_slot[row_id] = emb_slot[row_id] + contrib
-                    else:
-                        emb_slot[row_id] = contrib.copy()
-        if reg > 0.0 and params.model_type == "deepfm":
-            emb = params.tensors[f"emb:{spec.name}"]
-            for row_id in list(emb_slot):
-                emb_slot[row_id] = emb_slot[row_id] + _F32(2.0 * reg) * emb[row_id]
-        if emb_slot:
-            grad.emb_rows[spec.name] = emb_slot
-        if fo_slot:
-            grad.fo_rows[spec.name] = fo_slot
+        r = trace.rows[spec.name]
+        # A numeric_raw value of zero reads its row but has no gradient there.
+        touched = r.value != 0.0
+        owner, value = r.owner[touched], r.value[touched]
+        if not len(owner):
+            continue
+        # Entries fold per (sample, row) pair in id-list order: a sample's
+        # own gradient of the row, where the regularizer joins once. Pairs
+        # sort sample-major, so each row then folds its samples in order.
+        vocab_size = params.tensors[f"fo:{spec.name}"].shape[0]
+        pairs, pair_of_entry = np.unique(owner * vocab_size + r.ids[touched], return_inverse=True)
+        pair_rows = pairs % vocab_size
+        ids, row_of_pair = np.unique(pair_rows, return_inverse=True)
+        ds = d if scale is None else d * scale
+        fo_pair = _fold(pair_of_entry, ds[owner] * value, len(pairs))
+        grad.fo_rows[spec.name] = SparseRows(ids, _fold(row_of_pair, fo_pair, len(ids))[:, None] * mean)
+        if grad_pooled is not None:
+            weight = value
+            if spec.pooling == "mean" and spec.kind != "numeric_raw":
+                # The float32 reciprocal, not a division: dividing rounds differently.
+                weight = _F32(1.0) / r.divisor[owner]
+            emb_pair = _fold(pair_of_entry, grad_pooled[owner] * weight[:, None], len(pairs))
+            if reg > 0.0:
+                emb_pair += _F32(2.0 * reg) * params.tensors[f"emb:{spec.name}"][pair_rows]
+            grad.emb_rows[spec.name] = SparseRows(ids, _fold(row_of_pair, emb_pair, len(ids)) * mean)
     return grad
 
 

@@ -4,7 +4,9 @@ Sparse tensors (embedding and first-order tables) keep per-row moment
 vectors and per-row step counts: a row's moments and bias-correction
 exponent advance only when a batch touches it. Untouched rows stay
 bit-identical across steps, which is what makes "parameters changed this
-period" a well-defined small set for delta streaming.
+period" a well-defined small set for delta streaming. A step updates
+each table's touched rows in one vectorized pass; every operation is
+elementwise, so each row gets the bits a one-row update would give it.
 
 Dense tensors (MLP weights, global bias) use ordinary Adam with a shared
 step count, since every step touches all of them.
@@ -12,7 +14,7 @@ step count, since every step touches all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +32,15 @@ class _DenseState:
 
 @dataclass
 class _SparseState:
-    m: dict[int, np.ndarray] = field(default_factory=dict)
-    v: dict[int, np.ndarray] = field(default_factory=dict)
-    step: dict[int, int] = field(default_factory=dict)
+    """Moments and step counts of every row of one table; untouched rows stay zero.
+
+    The arrays come from np.zeros, whose pages the OS maps on first write,
+    so memory grows with the rows touched, not with the vocabulary.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    step: np.ndarray
 
 
 @dataclass
@@ -45,24 +53,38 @@ class AdamOptimizer:
     def __post_init__(self) -> None:
         self._sparse: dict[str, _SparseState] = {}
         self._dense: dict[str, _DenseState] = {}
+        # Row t: float32(1 - beta1**t), float32(1 - beta2**t), the powers in Python floats.
+        self._corrections = np.zeros((1, 2), dtype=_F32)
 
-    def _sparse_row_update(self, state: _SparseState, row: np.ndarray, grad: np.ndarray, row_id: int) -> None:
+    def _bias_corrections(self, steps: np.ndarray) -> np.ndarray:
+        """The (len(steps), 2) bias corrections of both moments at each step count."""
+        have, top = len(self._corrections), int(steps.max())
+        if top >= have:
+            more = [(1.0 - self.beta1**t, 1.0 - self.beta2**t) for t in range(have, top + 1)]
+            self._corrections = np.concatenate([self._corrections, np.array(more, dtype=_F32)])
+        return self._corrections[steps]
+
+    def _sparse_update(self, name: str, table: np.ndarray, ids: np.ndarray, grad: np.ndarray) -> None:
+        """One Adam step on the rows `ids` of `table`, each with its own step count."""
+        state = self._sparse.get(name)
+        if state is None:
+            state = _SparseState(
+                m=np.zeros(table.shape, dtype=_F32),
+                v=np.zeros(table.shape, dtype=_F32),
+                step=np.zeros(table.shape[0], dtype=np.int64),
+            )
+            self._sparse[name] = state
         b1, b2 = _F32(self.beta1), _F32(self.beta2)
-        m = state.m.get(row_id)
-        if m is None:
-            m = np.zeros_like(row)
-            v = np.zeros_like(row)
-        else:
-            v = state.v[row_id]
-        t = state.step.get(row_id, 0) + 1
-        m = b1 * m + (_F32(1.0) - b1) * grad
-        v = b2 * v + (_F32(1.0) - b2) * (grad * grad)
-        state.m[row_id] = m
-        state.v[row_id] = v
-        state.step[row_id] = t
-        m_hat = m / _F32(1.0 - self.beta1**t)
-        v_hat = v / _F32(1.0 - self.beta2**t)
-        row -= _F32(self.learning_rate) * m_hat / (np.sqrt(v_hat) + _F32(self.epsilon))
+        t = state.step[ids] + 1
+        m = b1 * state.m[ids] + (_F32(1.0) - b1) * grad
+        v = b2 * state.v[ids] + (_F32(1.0) - b2) * (grad * grad)
+        state.m[ids] = m
+        state.v[ids] = v
+        state.step[ids] = t
+        correction = self._bias_corrections(t)
+        m_hat = m / correction[:, 0:1]
+        v_hat = v / correction[:, 1:2]
+        table[ids] -= _F32(self.learning_rate) * m_hat / (np.sqrt(v_hat) + _F32(self.epsilon))
 
     def _dense_update(self, name: str, value: np.ndarray, grad: np.ndarray) -> None:
         state = self._dense.get(name)
@@ -80,15 +102,10 @@ class AdamOptimizer:
     def apply(self, params: ModelParams, grad: SparseGradient) -> None:
         """Update params in place. Rows absent from grad are not read."""
         for prefix, rows_by_slot in (("emb", grad.emb_rows), ("fo", grad.fo_rows)):
-            for slot in sorted(rows_by_slot):
+            for slot, rows in rows_by_slot.items():
                 name = f"{prefix}:{slot}"
                 table = params.tensors[name]
-                state = self._sparse.setdefault(name, _SparseState())
-                rows = rows_by_slot[slot]
-                for row_id in sorted(rows):
-                    # A first-order gradient is a scalar; its row is a length-1 view.
-                    g = np.asarray(rows[row_id], dtype=_F32).reshape(table.shape[1:])
-                    self._sparse_row_update(state, table[row_id], g, row_id)
+                self._sparse_update(name, table, rows.ids, rows.values.reshape(len(rows), *table.shape[1:]))
         for name, g in grad.dense.items():
             self._dense_update(name, params.tensors[name], g)
 

@@ -27,13 +27,15 @@ from .config import PipelineConfig
 from .delta_stream import DeltaMessage, decode_delta, validate_message, write_message
 from .errors import MinirecError
 from .features import FeatureSpec, generate
-from .model import ModelParams, SlotPart, assemble, compute_parts, copy_params, stack_parts
+from .model import ModelParams, SlotPart, assemble, compute_parts, concat_parts, copy_params
 
 log = logging.getLogger("minirec.serving")
 
 METRICS_WINDOW = 10_000
 # Largest /v1/predict body accepted; a longer Content-Length is refused unread.
 MAX_BODY_BYTES = 1 << 20
+# Seconds a /v1/predict body may take to arrive once its headers are read.
+BODY_TIMEOUT_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -150,21 +152,21 @@ def score(
 ) -> ScoreResponse:
     """Score every item in the request against one parameter snapshot.
 
-    Features and parts are computed per item; the items' parts are then
-    stacked and assembled in one pass, whose per-row results do not depend
-    on the other items. Per-item feature failures yield a null score in
-    that position; other items are unaffected. cache_hits counts
-    item-side cache hits.
+    Features and item parts are computed per item, the cross parts of all
+    items in one call; the items' parts are then stacked and assembled in
+    one pass, whose per-row results do not depend on the other items.
+    Per-item feature failures yield a null score in that position; other
+    items are unaffected. cache_hits counts item-side cache hits.
     """
     params = model.snapshot()
     part = model.partition
     user_record = _as_record(request.get("user") or {})
-    user_fv = generate(user_record, part.user)
-    user_parts = compute_parts(params, user_fv, part.user)
+    user_parts = compute_parts(params, [generate(user_record, part.user)], part.user)
 
     items = request.get("items") or []
     scores: list[float | None] = [None] * len(items)
     rows: list[dict[str, SlotPart]] = []
+    cross_fvs = []
     positions: list[int] = []
     hits = 0
     for position, item in enumerate(items):
@@ -174,7 +176,7 @@ def score(
             item_record = _as_record(item.get("features") or {})
 
             def compute_item() -> dict[str, SlotPart]:
-                return compute_parts(params, generate(item_record, part.item), part.item)
+                return compute_parts(params, [generate(item_record, part.item)], part.item)
 
             if cache is not None:
                 item_parts, hit = cache.get_or_insert(
@@ -184,14 +186,14 @@ def score(
             else:
                 item_parts = compute_item()
 
-            cross_fv = generate({**user_record, **item_record}, part.cross)
-            cross_parts = compute_parts(params, cross_fv, part.cross)
+            cross_fvs.append(generate({**user_record, **item_record}, part.cross))
         except MinirecError:
             continue
-        rows.append({**user_parts, **item_parts, **cross_parts})
+        rows.append({**user_parts, **item_parts})
         positions.append(position)
     if rows:
-        probabilities = assemble(params, stack_parts(rows)).probability.tolist()
+        parts = {**concat_parts(rows), **compute_parts(params, cross_fvs, part.cross)}
+        probabilities = assemble(params, parts).probability.tolist()
         for position, probability in zip(positions, probabilities):
             scores[position] = probability
     return ScoreResponse(scores=scores, model_version=params.model_version, cache_hits=hits)
@@ -307,13 +309,36 @@ def http_serve(
 
         def _reply(self, status: int, payload: dict, close: bool = False) -> None:
             body = json.dumps(payload).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if close:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            try:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                if close:
+                    self.send_header("Connection", "close")
+                self.end_headers()
+                self.wfile.write(body)
+            except (BrokenPipeError, ConnectionResetError):
+                # The client has hung up; there is no one left to answer.
+                self.close_connection = True
+
+        def _read_body(self, length: int) -> bytes | None:
+            """The body, or None after a 400 if fewer than `length` bytes come within BODY_TIMEOUT_S.
+
+            The timeout covers the body only, so idle keep-alive connections
+            between requests are not affected.
+            """
+            idle_timeout = self.connection.gettimeout()
+            self.connection.settimeout(BODY_TIMEOUT_S)
+            try:
+                body = self.rfile.read(length)
+            except TimeoutError:
+                body = b""
+            finally:
+                self.connection.settimeout(idle_timeout)
+            if len(body) < length:
+                self._reply(400, {"error": f"body shorter than its Content-Length {length}"}, close=True)
+                return None
+            return body
 
         def _body_length(self) -> int | None:
             """The declared body length, or None unless it is digits up to MAX_BODY_BYTES."""
@@ -342,8 +367,11 @@ def http_serve(
                     close=True,
                 )
                 return
+            body = self._read_body(length)
+            if body is None:
+                return
             try:
-                request = json.loads(self.rfile.read(length).decode("utf-8"))
+                request = json.loads(body.decode("utf-8"))
                 if not isinstance(request, dict) or not isinstance(request.get("items"), list):
                     raise ValueError("request must be an object with an items array")
                 if request.get("user") is not None and not isinstance(request["user"], dict):

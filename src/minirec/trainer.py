@@ -31,11 +31,8 @@ from .model import (
     forward,
     init_params,
     is_sparse_tensor,
-    stack_parts,
 )
 from .optim import AdamOptimizer
-
-_F32 = np.float32
 
 
 @dataclass
@@ -61,9 +58,9 @@ class DeltaAccumulator:
 
     def add(self, grad: SparseGradient) -> None:
         for slot, rows in grad.emb_rows.items():
-            self.touched.setdefault(f"emb:{slot}", set()).update(rows)
+            self.touched.setdefault(f"emb:{slot}", set()).update(rows.ids.tolist())
         for slot, rows in grad.fo_rows.items():
-            self.touched.setdefault(f"fo:{slot}", set()).update(rows)
+            self.touched.setdefault(f"fo:{slot}", set()).update(rows.ids.tolist())
         self.dense_dirty = True
         self.steps_since_emit += 1
 
@@ -85,12 +82,12 @@ def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
     dense: list[DenseRecord] = []
     for index, (name, arr) in enumerate(params.tensors.items()):
         if is_sparse_tensor(name):
-            rows = acc.touched.get(name)
+            rows = sorted(acc.touched.get(name, ()))
             if rows:
-                for row_id in sorted(rows):
-                    sparse.append(SparseRecord(index, row_id, tuple(float(x) for x in arr[row_id])))
+                values = arr[rows].tolist()
+                sparse.extend(SparseRecord(index, r, tuple(v)) for r, v in zip(rows, values))
         elif acc.dense_dirty:
-            dense.append(DenseRecord(index, tuple(float(x) for x in arr.reshape(-1))))
+            dense.append(DenseRecord(index, tuple(arr.reshape(-1).tolist())))
     acc.reset()
     return DeltaMessage(
         model_version=params.model_version, sparse=tuple(sparse), dense=tuple(dense)
@@ -145,8 +142,7 @@ def score_all(params: ModelParams, fvs: list[FeatureVector]) -> list[float]:
     """Probabilities of every row, assembled in one pass; each equals its own `forward`."""
     if not fvs:
         return []
-    rows = [compute_parts(params, fv) for fv in fvs]
-    return assemble(params, stack_parts(rows)).probability.tolist()
+    return assemble(params, compute_parts(params, fvs)).probability.tolist()
 
 
 def evaluate_params(
@@ -157,60 +153,25 @@ def evaluate_params(
     return {name: metrics[name] for name in cfg.eval_config.metrics}
 
 
-def average_gradients(grads: list[SparseGradient]) -> SparseGradient:
-    """Mean of per-sample gradients; rows keep sparse union of touched sets."""
-    scale = _F32(1.0 / len(grads))
-    out = SparseGradient(
-        emb_rows={},
-        fo_rows={},
-        dense={name: np.zeros_like(g) for name, g in grads[0].dense.items()},
-    )
-    for g in grads:
-        for slot, rows in g.emb_rows.items():
-            acc = out.emb_rows.setdefault(slot, {})
-            for row_id, vec in rows.items():
-                if row_id in acc:
-                    acc[row_id] = acc[row_id] + vec
-                else:
-                    acc[row_id] = vec.copy()
-        for slot, rows in g.fo_rows.items():
-            acc_fo = out.fo_rows.setdefault(slot, {})
-            for row_id, val in rows.items():
-                acc_fo[row_id] = acc_fo.get(row_id, _F32(0.0)) + val
-        for name, arr in g.dense.items():
-            out.dense[name] += arr
-    for slot, rows in out.emb_rows.items():
-        for row_id in rows:
-            rows[row_id] = rows[row_id] * scale
-    for slot, rows in out.fo_rows.items():
-        for row_id in rows:
-            rows[row_id] = rows[row_id] * scale
-    for arr in out.dense.values():
-        arr *= scale
-    return out
-
-
 def train_step(
     params: ModelParams,
     optimizer: AdamOptimizer,
     batch: Sequence[tuple[FeatureVector, int]],
     reg: float,
-    slot_scales: Sequence[Mapping[str, float]] | None = None,
+    slot_scale: Mapping[str, np.ndarray] | None = None,
 ) -> SparseGradient:
     """One optimizer step on the batch's mean gradient, which it returns.
 
-    slot_scales, when given, holds one slot-scale map per sample (the
+    The whole batch goes through one forward and one backward call.
+    slot_scale, when given, holds each slot's per-sample scales (the
     feature-selection gates). forward and backward are looked up in this
     module, so wrappers installed on trainer.forward/backward see every
-    training sample of both loops.
+    training batch of both loops.
     """
-    grads = []
-    for i, (fv, label) in enumerate(batch):
-        trace = forward(params, fv, None if slot_scales is None else slot_scales[i])
-        grads.append(backward(trace, fv, label, reg))
-    avg = average_gradients(grads)
-    optimizer.apply(params, avg)
-    return avg
+    trace = forward(params, [fv for fv, _ in batch], slot_scale)
+    grad = backward(trace, [label for _, label in batch], reg)
+    optimizer.apply(params, grad)
+    return grad
 
 
 def train(

@@ -2,8 +2,9 @@
 
 Everything here is an independent re-computation: reference hashes via
 functools.reduce, AUC by explicit pair counting, the forward pass as a
-straight-line float64 program, and a naive list-based LRU. None of it
-shares code with the package under test beyond reading its data types.
+straight-line float64 program, the float32 training step one sample at a
+time, and a naive list-based LRU. None of it shares code with the package
+under test beyond reading its data types.
 """
 
 import csv
@@ -14,6 +15,7 @@ from functools import reduce
 import numpy as np
 
 from minirec.config import parse_config
+from minirec.errors import IndexOutOfRange
 
 
 # ---------------------------------------------------------------------
@@ -266,3 +268,207 @@ def write_informative_dataset(path, n_slots, informative, n_rows, seed,
         label = int(rng.random() < 1.0 / (1.0 + math.exp(-logit)))
         rows.append([label] + [f"s{j}_v{choice[j]}" for j in range(n_slots)])
     write_csv(path, header, rows)
+
+
+# ---------------------------------------------------------------------
+# Per-sample training step: the batched step's bitwise oracle
+# ---------------------------------------------------------------------
+#
+# The training step as it ran before it was batched: one float32 forward
+# and backward per sample, per-sample gradients as dicts of rows folded
+# across the batch, and lazy Adam one row at a time. Every reduction runs
+# in the order that code used, so the batched step must match it bit for
+# bit. It reads `ModelParams` and writes a plain dict-of-rows gradient.
+
+F32 = np.float32
+
+
+def _oracle_layers(params):
+    t = params.tensors
+    return [(t[f"mlp:W{i}"], t[f"mlp:b{i}"]) for i in range(sum(n.startswith("mlp:W") for n in t))]
+
+
+def _oracle_parts(params, fv):
+    parts = {}
+    for spec in params.specs:
+        emb = params.tensors[f"emb:{spec.name}"]
+        fo = params.tensors[f"fo:{spec.name}"]
+        if spec.kind == "numeric_raw":
+            value = F32(fv.dense.get(spec.name, 0.0))
+            parts[spec.name] = (value * emb[0], value * fo[0, 0])
+            continue
+        ids = fv.ids.get(spec.name, ())
+        pooled = np.zeros(emb.shape[1], dtype=F32)
+        total = F32(0.0)
+        for row in ids:
+            if not 0 <= row < emb.shape[0]:
+                raise IndexOutOfRange(row, emb.shape[0])
+            pooled += emb[row]
+            total = total + fo[row, 0]
+        if spec.pooling == "mean" and ids:
+            pooled /= F32(len(ids))
+        parts[spec.name] = (pooled, total)
+    return parts
+
+
+def oracle_forward(params, fv, scale=None):
+    """One sample's float32 forward; returns the intermediates backward needs."""
+    parts = _oracle_parts(params, fv)
+    scales = {s.name: F32(1.0 if scale is None else scale.get(s.name, 1.0)) for s in params.specs}
+    logit = params.tensors["bias"][0]
+    for spec in params.specs:
+        logit = logit + scales[spec.name] * parts[spec.name][1]
+    trace = {"parts": parts, "scales": scales, "gated": scale is not None,
+             "scaled": [], "pre": [], "act": [], "mlp_input": None}
+    if params.model_type == "deepfm":
+        scaled = [scales[s.name] * parts[s.name][0] for s in params.specs]
+        total = np.zeros(params.embedding_dim, dtype=F32)
+        total_sq = np.zeros(params.embedding_dim, dtype=F32)
+        for v in scaled:
+            total += v
+            total_sq += v * v
+        terms = total * total - total_sq
+        acc = F32(0.0)
+        for k in range(params.embedding_dim):
+            acc = acc + terms[k]
+        logit = logit + F32(0.5) * acc
+        x = np.concatenate(scaled)
+        trace["scaled"], trace["mlp_input"] = scaled, x
+        layers = _oracle_layers(params)
+        for i, (w, b) in enumerate(layers):
+            pre = x @ w + b
+            trace["pre"].append(pre)
+            x = pre if i == len(layers) - 1 else np.maximum(pre, F32(0.0))
+            trace["act"].append(x)
+        logit = logit + x[0]
+    p = 1.0 / (1.0 + math.exp(-float(logit)))
+    trace["probability"] = F32(min(max(p, 1e-7), 1.0 - 1e-7))
+    return trace
+
+
+def oracle_backward(params, trace, fv, label, reg):
+    """One sample's gradient: {"emb"/"fo": {slot: {row: value}}, "dense": {...}, "gate": {...}}."""
+    d = F32(trace["probability"] - F32(label))
+    grad = {"emb": {}, "fo": {}, "dense": {"bias": np.array([d], dtype=F32)}, "gate": {}}
+    grad_input = None
+    layers = _oracle_layers(params)
+    if layers:
+        delta = np.array([d], dtype=F32)
+        for i in range(len(layers) - 1, -1, -1):
+            x = trace["act"][i - 1] if i > 0 else trace["mlp_input"]
+            grad["dense"][f"mlp:W{i}"] = np.outer(x, delta).astype(F32)
+            grad["dense"][f"mlp:b{i}"] = delta.copy()
+            delta = delta @ layers[i][0].T
+            if i > 0:
+                delta = delta * (trace["pre"][i - 1] > 0)
+        grad_input = delta
+    fm_total = np.zeros(params.embedding_dim, dtype=F32)
+    for u in trace["scaled"]:
+        fm_total += u
+    dim = params.embedding_dim
+    for index, spec in enumerate(params.specs):
+        pooled, fo_part = trace["parts"][spec.name]
+        scale = trace["scales"][spec.name]
+        grad_pooled = grad_scaled = None
+        if params.model_type == "deepfm":
+            grad_scaled = d * (fm_total - trace["scaled"][index])
+            grad_scaled = grad_scaled + grad_input[index * dim:(index + 1) * dim]
+            grad_pooled = scale * grad_scaled
+        if trace["gated"]:
+            gate = d * fo_part
+            if grad_scaled is not None:
+                gate = gate + float(np.dot(grad_scaled, pooled))
+            grad["gate"][spec.name] = float(gate)
+        emb_slot, fo_slot = {}, {}
+        if spec.kind == "numeric_raw":
+            value = F32(fv.dense.get(spec.name, 0.0))
+            if value != 0.0:
+                fo_slot[0] = d * scale * value
+                if grad_pooled is not None:
+                    emb_slot[0] = grad_pooled * value
+        else:
+            ids = fv.ids.get(spec.name, ())
+            inv = F32(1.0) / F32(len(ids)) if spec.pooling == "mean" and ids else F32(1.0)
+            for row in ids:
+                fo_slot[row] = fo_slot.get(row, F32(0.0)) + d * scale
+                if grad_pooled is not None:
+                    contrib = grad_pooled * inv
+                    emb_slot[row] = emb_slot[row] + contrib if row in emb_slot else contrib.copy()
+        if reg > 0.0 and params.model_type == "deepfm":
+            table = params.tensors[f"emb:{spec.name}"]
+            for row in list(emb_slot):
+                emb_slot[row] = emb_slot[row] + F32(2.0 * reg) * table[row]
+        if emb_slot:
+            grad["emb"][spec.name] = emb_slot
+        if fo_slot:
+            grad["fo"][spec.name] = fo_slot
+    return grad
+
+
+def oracle_average(grads):
+    """Mean of per-sample gradients over the union of their rows."""
+    scale = F32(1.0 / len(grads))
+    out = {"emb": {}, "fo": {}, "dense": {n: np.zeros_like(g) for n, g in grads[0]["dense"].items()}}
+    for g in grads:
+        for slot, rows in g["emb"].items():
+            acc = out["emb"].setdefault(slot, {})
+            for row, vec in rows.items():
+                acc[row] = acc[row] + vec if row in acc else vec.copy()
+        for slot, rows in g["fo"].items():
+            acc = out["fo"].setdefault(slot, {})
+            for row, value in rows.items():
+                acc[row] = acc.get(row, F32(0.0)) + value
+        for name, arr in g["dense"].items():
+            out["dense"][name] += arr
+    for kind in ("emb", "fo"):
+        for rows in out[kind].values():
+            for row in rows:
+                rows[row] = rows[row] * scale
+    for arr in out["dense"].values():
+        arr *= scale
+    return out
+
+
+class OracleAdam:
+    """Lazy Adam one row at a time; per-row state in dicts keyed by table name."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, epsilon
+        self.sparse = {}  # name -> {row: (m, v, step)}
+        self.dense = {}  # name -> [m, v, step]
+
+    def _step(self, value, m, v, t, g):
+        b1, b2 = F32(self.beta1), F32(self.beta2)
+        m = b1 * m + (F32(1.0) - b1) * g
+        v = b2 * v + (F32(1.0) - b2) * (g * g)
+        m_hat = m / F32(1.0 - self.beta1 ** t)
+        v_hat = v / F32(1.0 - self.beta2 ** t)
+        value -= F32(self.lr) * m_hat / (np.sqrt(v_hat) + F32(self.eps))
+        return m, v
+
+    def apply(self, params, grad):
+        for prefix in ("emb", "fo"):
+            for slot, rows in grad[prefix].items():
+                name = f"{prefix}:{slot}"
+                table = params.tensors[name]
+                state = self.sparse.setdefault(name, {})
+                for row in sorted(rows):
+                    g = np.asarray(rows[row], dtype=F32).reshape(table.shape[1:])
+                    m, v, t = state.get(row, (np.zeros_like(table[row]), np.zeros_like(table[row]), 0))
+                    m, v = self._step(table[row], m, v, t + 1, g)
+                    state[row] = (m, v, t + 1)
+        for name, g in grad["dense"].items():
+            m, v, t = self.dense.get(name, (np.zeros_like(g), np.zeros_like(g), 0))
+            m, v = self._step(params.tensors[name], m, v, t + 1, g)
+            self.dense[name] = (m, v, t + 1)
+
+
+def oracle_train_step(params, optimizer, batch, reg, scales=None):
+    """The per-sample step: forward and backward per sample, average, one Adam update."""
+    grads = []
+    for i, (fv, label) in enumerate(batch):
+        trace = oracle_forward(params, fv, None if scales is None else scales[i])
+        grads.append(oracle_backward(params, trace, fv, label, reg))
+    avg = oracle_average(grads)
+    optimizer.apply(params, avg)
+    return avg, grads

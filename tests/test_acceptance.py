@@ -175,7 +175,7 @@ def _smooth_setup(cfg, seed):
             arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
         fv = generate(_random_record(rng), cfg.feature_config)
         label = int(rng.integers(2))
-        hidden = forward(params, fv).pre_activations[:-1]
+        hidden = forward(params, [fv]).pre_activations[:-1]
         if all(float(np.min(np.abs(p))) > 0.05 for p in hidden):
             return params, fv, label
     raise AssertionError(f"no smooth setup found for seed {seed}")
@@ -352,7 +352,7 @@ def test_criterion_05_update_freshness(tmp_path):
                 for key, got in zip(keys, payload["scores"]):
                     fv = generate({"user_id": user, "item_id": key},
                                   cfg.feature_config)
-                    want = float(forward(artifact.params, fv).probability)
+                    want = float(forward(artifact.params, [fv]).probability[0])
                     assert abs(got - want) <= 1e-6
         finally:
             handle.shutdown()
@@ -746,6 +746,6 @@ def test_criterion_12_training_quality(tmp_path):
         assert report.final_metrics["auc"] >= 0.95
 
         fvs, labels = load_dataset(cfg, cfg.data_config.eval_path)
-        scores = [float(forward(artifact.params, fv).probability) for fv in fvs]
+        scores = [float(forward(artifact.params, [fv]).probability[0]) for fv in fvs]
         assert report.final_metrics["auc"] == pairwise_auc(scores, labels.tolist())
         assert report.final_metrics["logloss"] == mean_logloss(scores, labels.tolist())

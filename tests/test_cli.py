@@ -109,7 +109,7 @@ class TestExportAndPredict:
 
         art = load_artifact(str(model_dir / "model.erm"))
         records = trainer.load_records(str(eval_csv))
-        want = [float(forward(art.params, generate(r, art.config.feature_config)).probability)
+        want = [float(forward(art.params, [generate(r, art.config.feature_config)]).probability[0])
                 for r in records]
         got = [float(line) for line in scores_path.read_text().splitlines()]
         assert got == want

@@ -74,22 +74,22 @@ class TestGatedForward:
         cfg = _gate_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([40, 0]))
         fv = generate({"alpha": "a1", "beta": "b2", "gamma": "c3"}, cfg.feature_config)
-        plain = forward(params, fv)
-        parts = compute_parts(params, fv)
+        plain = forward(params, [fv])
+        parts = compute_parts(params, [fv])
         scale = {spec.name: 1.0 for spec in cfg.feature_config}
         gated = assemble(params, parts, slot_scale=scale)
-        assert float(gated.probability) == pytest.approx(float(plain.probability), abs=1e-6)
+        assert float(gated.probability[0]) == pytest.approx(float(plain.probability[0]), abs=1e-6)
 
     def test_zero_gate_silences_slot(self, tmp_path):
         cfg = _gate_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([41, 0]))
         fv = generate({"alpha": "a1", "beta": "b2", "gamma": "c3"}, cfg.feature_config)
         absent = generate({"beta": "b2", "gamma": "c3"}, cfg.feature_config)
-        parts = compute_parts(params, fv)
+        parts = compute_parts(params, [fv])
         scale = {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
         gated = assemble(params, parts, slot_scale=scale)
-        plain = forward(params, absent)
-        assert float(gated.probability) == pytest.approx(float(plain.probability), abs=1e-6)
+        plain = forward(params, [absent])
+        assert float(gated.probability[0]) == pytest.approx(float(plain.probability[0]), abs=1e-6)
 
 
 class TestGateGradient:
@@ -115,14 +115,13 @@ class TestGateGradient:
                 return loss + lambda_g * penalty
 
             scale = {n: gate_value(log_alpha[n], u[n], tau) for n in log_alpha}
-            parts = compute_parts(params, fv)
-            trace = assemble(params, parts, slot_scale=scale)
-            grad = backward(trace, fv, label, 0.0)
+            trace = forward(params, [fv], slot_scale=scale)
+            grad = backward(trace, [label], 0.0)
             h = 1e-4
             for name in log_alpha:
                 z = scale[name]
                 p_keep = 1.0 / (1.0 + math.exp(-log_alpha[name]))
-                analytic = (float(grad.slot_scale[name]) * z * (1 - z) / tau
+                analytic = (float(grad.slot_scale[name][0]) * z * (1 - z) / tau
                             + lambda_g * p_keep * (1 - p_keep))
                 up = dict(log_alpha); up[name] += h
                 down = dict(log_alpha); down[name] -= h

@@ -19,6 +19,7 @@ from minirec.model import (
     first_order_sum,
     fm_second_order,
     forward,
+    id_rows,
     init_params,
     logloss,
     params_equal,
@@ -39,16 +40,21 @@ def _table(rng, vocab=10, dim=4):
     return rng.uniform(-1, 1, (vocab, dim)).astype(np.float32)
 
 
+def _one_row(table, ids):
+    """CSR rows of a single sample reading `ids` from `table`."""
+    return id_rows([ids], table.shape[0])
+
+
 class TestPooledLookup:
     def test_duplicate_row_doubles(self):
         table = _table(np.random.default_rng(0))
-        out = pooled_lookup(table, [3, 3], "sum")
+        out = pooled_lookup(table, _one_row(table, [3, 3]), "sum")[0]
         np.testing.assert_allclose(out, 2 * table[3], rtol=1e-6)
 
     def test_empty_ids_zero_vector(self):
         table = _table(np.random.default_rng(1))
-        np.testing.assert_array_equal(pooled_lookup(table, [], "sum"), np.zeros(4, np.float32))
-        np.testing.assert_array_equal(pooled_lookup(table, [], "mean"), np.zeros(4, np.float32))
+        np.testing.assert_array_equal(pooled_lookup(table, _one_row(table, []), "sum")[0], np.zeros(4, np.float32))
+        np.testing.assert_array_equal(pooled_lookup(table, _one_row(table, []), "mean")[0], np.zeros(4, np.float32))
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
@@ -56,7 +62,7 @@ class TestPooledLookup:
             table = _table(rng, vocab=int(rng.integers(2, 30)), dim=int(rng.integers(1, 9)))
             ids = list(rng.integers(0, table.shape[0], size=rng.integers(0, 8)))
             for pooling in ("sum", "mean"):
-                got = pooled_lookup(table, ids, pooling)
+                got = pooled_lookup(table, _one_row(table, ids), pooling)[0]
                 want = np.zeros(table.shape[1], dtype=np.float64)
                 for i in ids:
                     want += table[i].astype(np.float64)
@@ -67,7 +73,7 @@ class TestPooledLookup:
     def test_out_of_range(self):
         table = _table(np.random.default_rng(3))
         with pytest.raises(IndexOutOfRange):
-            pooled_lookup(table, [10], "sum")
+            pooled_lookup(table, _one_row(table, [10]), "sum")
 
 
 class TestFmSecondOrder:
@@ -129,7 +135,7 @@ class TestForward:
         for arr in params.tensors.values():
             arr[:] = 0
         fv = generate(_random_record(np.random.default_rng(5)), cfg.feature_config)
-        assert forward(params, fv).probability == pytest.approx(0.5)
+        assert forward(params, [fv]).probability[0] == pytest.approx(0.5)
 
     def test_bias_only(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
@@ -138,7 +144,7 @@ class TestForward:
             arr[:] = 0
         params.tensors["bias"][0] = 2.0
         fv = generate({"user_id": "u1"}, cfg.feature_config)
-        assert float(forward(params, fv).probability) == pytest.approx(0.880797, abs=1e-5)
+        assert float(forward(params, [fv]).probability[0]) == pytest.approx(0.880797, abs=1e-5)
 
     def test_matches_straight_line_reference(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
@@ -148,7 +154,7 @@ class TestForward:
             for arr in params.tensors.values():
                 arr += rng.normal(0, 0.3, arr.shape).astype(np.float32)
             fv = generate(_random_record(rng), cfg.feature_config)
-            got = float(forward(params, fv).probability)
+            got = float(forward(params, [fv]).probability[0])
             want = straight_line_probability(params, cfg.feature_config, fv)
             assert got == pytest.approx(want, abs=1e-6)
 
@@ -156,19 +162,19 @@ class TestForward:
         cfg = _three_slot_config(tmp_path, model_type="logreg")
         params = init_params(cfg, np.random.default_rng([2, 0]))
         fv = generate(_random_record(np.random.default_rng(7)), cfg.feature_config)
-        base = float(forward(params, fv).probability)
+        base = float(forward(params, [fv]).probability[0])
         for spec in cfg.feature_config:
             params.tensors[f"emb:{spec.name}"][:] = 99.0
-        assert float(forward(params, fv).probability) == base
+        assert float(forward(params, [fv]).probability[0]) == base
 
     def test_bitwise_reproducible(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([3, 0]))
         fv = generate(_random_record(np.random.default_rng(8)), cfg.feature_config)
-        a = forward(params, fv)
-        b = forward(params, fv)
-        assert float(a.probability) == float(b.probability)
-        assert float(a.logit) == float(b.logit)
+        a = forward(params, [fv])
+        b = forward(params, [fv])
+        assert float(a.probability[0]) == float(b.probability[0])
+        assert float(a.logit[0]) == float(b.logit[0])
 
     def test_probability_clipped(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
@@ -177,17 +183,17 @@ class TestForward:
             arr[:] = 0
         fv = generate({"user_id": "u1"}, cfg.feature_config)
         params.tensors["bias"][0] = 40.0
-        high = float(forward(params, fv).probability)
+        high = float(forward(params, [fv]).probability[0])
         assert high == float(np.float32(1 - 1e-7)) and high < 1.0
         params.tensors["bias"][0] = -40.0
-        low = float(forward(params, fv).probability)
+        low = float(forward(params, [fv]).probability[0])
         assert low == float(np.float32(1e-7)) and low > 0.0
 
 
 def _fd_check(params, cfg, fv, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
     """Central finite differences of the float64 reference loss."""
-    trace = forward(params, fv)
-    grad = backward(trace, fv, label, reg)
+    trace = forward(params, [fv])
+    grad = backward(trace, [label], reg)
 
     def check(arr, index, analytic):
         original = arr[index].item()
@@ -202,13 +208,13 @@ def _fd_check(params, cfg, fv, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
 
     for slot, rows in grad.emb_rows.items():
         table = params.tensors[f"emb:{slot}"]
-        for row, vec in rows.items():
+        for row, vec in zip(rows.ids.tolist(), rows.values):
             for k in range(len(vec)):
                 check(table, (row, k), float(vec[k]))
     for slot, rows in grad.fo_rows.items():
         table = params.tensors[f"fo:{slot}"]
-        for row, value in rows.items():
-            check(table, (row, 0), float(value))
+        for row, value in zip(rows.ids.tolist(), rows.values):
+            check(table, (row, 0), float(value[0]))
     assert set(grad.dense) == {n for n in params.tensors if n.startswith("mlp:") or n == "bias"}
     for name, g in grad.dense.items():
         for index in np.ndindex(g.shape):
@@ -224,7 +230,7 @@ class TestBackward:
         for arr in params.tensors.values():
             arr[:] = 0
         fv = generate({"user_id": "u1"}, cfg.feature_config)
-        grad = backward(forward(params, fv), fv, 0, 0.0)
+        grad = backward(forward(params, [fv]), [0], 0.0)
         assert float(grad.dense["bias"][0]) == pytest.approx(0.5)
 
     def test_finite_differences(self, tmp_path):
@@ -241,28 +247,29 @@ class TestBackward:
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([6, 0]))
         fv = generate({"user_id": "u3"}, cfg.feature_config)
-        trace = forward(params, fv)
-        bare = backward(trace, fv, 1, 0.0)
-        reg = backward(trace, fv, 1, 0.01)
+        trace = forward(params, [fv])
+        bare = backward(trace, [1], 0.0)
+        reg = backward(trace, [1], 0.01)
         row = fv.ids["user_id"][0]
-        want = bare.emb_rows["user_id"][row] + 2 * 0.01 * params.tensors["emb:user_id"][row]
-        np.testing.assert_allclose(reg.emb_rows["user_id"][row], want, rtol=1e-6)
+        assert bare.emb_rows["user_id"].ids.tolist() == reg.emb_rows["user_id"].ids.tolist() == [row]
+        want = bare.emb_rows["user_id"].values[0] + 2 * 0.01 * params.tensors["emb:user_id"][row]
+        np.testing.assert_allclose(reg.emb_rows["user_id"].values[0], want, rtol=1e-6)
 
     def test_sparse_parts_cover_only_touched_rows(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([7, 0]))
         fv = generate({"user_id": "u1", "item_tags": "a|b"}, cfg.feature_config)
-        grad = backward(forward(params, fv), fv, 1, 0.01)
-        assert set(grad.emb_rows["user_id"]) == set(fv.ids["user_id"])
-        assert set(grad.emb_rows["item_tags"]) == set(fv.ids["item_tags"])
+        grad = backward(forward(params, [fv]), [1], 0.01)
+        assert set(grad.emb_rows["user_id"].ids.tolist()) == set(fv.ids["user_id"])
+        assert set(grad.emb_rows["item_tags"].ids.tolist()) == set(fv.ids["item_tags"])
         # numeric_raw with value 0.0 stays untouched
-        assert grad.emb_rows.get("item_price", {}) == {}
+        assert "item_price" not in grad.emb_rows
 
     def test_logreg_has_no_embedding_gradients(self, tmp_path):
         cfg = _three_slot_config(tmp_path, model_type="logreg")
         params = init_params(cfg, np.random.default_rng([8, 0]))
         fv = generate(_random_record(np.random.default_rng(10)), cfg.feature_config)
-        grad = backward(forward(params, fv), fv, 1, 0.01)
+        grad = backward(forward(params, [fv]), [1], 0.01)
         assert grad.emb_rows == {} or all(not v for v in grad.emb_rows.values())
         assert list(grad.dense) == ["bias"]
         assert any(grad.fo_rows.values())
@@ -358,4 +365,4 @@ def test_first_order_sum_scalar_loop(tmp_path):
     table = _table(rng, dim=1)
     ids = [1, 5, 1]
     want = sum(float(table[i, 0]) for i in ids)
-    assert float(first_order_sum(table, ids)) == pytest.approx(want, rel=1e-6)
+    assert float(first_order_sum(table, _one_row(table, ids))[0]) == pytest.approx(want, rel=1e-6)

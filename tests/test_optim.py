@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minirec.model import SparseGradient, init_params
+from minirec.model import SparseGradient, SparseRows, init_params
 from minirec.optim import AdamOptimizer, ScalarAdam
 
 from helpers import make_config
@@ -25,10 +25,13 @@ def _grad(params, emb_rows, fo_rows, fill=0.1):
     dense = {name: np.full_like(arr, fill) for name, arr in params.tensors.items()
              if name.startswith("mlp:") or name == "bias"}
     emb = {
-        slot: {row: np.full(4, fill, np.float32) for row in rows}
+        slot: SparseRows(np.array(sorted(rows)), np.full((len(rows), 4), fill, np.float32))
         for slot, rows in emb_rows.items()
     }
-    fo = {slot: {row: np.float32(fill) for row in rows} for slot, rows in fo_rows.items()}
+    fo = {
+        slot: SparseRows(np.array(sorted(rows)), np.full((len(rows), 1), fill, np.float32))
+        for slot, rows in fo_rows.items()
+    }
     return SparseGradient(emb_rows=emb, fo_rows=fo, dense=dense)
 
 

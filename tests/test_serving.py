@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -17,6 +18,7 @@ from minirec.delta_stream import (
     open_publisher,
 )
 from minirec.errors import MinirecError
+from minirec import serving
 from minirec.features import FeatureSpec, generate
 from minirec.model import forward, init_params
 from minirec.serving import (
@@ -312,7 +314,7 @@ class TestBatchInvariance:
                 alone = score(model, {"user": user, "items": [item]}).scores
                 assert alone == [uncached[position]]
                 fv = generate({**user, **item["features"]}, specs)
-                assert float(forward(model.snapshot(), fv).probability) == uncached[position]
+                assert float(forward(model.snapshot(), [fv]).probability[0]) == uncached[position]
 
     @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
     def test_score_all_equals_per_sample_forward(self, tmp_path, model_type):
@@ -326,7 +328,7 @@ class TestBatchInvariance:
             for _ in range(200)
         ]
         fvs = [generate(r, model.config.feature_config) for r in records]
-        want = [float(forward(params, fv).probability) for fv in fvs]
+        want = [float(forward(params, [fv]).probability[0]) for fv in fvs]
         assert len(set(want)) > 100
         for size in (1, 7, 64, 200):
             assert score_all(params, fvs[:size]) == want[:size]
@@ -502,6 +504,34 @@ class TestHttpService:
         assert resp.status == 400
         assert "Content-Length" in payload["error"]
         assert resp.getheader("Connection") == "close"
+
+    @pytest.mark.parametrize("client", ["waits", "hangs_up"])
+    def test_short_body_refused_within_timeout(self, served, monkeypatch, capfd, client):
+        monkeypatch.setattr(serving, "BODY_TIMEOUT_S", 0.5)
+        _, handle = served
+        start = time.perf_counter()
+        sock = socket.create_connection(handle.address, timeout=5)
+        try:
+            sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 10\r\n\r\n{}")
+            if client == "waits":
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+                elapsed = time.perf_counter() - start
+        finally:
+            sock.close()
+        if client == "waits":
+            # The server answers and then closes: recv saw EOF.
+            assert elapsed < 2.0
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400")
+            assert b"Connection: close" in head.split(b"\r\n")
+            assert "Content-Length" in json.loads(body)["error"]
+        time.sleep(1.0)
+        # The handler thread is free, nothing was printed, and the server still answers.
+        assert _http(handle, "GET", "/v1/version")[0] == 200
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_sequential_keepalive_requests_do_not_stall(self, served):
         # Headers and body in two writes with Nagle on wait out the client's

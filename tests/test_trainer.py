@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from minirec.delta_stream import decode_delta, encode_delta
-from minirec.errors import DataError, IoError
-from minirec.model import init_params, params_equal
+from minirec.errors import DataError, IndexOutOfRange, IoError
+from minirec.features import FeatureVector
+from minirec.model import copy_params, init_params, params_equal
+from minirec.optim import AdamOptimizer
 from minirec.trainer import (
     DeltaAccumulator,
     early_stop_check,
@@ -13,10 +15,11 @@ from minirec.trainer import (
     load_dataset,
     load_records,
     train,
+    train_step,
 )
 from minirec.delta_stream import apply_message
 
-from helpers import make_config, write_csv, write_logistic_dataset
+from helpers import OracleAdam, make_config, oracle_train_step, write_csv, write_logistic_dataset
 
 
 def _small_dataset(tmp_path, rows=120, seed=3):
@@ -216,3 +219,104 @@ class TestDeltaEmission:
             if name.startswith("emb:"):
                 np.testing.assert_array_equal(
                     np.asarray(record.values, np.float32), arr[record.row_id])
+
+
+def _step_config(tmp_path, model_type):
+    features = [
+        {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 40},
+        {"name": "tags", "kind": "multi_id", "source_columns": ["tags"], "vocab_size": 7},
+        {"name": "cats", "kind": "multi_id", "source_columns": ["cats"], "vocab_size": 5,
+         "pooling": "mean"},
+        {"name": "price", "kind": "numeric_raw", "source_columns": ["price"]},
+        {"name": "age", "kind": "numeric_bucket", "source_columns": ["age"],
+         "boundaries": [18.0, 30.0, 50.0]},
+    ]
+    return make_config(tmp_path, feature_config=features, model_config={
+        "model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [6, 3]})
+
+
+def _random_fv(rng):
+    """Small vocabularies, so ids repeat within a sample and across the batch."""
+    price = 0.0 if rng.random() < 0.4 else float(rng.normal(0.0, 2.0))
+    return FeatureVector(
+        ids={
+            "user_id": (int(rng.integers(40)),),
+            "tags": tuple(int(i) for i in rng.integers(0, 7, int(rng.integers(0, 5)))),
+            "cats": tuple(int(i) for i in rng.integers(0, 5, int(rng.integers(0, 4)))),
+            "age": () if rng.random() < 0.2 else (int(rng.integers(4)),),
+        },
+        dense={"price": price},
+    )
+
+
+def _assert_state_equal(opt, oracle):
+    for name, rows in oracle.sparse.items():
+        state = opt._sparse[name]
+        touched = np.zeros(len(state.step), dtype=bool)
+        touched[list(rows)] = True
+        for row, (m, v, t) in rows.items():
+            assert np.array_equal(state.m[row], m) and np.array_equal(state.v[row], v), (name, row)
+            assert state.step[row] == t, (name, row)
+        assert not state.m[~touched].any() and not state.v[~touched].any()
+        assert not state.step[~touched].any()
+    assert set(opt._sparse) == set(oracle.sparse)
+    for name, (m, v, t) in oracle.dense.items():
+        state = opt._dense[name]
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v) and state.step == t, name
+    assert set(opt._dense) == set(oracle.dense)
+
+
+class TestBatchedStepMatchesPerSample:
+    """One batched step gives the per-sample step's bits: parameters, gradients, Adam state."""
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+    @pytest.mark.parametrize("reg", [0.0, 0.01])
+    @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+    def test_bitwise_over_steps(self, tmp_path, model_type, reg, gated):
+        cfg = _step_config(tmp_path, model_type)
+        rng = np.random.default_rng([7, reg > 0, gated, model_type == "logreg"])
+        params = init_params(cfg, np.random.default_rng([1, 0]))
+        for arr in params.tensors.values():
+            arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
+        reference = copy_params(params)
+        opt, oracle = AdamOptimizer(0.05), OracleAdam(0.05)
+        names = params.slot_names
+        for size in (7, 1, 12, 5):
+            batch = [(_random_fv(rng), int(rng.integers(2))) for _ in range(size)]
+            scales = None
+            if gated:
+                scales = [{n: float(rng.uniform(0.05, 1.0)) for n in names} for _ in batch]
+            per_row = None if scales is None else {
+                n: np.array([s[n] for s in scales]) for n in names}
+            want, samples = oracle_train_step(reference, oracle, batch, reg, scales)
+            got = train_step(params, opt, batch, reg, per_row)
+
+            assert params_equal(params, reference)
+            _assert_state_equal(opt, oracle)
+            for kind, rows_by_slot in (("emb", got.emb_rows), ("fo", got.fo_rows)):
+                assert set(rows_by_slot) == set(want[kind])
+                for slot, rows in rows_by_slot.items():
+                    assert rows.ids.tolist() == sorted(want[kind][slot])
+                    expect = [want[kind][slot][r] for r in rows.ids.tolist()]
+                    assert np.array_equal(rows.values.reshape(len(rows), -1),
+                                          np.array(expect, dtype=np.float32).reshape(len(rows), -1))
+            assert list(got.dense) == list(want["dense"])
+            for name, g in got.dense.items():
+                assert np.array_equal(g, want["dense"][name]), name
+            if gated:
+                for name in names:
+                    assert got.slot_scale[name].tolist() == [g["gate"][name] for g in samples]
+            else:
+                assert got.slot_scale is None
+
+    def test_out_of_range_id_raises_before_update(self, tmp_path):
+        cfg = _step_config(tmp_path, "deepfm")
+        params = init_params(cfg, np.random.default_rng([2, 0]))
+        before = copy_params(params)
+        rng = np.random.default_rng(3)
+        bad = _random_fv(rng)
+        bad.ids["tags"] = (1, 7)
+        batch = [(_random_fv(rng), 1), (bad, 0)]
+        with pytest.raises(IndexOutOfRange):
+            train_step(params, AdamOptimizer(0.05), batch, 0.0)
+        assert params_equal(params, before)
