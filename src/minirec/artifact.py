@@ -15,8 +15,10 @@ artifact alone is enough to regenerate features and score consistently.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -56,14 +58,20 @@ def save_artifact(artifact: ModelArtifact, path: str) -> None:
         "tensors": directory,
     }
     header_bytes = canonical_json(header).encode("utf-8")
+    # Written whole beside the target, then renamed over it: a reader sees
+    # the old artifact or the new one, never a partial file.
+    tmp_path = path + ".tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp_path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header_bytes)))
             fh.write(header_bytes)
             for _, arr in items:
                 fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp_path, path)
     except OSError as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
         raise IoError(f"cannot write artifact {path!r}: {exc}") from exc
 
 

@@ -15,8 +15,8 @@ delivery into exactly-once state effects.
 
 Three transports share one publish/consume interface: in-memory (mem://),
 append-only file (file://), and TCP (tcp://). File and TCP use u32
-length-prefixed framing; the file consumer persists its byte offset in a
-cursor file so restarts resume after the last consumed frame.
+length-prefixed framing. A file consumer replays its queue from the first
+frame, so any artifact plus the replay is the trainer's state; TCP is live.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .model import ModelParams, is_sparse_tensor
 
 DELTA_MAGIC = b"ERDU"
 FORMAT_VERSION = 1
+# Publishers refuse a longer frame; readers reject a longer prefix unread.
+MAX_FRAME_BYTES = 1 << 28
 
 
 class SparseRecord(NamedTuple):
@@ -184,17 +186,13 @@ def write_message(params: ModelParams, msg: DeltaMessage) -> None:
 _MEM_REGISTRY: dict[str, queue.Queue] = {}
 
 
-def _mem_queue(name: str) -> queue.Queue:
-    return _MEM_REGISTRY.setdefault(name, queue.Queue())
-
-
 def reset_memory_queues() -> None:
     _MEM_REGISTRY.clear()
 
 
 class MemoryPublisher:
     def __init__(self, name: str):
-        self._q = _mem_queue(name)
+        self._q = _MEM_REGISTRY.setdefault(name, queue.Queue())
 
     def publish(self, frame: bytes) -> None:
         self._q.put(frame)
@@ -205,7 +203,7 @@ class MemoryPublisher:
 
 class MemoryConsumer:
     def __init__(self, name: str):
-        self._q = _mem_queue(name)
+        self._q = _MEM_REGISTRY.setdefault(name, queue.Queue())
 
     def consume(self, timeout: float | None = None) -> bytes | None:
         try:
@@ -215,6 +213,43 @@ class MemoryConsumer:
 
     def close(self) -> None:
         pass
+
+
+def _length_prefixed(frame: bytes) -> bytes:
+    if len(frame) > MAX_FRAME_BYTES:
+        raise IoError(f"frame of {len(frame)} bytes exceeds MAX_FRAME_BYTES")
+    return struct.pack("<I", len(frame)) + frame
+
+
+class _FrameReader:
+    """Splits u32 length-prefixed frames out of a transport's byte stream.
+
+    Transports supply `_read(timeout)`, returning b"" if nothing arrived
+    within `timeout` seconds (None: no limit), and `_drop()`, called on a
+    prefix over MAX_FRAME_BYTES before the FormatError is raised.
+    """
+
+    def __init__(self):
+        self._buffer = bytearray()
+
+    def consume(self, timeout: float | None = None) -> bytes | None:
+        """The next frame, or None if none is whole by the timeout; reads at least once."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            if len(self._buffer) >= 4:
+                (length,) = struct.unpack_from("<I", self._buffer)
+                if length > MAX_FRAME_BYTES:
+                    self._drop()
+                    raise FormatError(f"frame length {length} exceeds MAX_FRAME_BYTES")
+                if len(self._buffer) >= 4 + length:
+                    frame = bytes(self._buffer[4 : 4 + length])
+                    del self._buffer[: 4 + length]
+                    return frame
+            left = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+            chunk = self._read(left)
+            if not chunk and left == 0.0:
+                return None
+            self._buffer += chunk
 
 
 class FilePublisher:
@@ -227,7 +262,7 @@ class FilePublisher:
             raise IoError(f"cannot open queue file: {exc}") from exc
 
     def publish(self, frame: bytes) -> None:
-        self._fh.write(struct.pack("<I", len(frame)) + frame)
+        self._fh.write(_length_prefixed(frame))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
@@ -235,101 +270,76 @@ class FilePublisher:
         self._fh.close()
 
 
-class FileConsumer:
-    """Polls <base>.dq from the offset persisted in <base>.cursor."""
+class FileConsumer(_FrameReader):
+    """Reads <base>.dq from its first frame on, polling for appended frames."""
 
     poll_seconds = 0.01
 
     def __init__(self, base: str):
-        self._data_path = base + ".dq"
-        self._cursor_path = base + ".cursor"
-        self._offset = 0
-        if os.path.exists(self._cursor_path):
-            with open(self._cursor_path) as fh:
-                text = fh.read().strip()
-            if text:
-                self._offset = int(text)
+        super().__init__()
+        self._path = base + ".dq"
+        self._fh = None
 
-    def _try_read(self) -> bytes | None:
-        if not os.path.exists(self._data_path):
-            return None
-        with open(self._data_path, "rb") as fh:
-            fh.seek(self._offset)
-            prefix = fh.read(4)
-            if len(prefix) < 4:
-                return None
-            (length,) = struct.unpack("<I", prefix)
-            frame = fh.read(length)
-            if len(frame) < length:
-                return None
-        self._offset += 4 + length
-        with open(self._cursor_path, "w") as fh:
-            fh.write(f"{self._offset}\n")
-        return frame
+    def _read(self, timeout: float | None) -> bytes:
+        try:
+            if self._fh is None:
+                self._fh = open(self._path, "rb", buffering=0)
+            chunk = self._fh.read(1 << 20)
+        except FileNotFoundError:
+            chunk = b""
+        except OSError as exc:
+            raise IoError(f"cannot read queue file {self._path!r}: {exc}") from exc
+        if not chunk:
+            time.sleep(self.poll_seconds if timeout is None else min(timeout, self.poll_seconds))
+        return chunk
 
-    def consume(self, timeout: float | None = None) -> bytes | None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            frame = self._try_read()
-            if frame is not None:
-                return frame
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
-            time.sleep(self.poll_seconds)
+    def _drop(self) -> None:
+        """Keep the bad prefix: frames after it cannot be found, so every consume raises."""
 
     def close(self) -> None:
-        pass
+        if self._fh is not None:
+            self._fh.close()
 
 
-class TcpConsumer:
-    """Listening end of a TCP queue; accepts one publisher connection."""
+class TcpConsumer(_FrameReader):
+    """Listening end of a TCP queue: live frames from one publisher at a time.
+
+    When a connection ends or sends a bad prefix, it is dropped with its
+    partial frame, and the next publisher is accepted.
+    """
 
     def __init__(self, host: str, port: int):
+        super().__init__()
         self._listener = socket.create_server((host, port))
         self._conn: socket.socket | None = None
-        self._buffer = b""
-        self._eof = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
 
-    def _fill(self, deadline: float | None) -> bool:
-        if self._conn is None:
-            self._listener.settimeout(None if deadline is None else max(deadline - time.monotonic(), 0.001))
-            try:
-                self._conn, _ = self._listener.accept()
-            except TimeoutError:
-                return False
-        self._conn.settimeout(None if deadline is None else max(deadline - time.monotonic(), 0.001))
+    def _read(self, timeout: float | None) -> bytes:
         try:
+            if self._conn is None:
+                self._listener.settimeout(timeout)
+                self._conn, _ = self._listener.accept()
+            self._conn.settimeout(timeout)
             chunk = self._conn.recv(65536)
-        except TimeoutError:
-            return False
+        except (TimeoutError, BlockingIOError):
+            return b""
+        except ConnectionError:
+            chunk = b""
         if not chunk:
-            self._eof = True
-            return False
-        self._buffer += chunk
-        return True
+            self._drop()
+        return chunk
 
-    def consume(self, timeout: float | None = None) -> bytes | None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if len(self._buffer) >= 4:
-                (length,) = struct.unpack("<I", self._buffer[:4])
-                if len(self._buffer) >= 4 + length:
-                    frame = self._buffer[4 : 4 + length]
-                    self._buffer = self._buffer[4 + length :]
-                    return frame
-            if self._eof:
-                return None
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
-            self._fill(deadline)
-
-    def close(self) -> None:
+    def _drop(self) -> None:
         if self._conn is not None:
             self._conn.close()
+            self._conn = None
+        self._buffer.clear()
+
+    def close(self) -> None:
+        self._drop()
         self._listener.close()
 
 
@@ -352,7 +362,7 @@ class TcpPublisher:
 
     def publish(self, frame: bytes) -> None:
         try:
-            self._sock.sendall(struct.pack("<I", len(frame)) + frame)
+            self._sock.sendall(_length_prefixed(frame))
         except OSError as exc:
             raise IoError(f"tcp publish failed: {exc}") from exc
 
@@ -360,32 +370,21 @@ class TcpPublisher:
         self._sock.close()
 
 
-def _parse_url(url: str) -> tuple[str, str]:
-    if "://" in url:
-        scheme, rest = url.split("://", 1)
-        return scheme, rest
-    return "file", url
+def _open(url: str, mem, file, tcp):
+    scheme, rest = url.split("://", 1) if "://" in url else ("file", url)
+    if scheme == "mem":
+        return mem(rest)
+    if scheme == "file":
+        return file(rest)
+    if scheme == "tcp":
+        host, _, port = rest.rpartition(":")
+        return tcp(host, int(port))
+    raise IoError(f"unknown queue scheme {scheme!r}")
 
 
 def open_publisher(url: str):
-    scheme, rest = _parse_url(url)
-    if scheme == "mem":
-        return MemoryPublisher(rest)
-    if scheme == "file":
-        return FilePublisher(rest)
-    if scheme == "tcp":
-        host, _, port = rest.rpartition(":")
-        return TcpPublisher(host, int(port))
-    raise IoError(f"unknown queue scheme {scheme!r}")
+    return _open(url, MemoryPublisher, FilePublisher, TcpPublisher)
 
 
 def open_consumer(url: str):
-    scheme, rest = _parse_url(url)
-    if scheme == "mem":
-        return MemoryConsumer(rest)
-    if scheme == "file":
-        return FileConsumer(rest)
-    if scheme == "tcp":
-        host, _, port = rest.rpartition(":")
-        return TcpConsumer(host, int(port))
-    raise IoError(f"unknown queue scheme {scheme!r}")
+    return _open(url, MemoryConsumer, FileConsumer, TcpConsumer)

@@ -203,15 +203,16 @@ class _Metrics:
     def __init__(self):
         self._lock = threading.Lock()
         self._window: deque = deque(maxlen=METRICS_WINDOW)
-        self.deltas_applied = 0
+        # Frames applied, failed decode or validation, or dropped as already held.
+        self.deltas = {"deltas_applied": 0, "deltas_rejected": 0, "deltas_stale": 0}
 
     def record(self, latency_us: float, cache_hits: int, items: int) -> None:
         with self._lock:
             self._window.append((time.monotonic(), latency_us, cache_hits, items))
 
-    def delta_applied(self) -> None:
+    def count(self, counter: str) -> None:
         with self._lock:
-            self.deltas_applied += 1
+            self.deltas[counter] += 1
 
     @staticmethod
     def _percentile(values: list[float], q: float) -> float:
@@ -224,7 +225,7 @@ class _Metrics:
     def snapshot(self) -> dict:
         with self._lock:
             window = list(self._window)
-            deltas = self.deltas_applied
+            deltas = dict(self.deltas)
         latencies = [w[1] for w in window]
         total_items = sum(w[3] for w in window)
         total_hits = sum(w[2] for w in window)
@@ -235,7 +236,7 @@ class _Metrics:
             "latency_p50_us": self._percentile(latencies, 0.50),
             "latency_p95_us": self._percentile(latencies, 0.95),
             "latency_p99_us": self._percentile(latencies, 0.99),
-            "deltas_applied": deltas,
+            **deltas,
         }
 
 
@@ -261,10 +262,13 @@ class _Poller(threading.Thread):
             try:
                 version = self.model.apply_delta(decode_delta(frame))
             except MinirecError as exc:
+                self.metrics.count("deltas_rejected")
                 log.warning("delta rejected: %s", exc)
                 continue
-            if version is not None:
-                self.metrics.delta_applied()
+            if version is None:
+                self.metrics.count("deltas_stale")
+            else:
+                self.metrics.count("deltas_applied")
                 log.info("applied delta, model_version=%d", version)
 
 

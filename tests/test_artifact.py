@@ -6,13 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+from minirec import artifact as artifact_module
 from minirec.artifact import (
     MAGIC,
     ModelArtifact,
     load_artifact,
     save_artifact,
 )
-from minirec.errors import FormatError
+from minirec.errors import FormatError, IoError
 from minirec.model import init_params, params_equal, tensor_shapes
 
 from helpers import make_config
@@ -160,3 +161,36 @@ def test_model_version_passthrough(tmp_path):
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
     assert load_artifact(path).model_version == 17
+
+
+def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.erm")
+    save_artifact(_artifact(tmp_path, seed=1), path)
+    previous = (tmp_path / "model.erm").read_bytes()
+
+    class FailingFile:
+        """Writes through to the real file until the third payload tensor."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 6:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(artifact_module, "open",
+                        lambda *args, **kwargs: FailingFile(open(*args, **kwargs)), raising=False)
+    with pytest.raises(IoError):
+        save_artifact(_artifact(tmp_path, seed=2), path)
+    monkeypatch.undo()
+    assert (tmp_path / "model.erm").read_bytes() == previous
+    assert params_equal(load_artifact(path).params, _artifact(tmp_path, seed=1).params)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.erm"]

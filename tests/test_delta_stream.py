@@ -1,5 +1,6 @@
 """Delta wire format, message validation/application, and queue transports."""
 
+import socket
 import struct
 import threading
 import time
@@ -7,6 +8,8 @@ import time
 import numpy as np
 import pytest
 
+from minirec import delta_stream
+from minirec.artifact import ModelArtifact, save_artifact
 from minirec.delta_stream import (
     DELTA_MAGIC,
     DeltaMessage,
@@ -31,12 +34,15 @@ from minirec.errors import (
     DimensionMismatch,
     FormatError,
     IndexOutOfRange,
+    IoError,
     UnknownSlot,
     UnknownTensor,
 )
 from minirec.model import init_params, params_equal
+from minirec.serving import load_model
+from minirec.trainer import train
 
-from helpers import make_config
+from helpers import make_config, write_logistic_dataset
 
 
 def _random_message(rng, version=None):
@@ -194,21 +200,136 @@ class TestMemoryQueue:
         assert time.monotonic() - start < 1.0
 
 
+def _drain(consumer):
+    frames = []
+    while (frame := consumer.consume(timeout=0)) is not None:
+        frames.append(frame)
+    consumer.close()
+    return frames
+
+
+def _dq_frames(base):
+    """The frames of <base>.dq, split by a reading of the file format alone."""
+    with open(base + ".dq", "rb") as fh:
+        blob = fh.read()
+    frames, pos = [], 0
+    while pos < len(blob):
+        (length,) = struct.unpack_from("<I", blob, pos)
+        frames.append(blob[pos + 4 : pos + 4 + length])
+        pos += 4 + length
+    return frames
+
+
 class TestFileQueue:
-    def test_fifo_and_cursor_resume(self, tmp_path):
+    def test_restart_replays_queue_exactly(self, tmp_path):
+        """No frame is lost or applied twice, whichever artifact a server restarts from."""
+        write_logistic_dataset(tmp_path, n_train=1200, n_eval=100, n_users=1500, n_items=1500)
+        cfg = make_config(tmp_path, train_config={"num_epochs": 1, "delta_period_steps": 3})
+        seed = cfg.train_config.seed
+        v0_path = str(tmp_path / "model-v0.erm")
+        save_artifact(ModelArtifact(cfg, init_params(cfg, np.random.default_rng([seed, 0])), seed, 0),
+                      v0_path)
+        base = str(tmp_path / "stream")
+        publisher = FilePublisher(base)
+        final, _ = train(cfg, sink=publisher)
+        publisher.close()
+        final_path = str(tmp_path / "model-final.erm")
+        save_artifact(final, final_path)
+
+        frames = _dq_frames(base)
+        messages = [decode_delta(frame) for frame in frames]
+        assert final.params.model_version == len(frames) >= 4
+
+        def rows(msgs):
+            return {(rec.tensor_index, rec.row_id) for msg in msgs for rec in msg.sparse}
+
+        # Rows that only frames 1-2 carry: a server that skips those frames loses them.
+        assert rows(messages[:2]) - rows(messages[2:])
+
+        first = load_model(v0_path)
+        consumer = FileConsumer(base)
+        for _ in range(2):
+            assert first.apply_delta(decode_delta(consumer.consume(timeout=1.0))) is not None
+        consumer.close()
+        assert first.version == 2
+
+        restarted = load_model(v0_path)
+        replayed = _drain(FileConsumer(base))
+        assert replayed == frames
+        assert [restarted.apply_delta(decode_delta(frame)) for frame in replayed] == list(
+            range(1, len(frames) + 1))
+        assert params_equal(restarted.snapshot(), final.params)
+        assert restarted.version == final.params.model_version
+
+        from_final = load_model(final_path)
+        assert all(from_final.apply_delta(decode_delta(frame)) is None
+                   for frame in _drain(FileConsumer(base)))
+        assert params_equal(from_final.snapshot(), final.params)
+        assert from_final.version == final.params.model_version
+        assert not list(tmp_path.glob("*.cursor"))
+
+    def test_every_consumer_reads_every_frame(self, tmp_path):
         base = str(tmp_path / "stream")
         pub = FilePublisher(base)
         pub.publish(b"frame-one")
         pub.publish(b"frame-two")
-        con = FileConsumer(base)
-        assert con.consume(timeout=0.2) == b"frame-one"
-        con.close()
-        # a fresh consumer resumes from the persisted cursor
-        again = FileConsumer(base)
-        assert again.consume(timeout=0.2) == b"frame-two"
-        assert again.consume(timeout=0.05) is None
-        again.close()
+        first = FileConsumer(base)
+        assert first.consume(timeout=0.2) == b"frame-one"
+        second = FileConsumer(base)
+        assert second.consume(timeout=0.2) == b"frame-one"
+        pub.publish(b"frame-three")
+        assert _drain(first) == [b"frame-two", b"frame-three"]
+        assert _drain(second) == [b"frame-two", b"frame-three"]
+        assert _drain(FileConsumer(base)) == [b"frame-one", b"frame-two", b"frame-three"]
         pub.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stream.dq"]
+
+    def test_zero_timeout_drains_without_sleeping(self, tmp_path):
+        base = str(tmp_path / "stream")
+        pub = FilePublisher(base)
+        frames = [f"frame-{i}".encode() * (i + 1) for i in range(50)]
+        for frame in frames:
+            pub.publish(frame)
+        pub.close()
+        con = FileConsumer(base)
+        con.poll_seconds = 1.0
+        start = time.monotonic()
+        assert _drain(con) == frames
+        assert time.monotonic() - start < 0.5
+
+    def test_oversized_prefix_is_format_error(self, tmp_path):
+        base = str(tmp_path / "stream")
+        pub = FilePublisher(base)
+        pub.publish(b"good")
+        pub.close()
+        with open(base + ".dq", "ab") as fh:
+            fh.write(struct.pack("<I", 0xFFFFFFF0) + b"junk")
+        con = FileConsumer(base)
+        assert con.consume(timeout=0.5) == b"good"
+        for _ in range(2):
+            start = time.monotonic()
+            with pytest.raises(FormatError):
+                con.consume(timeout=0.5)
+            assert time.monotonic() - start < 0.5
+        con.close()
+
+    def test_publishers_refuse_oversized_frame(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(delta_stream, "MAX_FRAME_BYTES", 8)
+        base = str(tmp_path / "stream")
+        pub = FilePublisher(base)
+        pub.publish(b"12345678")
+        with pytest.raises(IoError):
+            pub.publish(b"123456789")
+        pub.close()
+        assert _dq_frames(base) == [b"12345678"]
+        consumer = TcpConsumer("127.0.0.1", 0)
+        publisher = TcpPublisher(*consumer.address)
+        with pytest.raises(IoError):
+            publisher.publish(b"123456789")
+        publisher.publish(b"12345678")
+        assert consumer.consume(timeout=2.0) == b"12345678"
+        publisher.close()
+        consumer.close()
 
     def test_consume_before_publish(self, tmp_path):
         base = str(tmp_path / "stream")
@@ -255,6 +376,48 @@ class TestTcpQueue:
         thread.join()
         consumer.close()
         assert received == frames
+
+
+    def test_reaccepts_after_publisher_closes(self):
+        consumer = TcpConsumer("127.0.0.1", 0)
+        first = TcpPublisher(*consumer.address)
+        first.publish(b"from-first")
+        first.close()
+        assert consumer.consume(timeout=2.0) == b"from-first"
+        start = time.monotonic()
+        assert consumer.consume(timeout=0.2) is None
+        assert time.monotonic() - start >= 0.18
+        second = TcpPublisher(*consumer.address)
+        second.publish(b"from-second")
+        assert consumer.consume(timeout=2.0) == b"from-second"
+        second.close()
+        consumer.close()
+
+    def test_partial_frame_dropped_with_its_connection(self):
+        consumer = TcpConsumer("127.0.0.1", 0)
+        with socket.create_connection(consumer.address) as peer:
+            peer.sendall(struct.pack("<I", 100) + b"only part")
+        publisher = TcpPublisher(*consumer.address)
+        publisher.publish(b"whole")
+        assert consumer.consume(timeout=2.0) == b"whole"
+        publisher.close()
+        consumer.close()
+
+    def test_oversized_prefix_drops_connection(self):
+        consumer = TcpConsumer("127.0.0.1", 0)
+        peer = socket.create_connection(consumer.address)
+        peer.sendall(struct.pack("<I", 0xFFFFFFF0) + b"junk")
+        start = time.monotonic()
+        with pytest.raises(FormatError):
+            consumer.consume(timeout=2.0)
+        assert time.monotonic() - start < 2.0
+        # The peer is still open: the next frame arrives only if it was dropped.
+        publisher = TcpPublisher(*consumer.address)
+        publisher.publish(b"next")
+        assert consumer.consume(timeout=2.0) == b"next"
+        peer.close()
+        publisher.close()
+        consumer.close()
 
 
 class TestUrlSchemes:

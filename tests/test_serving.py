@@ -406,6 +406,8 @@ class TestMetrics:
             "latency_p95_us": 0.0,
             "latency_p99_us": 0.0,
             "deltas_applied": 0,
+            "deltas_rejected": 0,
+            "deltas_stale": 0,
         }
 
     def test_percentiles_and_rates(self):
@@ -413,7 +415,7 @@ class TestMetrics:
         metrics.record(100.0, 1, 2)
         metrics.record(300.0, 0, 2)
         metrics.record(200.0, 2, 2)
-        metrics.delta_applied()
+        metrics.count("deltas_applied")
         snap = metrics.snapshot()
         # nearest-rank with rank = round(q * n + 0.5): n=3 gives ranks 2, 3, 3
         assert snap["latency_p50_us"] == 200.0
@@ -566,10 +568,11 @@ class TestHttpService:
         status, snap = _http(handle, "GET", "/v1/metrics")
         assert status == 200
         assert set(snap) == {"qps", "cache_hit_rate", "latency_p50_us",
-                             "latency_p95_us", "latency_p99_us", "deltas_applied"}
+                             "latency_p95_us", "latency_p99_us", "deltas_applied",
+                             "deltas_rejected", "deltas_stale"}
         assert snap["latency_p50_us"] > 0.0
         assert snap["cache_hit_rate"] == pytest.approx(0.5)
-        assert snap["deltas_applied"] == 0
+        assert snap["deltas_applied"] == snap["deltas_rejected"] == snap["deltas_stale"] == 0
 
 
 class TestPoller:
@@ -591,10 +594,19 @@ class TestPoller:
             status, snap = _http(handle, "GET", "/v1/metrics")
             assert status == 200
             assert snap["deltas_applied"] == 1
+            assert snap["deltas_rejected"] == 1
             np.testing.assert_array_equal(
                 model.snapshot().tensors["emb:user_id"][2],
                 np.asarray([4.0, 3.0, 2.0, 1.0], dtype=np.float32),
             )
+            # A frame the server already holds is dropped and counted as stale.
+            publisher.publish(encode_delta(msg))
+            deadline = time.monotonic() + 5.0
+            while snap["deltas_stale"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+                snap = _http(handle, "GET", "/v1/metrics")[1]
+            assert (snap["deltas_applied"], snap["deltas_rejected"], snap["deltas_stale"]) == (1, 1, 1)
+            assert model.version == 1
         finally:
             handle.shutdown()
             publisher.close()
