@@ -25,6 +25,7 @@ from .config import (
     PipelineConfig,
     apply_override,
     parse_config,
+    parse_host_port,
     parse_search_space,
     to_plain,
 )
@@ -73,19 +74,6 @@ def _load_config(path: str, seed: int | None) -> PipelineConfig:
 
 def _emit(summary: dict) -> None:
     print(json.dumps(summary))
-
-
-def _parse_bind(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep:
-        raise InvalidValue("--bind", "expected host:port")
-    try:
-        number = int(port)
-    except ValueError:
-        raise InvalidValue("--bind", f"port {port!r} is not an integer") from None
-    if not 0 <= number <= 65535:
-        raise InvalidValue("--bind", f"port {number} is outside 0-65535")
-    return host, number
 
 
 def _cmd_train(args) -> None:
@@ -140,7 +128,7 @@ def _cmd_export(args) -> None:
 
 
 def _cmd_serve(args) -> None:
-    bind = _parse_bind(args.bind)
+    bind = parse_host_port(args.bind, "--bind")
     model = serving.load_model(args.model)
     cache = serving.LruCache(args.cache_capacity) if args.cache_capacity > 0 else None
     consumer = open_consumer(args.queue) if args.queue else None

@@ -225,6 +225,20 @@ def build_config(obj: Any) -> PipelineConfig:
     return cfg
 
 
+def parse_host_port(text: str, path: str) -> tuple[str, int]:
+    """Split "host:port"; raises InvalidValue at `path` unless the port is an integer in 0-65535."""
+    host, sep, port = text.rpartition(":")
+    if not sep:
+        raise InvalidValue(path, "expected host:port")
+    try:
+        number = int(port)
+    except ValueError:
+        raise InvalidValue(path, f"port {port!r} is not an integer") from None
+    if not 0 <= number <= 65535:
+        raise InvalidValue(path, f"port {number} is outside 0-65535")
+    return host, number
+
+
 def parse_config(text: str) -> PipelineConfig:
     try:
         obj = json.loads(text)

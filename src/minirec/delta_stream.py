@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import parse_host_port
 from .errors import (
     ChecksumError,
     DimensionMismatch,
@@ -377,8 +378,7 @@ def _open(url: str, mem, file, tcp):
     if scheme == "file":
         return file(rest)
     if scheme == "tcp":
-        host, _, port = rest.rpartition(":")
-        return tcp(host, int(port))
+        return tcp(*parse_host_port(rest, "queue"))
     raise IoError(f"unknown queue scheme {scheme!r}")
 
 

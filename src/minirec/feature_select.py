@@ -147,13 +147,6 @@ def train_with_gates(
     )
 
 
-def evaluate_gated(params: ModelParams, gates: GateParams, fvs: list) -> list[float]:
-    """Deterministic gated scores: each slot scaled by its keep probability."""
-    if not fvs:
-        return []
-    return forward(params, fvs, slot_scale=gates.keep_probabilities()).probability.tolist()
-
-
 def select(
     specs: tuple[FeatureSpec, ...], importances: dict[str, float], keep_fraction: float
 ) -> tuple[FeatureSpec, ...]:

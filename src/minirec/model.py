@@ -83,7 +83,7 @@ class SlotPart(NamedTuple):
 
 @dataclass
 class ForwardTrace:
-    """Intermediates of `assemble` over N rows; `fm`, `logit` and `probability` are (N,).
+    """Intermediates of `assemble` over N rows; `logit` and `probability` are (N,).
 
     `slot_scale` holds each slot's float32 scale, a scalar or one per row;
     `rows` is set by `forward` for `backward`.
@@ -93,7 +93,6 @@ class ForwardTrace:
     parts: dict[str, SlotPart]
     slot_scale: dict[str, np.ndarray] | None
     scaled_pooled: list[np.ndarray]
-    fm: np.ndarray
     mlp_input: np.ndarray | None
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
@@ -384,7 +383,6 @@ def assemble(
         logit = logit + (fo if scales is None else scales[spec.name] * fo)
 
     scaled_pooled: list[np.ndarray] = []
-    fm = _F32(0.0)
     mlp_input: np.ndarray | None = None
     pre_activations: list[np.ndarray] = []
     activations: list[np.ndarray] = []
@@ -392,8 +390,7 @@ def assemble(
         for spec in params.specs:
             pooled = parts[spec.name].pooled
             scaled_pooled.append(pooled if scales is None else scales[spec.name][..., None] * pooled)
-        fm = fm_second_order(scaled_pooled)
-        logit = logit + fm
+        logit = logit + fm_second_order(scaled_pooled)
         mlp_input = (
             np.concatenate(scaled_pooled, axis=-1) if scaled_pooled else np.zeros(0, dtype=_F32)
         )
@@ -414,7 +411,6 @@ def assemble(
         parts=parts,
         slot_scale=scales,
         scaled_pooled=scaled_pooled,
-        fm=fm,
         mlp_input=mlp_input,
         pre_activations=pre_activations,
         activations=activations,

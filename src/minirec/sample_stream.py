@@ -16,13 +16,20 @@ Late events never trigger retractions: an impression arriving after its
 window closed is dropped and counted; a click arriving after its key's
 emission is counted late_dropped only when it lands inside the closed
 window (it would have changed the label); post-emission clicks outside
-the window are no-ops. The earliest-click map is a permanent small map
-(key to integer); the payload-heavy impression, pair, and log buffers are
-all evicted by watermark and drain to zero after the final flush.
+the window are no-ops. Two maps are never evicted: the earliest click
+per key and the impression time of every emitted key (key to integer
+each), which duplicate and late-click detection read, so they grow with
+every distinct (request_id, item_key) seen. The payload-heavy
+impression, pair, and log buffers are evicted by watermark and drain to
+zero after the final flush.
 
 Boundaries sharing a timestamp are processed closes first, then pair
 expiries, then log evictions, so a log is never evicted ahead of a pair
 emitted at the same boundary.
+
+The oracle is `batch_join_reference` in the test suite's helpers
+(tests/helpers.py): a time-sorted batch join written without this
+module's Joiner.
 """
 
 from __future__ import annotations
@@ -59,14 +66,6 @@ class JoinConfig:
             raise InvalidValue("label_window_ms", "must be > 0")
         if self.allowed_lateness_ms < 0:
             raise InvalidValue("allowed_lateness_ms", "must be >= 0")
-
-
-@dataclass(frozen=True)
-class LabeledPairResult:
-    request_id: str
-    item_key: str
-    label: int
-    event_time: int
 
 
 @dataclass(frozen=True)
@@ -144,16 +143,14 @@ class _BufferedLog:
 class Joiner:
     """Single-threaded event-time joiner; deterministic per arrival order.
 
-    feed() events in arrival order, then flush(); emitted results append
-    to .samples (or .pairs when join_logs=False, the label-only mode).
+    feed() events in arrival order, then flush(); emitted samples append
+    to .samples.
     """
 
-    def __init__(self, cfg: JoinConfig, join_logs: bool = True):
+    def __init__(self, cfg: JoinConfig):
         self.cfg = cfg
-        self.join_logs = join_logs
         self.stats = JoinStats()
         self.samples: list[LabeledSample] = []
-        self.pairs: list[LabeledPairResult] = []
         self._watermark = -math.inf
         self._impressions: dict[tuple[str, str], int] = {}
         self._emitted: dict[tuple[str, str], int] = {}
@@ -266,9 +263,6 @@ class Joiner:
         click = self._clicks.get(key)
         label = 1 if click is not None and t0 <= click <= t0 + w else 0
         rid, item_key = key
-        if not self.join_logs:
-            self.pairs.append(LabeledPairResult(rid, item_key, label, t0))
-            return
         pair = _Pair(rid, item_key, label, t0)
         log = self._logs.get(rid)
         if log is not None and self._log_matches(pair, log.event_time):
@@ -280,82 +274,6 @@ class Joiner:
     def flush(self) -> None:
         """Close every open window and drain all buffers."""
         self._advance(math.inf)
-
-
-def aggregate_events(events) -> tuple[list[Event], JoinStats]:
-    """Batch dedup: first impression and log per key, earliest click per key.
-
-    Output preserves arrival order (a kept click stays at its first
-    arrival position with the earliest observed time).
-    """
-    stats = JoinStats()
-    out: list[Event] = []
-    impressions: set[tuple[str, str]] = set()
-    clicks: dict[tuple[str, str], int] = {}
-    logs: set[str] = set()
-    for obj in events:
-        try:
-            event = obj if isinstance(obj, Event) else parse_event(obj)
-        except MalformedEvent:
-            stats.malformed += 1
-            continue
-        key = (event.request_id, event.item_key)
-        if event.kind == "impression":
-            if key in impressions:
-                stats.dup_impressions += 1
-                continue
-            impressions.add(key)
-            out.append(event)
-        elif event.kind == "click":
-            if key in clicks:
-                stats.dup_clicks += 1
-                clicks[key] = min(clicks[key], event.event_time)
-                for i, kept in enumerate(out):
-                    if kept.kind == "click" and (kept.request_id, kept.item_key) == key:
-                        out[i] = Event("click", clicks[key], event.request_id, event.item_key)
-                        break
-                continue
-            clicks[key] = event.event_time
-            out.append(event)
-        else:
-            if event.request_id in logs:
-                stats.dup_logs += 1
-                continue
-            logs.add(event.request_id)
-            out.append(event)
-    return out, stats
-
-
-def generate_labels(events, cfg: JoinConfig) -> tuple[list[LabeledPairResult], JoinStats]:
-    """Label-only pipeline stage: impressions and clicks in, pairs out."""
-    joiner = Joiner(cfg, join_logs=False)
-    for event in events:
-        joiner.feed(event)
-    joiner.flush()
-    return joiner.pairs, joiner.stats
-
-
-def join_features(pairs, logs, cfg: JoinConfig) -> tuple[list[LabeledSample], JoinStats]:
-    """Batch join of labeled pairs against first-arrival feature logs."""
-    stats = JoinStats()
-    by_rid: dict[str, _BufferedLog] = {}
-    for event in logs:
-        if event.request_id in by_rid:
-            stats.dup_logs += 1
-            continue
-        by_rid[event.request_id] = _BufferedLog(event.event_time, event.payload or {})
-    samples: list[LabeledSample] = []
-    lo_off, hi_off = -cfg.allowed_lateness_ms, cfg.label_window_ms + cfg.allowed_lateness_ms
-    for pair in pairs:
-        log = by_rid.get(pair.request_id)
-        if log is not None and pair.event_time + lo_off <= log.event_time <= pair.event_time + hi_off:
-            samples.append(
-                LabeledSample(pair.request_id, pair.item_key, pair.label, log.payload, pair.event_time)
-            )
-            stats.samples += 1
-        else:
-            stats.feature_missing += 1
-    return samples, stats
 
 
 def run_pipeline(

@@ -203,8 +203,10 @@ class _Metrics:
     def __init__(self):
         self._lock = threading.Lock()
         self._window: deque = deque(maxlen=METRICS_WINDOW)
-        # Frames applied, failed decode or validation, or dropped as already held.
-        self.deltas = {"deltas_applied": 0, "deltas_rejected": 0, "deltas_stale": 0}
+        # Frames applied, failed decode or validation, or dropped as already held,
+        # and consume calls that raised.
+        self.deltas = {"deltas_applied": 0, "deltas_rejected": 0, "deltas_stale": 0,
+                       "queue_errors": 0}
 
     def record(self, latency_us: float, cache_hits: int, items: int) -> None:
         with self._lock:
@@ -254,6 +256,7 @@ class _Poller(threading.Thread):
             try:
                 frame = self.consumer.consume(timeout=self.interval_s)
             except MinirecError as exc:
+                self.metrics.count("queue_errors")
                 log.warning("queue consume failed: %s", exc)
                 time.sleep(self.interval_s)
                 continue

@@ -42,10 +42,6 @@ class TrainReport:
     epochs_run: int = 0
     steps: int = 0
     deltas_emitted: int = 0
-    stopped_early: bool = False
-
-    def metric_curve(self, name: str) -> list[float]:
-        return [c[name] for c in self.curves if name in c]
 
 
 @dataclass
@@ -53,7 +49,6 @@ class DeltaAccumulator:
     """Rows touched since the last emission, keyed by tensor name."""
 
     touched: dict[str, set[int]] = field(default_factory=dict)
-    dense_dirty: bool = False
     steps_since_emit: int = 0
 
     def add(self, grad: SparseGradient) -> None:
@@ -61,12 +56,10 @@ class DeltaAccumulator:
             self.touched.setdefault(f"emb:{slot}", set()).update(rows.ids.tolist())
         for slot, rows in grad.fo_rows.items():
             self.touched.setdefault(f"fo:{slot}", set()).update(rows.ids.tolist())
-        self.dense_dirty = True
         self.steps_since_emit += 1
 
     def reset(self) -> None:
         self.touched.clear()
-        self.dense_dirty = False
         self.steps_since_emit = 0
 
 
@@ -86,23 +79,12 @@ def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
             if rows:
                 values = arr[rows].tolist()
                 sparse.extend(SparseRecord(index, r, tuple(v)) for r, v in zip(rows, values))
-        elif acc.dense_dirty:
+        elif acc.steps_since_emit > 0:
             dense.append(DenseRecord(index, tuple(arr.reshape(-1).tolist())))
     acc.reset()
     return DeltaMessage(
         model_version=params.model_version, sparse=tuple(sparse), dense=tuple(dense)
     )
-
-
-def early_stop_check(curve: list[float], patience: int) -> bool:
-    """True iff the best (highest) value occurred more than patience epochs ago."""
-    if not curve:
-        return False
-    best_idx = 0
-    for i, value in enumerate(curve):
-        if value > curve[best_idx]:
-            best_idx = i
-    return (len(curve) - 1 - best_idx) > patience
 
 
 def load_records(path: str, delimiter: str = ",") -> list[dict[str, str]]:
@@ -179,7 +161,6 @@ def train(
     train_path: str | None = None,
     eval_path: str | None = None,
     sink=None,
-    patience: int | None = None,
     epoch_callback=None,
 ) -> tuple[ModelArtifact, TrainReport]:
     """Run the full seeded training loop.
@@ -187,8 +168,7 @@ def train(
     sink: optional delta publisher; a delta is emitted and published every
     train_config.delta_period_steps optimizer steps, plus a final partial
     period. epoch_callback(epoch, metrics) may return True to stop after
-    the current epoch (the HPO stopping hook). patience enables the
-    trainer-local early stop on the first eval metric.
+    the current epoch (the HPO stopping hook).
     """
     t = cfg.train_config
     effective_train = train_path if train_path is not None else cfg.data_config.train_path
@@ -214,8 +194,6 @@ def train(
         eval_data = load_dataset(cfg, effective_eval)
 
     reg = cfg.model_config.embedding_regularization
-    primary_metric = cfg.eval_config.metrics[0] if cfg.eval_config.metrics else None
-    stop = False
     for epoch in range(1, t.num_epochs + 1):
         order = shuffle_rng.permutation(len(fvs))
         for start in range(0, len(order), t.batch_size):
@@ -232,17 +210,7 @@ def train(
             metrics = evaluate_params(cfg, params, eval_data[0], eval_data[1])
             report.curves.append({"epoch": epoch, **metrics})
             report.final_metrics = metrics
-        if patience is not None and primary_metric is not None:
-            curve = report.metric_curve(primary_metric)
-            if primary_metric == "logloss":
-                curve = [-v for v in curve]
-            if early_stop_check(curve, patience):
-                report.stopped_early = True
-                stop = True
         if epoch_callback is not None and epoch_callback(epoch, metrics):
-            report.stopped_early = True
-            stop = True
-        if stop:
             break
 
     if sink is not None and acc.steps_since_emit > 0:

@@ -3,8 +3,9 @@
 Everything here is an independent re-computation: reference hashes via
 functools.reduce, AUC by explicit pair counting, the forward pass as a
 straight-line float64 program, the float32 training step one sample at a
-time, and a naive list-based LRU. None of it shares code with the package
-under test beyond reading its data types.
+time, a naive list-based LRU, and the stream join as a time-sorted batch
+program. None of it shares code with the package under test beyond
+reading its data types.
 """
 
 import csv
@@ -15,7 +16,8 @@ from functools import reduce
 import numpy as np
 
 from minirec.config import parse_config
-from minirec.errors import IndexOutOfRange
+from minirec.errors import IndexOutOfRange, MalformedEvent
+from minirec.sample_stream import Event, JoinStats, LabeledSample, parse_event
 
 
 # ---------------------------------------------------------------------
@@ -155,6 +157,112 @@ class LruSimulator:
         if len(self.order) > self.capacity:
             self.order.pop(0)
         return False
+
+
+# ---------------------------------------------------------------------
+# Time-sorted batch join: the stream joiner's oracle
+# ---------------------------------------------------------------------
+#
+# The joiner's contract as one batch pass over the whole log, written
+# without the Joiner: sort by event time, dedupe, label each impression
+# by its key's earliest click, then join each labeled pair to its
+# request's first feature log.
+
+def event_time_of(obj):
+    return obj.event_time if isinstance(obj, Event) else obj.get("event_time", 0)
+
+
+def sample_key(sample):
+    return (sample.request_id, sample.item_key, sample.label, sample.event_time,
+            tuple(sorted(sample.payload.items())))
+
+
+def aggregate_events(events) -> tuple[list[Event], JoinStats]:
+    """Batch dedup: first impression and log per key, earliest click per key.
+
+    Output preserves arrival order (a kept click stays at its first
+    arrival position with the earliest observed time).
+    """
+    stats = JoinStats()
+    out: list[Event] = []
+    impressions: set[tuple[str, str]] = set()
+    clicks: dict[tuple[str, str], int] = {}
+    logs: set[str] = set()
+    for obj in events:
+        try:
+            event = obj if isinstance(obj, Event) else parse_event(obj)
+        except MalformedEvent:
+            stats.malformed += 1
+            continue
+        key = (event.request_id, event.item_key)
+        if event.kind == "impression":
+            if key in impressions:
+                stats.dup_impressions += 1
+                continue
+            impressions.add(key)
+            out.append(event)
+        elif event.kind == "click":
+            if key in clicks:
+                stats.dup_clicks += 1
+                clicks[key] = min(clicks[key], event.event_time)
+                for i, kept in enumerate(out):
+                    if kept.kind == "click" and (kept.request_id, kept.item_key) == key:
+                        out[i] = Event("click", clicks[key], event.request_id, event.item_key)
+                        break
+                continue
+            clicks[key] = event.event_time
+            out.append(event)
+        else:
+            if event.request_id in logs:
+                stats.dup_logs += 1
+                continue
+            logs.add(event.request_id)
+            out.append(event)
+    return out, stats
+
+
+def earliest_click_labels(events, cfg) -> list[tuple[str, str, int, int]]:
+    """(request_id, item_key, label, t0) per impression.
+
+    The label is 1 iff the key's earliest click lies in [t0, t0 + W].
+    """
+    clicks: dict[tuple[str, str], int] = {}
+    for e in events:
+        if e.kind == "click":
+            key = (e.request_id, e.item_key)
+            clicks[key] = min(clicks.get(key, e.event_time), e.event_time)
+    pairs = []
+    for e in events:
+        if e.kind == "impression":
+            t0 = e.event_time
+            click = clicks.get((e.request_id, e.item_key))
+            label = int(click is not None and t0 <= click <= t0 + cfg.label_window_ms)
+            pairs.append((e.request_id, e.item_key, label, t0))
+    return pairs
+
+
+def join_features(pairs, logs, cfg) -> list[LabeledSample]:
+    """Join each pair to its request's first log when the log lies in [t0 - L, t0 + W + L]."""
+    first: dict[str, Event] = {}
+    for log in logs:
+        first.setdefault(log.request_id, log)
+    w, lateness = cfg.label_window_ms, cfg.allowed_lateness_ms
+    samples = []
+    for rid, item_key, label, t0 in pairs:
+        log = first.get(rid)
+        if log is not None and t0 - lateness <= log.event_time <= t0 + w + lateness:
+            samples.append(LabeledSample(rid, item_key, label, log.payload or {}, t0))
+    return samples
+
+
+def batch_join_reference(events, cfg) -> tuple[list[LabeledSample], JoinStats]:
+    """The samples and stats a Joiner must give for `events` in any order within the lateness."""
+    kept, stats = aggregate_events(sorted(events, key=event_time_of))
+    pairs = earliest_click_labels(kept, cfg)
+    samples = join_features(pairs, [e for e in kept if e.kind == "feature_log"], cfg)
+    stats.samples = len(samples)
+    stats.feature_missing = len(pairs) - len(samples)
+    return samples, stats
 
 
 # ---------------------------------------------------------------------

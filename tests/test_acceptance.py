@@ -59,16 +59,18 @@ from minirec.trainer import load_dataset, train
 
 from helpers import (
     LruSimulator,
+    batch_join_reference,
+    event_time_of,
     informative_feature_config,
     make_config,
     mean_logloss,
     pairwise_auc,
+    sample_key,
     write_csv,
     write_informative_dataset,
     write_logistic_dataset,
 )
 from test_model import _fd_check, _random_record, _three_slot_config
-from test_sample_stream import _batch_oracle, _event_time, _sample_key
 from test_serving import _make_model
 
 
@@ -538,17 +540,18 @@ def test_criterion_09_stream_join_oracle():
             rng = np.random.default_rng(seed)
             events = _event_stream(rng, w, lateness, 3200, 140_000)
             assert len(events) > 10_000
-            want_samples, want_stats = _batch_oracle(events, cfg)
+            want, want_stats = batch_join_reference(events, cfg)
+            want_samples = sorted(sample_key(s) for s in want)
             assert want_stats.samples > 1000
 
             jitter = rng.uniform(-lateness / 2, lateness / 2, len(events))
             order = sorted(range(len(events)),
-                           key=lambda i: (_event_time(events[i]) + jitter[i]))
+                           key=lambda i: (event_time_of(events[i]) + jitter[i]))
             joiner = Joiner(cfg)
             for i in order:
                 joiner.feed(events[i])
             joiner.flush()
-            assert sorted(_sample_key(s) for s in joiner.samples) == want_samples
+            assert sorted(sample_key(s) for s in joiner.samples) == want_samples
             assert joiner.stats == want_stats
 
 

@@ -224,6 +224,12 @@ class TestExitCodes:
         assert code == 2
         assert "--bind" in capsys.readouterr().err
 
+    def test_bad_queue_port_is_runtime_error(self, workspace, tmp_path, capsys):
+        code = main(["train", "-c", str(workspace), "--model-dir", str(tmp_path / "m"),
+                     "--queue", "tcp://127.0.0.1:abc"])
+        assert code == 2
+        assert "queue" in capsys.readouterr().err
+
     def test_corrupt_artifact_is_runtime_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.erm"
         bad.write_bytes(b"junk")

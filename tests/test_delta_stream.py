@@ -35,6 +35,7 @@ from minirec.errors import (
     FormatError,
     IndexOutOfRange,
     IoError,
+    MinirecError,
     UnknownSlot,
     UnknownTensor,
 )
@@ -445,3 +446,15 @@ class TestUrlSchemes:
         assert con.consume(timeout=0.5) == b"z"
         pub.close()
         con.close()
+
+    @pytest.mark.parametrize("url", ["tcp://127.0.0.1:abc", "tcp://127.0.0.1",
+                                     "tcp://127.0.0.1:70000"])
+    @pytest.mark.parametrize("opener", [open_consumer, open_publisher])
+    def test_bad_tcp_address_rejected_before_any_socket(self, monkeypatch, url, opener):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(delta_stream.socket, "create_server", no_socket)
+        monkeypatch.setattr(delta_stream.socket, "create_connection", no_socket)
+        with pytest.raises(MinirecError):
+            opener(url)

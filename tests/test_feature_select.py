@@ -8,14 +8,12 @@ import pytest
 from minirec.features import FeatureSpec, generate
 from minirec.feature_select import (
     GateParams,
-    evaluate_gated,
     gate_value,
     importances_to_plain,
     select,
     train_with_gates,
 )
 from minirec.model import assemble, backward, compute_parts, forward, init_params
-from minirec.trainer import load_dataset
 
 from helpers import (
     informative_feature_config,
@@ -163,15 +161,6 @@ class TestTrainWithGates:
         a = train_with_gates(cfg)
         b = train_with_gates(cfg)
         assert a.importances == b.importances
-
-    def test_evaluate_gated_reproducible(self, tmp_path):
-        cfg = _informative_run(tmp_path, seed=3)
-        result = train_with_gates(cfg)
-        fvs, _ = load_dataset(cfg, cfg.data_config.eval_path)
-        one = evaluate_gated(result.params, result.gates, fvs)
-        two = evaluate_gated(result.params, result.gates, fvs)
-        assert one == two
-        assert all(0.0 < p < 1.0 for p in one)
 
 
 def _spec(name):

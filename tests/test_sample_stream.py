@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 
 from minirec.errors import InvalidValue, IoError, MalformedEvent
-from minirec.sample_stream import (
-    Event,
-    JoinConfig,
-    JoinStats,
-    Joiner,
-    aggregate_events,
-    generate_labels,
-    join_features,
-    parse_event,
-    run_pipeline,
-)
+from minirec.sample_stream import Event, JoinConfig, Joiner, parse_event, run_pipeline
+
+from helpers import aggregate_events, batch_join_reference, event_time_of, sample_key
 
 
 class TestParseEvent:
@@ -60,13 +52,20 @@ class TestJoinConfig:
             JoinConfig(label_window_ms=10, allowed_lateness_ms=-1)
 
 
+def _log(t, rid):
+    return Event("feature_log", t, rid, payload={"f": rid})
+
+
 def _label_for(click_offset, w=10):
-    events = [Event("impression", 100, "r", "i")]
+    events = [_log(100, "r"), Event("impression", 100, "r", "i")]
     if click_offset is not None:
         events.append(Event("click", 100 + click_offset, "r", "i"))
-    pairs, _ = generate_labels(events, JoinConfig(label_window_ms=w))
-    assert len(pairs) == 1
-    return pairs[0].label
+    joiner = Joiner(JoinConfig(label_window_ms=w))
+    for event in events:
+        joiner.feed(event)
+    joiner.flush()
+    assert len(joiner.samples) == 1
+    return joiner.samples[0].label
 
 
 class TestLabelWindow:
@@ -87,55 +86,66 @@ class TestLabelWindow:
 
     def test_earliest_click_decides(self):
         """A duplicate click keeps the earliest time, which sets the label."""
-        events = [
+        joiner = Joiner(JoinConfig(label_window_ms=10))
+        for event in [
+            _log(100, "r"),
             Event("impression", 100, "r", "i"),
             Event("click", 109, "r", "i"),
             Event("click", 104, "r", "i"),
-        ]
-        pairs, stats = generate_labels(events, JoinConfig(label_window_ms=10))
-        assert pairs[0].label == 1
-        assert stats.dup_clicks == 1
+        ]:
+            joiner.feed(event)
+        joiner.flush()
+        assert joiner.samples[0].label == 1
+        assert joiner.stats.dup_clicks == 1
 
     def test_emission_requires_watermark_strictly_past_close(self):
-        joiner = Joiner(JoinConfig(label_window_ms=10, allowed_lateness_ms=5),
-                        join_logs=False)
+        joiner = Joiner(JoinConfig(label_window_ms=10, allowed_lateness_ms=5))
+        joiner.feed(_log(0, "r"))
         joiner.feed(Event("impression", 0, "r", "i"))
         joiner.feed(Event("click", 3, "r", "i"))
         joiner.feed(Event("impression", 15, "r2", "x"))
-        assert joiner.pairs == []
+        assert joiner.samples == []
         joiner.feed(Event("impression", 16, "r3", "y"))
-        assert [(p.request_id, p.label) for p in joiner.pairs] == [("r", 1)]
+        assert [(s.request_id, s.label) for s in joiner.samples] == [("r", 1)]
 
 
 class TestLatePolicy:
+    def _joiner(self, *rids_at):
+        joiner = Joiner(JoinConfig(label_window_ms=10))
+        for rid, t in rids_at:
+            joiner.feed(_log(t, rid))
+        return joiner
+
     def test_late_impression_dropped(self):
-        joiner = Joiner(JoinConfig(label_window_ms=10), join_logs=False)
+        joiner = self._joiner(("r2", 100))
         joiner.feed(Event("impression", 100, "r2", "x"))
         joiner.feed(Event("impression", 5, "r", "i"))
         joiner.flush()
         assert joiner.stats.late_dropped == 1
-        assert [p.request_id for p in joiner.pairs] == ["r2"]
+        assert [s.request_id for s in joiner.samples] == ["r2"]
 
     def test_post_emission_click_in_window_counted_not_retracted(self):
-        joiner = Joiner(JoinConfig(label_window_ms=10), join_logs=False)
+        joiner = self._joiner(("r", 0))
         joiner.feed(Event("impression", 0, "r", "i"))
         joiner.feed(Event("impression", 50, "r2", "x"))
-        assert [p.label for p in joiner.pairs] == [0]
+        assert [s.label for s in joiner.samples] == [0]
         joiner.feed(Event("click", 7, "r", "i"))
         assert joiner.stats.late_dropped == 1
-        assert [p.label for p in joiner.pairs] == [0]
+        assert [s.label for s in joiner.samples] == [0]
 
     def test_post_emission_click_outside_window_is_silent(self):
-        joiner = Joiner(JoinConfig(label_window_ms=10), join_logs=False)
+        joiner = self._joiner(("r", 0))
         joiner.feed(Event("impression", 0, "r", "i"))
         joiner.feed(Event("impression", 50, "r2", "x"))
+        assert [s.label for s in joiner.samples] == [0]
         joiner.feed(Event("click", 30, "r", "i"))
         assert joiner.stats.late_dropped == 0
 
     def test_duplicate_impression_after_emission_counts_dup(self):
-        joiner = Joiner(JoinConfig(label_window_ms=10), join_logs=False)
+        joiner = self._joiner(("r", 0))
         joiner.feed(Event("impression", 0, "r", "i"))
         joiner.feed(Event("impression", 50, "r2", "x"))
+        assert [s.request_id for s in joiner.samples] == ["r"]
         joiner.feed(Event("impression", 0, "r", "i"))
         assert joiner.stats.dup_impressions == 1
         assert joiner.stats.late_dropped == 0
@@ -297,50 +307,25 @@ def _build_event_set(rng, w, lateness):
     return events
 
 
-def _event_time(obj):
-    return obj.event_time if isinstance(obj, Event) else obj.get("event_time", 0)
-
-
-def _sample_key(sample):
-    return (sample.request_id, sample.item_key, sample.label, sample.event_time,
-            tuple(sorted(sample.payload.items())))
-
-
-def _batch_oracle(events, cfg):
-    ordered = sorted(events, key=_event_time)
-    deduped, agg = aggregate_events(ordered)
-    pairs, _ = generate_labels([e for e in deduped if e.kind != "feature_log"], cfg)
-    samples, joined = join_features(pairs, [e for e in deduped if e.kind == "feature_log"], cfg)
-    stats = JoinStats(
-        malformed=agg.malformed,
-        dup_impressions=agg.dup_impressions,
-        dup_clicks=agg.dup_clicks,
-        dup_logs=agg.dup_logs,
-        late_dropped=0,
-        feature_missing=joined.feature_missing,
-        samples=joined.samples,
-    )
-    return sorted(_sample_key(s) for s in samples), stats
-
-
 class TestOrderInvariance:
     def test_shuffles_within_lateness_match_batch_oracle(self):
         w, lateness = 50, 20
         cfg = JoinConfig(label_window_ms=w, allowed_lateness_ms=lateness)
         rng = np.random.default_rng(71)
         events = _build_event_set(rng, w, lateness)
-        want_samples, want_stats = _batch_oracle(events, cfg)
+        want, want_stats = batch_join_reference(events, cfg)
+        want_samples = sorted(sample_key(s) for s in want)
         assert want_stats.samples > 40
         assert want_stats.feature_missing > 0
         for trial in range(6):
             jitter = rng.uniform(-lateness / 2, lateness / 2, len(events))
             order = sorted(range(len(events)),
-                           key=lambda i: (_event_time(events[i]) + jitter[i]))
+                           key=lambda i: (event_time_of(events[i]) + jitter[i]))
             joiner = Joiner(cfg)
             for i in order:
                 joiner.feed(events[i])
             joiner.flush()
-            assert sorted(_sample_key(s) for s in joiner.samples) == want_samples
+            assert sorted(sample_key(s) for s in joiner.samples) == want_samples
             assert joiner.stats == want_stats
             assert joiner.buffered_pairs == 0
 

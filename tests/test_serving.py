@@ -4,6 +4,7 @@ import http.client
 import json
 import socket
 import statistics
+import struct
 import threading
 import time
 
@@ -408,6 +409,7 @@ class TestMetrics:
             "deltas_applied": 0,
             "deltas_rejected": 0,
             "deltas_stale": 0,
+            "queue_errors": 0,
         }
 
     def test_percentiles_and_rates(self):
@@ -569,7 +571,7 @@ class TestHttpService:
         assert status == 200
         assert set(snap) == {"qps", "cache_hit_rate", "latency_p50_us",
                              "latency_p95_us", "latency_p99_us", "deltas_applied",
-                             "deltas_rejected", "deltas_stale"}
+                             "deltas_rejected", "deltas_stale", "queue_errors"}
         assert snap["latency_p50_us"] > 0.0
         assert snap["cache_hit_rate"] == pytest.approx(0.5)
         assert snap["deltas_applied"] == snap["deltas_rejected"] == snap["deltas_stale"] == 0
@@ -610,3 +612,23 @@ class TestPoller:
         finally:
             handle.shutdown()
             publisher.close()
+
+    def test_corrupt_queue_prefix_is_counted(self, tmp_path):
+        model = _make_model(tmp_path)
+        base = str(tmp_path / "bad")
+        with open(base + ".dq", "wb") as fh:
+            fh.write(struct.pack("<I", 0xFFFFFFF0) + b"rest of a frame")
+        consumer = open_consumer("file://" + base)
+        handle = http_serve(model, None, consumer=consumer, poll_interval_ms=50)
+        try:
+            deadline = time.monotonic() + 5.0
+            snap = _http(handle, "GET", "/v1/metrics")[1]
+            while snap["queue_errors"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+                snap = _http(handle, "GET", "/v1/metrics")[1]
+            assert snap["queue_errors"] >= 1
+            assert snap["deltas_applied"] == 0
+            assert model.version == 0
+        finally:
+            handle.shutdown()
+            consumer.close()

@@ -10,7 +10,6 @@ from minirec.model import copy_params, init_params, params_equal
 from minirec.optim import AdamOptimizer
 from minirec.trainer import (
     DeltaAccumulator,
-    early_stop_check,
     emit_delta,
     load_dataset,
     load_records,
@@ -105,24 +104,6 @@ class TestEvalCurves:
             "num_epochs": 5, "learning_rate": 0.05, "batch_size": 256})
         _, report = train(cfg, train_path=train_path, eval_path=eval_path)
         assert report.final_metrics["auc"] >= 0.95
-
-
-class TestEarlyStop:
-    def test_still_improving(self):
-        assert early_stop_check([0.7, 0.71, 0.72], 2) is False
-
-    def test_stale_curve(self):
-        assert early_stop_check([0.72, 0.70, 0.70, 0.70], 2) is True
-
-    def test_single_entry(self):
-        assert early_stop_check([0.5], 3) is False
-
-    def test_patience_stops_training(self, tmp_path):
-        _small_dataset(tmp_path)
-        cfg = make_config(tmp_path, train_config={"num_epochs": 50, "learning_rate": 1e-6})
-        _, report = train(cfg, patience=2)
-        assert report.stopped_early
-        assert report.epochs_run < 50
 
 
 class TestEpochCallback:
