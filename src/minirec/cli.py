@@ -264,7 +264,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eval", help="evaluation CSV (overrides data_config.eval_path)")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--queue", help="delta queue URL (mem://, file://, tcp://)")
+    p.add_argument("--queue", help="delta queue URL to publish to: file://BASE, tcp://HOST:PORT, or BASE")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate an artifact on a CSV")

@@ -1,4 +1,4 @@
-"""Incremental-update wire format and the queues that carry it.
+"""Incremental-update messages: emitter, wire format, applier, and their queues.
 
 A delta frame is fully self-delimiting and checksummed:
 
@@ -13,21 +13,25 @@ not increments, so applying a frame twice equals applying it once, and a
 consumer that drops frames with version <= current turns at-least-once
 delivery into exactly-once state effects.
 
-Three transports share one publish/consume interface: in-memory (mem://),
-append-only file (file://), and TCP (tcp://). File and TCP use u32
-length-prefixed framing. A file consumer replays its queue from the first
-frame, so any artifact plus the replay is the trainer's state; TCP is live.
+This module owns the message: `emit_delta` builds one from the rows the
+trainer touched, and `apply_delta` turns a snapshot plus a message into
+the next snapshot. Both read a record's tensor_index as a position in
+`ModelParams.tensors`.
+
+Two transports share one publish/consume interface: append-only file
+(file://) and TCP (tcp://), both with u32 length-prefixed framing. A file
+consumer replays its queue from the first frame, so any artifact plus the
+replay is the trainer's state; TCP is live.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +46,7 @@ from .errors import (
     UnknownSlot,
     UnknownTensor,
 )
-from .model import ModelParams, is_sparse_tensor
+from .model import ModelParams, SparseGradient, copy_params, is_sparse_tensor
 
 DELTA_MAGIC = b"ERDU"
 FORMAT_VERSION = 1
@@ -129,15 +133,21 @@ def decode_delta(frame: bytes) -> DeltaMessage:
     return DeltaMessage(model_version=model_version, sparse=tuple(sparse), dense=tuple(dense))
 
 
-def validate_message(params: ModelParams, msg: DeltaMessage) -> None:
-    """Check every record resolves against params; raises before any write."""
+def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
+    """The snapshot after msg, or None if params already holds its version.
+
+    Every record is checked against params before anything is copied, so a
+    rejected message raises and leaves params as it was. The result shares
+    every untouched tensor with params and holds fresh copies of the
+    touched ones; its model_version is set last.
+    """
+    if msg.model_version <= params.model_version:
+        return None
     items = list(params.tensors.items())
     for rec in msg.sparse:
-        if not 0 <= rec.tensor_index < len(items):
+        if not (0 <= rec.tensor_index < len(items) and is_sparse_tensor(items[rec.tensor_index][0])):
             raise UnknownSlot(rec.tensor_index)
         name, arr = items[rec.tensor_index]
-        if not is_sparse_tensor(name):
-            raise UnknownSlot(rec.tensor_index)
         if not 0 <= rec.row_id < arr.shape[0]:
             raise IndexOutOfRange(rec.row_id, arr.shape[0])
         if len(rec.values) != arr.shape[1]:
@@ -145,75 +155,63 @@ def validate_message(params: ModelParams, msg: DeltaMessage) -> None:
                 f"record for {name!r} has dim {len(rec.values)}, table dim {arr.shape[1]}"
             )
     for rec in msg.dense:
-        if not 0 <= rec.tensor_index < len(items):
+        if not 0 <= rec.tensor_index < len(items) or is_sparse_tensor(items[rec.tensor_index][0]):
             raise UnknownTensor(rec.tensor_index)
         name, arr = items[rec.tensor_index]
-        if is_sparse_tensor(name):
-            raise UnknownTensor(rec.tensor_index)
         if len(rec.values) != arr.size:
             raise DimensionMismatch(
                 f"record for {name!r} has {len(rec.values)} values, tensor has {arr.size}"
             )
-
-
-def apply_message(params: ModelParams, msg: DeltaMessage) -> None:
-    """Validate a message, then write its values into params, in place.
-
-    The replay tool: nothing is written unless every record resolves.
-    """
-    validate_message(params, msg)
-    write_message(params, msg)
-
-
-def write_message(params: ModelParams, msg: DeltaMessage) -> None:
-    """Write an already validated message's values into params, in place.
-
-    Sets model_version last. Callers needing snapshot semantics validate,
-    then copy the affected tensors and write into the copy (see serving).
-    """
-    arrays = list(params.tensors.values())
+    fresh = copy_params(params, {items[rec.tensor_index][0] for rec in (*msg.sparse, *msg.dense)})
+    arrays = list(fresh.tensors.values())
     for rec in msg.sparse:
-        arr = arrays[rec.tensor_index]
-        arr[rec.row_id] = np.asarray(rec.values, dtype=np.float32)
+        arrays[rec.tensor_index][rec.row_id] = np.asarray(rec.values, dtype=np.float32)
     for rec in msg.dense:
         arr = arrays[rec.tensor_index]
         arr[...] = np.asarray(rec.values, dtype=np.float32).reshape(arr.shape)
-    params.model_version = msg.model_version
+    fresh.model_version = msg.model_version
+    return fresh
+
+
+@dataclass
+class DeltaAccumulator:
+    """Rows touched since the last emission, keyed by tensor name."""
+
+    touched: dict[str, set[int]] = field(default_factory=dict)
+    steps_since_emit: int = 0
+
+    def add(self, grad: SparseGradient) -> None:
+        for prefix, rows_by_slot in (("emb", grad.emb_rows), ("fo", grad.fo_rows)):
+            for slot, rows in rows_by_slot.items():
+                self.touched.setdefault(f"{prefix}:{slot}", set()).update(rows.ids.tolist())
+        self.steps_since_emit += 1
+
+
+def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
+    """Snapshot the touched rows' current values into a versioned message.
+
+    The version increments first and the message carries the incremented
+    value, so versions across a stream are strictly increasing even for
+    empty periods. Values are the rows' current states, not gradients.
+    """
+    params.model_version += 1
+    sparse: list[SparseRecord] = []
+    dense: list[DenseRecord] = []
+    for index, (name, arr) in enumerate(params.tensors.items()):
+        if is_sparse_tensor(name):
+            rows = sorted(acc.touched.get(name, ()))
+            values = arr[rows].tolist()
+            sparse.extend(SparseRecord(index, r, tuple(v)) for r, v in zip(rows, values))
+        elif acc.steps_since_emit > 0:
+            dense.append(DenseRecord(index, tuple(arr.reshape(-1).tolist())))
+    acc.touched.clear()
+    acc.steps_since_emit = 0
+    return DeltaMessage(
+        model_version=params.model_version, sparse=tuple(sparse), dense=tuple(dense)
+    )
 
 
 # --- transports ---
-
-
-_MEM_REGISTRY: dict[str, queue.Queue] = {}
-
-
-def reset_memory_queues() -> None:
-    _MEM_REGISTRY.clear()
-
-
-class MemoryPublisher:
-    def __init__(self, name: str):
-        self._q = _MEM_REGISTRY.setdefault(name, queue.Queue())
-
-    def publish(self, frame: bytes) -> None:
-        self._q.put(frame)
-
-    def close(self) -> None:
-        pass
-
-
-class MemoryConsumer:
-    def __init__(self, name: str):
-        self._q = _MEM_REGISTRY.setdefault(name, queue.Queue())
-
-    def consume(self, timeout: float | None = None) -> bytes | None:
-        try:
-            return self._q.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def close(self) -> None:
-        pass
 
 
 def _length_prefixed(frame: bytes) -> bytes:
@@ -371,10 +369,8 @@ class TcpPublisher:
         self._sock.close()
 
 
-def _open(url: str, mem, file, tcp):
+def _open(url: str, file, tcp):
     scheme, rest = url.split("://", 1) if "://" in url else ("file", url)
-    if scheme == "mem":
-        return mem(rest)
     if scheme == "file":
         return file(rest)
     if scheme == "tcp":
@@ -383,8 +379,8 @@ def _open(url: str, mem, file, tcp):
 
 
 def open_publisher(url: str):
-    return _open(url, MemoryPublisher, FilePublisher, TcpPublisher)
+    return _open(url, FilePublisher, TcpPublisher)
 
 
 def open_consumer(url: str):
-    return _open(url, MemoryConsumer, FileConsumer, TcpConsumer)
+    return _open(url, FileConsumer, TcpConsumer)

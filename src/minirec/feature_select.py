@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PipelineConfig
+from .errors import InvalidValue
 from .features import FeatureSpec
 from .model import ModelParams, backward, forward, init_params
 from .optim import AdamOptimizer, ScalarAdam
@@ -88,8 +89,16 @@ def train_with_gates(
     """Alternating weight/gate optimization; returns per-slot importances.
 
     Validation batches cycle independently of train batches; both draw
-    fresh gate noise per sample from the [seed, 2] stream.
+    fresh gate noise per sample from the [seed, 2] stream. Raises
+    InvalidValue unless tau and gate_learning_rate are finite and > 0 and
+    lambda_g is finite and >= 0.
     """
+    if not (math.isfinite(tau) and tau > 0):
+        raise InvalidValue("tau", "must be finite and > 0")
+    if not (math.isfinite(gate_learning_rate) and gate_learning_rate > 0):
+        raise InvalidValue("gate_learning_rate", "must be finite and > 0")
+    if not (math.isfinite(lambda_g) and lambda_g >= 0):
+        raise InvalidValue("lambda_g", "must be finite and >= 0")
     t = cfg.train_config
     train_path = train_path if train_path is not None else cfg.data_config.train_path
     valid_path = valid_path if valid_path is not None else cfg.data_config.eval_path

@@ -189,6 +189,11 @@ def generate(record: Mapping[str, str], specs: Sequence[FeatureSpec]) -> Feature
     return fv
 
 
+def record_from_json(obj: Mapping) -> dict[str, str]:
+    """A JSON object as a raw record: keys and non-string values through str()."""
+    return {str(k): v if isinstance(v, str) else str(v) for k, v in obj.items()}
+
+
 def canonical_bytes(fv: FeatureVector) -> bytes:
     """Canonical serialization used for byte-level consistency checks.
 

@@ -8,8 +8,8 @@ period" a well-defined small set for delta streaming. A step updates
 each table's touched rows in one vectorized pass; every operation is
 elementwise, so each row gets the bits a one-row update would give it.
 
-Dense tensors (MLP weights, global bias) use ordinary Adam with a shared
-step count, since every step touches all of them.
+A dense tensor (MLP weights, global bias) is updated as a one-row table
+that every step touches, so its step count is shared by all its values.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ from .model import ModelParams, SparseGradient
 _F32 = np.float32
 
 
-@dataclass
-class _DenseState:
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
+# The row id of a dense tensor viewed as a one-row table.
+_ROW0 = np.zeros(1, dtype=np.int64)
 
 
 @dataclass
-class _SparseState:
+class _RowState:
     """Moments and step counts of every row of one table; untouched rows stay zero.
 
     The arrays come from np.zeros, whose pages the OS maps on first write,
@@ -51,8 +48,7 @@ class AdamOptimizer:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        self._sparse: dict[str, _SparseState] = {}
-        self._dense: dict[str, _DenseState] = {}
+        self._state: dict[str, _RowState] = {}
         # Row t: float32(1 - beta1**t), float32(1 - beta2**t), the powers in Python floats.
         self._corrections = np.zeros((1, 2), dtype=_F32)
 
@@ -64,16 +60,16 @@ class AdamOptimizer:
             self._corrections = np.concatenate([self._corrections, np.array(more, dtype=_F32)])
         return self._corrections[steps]
 
-    def _sparse_update(self, name: str, table: np.ndarray, ids: np.ndarray, grad: np.ndarray) -> None:
+    def _row_update(self, name: str, table: np.ndarray, ids: np.ndarray, grad: np.ndarray) -> None:
         """One Adam step on the rows `ids` of `table`, each with its own step count."""
-        state = self._sparse.get(name)
+        state = self._state.get(name)
         if state is None:
-            state = _SparseState(
+            state = _RowState(
                 m=np.zeros(table.shape, dtype=_F32),
                 v=np.zeros(table.shape, dtype=_F32),
                 step=np.zeros(table.shape[0], dtype=np.int64),
             )
-            self._sparse[name] = state
+            self._state[name] = state
         b1, b2 = _F32(self.beta1), _F32(self.beta2)
         t = state.step[ids] + 1
         m = b1 * state.m[ids] + (_F32(1.0) - b1) * grad
@@ -86,28 +82,16 @@ class AdamOptimizer:
         v_hat = v / correction[:, 1:2]
         table[ids] -= _F32(self.learning_rate) * m_hat / (np.sqrt(v_hat) + _F32(self.epsilon))
 
-    def _dense_update(self, name: str, value: np.ndarray, grad: np.ndarray) -> None:
-        state = self._dense.get(name)
-        if state is None:
-            state = _DenseState(m=np.zeros_like(value), v=np.zeros_like(value))
-            self._dense[name] = state
-        b1, b2 = _F32(self.beta1), _F32(self.beta2)
-        state.step += 1
-        state.m = b1 * state.m + (_F32(1.0) - b1) * grad
-        state.v = b2 * state.v + (_F32(1.0) - b2) * (grad * grad)
-        m_hat = state.m / _F32(1.0 - self.beta1**state.step)
-        v_hat = state.v / _F32(1.0 - self.beta2**state.step)
-        value -= _F32(self.learning_rate) * m_hat / (np.sqrt(v_hat) + _F32(self.epsilon))
-
     def apply(self, params: ModelParams, grad: SparseGradient) -> None:
         """Update params in place. Rows absent from grad are not read."""
         for prefix, rows_by_slot in (("emb", grad.emb_rows), ("fo", grad.fo_rows)):
             for slot, rows in rows_by_slot.items():
                 name = f"{prefix}:{slot}"
                 table = params.tensors[name]
-                self._sparse_update(name, table, rows.ids, rows.values.reshape(len(rows), *table.shape[1:]))
+                self._row_update(name, table, rows.ids, rows.values.reshape(len(rows), *table.shape[1:]))
+        # Tensors are C-contiguous, so reshape gives a view the update writes through.
         for name, g in grad.dense.items():
-            self._dense_update(name, params.tensors[name], g)
+            self._row_update(name, params.tensors[name].reshape(1, -1), _ROW0, g.reshape(1, -1))
 
 
 @dataclass

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidValue, IoError, MalformedEvent
+from .features import record_from_json
 
 EVENT_KINDS = ("impression", "click", "feature_log")
 
@@ -121,7 +122,7 @@ def parse_event(obj) -> Event:
         raw = obj.get("payload")
         if not isinstance(raw, dict):
             raise MalformedEvent("feature_log needs a payload object")
-        payload = {str(k): v if isinstance(v, str) else str(v) for k, v in raw.items()}
+        payload = record_from_json(raw)
     return Event(kind=kind, event_time=int(t), request_id=request_id, item_key=item_key, payload=payload)
 
 
@@ -289,7 +290,8 @@ def run_pipeline(
     CSV columns: the label column, then the sorted union of payload keys;
     rows appear in emission order, so reruns over the same file are
     byte-identical. Column naming and delimiter follow the training
-    data_config so the output feeds the trainer directly.
+    data_config so the output feeds the trainer directly. A payload key
+    equal to the label column raises InvalidValue before the output opens.
     """
     joiner = Joiner(cfg)
     try:
@@ -307,6 +309,10 @@ def run_pipeline(
     joiner.flush()
 
     columns = sorted({k for s in joiner.samples for k in s.payload})
+    if label_column in columns:
+        raise InvalidValue(
+            f"payload:{label_column}", "a payload key equal to the label column would overwrite the label"
+        )
     try:
         with open(output_path, "w", newline="") as fh:
             writer = csv.writer(fh, delimiter=delimiter)

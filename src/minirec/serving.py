@@ -1,9 +1,9 @@
 """Low-latency scoring service with live incremental updates.
 
 Readers score against an immutable parameter snapshot grabbed once per
-request; the delta applier builds a new snapshot by copying only the
-tensors a message touches and publishes it with a single reference swap,
-version set last. Readers never lock and never observe a half-applied
+request; `delta_stream.apply_delta` builds the next snapshot, copying only
+the tensors a message touches, and the server publishes it with a single
+reference swap. Readers never lock and never observe a half-applied
 message.
 
 The item cache stores per-slot pooled embeddings and first-order partial
@@ -24,10 +24,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .artifact import load_artifact
 from .config import PipelineConfig
-from .delta_stream import DeltaMessage, decode_delta, validate_message, write_message
-from .errors import MinirecError
-from .features import FeatureSpec, generate
-from .model import ModelParams, SlotPart, assemble, compute_parts, concat_parts, copy_params
+from .delta_stream import DeltaMessage, apply_delta, decode_delta
+from .errors import InvalidValue, MinirecError
+from .features import FeatureSpec, generate, record_from_json
+from .model import ModelParams, SlotPart, assemble, compute_parts, concat_parts
 
 log = logging.getLogger("minirec.serving")
 
@@ -121,19 +121,14 @@ class ServingModel:
         return self._params
 
     def apply_delta(self, msg: DeltaMessage) -> int | None:
-        """Apply one message; returns the new version, or None if skipped.
+        """Apply one message; returns the new version, or None if already held.
 
-        Validation happens against the current snapshot before any copy,
-        so a rejected message leaves version and parameters untouched.
+        A rejected message raises and leaves version and parameters untouched.
         """
         with self._write_lock:
-            current = self._params
-            if msg.model_version <= current.model_version:
+            fresh = apply_delta(self._params, msg)
+            if fresh is None:
                 return None
-            validate_message(current, msg)
-            names = list(current.tensors)
-            fresh = copy_params(current, {names[rec.tensor_index] for rec in (*msg.sparse, *msg.dense)})
-            write_message(fresh, msg)
             self._params = fresh
             return fresh.model_version
 
@@ -141,10 +136,6 @@ class ServingModel:
 def load_model(path: str) -> ServingModel:
     artifact = load_artifact(path)
     return ServingModel(artifact.params, artifact.config)
-
-
-def _as_record(features: dict) -> dict[str, str]:
-    return {str(k): v if isinstance(v, str) else str(v) for k, v in features.items()}
 
 
 def score(
@@ -160,7 +151,7 @@ def score(
     """
     params = model.snapshot()
     part = model.partition
-    user_record = _as_record(request.get("user") or {})
+    user_record = record_from_json(request.get("user") or {})
     user_parts = compute_parts(params, [generate(user_record, part.user)], part.user)
 
     items = request.get("items") or []
@@ -173,7 +164,7 @@ def score(
         try:
             if not isinstance(item, dict) or "key" not in item:
                 raise MinirecError("item entry needs a key")
-            item_record = _as_record(item.get("features") or {})
+            item_record = record_from_json(item.get("features") or {})
 
             def compute_item() -> dict[str, SlotPart]:
                 return compute_parts(params, [generate(item_record, part.item)], part.item)
@@ -302,7 +293,10 @@ def http_serve(
 
     Endpoints: POST /v1/predict, GET /v1/version, GET /v1/metrics.
     Returns a handle with the bound address and a shutdown method.
+    Raises InvalidValue, before any thread starts, if poll_interval_ms < 1.
     """
+    if poll_interval_ms < 1:
+        raise InvalidValue("poll_interval_ms", "must be >= 1")
     metrics = _Metrics()
 
     class Handler(BaseHTTPRequestHandler):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .artifact import ModelArtifact
 from .config import PipelineConfig
-from .delta_stream import DeltaMessage, DenseRecord, SparseRecord, encode_delta
+from .delta_stream import DeltaAccumulator, emit_delta, encode_delta
 from .errors import DataError, IoError
 from .features import FeatureVector, generate
 from .model import (
@@ -30,7 +30,6 @@ from .model import (
     evaluate_metrics,
     forward,
     init_params,
-    is_sparse_tensor,
 )
 from .optim import AdamOptimizer
 
@@ -42,49 +41,6 @@ class TrainReport:
     epochs_run: int = 0
     steps: int = 0
     deltas_emitted: int = 0
-
-
-@dataclass
-class DeltaAccumulator:
-    """Rows touched since the last emission, keyed by tensor name."""
-
-    touched: dict[str, set[int]] = field(default_factory=dict)
-    steps_since_emit: int = 0
-
-    def add(self, grad: SparseGradient) -> None:
-        for slot, rows in grad.emb_rows.items():
-            self.touched.setdefault(f"emb:{slot}", set()).update(rows.ids.tolist())
-        for slot, rows in grad.fo_rows.items():
-            self.touched.setdefault(f"fo:{slot}", set()).update(rows.ids.tolist())
-        self.steps_since_emit += 1
-
-    def reset(self) -> None:
-        self.touched.clear()
-        self.steps_since_emit = 0
-
-
-def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
-    """Snapshot the touched rows' current values into a versioned message.
-
-    The version increments first and the message carries the incremented
-    value, so versions across a stream are strictly increasing even for
-    empty periods. Values are the rows' current states, not gradients.
-    """
-    params.model_version += 1
-    sparse: list[SparseRecord] = []
-    dense: list[DenseRecord] = []
-    for index, (name, arr) in enumerate(params.tensors.items()):
-        if is_sparse_tensor(name):
-            rows = sorted(acc.touched.get(name, ()))
-            if rows:
-                values = arr[rows].tolist()
-                sparse.extend(SparseRecord(index, r, tuple(v)) for r, v in zip(rows, values))
-        elif acc.steps_since_emit > 0:
-            dense.append(DenseRecord(index, tuple(arr.reshape(-1).tolist())))
-    acc.reset()
-    return DeltaMessage(
-        model_version=params.model_version, sparse=tuple(sparse), dense=tuple(dense)
-    )
 
 
 def load_records(path: str, delimiter: str = ",") -> list[dict[str, str]]:

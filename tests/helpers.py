@@ -3,9 +3,9 @@
 Everything here is an independent re-computation: reference hashes via
 functools.reduce, AUC by explicit pair counting, the forward pass as a
 straight-line float64 program, the float32 training step one sample at a
-time, a naive list-based LRU, and the stream join as a time-sorted batch
-program. None of it shares code with the package under test beyond
-reading its data types.
+time, a naive list-based LRU, an unchecked in-place delta replay, and the
+stream join as a time-sorted batch program. None of it shares code with
+the package under test beyond reading its data types.
 """
 
 import csv
@@ -157,6 +157,26 @@ class LruSimulator:
         if len(self.order) > self.capacity:
             self.order.pop(0)
         return False
+
+
+# ---------------------------------------------------------------------
+# Unchecked in-place delta replay: the delta applier's oracle
+# ---------------------------------------------------------------------
+
+def replay_reference(params, msg):
+    """Write each record's values into params in place, unchecked, then the version.
+
+    The delta format's meaning read straight off the wire: a record's
+    tensor_index is a position in params.tensors, a sparse record replaces
+    one row and a dense record the whole tensor.
+    """
+    arrays = list(params.tensors.values())
+    for rec in msg.sparse:
+        arrays[rec.tensor_index][rec.row_id] = rec.values
+    for rec in msg.dense:
+        arr = arrays[rec.tensor_index]
+        arr[...] = np.reshape(rec.values, arr.shape)
+    params.model_version = msg.model_version
 
 
 # ---------------------------------------------------------------------

@@ -4,8 +4,8 @@ Each test prints exactly one line, "PASS: criterion N <label>" or
 "FAIL: criterion N <label>", and enforces a wall-clock budget. Every
 check runs against an oracle that is independent of the code under
 test: float64 finite differences, pairwise brute force, a replayed
-shuffle stream, a reference LRU simulator, a time-sorted batch join,
-and pair-counting metrics.
+shuffle stream, an unchecked in-place delta replay, a reference LRU
+simulator, a time-sorted batch join, and pair-counting metrics.
 """
 
 import dataclasses
@@ -28,7 +28,6 @@ from minirec.delta_stream import (
     DeltaMessage,
     DenseRecord,
     SparseRecord,
-    apply_message,
     decode_delta,
     encode_delta,
     open_consumer,
@@ -65,6 +64,7 @@ from helpers import (
     make_config,
     mean_logloss,
     pairwise_auc,
+    replay_reference,
     sample_key,
     write_csv,
     write_informative_dataset,
@@ -286,7 +286,7 @@ def test_criterion_04_delta_sparsity(tmp_path):
 
         replay = init_params(cfg, np.random.default_rng([seed, 0]))
         for msg in messages:
-            apply_message(replay, msg)
+            replay_reference(replay, msg)
         assert params_equal(replay, artifact.params)
         assert replay.model_version == artifact.params.model_version
 
@@ -322,7 +322,7 @@ def test_criterion_05_update_freshness(tmp_path):
         save_artifact(v0, str(tmp_path / "model.erm"))
 
         model = load_model(str(tmp_path / "model.erm"))
-        url = f"mem://acceptance-{tmp_path.name}"
+        url = f"file://{tmp_path / 'deltas'}"
         publisher = open_publisher(url)
         handle = http_serve(model, LruCache(128), consumer=open_consumer(url),
                             poll_interval_ms=1000)
@@ -713,7 +713,7 @@ def test_criterion_11_concurrency_consistency(tmp_path):
         snapshots = {0: base}
         replay = copy_params(base)
         for msg in deltas:
-            apply_message(replay, msg)
+            replay_reference(replay, msg)
             snapshots[msg.model_version] = copy_params(replay)
 
         unique = {}

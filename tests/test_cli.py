@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from minirec import feature_select, trainer
+from minirec import feature_select, serving, trainer
 from minirec.artifact import load_artifact, save_artifact
 from minirec.cli import main
 from minirec.config import parse_config
@@ -168,6 +168,21 @@ class TestSelectFeaturesCommand:
             "select-features", "-c", str(workspace), "--keep-fraction", fraction])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--tau", "0", "tau"), ("--tau", "-1", "tau"), ("--tau", "nan", "tau"),
+        ("--tau", "inf", "tau"), ("--gate-lr", "0", "gate_learning_rate"),
+        ("--gate-lr", "nan", "gate_learning_rate"), ("--lambda-g", "-1", "lambda_g"),
+        ("--lambda-g", "inf", "lambda_g"),
+    ])
+    def test_bad_gate_setting_rejected_before_training(self, workspace, capsys, monkeypatch,
+                                                       flag, value, name):
+        monkeypatch.setattr(feature_select, "load_dataset",
+                            lambda *args, **kwargs: pytest.fail("gate training started"))
+        code = main(["select-features", "-c", str(workspace), flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"'{name}'" in err and "Traceback" not in err
+
 
 class TestStreamJoinCommand:
     def test_joins_event_log(self, workspace, tmp_path, capsys):
@@ -190,6 +205,24 @@ class TestStreamJoinCommand:
         assert lines[0] == "label,item_id,user_id"
         assert lines[1] == "1,a,u1"
         assert json.loads(stats_path.read_text())["samples"] == 1
+
+    def test_payload_key_equal_to_label_column_is_runtime_error(self, workspace, tmp_path, capsys):
+        """A payload "label" would become a second label column, read in place of the joined one."""
+        events_path = tmp_path / "events.jsonl"
+        events = [
+            {"kind": "feature_log", "event_time": 10, "request_id": "r1",
+             "payload": {"user_id": "u1", "label": "0", "note": "x"}},
+            {"kind": "impression", "event_time": 10, "request_id": "r1", "item_key": "a"},
+            {"kind": "click", "event_time": 12, "request_id": "r1", "item_key": "a"},
+        ]
+        events_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        out_path = tmp_path / "samples.csv"
+        code = main(["stream-join", "-c", str(workspace), "--events", str(events_path),
+                     "--window-ms", "5", "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'payload:label'" in err and "Traceback" not in err
+        assert not out_path.exists()
 
     def test_bad_window_is_runtime_error(self, workspace, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
@@ -229,6 +262,31 @@ class TestExitCodes:
                      "--queue", "tcp://127.0.0.1:abc"])
         assert code == 2
         assert "queue" in capsys.readouterr().err
+
+    def test_memory_queue_url_is_runtime_error(self, workspace, tmp_path, capsys):
+        """No process-local queue: frames published to it could never reach a server."""
+        code = main(["train", "-c", str(workspace), "--model-dir", str(tmp_path / "m"),
+                     "--queue", "mem://x"])
+        assert code == 2
+        assert "unknown queue scheme 'mem'" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.erm").exists()
+
+    @pytest.mark.parametrize("interval", ["0", "-5"])
+    @pytest.mark.parametrize("queue", [None, "file"])
+    def test_bad_poll_interval_rejected_before_serving(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, interval, queue):
+        model_dir = tmp_path / "init"
+        assert main(["export", "-c", str(workspace), "--model-dir", str(model_dir)]) == 0
+        monkeypatch.setattr(serving, "ThreadingHTTPServer",
+                            lambda *args, **kwargs: pytest.fail("server started"))
+        argv = ["serve", "--model", str(model_dir / "model.erm"), "--bind", "127.0.0.1:0",
+                "--poll-interval-ms", interval]
+        if queue:
+            argv += ["--queue", f"file://{tmp_path / 'q'}"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "poll_interval_ms" in err and "Traceback" not in err
 
     def test_corrupt_artifact_is_runtime_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.erm"

@@ -1,4 +1,4 @@
-"""Delta wire format, message validation/application, and queue transports."""
+"""Delta wire format, the copy-on-write applier, and queue transports."""
 
 import socket
 import struct
@@ -16,18 +16,14 @@ from minirec.delta_stream import (
     DenseRecord,
     FileConsumer,
     FilePublisher,
-    MemoryConsumer,
-    MemoryPublisher,
     SparseRecord,
     TcpConsumer,
     TcpPublisher,
-    apply_message,
+    apply_delta,
     decode_delta,
     encode_delta,
     open_consumer,
     open_publisher,
-    reset_memory_queues,
-    validate_message,
 )
 from minirec.errors import (
     ChecksumError,
@@ -131,74 +127,80 @@ def _params(tmp_path):
 class TestValidateAndApply:
     def test_apply_writes_rows_and_version(self, tmp_path):
         cfg, params = _params(tmp_path)
+        before = params.tensors["emb:user_id"].copy()
         msg = DeltaMessage(5, (SparseRecord(0, 10, tuple(float(i) for i in range(8))),), ())
-        apply_message(params, msg)
+        fresh = apply_delta(params, msg)
         np.testing.assert_array_equal(
-            params.tensors["emb:user_id"][10], np.arange(8, dtype=np.float32))
-        assert params.model_version == 5
+            fresh.tensors["emb:user_id"][10], np.arange(8, dtype=np.float32))
+        assert fresh.model_version == 5
+        # Copy on write: the input snapshot is unchanged, untouched tensors are shared.
+        np.testing.assert_array_equal(params.tensors["emb:user_id"], before)
+        assert params.model_version == 0
+        for name, arr in params.tensors.items():
+            assert (fresh.tensors[name] is arr) == (name != "emb:user_id"), name
 
     def test_idempotent(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(5, (SparseRecord(0, 3, tuple([1.0] * 8)),),
-                           (DenseRecord(4, tuple([0.5] * 16 * 16)),))
-        apply_message(params, msg)
-        snapshot = {name: arr.copy() for name, arr in params.tensors.items()}
-        apply_message(params, msg)
-        for name, arr in params.tensors.items():
-            np.testing.assert_array_equal(arr, snapshot[name])
+        records = ((SparseRecord(0, 3, tuple([1.0] * 8)),), (DenseRecord(4, tuple([0.5] * 16 * 16)),))
+        once = apply_delta(params, DeltaMessage(5, *records))
+        twice = apply_delta(once, DeltaMessage(6, *records))
+        assert params_equal(once, twice)
+
+    def test_held_version_is_skipped(self, tmp_path):
+        cfg, params = _params(tmp_path)
+        fresh = apply_delta(params, DeltaMessage(5, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
+        for version in (4, 5):
+            assert apply_delta(fresh, DeltaMessage(version, (SparseRecord(0, 3, (2.0,) * 8),), ())) is None
+        assert apply_delta(params, DeltaMessage(0)) is None
 
     def test_unknown_sparse_index(self, tmp_path):
         cfg, params = _params(tmp_path)
         msg = DeltaMessage(5, (SparseRecord(99, 0, (1.0,) * 8),), ())
         with pytest.raises(UnknownSlot):
-            validate_message(params, msg)
+            apply_delta(params, msg)
 
     def test_dense_index_on_sparse_tensor(self, tmp_path):
         cfg, params = _params(tmp_path)
         msg = DeltaMessage(5, (), (DenseRecord(0, (1.0,) * 8),))
         with pytest.raises(UnknownTensor):
-            validate_message(params, msg)
+            apply_delta(params, msg)
 
     def test_row_out_of_range(self, tmp_path):
         cfg, params = _params(tmp_path)
         msg = DeltaMessage(5, (SparseRecord(0, 2000, (1.0,) * 8),), ())
         with pytest.raises(IndexOutOfRange):
-            validate_message(params, msg)
+            apply_delta(params, msg)
 
     def test_dim_mismatch(self, tmp_path):
         cfg, params = _params(tmp_path)
         msg = DeltaMessage(5, (SparseRecord(0, 0, (1.0, 2.0)),), ())
         with pytest.raises(DimensionMismatch):
-            validate_message(params, msg)
+            apply_delta(params, msg)
 
     def test_rejected_message_leaves_state(self, tmp_path):
+        """A bad record after good ones raises, and nothing is written."""
         cfg, params = _params(tmp_path)
         before = {name: arr.copy() for name, arr in params.tensors.items()}
-        msg = DeltaMessage(5, (SparseRecord(0, 0, (1.0,) * 8),
-                               SparseRecord(99, 0, (1.0,) * 8)), ())
-        with pytest.raises(UnknownSlot):
-            apply_message(params, msg)
-        for name, arr in params.tensors.items():
-            np.testing.assert_array_equal(arr, before[name])
-        assert params.model_version == 0
-
-
-class TestMemoryQueue:
-    def test_fifo(self):
-        reset_memory_queues()
-        pub = MemoryPublisher("q1")
-        con = MemoryConsumer("q1")
-        pub.publish(b"A")
-        pub.publish(b"B")
-        assert con.consume(timeout=0.1) == b"A"
-        assert con.consume(timeout=0.1) == b"B"
-
-    def test_timeout_returns_none(self):
-        reset_memory_queues()
-        con = MemoryConsumer("empty")
-        start = time.monotonic()
-        assert con.consume(timeout=0.01) is None
-        assert time.monotonic() - start < 1.0
+        good_sparse, good_dense = SparseRecord(0, 0, (1.0,) * 8), DenseRecord(5, (1.0,) * 16)
+        cases = [
+            (SparseRecord(99, 0, (1.0,) * 8), UnknownSlot),
+            (SparseRecord(4, 0, (1.0,) * 8), UnknownSlot),
+            (SparseRecord(0, 2000, (1.0,) * 8), IndexOutOfRange),
+            (SparseRecord(0, 0, (1.0, 2.0)), DimensionMismatch),
+            (DenseRecord(99, (1.0,)), UnknownTensor),
+            (DenseRecord(0, (1.0,) * 8), UnknownTensor),
+            (DenseRecord(4, (1.0,)), DimensionMismatch),
+        ]
+        for bad, error in cases:
+            if isinstance(bad, SparseRecord):
+                msg = DeltaMessage(5, (good_sparse, bad), (good_dense,))
+            else:
+                msg = DeltaMessage(5, (good_sparse,), (good_dense, bad))
+            with pytest.raises(error):
+                apply_delta(params, msg)
+            for name, arr in params.tensors.items():
+                np.testing.assert_array_equal(arr, before[name])
+            assert params.model_version == 0
 
 
 def _drain(consumer):
@@ -422,12 +424,11 @@ class TestTcpQueue:
 
 
 class TestUrlSchemes:
-    def test_memory_url(self):
-        reset_memory_queues()
-        pub = open_publisher("mem://shared")
-        con = open_consumer("mem://shared")
-        pub.publish(b"x")
-        assert con.consume(timeout=0.1) == b"x"
+    @pytest.mark.parametrize("url", ["mem://shared", "udp://127.0.0.1:9"])
+    @pytest.mark.parametrize("opener", [open_consumer, open_publisher])
+    def test_unknown_scheme_is_io_error(self, url, opener):
+        with pytest.raises(IoError, match="unknown queue scheme"):
+            opener(url)
 
     def test_file_url(self, tmp_path):
         base = str(tmp_path / "q")

@@ -1,8 +1,11 @@
 """Feature generation: hashing, bucketing, crosses, and determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
+from minirec import serving
 from minirec.errors import InvalidValue, NonFinite
 from minirec.features import (
     CROSS_SEPARATOR,
@@ -15,8 +18,11 @@ from minirec.features import (
     generate,
     hash_id,
 )
+from minirec.model import init_params
+from minirec.sample_stream import JoinConfig, run_pipeline
+from minirec.trainer import load_records
 
-from helpers import fnv1a64_reference
+from helpers import fnv1a64_reference, make_config
 
 
 class TestFnv1a64:
@@ -234,3 +240,39 @@ class TestFeatureSpecValidation:
         spec = FeatureSpec(name="x", kind="onehot", source_columns=("x",))
         with pytest.raises(InvalidValue):
             spec.validate()
+
+
+class TestJsonRecords:
+    """A JSON object becomes the same features as a join payload and as a request's user."""
+
+    VALUES = {"user_s": "u1", "user_i": 7, "user_f": 2.5, "user_b": True, "user_n": None,
+              "user_e": 1e20}
+
+    def test_join_payload_and_predict_user_agree(self, tmp_path, monkeypatch):
+        features = [{"name": f"{c}_id", "kind": "id", "source_columns": [c], "vocab_size": 1000}
+                    for c in self.VALUES]
+        features += [{"name": f"{c}_raw", "kind": "numeric_raw", "source_columns": [c]}
+                     for c in ("user_i", "user_f")]
+        cfg = make_config(tmp_path, feature_config=features)
+
+        events = [
+            {"kind": "feature_log", "event_time": 0, "request_id": "r1", "payload": self.VALUES},
+            {"kind": "impression", "event_time": 0, "request_id": "r1", "item_key": "a"},
+        ]
+        (tmp_path / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events))
+        run_pipeline(str(tmp_path / "events.jsonl"), JoinConfig(label_window_ms=5),
+                     str(tmp_path / "samples.csv"))
+        (row,) = load_records(str(tmp_path / "samples.csv"))
+        joined = generate(row, cfg.feature_config)
+
+        served = []
+
+        def spy(record, specs):
+            served.append(generate(record, specs))
+            return served[-1]
+
+        monkeypatch.setattr(serving, "generate", spy)
+        request = json.loads(json.dumps({"user": self.VALUES, "items": [{"key": "a"}]}))
+        model = serving.ServingModel(init_params(cfg, np.random.default_rng(0)), cfg)
+        assert serving.score(model, request).scores[0] is not None
+        assert canonical_bytes(served[0]) == canonical_bytes(joined)

@@ -580,7 +580,7 @@ class TestHttpService:
 class TestPoller:
     def test_polls_applies_and_survives_garbage(self, tmp_path):
         model = _make_model(tmp_path)
-        url = f"mem://poller-{tmp_path.name}"
+        url = f"file://{tmp_path / 'deltas'}"
         publisher = open_publisher(url)
         handle = http_serve(model, None, consumer=open_consumer(url),
                             poll_interval_ms=20)

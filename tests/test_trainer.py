@@ -3,22 +3,21 @@
 import numpy as np
 import pytest
 
-from minirec.delta_stream import decode_delta, encode_delta
+from minirec.delta_stream import DeltaAccumulator, decode_delta, emit_delta, encode_delta
 from minirec.errors import DataError, IndexOutOfRange, IoError
 from minirec.features import FeatureVector
 from minirec.model import copy_params, init_params, params_equal
 from minirec.optim import AdamOptimizer
-from minirec.trainer import (
-    DeltaAccumulator,
-    emit_delta,
-    load_dataset,
-    load_records,
-    train,
-    train_step,
-)
-from minirec.delta_stream import apply_message
+from minirec.trainer import load_dataset, load_records, train, train_step
 
-from helpers import OracleAdam, make_config, oracle_train_step, write_csv, write_logistic_dataset
+from helpers import (
+    OracleAdam,
+    make_config,
+    oracle_train_step,
+    replay_reference,
+    write_csv,
+    write_logistic_dataset,
+)
 
 
 def _small_dataset(tmp_path, rows=120, seed=3):
@@ -153,7 +152,7 @@ class TestDeltaEmission:
         art, _ = train(cfg, sink=sink)
         replayed = init_params(cfg, np.random.default_rng([cfg.train_config.seed, 0]))
         for frame in sink.frames:
-            apply_message(replayed, decode_delta(frame))
+            replay_reference(replayed, decode_delta(frame))
         assert params_equal(replayed, art.params)
 
     def test_touched_rows_match_data(self, tmp_path):
@@ -231,8 +230,9 @@ def _random_fv(rng):
 
 
 def _assert_state_equal(opt, oracle):
+    """The optimizer keeps one row state per tensor; a dense tensor is its row 0."""
     for name, rows in oracle.sparse.items():
-        state = opt._sparse[name]
+        state = opt._state[name]
         touched = np.zeros(len(state.step), dtype=bool)
         touched[list(rows)] = True
         for row, (m, v, t) in rows.items():
@@ -240,11 +240,12 @@ def _assert_state_equal(opt, oracle):
             assert state.step[row] == t, (name, row)
         assert not state.m[~touched].any() and not state.v[~touched].any()
         assert not state.step[~touched].any()
-    assert set(opt._sparse) == set(oracle.sparse)
     for name, (m, v, t) in oracle.dense.items():
-        state = opt._dense[name]
-        assert np.array_equal(state.m, m) and np.array_equal(state.v, v) and state.step == t, name
-    assert set(opt._dense) == set(oracle.dense)
+        state = opt._state[name]
+        assert state.m.shape == state.v.shape == (1, m.size), name
+        assert np.array_equal(state.m[0], m.reshape(-1)) and np.array_equal(state.v[0], v.reshape(-1)), name
+        assert state.step.tolist() == [t], name
+    assert set(opt._state) == set(oracle.sparse) | set(oracle.dense)
 
 
 class TestBatchedStepMatchesPerSample:
