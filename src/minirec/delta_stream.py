@@ -26,6 +26,7 @@ replay is the trainer's state; TCP is live.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import struct
@@ -43,6 +44,7 @@ from .errors import (
     FormatError,
     IndexOutOfRange,
     IoError,
+    NonFinite,
     UnknownSlot,
     UnknownTensor,
 )
@@ -136,13 +138,19 @@ def decode_delta(frame: bytes) -> DeltaMessage:
 def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
     """The snapshot after msg, or None if params already holds its version.
 
-    Every record is checked against params before anything is copied, so a
-    rejected message raises and leaves params as it was. The result shares
-    every untouched tensor with params and holds fresh copies of the
-    touched ones; its model_version is set last.
+    Every record is checked against params, and every value for being
+    finite, before anything is copied, so a rejected message raises and
+    leaves params as it was. The result shares every untouched tensor with
+    params and holds fresh copies of the touched ones; its model_version
+    is set last.
     """
     if msg.model_version <= params.model_version:
         return None
+    for rec in (*msg.sparse, *msg.dense):
+        # One NaN or infinity makes the sum non-finite; float32 values cannot overflow it.
+        total = sum(rec.values)
+        if not math.isfinite(total):
+            raise NonFinite(total)
     items = list(params.tensors.items())
     for rec in msg.sparse:
         if not (0 <= rec.tensor_index < len(items) and is_sparse_tensor(items[rec.tensor_index][0])):

@@ -37,13 +37,15 @@ class InvalidValue(ConfigError):
         super().__init__(f"invalid value at {path!r}: {reason}")
 
 
-# --- feature generation ----------------------------------------------------
+# --- values ----------------------------------------------------------------
 
-class FeatureError(MinirecError):
-    """Base class for per-record feature generation failures."""
+class NonFinite(MinirecError):
+    """NaN or an infinity where only finite numbers are valid.
 
+    Raised for a feature value, a score passed to `auc` and a value in a
+    delta message.
+    """
 
-class NonFinite(FeatureError):
     def __init__(self, value: float):
         self.value = value
         super().__init__(f"non-finite value: {value!r}")

@@ -6,11 +6,12 @@ platform and scores survive the 32-bit serving wire format unchanged.
 
 The forward pass is split into `compute_parts` (per-slot pooled embedding
 and first-order sums) and `assemble` (FM + MLP + bias on top of the
-parts). The serving cache stores per-slot parts and re-assembles, so the
-cached path runs the exact same float operations as the uncached one.
-Both work on N rows at once, and training's `backward` and the
-optimizer take a whole batch in one pass; every row gets the bits its
-own one-row pass would give.
+parts). Serving computes the user, item and cross slots' parts in
+separate calls and assembles them in one pass; its cache holds item
+features, not parts, so cached and uncached scores run the same float
+operations. Both work on N rows at once, and training's `backward` and
+the optimizer take a whole batch in one pass; every row gets the bits
+its own one-row pass would give.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     DegenerateLabels,
     DimensionMismatch,
     IndexOutOfRange,
+    NonFinite,
     SlotMismatch,
 )
 from .features import FeatureSpec, FeatureVector
@@ -322,28 +324,19 @@ def compute_parts(
 ) -> dict[str, SlotPart]:
     """Per-slot pooled embeddings and first-order sums of N samples, stacked.
 
-    This is the cacheable unit in serving: a slot's part depends only on
-    that slot's features and tables, never on other slots, and a row's
-    part never on the other rows. `specs` restricts computation to a
-    subset of the model's slots (serving computes user-side, item-side,
-    and cross parts separately).
+    A slot's part depends only on that slot's features and tables, never
+    on other slots, and a row's part never on the other rows. `specs`
+    restricts computation to a subset of the model's slots: serving
+    computes the user-side, item-side and cross parts of a request in
+    three calls, over features that may come from its item cache. Parts
+    read the parameters, so they are computed afresh for every request.
     """
     return _pool(params, _slot_rows(params, fvs, specs))
 
 
-def concat_parts(groups: Sequence[dict[str, SlotPart]]) -> dict[str, SlotPart]:
-    """Join groups of stacked parts row-wise, slot by slot, for one `assemble` pass."""
-    joined: dict[str, SlotPart] = {}
-    for name, first in groups[0].items():
-        pooled = None
-        if first.pooled is not None:
-            pooled = np.concatenate([g[name].pooled for g in groups])
-        joined[name] = SlotPart(pooled, np.concatenate([g[name].fo for g in groups]))
-    return joined
-
-
 def _clip_probability(logit: float) -> float:
-    p = 1.0 / (1.0 + math.exp(-logit))
+    # Past -700 the probability clips to PROB_CLIP anyway; math.exp(709.8) overflows.
+    p = 1.0 / (1.0 + math.exp(min(-logit, 700.0)))
     return min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
 
 
@@ -540,9 +533,14 @@ def auc(scores: Sequence[float], labels: Sequence[float]) -> float:
     Computed with average ranks: for P positives and N negatives,
     AUC = (sum of positive ranks - P(P+1)/2) / (P*N). With average ranks
     for tied scores this equals pairwise counting with half credit.
+    A NaN score raises NonFinite.
     """
     if len(scores) != len(labels):
         raise DimensionMismatch("scores and labels differ in length")
+    # NaN equals nothing, not even itself, so the tie scan below would never end.
+    nan = next((s for s in scores if math.isnan(s)), None)
+    if nan is not None:
+        raise NonFinite(nan)
     order = sorted(range(len(scores)), key=lambda i: scores[i])
     pos = sum(1 for y in labels if y == 1)
     neg = len(labels) - pos

@@ -6,10 +6,12 @@ the tensors a message touches, and the server publishes it with a single
 reference swap. Readers never lock and never observe a half-applied
 message.
 
-The item cache stores per-slot pooled embeddings and first-order partial
-sums for item-side slots, keyed by (model_version, item key). Final
-logits are assembled by the same code as the uncached path, so cached and
-uncached scores are bit-identical; stale entries die with their version.
+The item cache stores each item's generated item-side features, keyed by
+the item key alone. Features do not depend on the parameters, so entries
+survive deltas; the cache assumes that an item's features are a pure
+function of its key. Cached or not, the features go through the same
+`compute_parts` and `assemble` calls, so cached and uncached scores are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
+
 from .artifact import load_artifact
 from .config import PipelineConfig
 from .delta_stream import DeltaMessage, apply_delta, decode_delta
 from .errors import InvalidValue, MinirecError
 from .features import FeatureSpec, generate, record_from_json
-from .model import ModelParams, SlotPart, assemble, compute_parts, concat_parts
+from .model import ModelParams, SlotPart, assemble, compute_parts
 
 log = logging.getLogger("minirec.serving")
 
@@ -143,47 +147,48 @@ def score(
 ) -> ScoreResponse:
     """Score every item in the request against one parameter snapshot.
 
-    Features and item parts are computed per item, the cross parts of all
-    items in one call; the items' parts are then stacked and assembled in
-    one pass, whose per-row results do not depend on the other items.
-    Per-item feature failures yield a null score in that position; other
-    items are unaffected. cache_hits counts item-side cache hits.
+    Item features come from the cache when it holds the item's key. The
+    user slots' parts are computed on one row and repeated to every item,
+    the item and cross slots' parts over all items, one call each; one
+    assemble pass follows, and no row's result depends on the others. A
+    per-item feature failure yields a null score in that position; a
+    user-side one raises. cache_hits counts item-side cache hits.
     """
     params = model.snapshot()
     part = model.partition
     user_record = record_from_json(request.get("user") or {})
-    user_parts = compute_parts(params, [generate(user_record, part.user)], part.user)
+    user_fv = generate(user_record, part.user)
 
     items = request.get("items") or []
     scores: list[float | None] = [None] * len(items)
-    rows: list[dict[str, SlotPart]] = []
-    cross_fvs = []
-    positions: list[int] = []
+    item_fvs, cross_fvs, positions = [], [], []
     hits = 0
     for position, item in enumerate(items):
         try:
             if not isinstance(item, dict) or "key" not in item:
                 raise MinirecError("item entry needs a key")
             item_record = record_from_json(item.get("features") or {})
-
-            def compute_item() -> dict[str, SlotPart]:
-                return compute_parts(params, [generate(item_record, part.item)], part.item)
-
             if cache is not None:
-                item_parts, hit = cache.get_or_insert(
-                    (params.model_version, str(item["key"])), compute_item
+                item_fv, hit = cache.get_or_insert(
+                    str(item["key"]), lambda: generate(item_record, part.item)
                 )
                 hits += hit
             else:
-                item_parts = compute_item()
-
-            cross_fvs.append(generate({**user_record, **item_record}, part.cross))
+                item_fv = generate(item_record, part.item)
+            cross_fv = generate({**user_record, **item_record}, part.cross)
         except MinirecError:
             continue
-        rows.append({**user_parts, **item_parts})
+        item_fvs.append(item_fv)
+        cross_fvs.append(cross_fv)
         positions.append(position)
-    if rows:
-        parts = {**concat_parts(rows), **compute_parts(params, cross_fvs, part.cross)}
+    if positions:
+        n = len(positions)
+        parts: dict[str, SlotPart] = {}
+        for name, p in compute_parts(params, [user_fv], part.user).items():
+            pooled = None if p.pooled is None else np.repeat(p.pooled, n, axis=0)
+            parts[name] = SlotPart(pooled, np.repeat(p.fo, n))
+        parts.update(compute_parts(params, item_fvs, part.item))
+        parts.update(compute_parts(params, cross_fvs, part.cross))
         probabilities = assemble(params, parts).probability.tolist()
         for position, probability in zip(positions, probabilities):
             scores[position] = probability
@@ -377,7 +382,8 @@ def http_serve(
                     raise ValueError("request must be an object with an items array")
                 if request.get("user") is not None and not isinstance(request["user"], dict):
                     raise ValueError("user must be an object")
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers bad UTF-8; RecursionError, arrays nested too deep.
                 self._reply(400, {"error": str(exc)})
                 return
             try:
@@ -386,6 +392,9 @@ def http_serve(
                 latency_us = (time.perf_counter() - start) * 1e6
                 metrics.record(latency_us, response.cache_hits, len(response.scores))
                 self._reply(200, response.to_plain())
+            except MinirecError as exc:
+                # A user-side feature failure: per-item failures score null instead.
+                self._reply(400, {"error": str(exc)})
             except Exception as exc:  # pragma: no cover - defensive 500 path
                 log.exception("predict failed")
                 self._reply(500, {"error": str(exc)})

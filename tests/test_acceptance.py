@@ -453,7 +453,7 @@ def test_criterion_07_hyperparameter_search(tmp_path):
 
 def _keyed_item(key):
     # Item features must be a pure function of the key: the cache pairs
-    # (version, key) with the first features computed for that key.
+    # the key with the first features generated for it.
     return {"key": key,
             "features": {"item_id": key,
                          "item_price": repr((hash(key) % 500) / 100.0)}}

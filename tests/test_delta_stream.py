@@ -32,6 +32,7 @@ from minirec.errors import (
     IndexOutOfRange,
     IoError,
     MinirecError,
+    NonFinite,
     UnknownSlot,
     UnknownTensor,
 )
@@ -190,6 +191,9 @@ class TestValidateAndApply:
             (DenseRecord(99, (1.0,)), UnknownTensor),
             (DenseRecord(0, (1.0,) * 8), UnknownTensor),
             (DenseRecord(4, (1.0,)), DimensionMismatch),
+            (SparseRecord(0, 1, (float("nan"),) * 8), NonFinite),
+            (SparseRecord(0, 1, (1.0,) * 7 + (float("-inf"),)), NonFinite),
+            (DenseRecord(5, (0.5,) * 15 + (float("inf"),)), NonFinite),
         ]
         for bad, error in cases:
             if isinstance(bad, SparseRecord):

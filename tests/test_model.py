@@ -1,6 +1,7 @@
 """Model math: pooling, FM identity, forward/backward, and metrics."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from minirec.errors import (
     DegenerateLabels,
     DimensionMismatch,
     IndexOutOfRange,
+    NonFinite,
 )
 from minirec.features import FeatureSpec, generate
 from minirec.model import (
+    PROB_CLIP,
+    _clip_probability,
     auc,
     backward,
     copy_params,
@@ -332,6 +336,38 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             evaluate_metrics([0.5], [1, 0])
+
+    def test_nan_score_raises_and_returns(self):
+        outcome = []
+
+        def call():
+            try:
+                auc([0.1, float("nan"), 0.3], [0, 1, 0])
+            except NonFinite as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert len(outcome) == 1
+
+
+class TestClipProbability:
+    def test_very_negative_logit_clips(self):
+        assert _clip_probability(-1e6) == PROB_CLIP
+        assert _clip_probability(-math.inf) == PROB_CLIP
+
+    def test_same_bits_where_exp_does_not_overflow(self):
+        def unclamped(logit):
+            p = 1.0 / (1.0 + math.exp(-logit))
+            return min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
+
+        rng = np.random.default_rng(14)
+        logits = [*np.linspace(-709.0, 709.0, 20_001), *rng.uniform(-709.0, 709.0, 20_000),
+                  *rng.uniform(-40.0, 40.0, 20_000), -709.0, -700.0, 0.0, 709.0]
+        for logit in map(float, logits):
+            assert _clip_probability(logit) == unclamped(logit), logit
 
 
 def test_copy_params_is_deep(tmp_path):

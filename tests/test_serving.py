@@ -21,7 +21,7 @@ from minirec.delta_stream import (
 from minirec.errors import MinirecError
 from minirec import serving
 from minirec.features import FeatureSpec, generate
-from minirec.model import forward, init_params
+from minirec.model import PROB_CLIP, forward, init_params
 from minirec.serving import (
     MAX_BODY_BYTES,
     LruCache,
@@ -200,16 +200,21 @@ class TestScore:
         assert first.cache_hits == 0
         assert second.cache_hits == 2
 
-    def test_new_version_invalidates_cache(self, tmp_path):
+    def test_cache_survives_delta(self, tmp_path):
         model = _make_model(tmp_path)
         cache = LruCache(64)
-        score(model, _request("u1", ["a", "b"]), cache)
-        msg = DeltaMessage(model_version=1,
-                           sparse=(SparseRecord(0, 3, (1.0, 2.0, 3.0, 4.0)),))
+        request = _request("u1", ["a", "b", "c"])
+        before = score(model, request, cache)
+        # Rewrite the embedding row that item "b" reads.
+        row = generate({"item_id": "b"}, model.partition.item).ids["item_id"][0]
+        index = list(model.snapshot().tensors).index("emb:item_id")
+        msg = DeltaMessage(model_version=1, sparse=(SparseRecord(index, row, (1.0, -2.0, 3.0, -4.0)),))
         assert model.apply_delta(msg) == 1
-        resp = score(model, _request("u1", ["a", "b"]), cache)
-        assert resp.cache_hits == 0
-        assert resp.model_version == 1
+        after = score(model, request, cache)
+        assert after.cache_hits == 3
+        assert after.model_version == 1
+        assert after.scores == score(model, request).scores
+        assert after.scores[1] != before.scores[1]
 
     def test_bad_item_scores_none_others_fine(self, tmp_path):
         model = _make_model(tmp_path)
@@ -577,6 +582,47 @@ class TestHttpService:
         assert snap["deltas_applied"] == snap["deltas_rejected"] == snap["deltas_stale"] == 0
 
 
+class TestHostileInputs:
+    """Hostile bodies get a status and a JSON reply, never a 500 or a dropped connection."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        model = _five_kind_model(tmp_path, "deepfm")
+        handle = http_serve(model, LruCache(64))
+        yield model, handle
+        handle.shutdown()
+
+    @pytest.mark.parametrize("age", ["abc", None])
+    def test_user_feature_error_is_400(self, served, capfd, age):
+        # user_age is a numeric_bucket slot; JSON null arrives as the text "None".
+        _, handle = served
+        body = json.dumps({"user": {"user_age": age}, "items": [{"key": "a"}]}).encode()
+        status, payload = _http(handle, "POST", "/v1/predict", body)
+        assert status == 400
+        assert payload["error"] == f"invalid value at 'user_age': non-numeric text '{age}'"
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_logit_below_exp_range_scores_clipped(self, served):
+        # This price drives the logit to about -1e19; math.exp(1e19) overflows.
+        model, handle = served
+        request = {"user": {"user_id": "u1"},
+                   "items": [{"key": "a", "features": {"item_id": "a", "item_price": "1e20"}}]}
+        status, payload = _http(handle, "POST", "/v1/predict", json.dumps(request).encode())
+        assert status == 200
+        assert payload["scores"] == [np.float32(PROB_CLIP).item()]
+        assert payload["scores"] == score(model, request).scores
+
+    def test_deeply_nested_body_is_400(self, served, capfd):
+        _, handle = served
+        body = b"[" * 100_000 + b"]" * 100_000
+        start = time.perf_counter()
+        status, payload = _http(handle, "POST", "/v1/predict", body)
+        assert time.perf_counter() - start < 1.0
+        assert status == 400
+        assert "error" in payload
+        assert "Traceback" not in capfd.readouterr().err
+
+
 class TestPoller:
     def test_polls_applies_and_survives_garbage(self, tmp_path):
         model = _make_model(tmp_path)
@@ -612,6 +658,32 @@ class TestPoller:
         finally:
             handle.shutdown()
             publisher.close()
+
+    def test_non_finite_frame_is_rejected(self, tmp_path):
+        model = _make_model(tmp_path)
+        request = _request("u1", ["a"])
+        before = score(model, request).scores
+        url = f"file://{tmp_path / 'deltas'}"
+        publisher, consumer = open_publisher(url), open_consumer(url)
+        handle = http_serve(model, None, consumer=consumer, poll_interval_ms=20)
+        try:
+            # A well-formed frame, CRC included, whose values are all NaN.
+            nan = float("nan")
+            publisher.publish(encode_delta(DeltaMessage(
+                model_version=1, sparse=(SparseRecord(0, 2, (nan, nan, nan, nan)),))))
+            deadline = time.monotonic() + 5.0
+            snap = _http(handle, "GET", "/v1/metrics")[1]
+            while snap["deltas_rejected"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+                snap = _http(handle, "GET", "/v1/metrics")[1]
+            assert (snap["deltas_applied"], snap["deltas_rejected"]) == (0, 1)
+            assert model.version == 0
+            status, payload = _http(handle, "POST", "/v1/predict", json.dumps(request).encode())
+            assert (status, payload["scores"]) == (200, before)
+        finally:
+            handle.shutdown()
+            publisher.close()
+            consumer.close()
 
     def test_corrupt_queue_prefix_is_counted(self, tmp_path):
         model = _make_model(tmp_path)
