@@ -110,9 +110,9 @@ def _cmd_eval(args) -> None:
     eval_path = args.eval or cfg.data_config.eval_path
     if not eval_path:
         raise InvalidValue("--eval", "no eval path given and config has none")
-    fvs, labels = trainer.load_dataset(art.config, eval_path)
-    metrics = trainer.evaluate_params(art.config, art.params, fvs, labels)
-    _emit({"command": "eval", "model_version": art.model_version, "rows": len(fvs), **metrics})
+    batch, labels = trainer.load_dataset(art.config, eval_path)
+    metrics = trainer.evaluate_params(art.config, art.params, batch, labels)
+    _emit({"command": "eval", "model_version": art.model_version, "rows": len(batch), **metrics})
 
 
 def _cmd_export(args) -> None:
@@ -238,9 +238,10 @@ def _cmd_stream_join(args) -> None:
 
 def _cmd_predict_file(args) -> None:
     art = artifact_mod.load_artifact(args.model)
-    records = trainer.load_records(args.input, art.config.data_config.delimiter)
-    fvs = [generate(record, art.config.feature_config) for record in records]
-    scores = trainer.score_all(art.params, fvs)
+    columns = trainer.read_columns(args.input, art.config.data_config.delimiter)
+    batch = generate(columns, art.config.feature_config)
+    trainer.raise_first_error(batch.errors)
+    scores = trainer.score_all(art.params, batch)
     with open(args.out, "w") as fh:
         for s in scores:
             fh.write(f"{s!r}\n")

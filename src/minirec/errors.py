@@ -42,13 +42,16 @@ class InvalidValue(ConfigError):
 class NonFinite(MinirecError):
     """NaN or an infinity where only finite numbers are valid.
 
-    Raised for a feature value, a score passed to `auc` and a value in a
-    delta message.
+    Raised for a feature value, a score passed to `auc`, a value in a
+    delta message and a training batch's logit; `rows` then holds the
+    batch's 1-based data row numbers.
     """
 
-    def __init__(self, value: float):
+    def __init__(self, value: float, rows: list[int] | None = None):
         self.value = value
-        super().__init__(f"non-finite value: {value!r}")
+        self.rows = rows
+        where = "" if rows is None else f" in the batch of data rows {rows}"
+        super().__init__(f"non-finite value: {value!r}{where}")
 
 
 # --- model math ------------------------------------------------------------

@@ -113,30 +113,32 @@ def train_with_gates(
     weight_opt = AdamOptimizer(t.learning_rate, t.adam_beta1, t.adam_beta2, t.adam_epsilon)
     gate_opt = ScalarAdam(gate_learning_rate)
 
-    train_fvs, train_labels = load_dataset(cfg, train_path)
-    valid_fvs, valid_labels = load_dataset(cfg, valid_path)
+    train_data, train_labels = load_dataset(cfg, train_path)
+    valid_data, valid_labels = load_dataset(cfg, valid_path)
     reg = cfg.model_config.embedding_regularization
 
     valid_order: list[int] = []
     valid_pos = 0
     steps = 0
     for _ in range(t.num_epochs):
-        order = shuffle_rng.permutation(len(train_fvs))
+        order = shuffle_rng.permutation(len(train_labels))
+        shuffled, shuffled_labels, rows = train_data.take(order), train_labels[order], order + 1
         for start in range(0, len(order), t.batch_size):
-            batch = [(train_fvs[i], int(train_labels[i])) for i in order[start : start + t.batch_size]]
-            draws = _sample_gates(gates, slot_names, noise_rng, len(batch))
-            train_step(params, weight_opt, batch, reg, draws)
+            stop = min(start + t.batch_size, len(order))
+            draws = _sample_gates(gates, slot_names, noise_rng, stop - start)
+            step = shuffled.slice(start, stop)
+            train_step(params, weight_opt, step, shuffled_labels[start:stop], rows[start:stop], reg, draws)
             steps += 1
 
             picked = []
-            for _ in range(min(t.batch_size, len(valid_fvs))):
+            for _ in range(min(t.batch_size, len(valid_labels))):
                 if valid_pos >= len(valid_order):
-                    valid_order = list(shuffle_rng.permutation(len(valid_fvs)))
+                    valid_order = list(shuffle_rng.permutation(len(valid_labels)))
                     valid_pos = 0
                 picked.append(valid_order[valid_pos])
                 valid_pos += 1
             z = _sample_gates(gates, slot_names, noise_rng, len(picked))
-            trace = forward(params, [valid_fvs[i] for i in picked], slot_scale=z)
+            trace = forward(params, valid_data.take(np.array(picked)), slot_scale=z)
             grad = backward(trace, valid_labels[picked], 0.0)
             gate_grad = np.zeros(len(slot_names))
             for i, name in enumerate(slot_names):

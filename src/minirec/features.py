@@ -1,18 +1,34 @@
-"""Deterministic feature generation shared by the trainer and the server.
+"""Deterministic columnar feature generation shared by the trainer and the server.
 
-The same `generate` function runs in both places, which is what makes
-offline and online features identical by construction. All operators are
-pure: a (record, specs) pair maps to exactly one FeatureVector, no matter
-which process computes it or in which order the slots are evaluated.
+`generate` turns N raw records, given as columns of text cells, into a
+`FeatureBatch`: per slot a flat id array with row offsets (CSR), or one
+float per row for numeric_raw. The trainer calls it once per file; the
+server calls it once per request side, and a lone record is a one-row
+batch. Every operator is pure and per row: a row's features depend only
+on its own cells and the slot's spec, never on the other rows, on the
+slot order or on which process computes them, which is what makes
+offline and online features identical by construction.
+
+Hashing is FNV-1a 64 over each value's UTF-8 bytes, reduced modulo the
+slot's vocab_size. It runs one byte position at a time over all of a
+slot's values at once; the few values longer than the rest finish byte
+by byte in Python. A row whose cell cannot be read (a number that is not
+finite as a float32, or text that is not a number) gets no features in
+that slot and an error in `FeatureBatch.errors`: callers decide whether
+that fails the file, the request or one item.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import accumulate, chain, islice
+from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InvalidValue, NonFinite
+import numpy as np
+
+from .errors import InvalidValue, MinirecError, NonFinite
 
 FEATURE_KINDS = ("id", "multi_id", "numeric_bucket", "numeric_raw", "cross")
 POOLING_KINDS = ("sum", "mean")
@@ -26,6 +42,12 @@ MAX_CROSS_COMBINATIONS = 100
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# With this many values or fewer left at a byte position, a Python loop
+# per byte is cheaper than three numpy calls.
+_SCALAR_TAIL = 48
+# The smallest magnitude that rounds to infinity as a float32: halfway
+# between the largest float32 (2^128 - 2^104) and 2^128.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
 
 
 @dataclass(frozen=True)
@@ -85,7 +107,7 @@ class FeatureSpec:
 
 @dataclass
 class FeatureVector:
-    """Per-slot generated features.
+    """One row's features, as `FeatureBatch.row` gives them.
 
     Slots of hashed/bucketized kinds appear in `ids` (possibly empty when
     the source column is missing). numeric_raw slots appear in `dense`.
@@ -95,20 +117,142 @@ class FeatureVector:
     dense: dict[str, float] = field(default_factory=dict)
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash of a byte string."""
-    h = _FNV_OFFSET
+class Columns(NamedTuple):
+    """N raw records as text columns; a column absent from `cells` is empty in every row."""
+
+    rows: int
+    cells: Mapping[str, Sequence[str]]
+
+
+class SlotIds(NamedTuple):
+    """One hashed or bucketized slot over N rows: row r's ids are `ids[offsets[r]:offsets[r + 1]]`."""
+
+    ids: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class FeatureBatch:
+    """Generated features of `size` rows.
+
+    `ids` holds each hashed or bucketized slot in CSR form (int64 ids,
+    int64 offsets of length size + 1), `dense` each numeric_raw slot's
+    float64 value per row. `errors` maps a row that failed to the error
+    of its first failing slot in spec order; that row has no features in
+    the failing slot.
+    """
+
+    size: int
+    ids: dict[str, SlotIds]
+    dense: dict[str, np.ndarray]
+    errors: dict[int, MinirecError] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def row(self, i: int) -> FeatureVector:
+        """Row i as a FeatureVector, the form `canonical_bytes` serializes."""
+        return FeatureVector(
+            ids={name: tuple(s.ids[s.offsets[i] : s.offsets[i + 1]].tolist())
+                 for name, s in self.ids.items()},
+            dense={name: float(values[i]) for name, values in self.dense.items()},
+        )
+
+    def slice(self, start: int, stop: int) -> FeatureBatch:
+        """Rows start..stop-1, in order."""
+        ids = {}
+        for name, s in self.ids.items():
+            offsets = s.offsets[start : stop + 1]
+            ids[name] = SlotIds(s.ids[offsets[0] : offsets[-1]], offsets - offsets[0])
+        errors = {r - start: e for r, e in self.errors.items() if start <= r < stop}
+        dense = {name: values[start:stop] for name, values in self.dense.items()}
+        return FeatureBatch(stop - start, ids, dense, errors)
+
+    def take(self, index: np.ndarray) -> FeatureBatch:
+        """The rows `index` names, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        ids = {}
+        for name, s in self.ids.items():
+            starts = s.offsets[index]
+            counts = s.offsets[index + 1] - starts
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+            ids[name] = SlotIds(s.ids[entries], offsets)
+        errors = {}
+        if self.errors:
+            errors = {k: self.errors[r] for k, r in enumerate(index.tolist()) if r in self.errors}
+        dense = {name: values[index] for name, values in self.dense.items()}
+        return FeatureBatch(len(index), ids, dense, errors)
+
+
+def stack_rows(rows: Sequence[FeatureBatch]) -> FeatureBatch:
+    """One-row batches as the rows of one batch, in order; all must hold the same slots."""
+    if any(r.size != 1 for r in rows):
+        raise ValueError("stack_rows takes one-row batches")
+    if len(rows) == 1:
+        return rows[0]
+    ids = {}
+    for name in rows[0].ids:
+        arrays = [r.ids[name].ids for r in rows]
+        ids[name] = SlotIds(np.concatenate(arrays), _offsets(map(len, arrays), len(rows)))
+    dense = {name: np.concatenate([r.dense[name] for r in rows]) for name in rows[0].dense}
+    errors = {k: r.errors[0] for k, r in enumerate(rows) if r.errors}
+    return FeatureBatch(len(rows), ids, dense, errors)
+
+
+def columns_of(records: Sequence[Mapping[str, str]], specs: Sequence[FeatureSpec]) -> Columns:
+    """The columns `specs` read from the records; a key missing from a record is an empty cell."""
+    names = {name for spec in specs for name in spec.source_columns}
+    return Columns(len(records), {n: [r.get(n, "") for r in records] for n in names})
+
+
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a 64-bit hash of a byte string, continued from state h."""
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
     return h
 
 
-def hash_id(raw: str | bytes, vocab_size: int) -> int:
-    """Map a raw value to a table row: FNV-1a 64 reduced modulo vocab_size."""
-    if vocab_size < 2:
-        raise InvalidValue("vocab_size", "must be >= 2")
-    data = raw.encode("utf-8") if isinstance(raw, str) else raw
-    return fnv1a64(data) % vocab_size
+def hash_ids(values: Sequence[str], vocab_size: int) -> np.ndarray:
+    """Each value's table row as int64: FNV-1a 64 of its UTF-8 bytes modulo vocab_size.
+
+    The hash runs one byte position at a time across values, each value
+    over its own encoded length, so NUL bytes and multi-byte characters
+    count like any other byte. Values are ordered longest first, so the
+    values still running at a byte position are a prefix of that order.
+    Once no more than _SCALAR_TAIL values are left running (at once, for a
+    short list), they finish in `fnv1a64`.
+    """
+    if len(values) <= _SCALAR_TAIL:
+        return np.array([fnv1a64(v.encode("utf-8")) % vocab_size for v in values], dtype=np.int64)
+    text = "".join(values)
+    if text.isascii():
+        data = text.encode("ascii")
+        lengths = np.fromiter(map(len, values), np.int64, len(values))
+    else:
+        encoded = [v.encode("utf-8") for v in values]
+        data = b"".join(encoded)
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    order = np.argsort(-lengths, kind="stable")
+    length = lengths[order]
+    start = (np.cumsum(lengths) - lengths)[order]
+    # running[j]: how many values are longer than j bytes.
+    running = np.searchsorted(-length, -np.arange(length[0]), "left").tolist()
+    buf = np.frombuffer(data, np.uint8)
+    h = np.full(len(values), _FNV_OFFSET, np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    j = 0
+    while j < len(running) and running[j] > _SCALAR_TAIL:
+        k = running[j]
+        h[:k] ^= buf[start[:k] + j]
+        h[:k] *= prime
+        j += 1
+    tail = running[j] if j < len(running) else 0
+    h[:tail] = [fnv1a64(data[s + j : s + n], int(g))
+                for s, n, g in zip(start[:tail].tolist(), length[:tail].tolist(), h[:tail].tolist())]
+    out = np.empty_like(h)
+    out[order] = h % np.uint64(vocab_size)
+    return out.astype(np.int64)
 
 
 def bucketize(value: float, boundaries: Sequence[float]) -> int:
@@ -119,79 +263,111 @@ def bucketize(value: float, boundaries: Sequence[float]) -> int:
     """
     if not math.isfinite(value):
         raise NonFinite(value)
-    count = 0
-    for b in boundaries:
-        if value >= b:
-            count += 1
-    return count
+    return bisect_right(boundaries, value)
+
+
+def _split_cells(cells: Sequence[str]) -> list[list[str]]:
+    """Each cell's '|'-separated values, empty parts skipped."""
+    split = [cell.split(MULTI_VALUE_SEPARATOR) if cell else [] for cell in cells]
+    if "" in chain.from_iterable(split):
+        split = [[part for part in row if part] for row in split]
+    return split
 
 
 def cross_values(a_values: Sequence[str], b_values: Sequence[str]) -> list[str]:
     """Cartesian product of two value lists, a-major order, capped."""
-    out: list[str] = []
-    for a in a_values:
-        for b in b_values:
-            if len(out) >= MAX_CROSS_COMBINATIONS:
-                return out
-            out.append(a + CROSS_SEPARATOR + b)
-    return out
+    combos = (a + CROSS_SEPARATOR + b for a in a_values for b in b_values)
+    return list(islice(combos, MAX_CROSS_COMBINATIONS))
 
 
-def _split_multi(cell: str) -> list[str]:
-    if not cell:
-        return []
-    return [part for part in cell.split(MULTI_VALUE_SEPARATOR) if part]
+def _cross_cells(a_cells: Sequence[str], b_cells: Sequence[str]) -> list[list[str]]:
+    """Each row's crossed values.
+
+    Without a '|' in either column a non-empty cell is one value, so a row
+    crosses into one value when both of its cells are non-empty.
+    """
+    if MULTI_VALUE_SEPARATOR in "".join(a_cells) or MULTI_VALUE_SEPARATOR in "".join(b_cells):
+        return [cross_values(a, b) for a, b in zip(_split_cells(a_cells), _split_cells(b_cells))]
+    return [[a + CROSS_SEPARATOR + b] if a and b else [] for a, b in zip(a_cells, b_cells)]
 
 
 def _parse_number(text: str, slot: str) -> float:
+    """A cell's number; InvalidValue unless it is finite once cast to float32.
+
+    Parameters and features are float32, so a value that is finite only
+    as a float64 would train into infinities.
+    """
     try:
         value = float(text)
     except ValueError:
         raise InvalidValue(slot, f"non-numeric text {text!r}") from None
-    if not math.isfinite(value):
-        raise InvalidValue(slot, f"non-finite numeric value {text!r}")
+    if not abs(value) < _FLOAT32_OVERFLOW:
+        raise InvalidValue(slot, f"numeric value {text!r} is not finite as a float32")
     return value
 
 
-def generate(record: Mapping[str, str], specs: Sequence[FeatureSpec]) -> FeatureVector:
-    """Apply every spec to a raw record, independently per slot.
+def _offsets(counts, n: int) -> np.ndarray:
+    """Row offsets from n per-row counts."""
+    return np.fromiter(accumulate(counts, initial=0), np.int64, n + 1)
 
-    A missing or empty source column yields an empty id list (hashed and
-    bucketized kinds) or dense 0.0 (numeric_raw), so "feature absent" and
-    "feature contributes nothing" coincide downstream.
+
+def _numbers(cells: Sequence[str], slot: str, errors: dict) -> list[float | None]:
+    """Each row's number, None for an empty cell or a bad one; a bad cell's error goes into `errors`."""
+    values: list[float | None] = []
+    for row, cell in enumerate(cells):
+        try:
+            values.append(_parse_number(cell, slot) if cell else None)
+        except InvalidValue as exc:
+            errors.setdefault(row, exc)
+            values.append(None)
+    return values
+
+
+def generate(columns: Columns, specs: Sequence[FeatureSpec]) -> FeatureBatch:
+    """Apply every spec to every row of `columns`, slot by slot.
+
+    A missing or empty cell yields no ids (hashed and bucketized kinds) or
+    dense 0.0 (numeric_raw), so "feature absent" and "feature contributes
+    nothing" coincide downstream. A row's ids keep the cell's value order:
+    multi_id parts left to right, empty parts skipped; crosses a-major,
+    capped at MAX_CROSS_COMBINATIONS. A row whose number cell fails
+    `_parse_number` gets that error in `errors` and nothing in that slot.
     """
-    fv = FeatureVector()
+    n = columns.rows
+    empty = [""] * n
+    errors: dict[int, MinirecError] = {}
+    ids: dict[str, SlotIds] = {}
+    dense: dict[str, np.ndarray] = {}
     for spec in specs:
+        cells = columns.cells.get(spec.source_columns[0], empty)
+        if spec.kind == "numeric_raw":
+            values = _numbers(cells, spec.name, errors)
+            dense[spec.name] = np.array([0.0 if v is None else v for v in values], dtype=np.float64)
+            continue
+        if spec.kind == "numeric_bucket":
+            values = _numbers(cells, spec.name, errors)
+            buckets = [bucketize(v, spec.boundaries) for v in values if v is not None]
+            counts = (v is not None for v in values)
+            ids[spec.name] = SlotIds(np.array(buckets, dtype=np.int64), _offsets(counts, n))
+            continue
         if spec.kind == "id":
-            cell = record.get(spec.source_columns[0], "")
-            fv.ids[spec.name] = (hash_id(cell, spec.vocab_size),) if cell else ()
-        elif spec.kind == "multi_id":
-            cell = record.get(spec.source_columns[0], "")
-            fv.ids[spec.name] = tuple(
-                hash_id(part, spec.vocab_size) for part in _split_multi(cell)
-            )
-        elif spec.kind == "numeric_bucket":
-            cell = record.get(spec.source_columns[0], "")
-            if not cell:
-                fv.ids[spec.name] = ()
+            values, counts = [c for c in cells if c], map(bool, cells)
+        else:
+            if spec.kind == "multi_id":
+                per_row = _split_cells(cells)
             else:
-                fv.ids[spec.name] = (bucketize(_parse_number(cell, spec.name), spec.boundaries),)
-        elif spec.kind == "numeric_raw":
-            cell = record.get(spec.source_columns[0], "")
-            fv.dense[spec.name] = _parse_number(cell, spec.name) if cell else 0.0
-        else:  # cross
-            col_a, col_b = spec.source_columns
-            a_vals = _split_multi(record.get(col_a, ""))
-            b_vals = _split_multi(record.get(col_b, ""))
-            fv.ids[spec.name] = tuple(
-                hash_id(raw, spec.vocab_size) for raw in cross_values(a_vals, b_vals)
-            )
-    return fv
+                per_row = _cross_cells(cells, columns.cells.get(spec.source_columns[1], empty))
+            values, counts = list(chain.from_iterable(per_row)), map(len, per_row)
+        ids[spec.name] = SlotIds(hash_ids(values, spec.vocab_size), _offsets(counts, n))
+    return FeatureBatch(n, ids, dense, errors)
 
 
 def record_from_json(obj: Mapping) -> dict[str, str]:
-    """A JSON object as a raw record: keys and non-string values through str()."""
-    return {str(k): v if isinstance(v, str) else str(v) for k, v in obj.items()}
+    """A JSON object as a raw record.
+
+    JSON null is an empty (missing) cell; other non-strings go through str().
+    """
+    return {str(k): v if isinstance(v, str) else "" if v is None else str(v) for k, v in obj.items()}
 
 
 def canonical_bytes(fv: FeatureVector) -> bytes:

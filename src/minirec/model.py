@@ -6,12 +6,14 @@ platform and scores survive the 32-bit serving wire format unchanged.
 
 The forward pass is split into `compute_parts` (per-slot pooled embedding
 and first-order sums) and `assemble` (FM + MLP + bias on top of the
-parts). Serving computes the user, item and cross slots' parts in
-separate calls and assembles them in one pass; its cache holds item
-features, not parts, so cached and uncached scores run the same float
-operations. Both work on N rows at once, and training's `backward` and
-the optimizer take a whole batch in one pass; every row gets the bits
-its own one-row pass would give.
+parts). Both `forward` and `compute_parts` read a `FeatureBatch`, whose
+per-slot CSR ids become the table rows each sample reads. Serving
+computes the user, item and cross slots' parts in separate calls and
+assembles them in one pass; its cache holds item features, not parts, so
+cached and uncached scores run the same float operations. Both work on
+N rows at once, and training's `backward` and the optimizer take a whole
+batch in one pass; every row gets the bits its own one-row pass would
+give.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     NonFinite,
     SlotMismatch,
 )
-from .features import FeatureSpec, FeatureVector
+from .features import FeatureBatch, FeatureSpec
 
 PROB_CLIP = 1e-7
 
@@ -223,17 +225,20 @@ def _sum_samples(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def id_rows(id_lists: Sequence[Sequence[int]], vocab_size: int) -> SlotRows:
-    """CSR rows of one hashed or bucketized slot; raises IndexOutOfRange on a bad id."""
-    flat = [i for ids in id_lists for i in ids]
-    if flat and (min(flat) < 0 or max(flat) >= vocab_size):
-        raise IndexOutOfRange(next(i for i in flat if not 0 <= i < vocab_size), vocab_size)
-    owner = [n for n, ids in enumerate(id_lists) for _ in ids]
+def csr_rows(ids: np.ndarray, offsets: np.ndarray, vocab_size: int) -> SlotRows:
+    """SlotRows of one hashed or bucketized slot from its int64 CSR ids.
+
+    Raises IndexOutOfRange on an id outside the slot's table.
+    """
+    # As unsigned, a negative id is larger than any vocab_size.
+    if len(ids) and ids.view(np.uint64).max() >= vocab_size:
+        raise IndexOutOfRange(int(ids[(ids < 0) | (ids >= vocab_size)][0]), vocab_size)
+    counts = offsets[1:] - offsets[:-1]
     return SlotRows(
-        ids=np.array(flat, dtype=np.intp),
-        owner=np.array(owner, dtype=np.intp),
-        value=np.ones(len(flat), dtype=_F32),
-        divisor=np.array([len(ids) or 1 for ids in id_lists], dtype=_F32),
+        ids=ids,
+        owner=np.arange(len(counts)).repeat(counts),
+        value=np.ones(len(ids), dtype=_F32),
+        divisor=np.maximum(counts, 1).astype(_F32),
     )
 
 
@@ -277,27 +282,30 @@ def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
 
 
 def _slot_rows(
-    params: ModelParams, fvs: Sequence[FeatureVector], specs: Sequence[FeatureSpec] | None = None
+    params: ModelParams, batch: FeatureBatch, specs: Sequence[FeatureSpec] | None = None
 ) -> dict[str, SlotRows]:
-    """Each slot's table rows over the samples `fvs`, ids range-checked.
+    """Each slot's table rows over the batch's samples, ids range-checked.
 
     A numeric_raw slot reads its single row 0 once per sample, weighted by
-    the raw value. `specs` restricts the result to a subset of the slots.
+    the raw value. `specs` restricts the result to a subset of the slots,
+    each of which the batch must hold.
     """
     known = set(params.slot_names)
-    for fv in fvs:
-        for name in (*fv.ids, *fv.dense):
-            if name not in known:
-                raise SlotMismatch(f"feature vector has undeclared slot {name!r}")
-    n = len(fvs)
+    for name in (*batch.ids, *batch.dense):
+        if name not in known:
+            raise SlotMismatch(f"feature batch has undeclared slot {name!r}")
+    n = len(batch)
     rows: dict[str, SlotRows] = {}
     for spec in params.specs if specs is None else specs:
+        held = batch.dense if spec.kind == "numeric_raw" else batch.ids
+        if spec.name not in held:
+            raise SlotMismatch(f"feature batch has no slot {spec.name!r}")
         if spec.kind == "numeric_raw":
-            value = np.array([fv.dense.get(spec.name, 0.0) for fv in fvs], dtype=_F32)
+            value = batch.dense[spec.name].astype(_F32)
             rows[spec.name] = SlotRows(np.zeros(n, np.intp), np.arange(n), value, np.ones(n, _F32))
         else:
             vocab_size = params.tensors[f"fo:{spec.name}"].shape[0]
-            rows[spec.name] = id_rows([fv.ids.get(spec.name, ()) for fv in fvs], vocab_size)
+            rows[spec.name] = csr_rows(*batch.ids[spec.name], vocab_size)
     return rows
 
 
@@ -320,9 +328,9 @@ def _pool(params: ModelParams, rows: dict[str, SlotRows]) -> dict[str, SlotPart]
 
 
 def compute_parts(
-    params: ModelParams, fvs: Sequence[FeatureVector], specs: Sequence[FeatureSpec] | None = None
+    params: ModelParams, batch: FeatureBatch, specs: Sequence[FeatureSpec] | None = None
 ) -> dict[str, SlotPart]:
-    """Per-slot pooled embeddings and first-order sums of N samples, stacked.
+    """Per-slot pooled embeddings and first-order sums of the batch's N samples, stacked.
 
     A slot's part depends only on that slot's features and tables, never
     on other slots, and a row's part never on the other rows. `specs`
@@ -331,7 +339,7 @@ def compute_parts(
     three calls, over features that may come from its item cache. Parts
     read the parameters, so they are computed afresh for every request.
     """
-    return _pool(params, _slot_rows(params, fvs, specs))
+    return _pool(params, _slot_rows(params, batch, specs))
 
 
 def _clip_probability(logit: float) -> float:
@@ -414,11 +422,11 @@ def assemble(
 
 def forward(
     params: ModelParams,
-    fvs: Sequence[FeatureVector],
+    batch: FeatureBatch,
     slot_scale: Mapping[str, float | np.ndarray] | None = None,
 ) -> ForwardTrace:
-    """Forward pass over N samples; one sample is a one-row batch."""
-    rows = _slot_rows(params, fvs)
+    """Forward pass over the batch's N samples; one sample is a one-row batch."""
+    rows = _slot_rows(params, batch)
     trace = assemble(params, _pool(params, rows), slot_scale)
     trace.rows = rows
     return trace

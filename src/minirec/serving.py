@@ -6,16 +6,19 @@ the tensors a message touches, and the server publishes it with a single
 reference swap. Readers never lock and never observe a half-applied
 message.
 
-The item cache stores each item's generated item-side features, keyed by
-the item key alone. Features do not depend on the parameters, so entries
-survive deltas; the cache assumes that an item's features are a pure
-function of its key. Cached or not, the features go through the same
-`compute_parts` and `assemble` calls, so cached and uncached scores are
-bit-identical.
+A request's features come from one columnar `generate` call per side:
+user, items, cross. The item cache stores each item's item-side features
+as a one-row batch, keyed by the item key alone, and a request
+concatenates its items' rows. Features do not depend on the parameters,
+so entries survive deltas; the cache assumes that an item's features are
+a pure function of its key. Cached or not, the features go through the
+same `compute_parts` and `assemble` calls, so cached and uncached scores
+are bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import threading
@@ -30,7 +33,7 @@ from .artifact import load_artifact
 from .config import PipelineConfig
 from .delta_stream import DeltaMessage, apply_delta, decode_delta
 from .errors import InvalidValue, MinirecError
-from .features import FeatureSpec, generate, record_from_json
+from .features import FeatureBatch, FeatureSpec, columns_of, generate, record_from_json, stack_rows
 from .model import ModelParams, SlotPart, assemble, compute_parts
 
 log = logging.getLogger("minirec.serving")
@@ -147,51 +150,78 @@ def score(
 ) -> ScoreResponse:
     """Score every item in the request against one parameter snapshot.
 
-    Item features come from the cache when it holds the item's key. The
-    user slots' parts are computed on one row and repeated to every item,
-    the item and cross slots' parts over all items, one call each; one
-    assemble pass follows, and no row's result depends on the others. A
-    per-item feature failure yields a null score in that position; a
-    user-side one raises. cache_hits counts item-side cache hits.
+    Features come from one `generate` call per request side: the user's
+    record as one row, the items' records (only when the cache misses one
+    of them), and the cross slots over every (user, item) record. A cached
+    item's features are its one-row batch; the request concatenates the
+    rows. The user slots' parts are computed on one row and repeated to
+    every item, the item and cross slots' parts over all items, one call
+    each; one assemble pass follows, and no row's result depends on the
+    others. A per-item feature failure yields a null score in that
+    position; a user-side one raises. cache_hits counts item-side cache
+    hits.
     """
     params = model.snapshot()
     part = model.partition
     user_record = record_from_json(request.get("user") or {})
-    user_fv = generate(user_record, part.user)
+    user = generate(columns_of([user_record], part.user), part.user)
+    if user.errors:
+        raise user.errors[0]
 
     items = request.get("items") or []
     scores: list[float | None] = [None] * len(items)
-    item_fvs, cross_fvs, positions = [], [], []
-    hits = 0
+    keys, item_records, positions = [], [], []
     for position, item in enumerate(items):
-        try:
-            if not isinstance(item, dict) or "key" not in item:
-                raise MinirecError("item entry needs a key")
-            item_record = record_from_json(item.get("features") or {})
-            if cache is not None:
-                item_fv, hit = cache.get_or_insert(
-                    str(item["key"]), lambda: generate(item_record, part.item)
-                )
-                hits += hit
-            else:
-                item_fv = generate(item_record, part.item)
-            cross_fv = generate({**user_record, **item_record}, part.cross)
-        except MinirecError:
+        if not isinstance(item, dict) or "key" not in item:
             continue
-        item_fvs.append(item_fv)
-        cross_fvs.append(cross_fv)
-        positions.append(position)
-    if positions:
-        n = len(positions)
+        features = item.get("features") or {}
+        if isinstance(features, dict):
+            keys.append(str(item["key"]))
+            item_records.append(record_from_json(features))
+            positions.append(position)
+
+    # The request's item features, generated once, on the first cache miss.
+    generated = functools.cache(lambda: generate(columns_of(item_records, part.item), part.item))
+
+    def item_row(k: int) -> FeatureBatch:
+        # A copy, not a view: a cached row must not keep the request's arrays alive.
+        batch = generated()
+        if k in batch.errors:
+            raise batch.errors[k]
+        return batch.take(np.array([k]))
+
+    hits, rows, failed = 0, {}, set()
+    if cache is None:
+        failed.update(generated().errors)
+    else:
+        for k, key in enumerate(keys):
+            try:
+                rows[k], hit = cache.get_or_insert(key, lambda: item_row(k))
+                hits += hit
+            except MinirecError:
+                failed.add(k)
+    cross = generate(columns_of([{**user_record, **r} for r in item_records], part.cross), part.cross)
+    valid = [k for k in range(len(keys)) if k not in failed and k not in cross.errors]
+    if valid:
+        if cache is not None:
+            item_batch = stack_rows([rows[k] for k in valid])
+        else:
+            item_batch = generated()
+        if len(valid) < len(keys):
+            index = np.array(valid, dtype=np.int64)
+            cross = cross.take(index)
+            if cache is None:
+                item_batch = item_batch.take(index)
+        n = len(valid)
         parts: dict[str, SlotPart] = {}
-        for name, p in compute_parts(params, [user_fv], part.user).items():
+        for name, p in compute_parts(params, user, part.user).items():
             pooled = None if p.pooled is None else np.repeat(p.pooled, n, axis=0)
             parts[name] = SlotPart(pooled, np.repeat(p.fo, n))
-        parts.update(compute_parts(params, item_fvs, part.item))
-        parts.update(compute_parts(params, cross_fvs, part.cross))
+        parts.update(compute_parts(params, item_batch, part.item))
+        parts.update(compute_parts(params, cross, part.cross))
         probabilities = assemble(params, parts).probability.tolist()
-        for position, probability in zip(positions, probabilities):
-            scores[position] = probability
+        for k, probability in zip(valid, probabilities):
+            scores[positions[k]] = probability
     return ScoreResponse(scores=scores, model_version=params.model_version, cache_hits=hits)
 
 

@@ -3,8 +3,13 @@
 Training is a pure function of (config, data bytes, seed). Three seeded
 RNG streams keep the sources of randomness independent and reproducible:
 [seed, 0] initializes parameters, [seed, 1] shuffles epochs, [seed, 2] is
-reserved for gate noise in feature selection. Feature vectors are
-generated once up front; epochs only permute indices.
+reserved for gate noise in feature selection.
+
+Features are generated once per file: `load_dataset` reads the CSV into
+columns and makes one `generate` call, whose FeatureBatch holds every
+row. Each epoch gathers that batch once in its shuffled order, and each
+step takes a contiguous row slice of the gathered batch, so no Python
+loop runs per row or per step.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import numpy as np
 from .artifact import ModelArtifact
 from .config import PipelineConfig
 from .delta_stream import DeltaAccumulator, emit_delta, encode_delta
-from .errors import DataError, IoError
-from .features import FeatureVector, generate
+from .errors import DataError, IoError, MinirecError, NonFinite
+from .features import Columns, FeatureBatch, generate
 from .model import (
     ModelParams,
     SparseGradient,
@@ -43,50 +48,81 @@ class TrainReport:
     deltas_emitted: int = 0
 
 
-def load_records(path: str, delimiter: str = ",") -> list[dict[str, str]]:
+def read_columns(path: str, delimiter: str = ",") -> Columns:
+    """A CSV file's columns by header name, data rows in file order.
+
+    Blank lines are skipped; a short row's missing cells are empty and a
+    long row's extra cells are dropped. When a name repeats in the
+    header, its last column wins.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=delimiter)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh, delimiter=delimiter)
+            header = next(reader, None)
+            if header is None:
                 raise DataError(0, "missing header row")
-            return [dict(row) for row in reader]
+            rows = [row for row in reader if row]
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}") from exc
+    width = len(header)
+    if any(len(row) != width for row in rows):
+        rows = [(row + [""] * width)[:width] for row in rows]
+    cells = dict(zip(header, zip(*rows))) if rows else {name: () for name in header}
+    return Columns(len(rows), cells)
 
 
-def load_dataset(cfg: PipelineConfig, path: str) -> tuple[list[FeatureVector], np.ndarray]:
-    """Read a CSV and generate features once; labels as a 0/1 array."""
-    d = cfg.data_config
-    records = load_records(path, d.delimiter)
-    fvs: list[FeatureVector] = []
-    labels = np.zeros(len(records), dtype=np.int64)
-    for i, record in enumerate(records):
-        row = i + 1
-        text = record.get(d.label_column)
-        if text is None:
-            raise DataError(row, f"missing label column {d.label_column!r}")
+def raise_first_error(errors: Mapping[int, MinirecError]) -> None:
+    """Raise the lowest failing row's error, as a DataError naming its 1-based data row."""
+    if errors:
+        row = min(errors)
+        error = errors[row]
+        raise error if isinstance(error, DataError) else DataError(row + 1, str(error))
+
+
+def _labels(texts: Sequence[str], errors: dict[int, MinirecError]) -> np.ndarray:
+    """0/1 labels as int64; a row whose label is not 0 or 1 gets an error."""
+    labels = np.zeros(len(texts), dtype=np.int64)
+    for i, text in enumerate(texts):
         try:
             value = float(text)
         except ValueError:
-            raise DataError(row, f"non-numeric label {text!r}") from None
+            errors[i] = DataError(i + 1, f"non-numeric label {text!r}")
+            continue
         if value not in (0.0, 1.0):
-            raise DataError(row, f"label must be 0 or 1, got {text!r}")
+            errors[i] = DataError(i + 1, f"label must be 0 or 1, got {text!r}")
+            continue
         labels[i] = int(value)
-        fvs.append(generate(record, cfg.feature_config))
-    return fvs, labels
+    return labels
 
 
-def score_all(params: ModelParams, fvs: list[FeatureVector]) -> list[float]:
+def load_dataset(cfg: PipelineConfig, path: str) -> tuple[FeatureBatch, np.ndarray]:
+    """Read a CSV and generate its features in one call; labels as a 0/1 array.
+
+    The lowest bad row raises DataError; within a row the label is
+    checked before the features.
+    """
+    d = cfg.data_config
+    columns = read_columns(path, d.delimiter)
+    if columns.rows and d.label_column not in columns.cells:
+        raise DataError(1, f"missing label column {d.label_column!r}")
+    batch = generate(columns, cfg.feature_config)
+    label_errors: dict[int, MinirecError] = {}
+    labels = _labels(columns.cells.get(d.label_column, ()), label_errors)
+    raise_first_error({**batch.errors, **label_errors})
+    return batch, labels
+
+
+def score_all(params: ModelParams, batch: FeatureBatch) -> list[float]:
     """Probabilities of every row, assembled in one pass; each equals its own `forward`."""
-    if not fvs:
+    if not len(batch):
         return []
-    return assemble(params, compute_parts(params, fvs)).probability.tolist()
+    return assemble(params, compute_parts(params, batch)).probability.tolist()
 
 
 def evaluate_params(
-    cfg: PipelineConfig, params: ModelParams, fvs: list[FeatureVector], labels: np.ndarray
+    cfg: PipelineConfig, params: ModelParams, batch: FeatureBatch, labels: np.ndarray
 ) -> dict[str, float]:
-    scores = score_all(params, fvs)
+    scores = score_all(params, batch)
     metrics = evaluate_metrics(scores, labels.tolist())
     return {name: metrics[name] for name in cfg.eval_config.metrics}
 
@@ -94,20 +130,27 @@ def evaluate_params(
 def train_step(
     params: ModelParams,
     optimizer: AdamOptimizer,
-    batch: Sequence[tuple[FeatureVector, int]],
+    batch: FeatureBatch,
+    labels: np.ndarray,
+    rows: np.ndarray,
     reg: float,
     slot_scale: Mapping[str, np.ndarray] | None = None,
 ) -> SparseGradient:
     """One optimizer step on the batch's mean gradient, which it returns.
 
     The whole batch goes through one forward and one backward call.
-    slot_scale, when given, holds each slot's per-sample scales (the
-    feature-selection gates). forward and backward are looked up in this
-    module, so wrappers installed on trainer.forward/backward see every
-    training batch of both loops.
+    `rows` holds the batch's 1-based data row numbers; if any logit is
+    not finite, NonFinite names them and nothing is updated. slot_scale,
+    when given, holds each slot's per-sample scales (the feature-selection
+    gates). forward and backward are looked up in this module, so wrappers
+    installed on trainer.forward/backward see every training batch of
+    both loops.
     """
-    trace = forward(params, [fv for fv, _ in batch], slot_scale)
-    grad = backward(trace, [label for _, label in batch], reg)
+    trace = forward(params, batch, slot_scale)
+    finite = np.isfinite(trace.logit)
+    if not finite.all():
+        raise NonFinite(float(trace.logit[~finite][0]), rows=rows.tolist())
+    grad = backward(trace, labels, reg)
     optimizer.apply(params, grad)
     return grad
 
@@ -144,17 +187,19 @@ def train(
     acc = DeltaAccumulator()
     report = TrainReport()
 
-    fvs, labels = load_dataset(cfg, effective_train) if t.num_epochs > 0 else ([], np.zeros(0))
+    data, labels = load_dataset(cfg, effective_train) if t.num_epochs > 0 else (None, np.zeros(0))
     eval_data = None
     if effective_eval:
         eval_data = load_dataset(cfg, effective_eval)
 
     reg = cfg.model_config.embedding_regularization
     for epoch in range(1, t.num_epochs + 1):
-        order = shuffle_rng.permutation(len(fvs))
+        order = shuffle_rng.permutation(len(labels))
+        shuffled, shuffled_labels, rows = data.take(order), labels[order], order + 1
         for start in range(0, len(order), t.batch_size):
-            batch = [(fvs[i], int(labels[i])) for i in order[start : start + t.batch_size]]
-            acc.add(train_step(params, optimizer, batch, reg))
+            stop = min(start + t.batch_size, len(order))
+            step = shuffled.slice(start, stop)
+            acc.add(train_step(params, optimizer, step, shuffled_labels[start:stop], rows[start:stop], reg))
             report.steps += 1
             if sink is not None and report.steps % t.delta_period_steps == 0:
                 sink.publish(encode_delta(emit_delta(acc, params)))

@@ -1,7 +1,8 @@
 """Shared oracles and data builders for the test suite.
 
 Everything here is an independent re-computation: reference hashes via
-functools.reduce, AUC by explicit pair counting, the forward pass as a
+functools.reduce, the feature generator one record at a time, AUC by
+explicit pair counting, the forward pass as a
 straight-line float64 program, the float32 training step one sample at a
 time, a naive list-based LRU, an unchecked in-place delta replay, and the
 stream join as a time-sorted batch program. None of it shares code with
@@ -16,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from minirec.config import parse_config
-from minirec.errors import IndexOutOfRange, MalformedEvent
+from minirec.errors import IndexOutOfRange, InvalidValue, MalformedEvent
 from minirec.sample_stream import Event, JoinStats, LabeledSample, parse_event
 
 
@@ -43,6 +44,67 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & U64
         out.append(z ^ (z >> 31))
     return out
+
+
+# ---------------------------------------------------------------------
+# Per-record feature generation: the columnar generator's oracle
+# ---------------------------------------------------------------------
+
+class ReferenceFeatures:
+    """One record's features: `ids` per hashed or bucketized slot, `dense` per numeric_raw slot."""
+
+    def __init__(self):
+        self.ids = {}
+        self.dense = {}
+
+
+def _reference_number(text, slot):
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidValue(slot, f"non-numeric text {text!r}") from None
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float32(value)):
+            raise InvalidValue(slot, f"{text!r} is not finite as a float32")
+    return value
+
+
+def _reference_parts(cell):
+    return [part for part in cell.split("|") if part] if cell else []
+
+
+def generate_reference(record, specs):
+    """Features of one record, slot by slot; the first failing slot raises.
+
+    FNV-1a 64 of each value's UTF-8 bytes modulo vocab_size; multi_id
+    parts left to right, empty parts skipped; crosses joined by 0x01 in
+    a-major order, the first 100 kept; a bucket is the count of
+    boundaries <= the value; a number must be finite as a float32.
+    """
+    fv = ReferenceFeatures()
+    for spec in specs:
+        cell = record.get(spec.source_columns[0], "")
+        if spec.kind == "numeric_raw":
+            fv.dense[spec.name] = _reference_number(cell, spec.name) if cell else 0.0
+            continue
+        if spec.kind == "numeric_bucket":
+            if cell:
+                value = _reference_number(cell, spec.name)
+                fv.ids[spec.name] = (sum(1 for b in spec.boundaries if value >= b),)
+            else:
+                fv.ids[spec.name] = ()
+            continue
+        if spec.kind == "id":
+            values = [cell] if cell else []
+        elif spec.kind == "multi_id":
+            values = _reference_parts(cell)
+        else:
+            other = record.get(spec.source_columns[1], "")
+            values = [a + "\x01" + b for a in _reference_parts(cell) for b in _reference_parts(other)]
+            values = values[:100]
+        fv.ids[spec.name] = tuple(fnv1a64_reference(v.encode("utf-8")) % spec.vocab_size
+                                  for v in values)
+    return fv
 
 
 # ---------------------------------------------------------------------

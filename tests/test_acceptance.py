@@ -34,7 +34,7 @@ from minirec.delta_stream import (
     open_publisher,
 )
 from minirec.errors import ChecksumError, FormatError
-from minirec.features import FeatureSpec, FeatureVector, canonical_bytes, generate
+from minirec.features import FeatureSpec, FeatureVector, canonical_bytes, columns_of, generate
 from minirec.hpo import run_search
 from minirec.model import (
     copy_params,
@@ -60,6 +60,7 @@ from helpers import (
     LruSimulator,
     batch_join_reference,
     event_time_of,
+    generate_reference,
     informative_feature_config,
     make_config,
     mean_logloss,
@@ -146,17 +147,20 @@ def test_criterion_01_feature_consistency(tmp_path):
         assert [s.name for s in part.item] == ["item_id", "item_cats", "item_price"]
         assert [s.name for s in part.cross] == ["user_x_item"]
 
-        for rec, off in zip(records, offline):
+        for i, rec in enumerate(records):
+            off = offline.row(i)
             user_rec = {k: v for k, v in rec.items() if k.startswith("user_")}
             item_rec = {k: v for k, v in rec.items() if k.startswith("item_")}
             sides = [
-                generate(user_rec, part.user),
-                generate(item_rec, part.item),
-                generate({**user_rec, **item_rec}, part.cross),
+                generate(columns_of([record], specs), specs).row(0)
+                for record, specs in ((user_rec, part.user), (item_rec, part.item),
+                                      ({**user_rec, **item_rec}, part.cross))
             ]
             online = FeatureVector(ids={k: v for fv in sides for k, v in fv.ids.items()},
                                    dense={k: v for fv in sides for k, v in fv.dense.items()})
             assert canonical_bytes(off) == canonical_bytes(online)
+            assert canonical_bytes(off) == canonical_bytes(
+                generate_reference(rec, cfg.feature_config))
 
 
 # ---------------------------------------------------------------------
@@ -175,11 +179,12 @@ def _smooth_setup(cfg, seed):
         params = init_params(cfg, np.random.default_rng([seed, 0]))
         for arr in params.tensors.values():
             arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
-        fv = generate(_random_record(rng), cfg.feature_config)
+        specs = cfg.feature_config
+        batch = generate(columns_of([_random_record(rng)], specs), specs)
         label = int(rng.integers(2))
-        hidden = forward(params, [fv]).pre_activations[:-1]
+        hidden = forward(params, batch).pre_activations[:-1]
         if all(float(np.min(np.abs(p))) > 0.05 for p in hidden):
-            return params, fv, label
+            return params, batch, label
     raise AssertionError(f"no smooth setup found for seed {seed}")
 
 
@@ -187,9 +192,9 @@ def test_criterion_02_gradient_exactness(tmp_path):
     with criterion(2, "gradient exactness", 30):
         cfg = _three_slot_config(tmp_path)
         for seed in range(20):
-            params, fv, label = _smooth_setup(cfg, seed)
+            params, batch, label = _smooth_setup(cfg, seed)
             reg = float(np.random.default_rng([seed, 99]).choice([0.0, 0.01]))
-            _fd_check(params, cfg, fv, label, reg, tol=1e-3, floor=1e-6)
+            _fd_check(params, cfg, batch, label, reg, tol=1e-3, floor=1e-6)
 
 
 # ---------------------------------------------------------------------
@@ -261,7 +266,7 @@ def test_criterion_04_delta_sparsity(tmp_path):
             order = shuffle.permutation(len(fvs))
             for start in range(0, len(order), batch):
                 for idx in order[start:start + batch]:
-                    for name, ids in fvs[idx].ids.items():
+                    for name, ids in fvs.row(idx).ids.items():
                         for row in ids:
                             current.add((emb_index[name], int(row)))
                             current.add((emb_index[name] + 1, int(row)))
@@ -352,9 +357,9 @@ def test_criterion_05_update_freshness(tmp_path):
                 assert status == 200
                 assert payload["model_version"] == final_version
                 for key, got in zip(keys, payload["scores"]):
-                    fv = generate({"user_id": user, "item_id": key},
-                                  cfg.feature_config)
-                    want = float(forward(artifact.params, [fv]).probability[0])
+                    record = {"user_id": user, "item_id": key}
+                    batch = generate(columns_of([record], cfg.feature_config), cfg.feature_config)
+                    want = float(forward(artifact.params, batch).probability[0])
                     assert abs(got - want) <= 1e-6
         finally:
             handle.shutdown()
@@ -749,6 +754,7 @@ def test_criterion_12_training_quality(tmp_path):
         assert report.final_metrics["auc"] >= 0.95
 
         fvs, labels = load_dataset(cfg, cfg.data_config.eval_path)
-        scores = [float(forward(artifact.params, [fv]).probability[0]) for fv in fvs]
+        scores = [float(forward(artifact.params, fvs.slice(i, i + 1)).probability[0])
+                  for i in range(len(fvs))]
         assert report.final_metrics["auc"] == pairwise_auc(scores, labels.tolist())
         assert report.final_metrics["logloss"] == mean_logloss(scores, labels.tolist())

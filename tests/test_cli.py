@@ -14,6 +14,7 @@ from minirec.model import forward
 from helpers import (
     config_dict,
     informative_feature_config,
+    write_csv,
     write_informative_dataset,
     write_logistic_dataset,
 )
@@ -108,9 +109,9 @@ class TestExportAndPredict:
         assert summary["rows"] == 150
 
         art = load_artifact(str(model_dir / "model.erm"))
-        records = trainer.load_records(str(eval_csv))
-        want = [float(forward(art.params, [generate(r, art.config.feature_config)]).probability[0])
-                for r in records]
+        batch = generate(trainer.read_columns(str(eval_csv)), art.config.feature_config)
+        want = [float(forward(art.params, batch.slice(i, i + 1)).probability[0])
+                for i in range(len(batch))]
         got = [float(line) for line in scores_path.read_text().splitlines()]
         assert got == want
 
@@ -294,3 +295,25 @@ class TestExitCodes:
         code, _ = _run(capsys, [
             "eval", "-c", str(workspace), "--model", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["train", "predict-file"])
+    def test_feature_error_names_its_row(self, tmp_path, capsys, command):
+        features = [{"name": "user_age", "kind": "numeric_bucket", "source_columns": ["user_age"],
+                     "boundaries": [18, 30]}]
+        rows = [[1, "20"], [0, "41"], [1, ""], [0, "abc"], [1, "1e300"]]
+        write_csv(tmp_path / "train.csv", ["label", "user_age"], rows)
+        write_csv(tmp_path / "eval.csv", ["label", "user_age"], rows[:3])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_dict(tmp_path, feature_config=features)))
+        if command == "train":
+            argv = ["train", "-c", str(config), "--model-dir", str(tmp_path / "model")]
+        else:
+            assert main(["export", "-c", str(config), "--model-dir", str(tmp_path / "model")]) == 0
+            argv = ["predict-file", "--model", str(tmp_path / "model" / "model.erm"),
+                    "--input", str(tmp_path / "train.csv"), "--out", str(tmp_path / "scores.txt")]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad data row 4" in err and "'user_age'" in err and "'abc'" in err
+        assert "Traceback" not in err

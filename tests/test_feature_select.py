@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from minirec.features import FeatureSpec, generate
+from minirec.features import FeatureSpec, columns_of, generate
 from minirec.feature_select import (
     GateParams,
     gate_value,
@@ -71,9 +71,10 @@ class TestGatedForward:
     def test_unit_gates_reduce_to_plain_forward(self, tmp_path):
         cfg = _gate_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([40, 0]))
-        fv = generate({"alpha": "a1", "beta": "b2", "gamma": "c3"}, cfg.feature_config)
-        plain = forward(params, [fv])
-        parts = compute_parts(params, [fv])
+        specs = cfg.feature_config
+        batch = generate(columns_of([{"alpha": "a1", "beta": "b2", "gamma": "c3"}], specs), specs)
+        plain = forward(params, batch)
+        parts = compute_parts(params, batch)
         scale = {spec.name: 1.0 for spec in cfg.feature_config}
         gated = assemble(params, parts, slot_scale=scale)
         assert float(gated.probability[0]) == pytest.approx(float(plain.probability[0]), abs=1e-6)
@@ -81,12 +82,13 @@ class TestGatedForward:
     def test_zero_gate_silences_slot(self, tmp_path):
         cfg = _gate_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([41, 0]))
-        fv = generate({"alpha": "a1", "beta": "b2", "gamma": "c3"}, cfg.feature_config)
-        absent = generate({"beta": "b2", "gamma": "c3"}, cfg.feature_config)
-        parts = compute_parts(params, [fv])
+        specs = cfg.feature_config
+        batch = generate(columns_of([{"alpha": "a1", "beta": "b2", "gamma": "c3"}], specs), specs)
+        absent = generate(columns_of([{"beta": "b2", "gamma": "c3"}], specs), specs)
+        parts = compute_parts(params, batch)
         scale = {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
         gated = assemble(params, parts, slot_scale=scale)
-        plain = forward(params, [absent])
+        plain = forward(params, absent)
         assert float(gated.probability[0]) == pytest.approx(float(plain.probability[0]), abs=1e-6)
 
 
@@ -98,7 +100,9 @@ class TestGateGradient:
         for spec in cfg.feature_config:
             params.tensors[f"emb:{spec.name}"] += np.random.default_rng(1).normal(
                 0, 0.2, params.tensors[f"emb:{spec.name}"].shape).astype(np.float32)
-        fv = generate({"alpha": "a5", "beta": "b1", "gamma": "c9"}, cfg.feature_config)
+        specs = cfg.feature_config
+        batch = generate(columns_of([{"alpha": "a5", "beta": "b1", "gamma": "c9"}], specs), specs)
+        fv = batch.row(0)
         tau, lambda_g = 0.5, 1e-3
         rng = np.random.default_rng(43)
         for label in (0, 1):
@@ -113,7 +117,7 @@ class TestGateGradient:
                 return loss + lambda_g * penalty
 
             scale = {n: gate_value(log_alpha[n], u[n], tau) for n in log_alpha}
-            trace = forward(params, [fv], slot_scale=scale)
+            trace = forward(params, batch, slot_scale=scale)
             grad = backward(trace, [label], 0.0)
             h = 1e-4
             for name in log_alpha:

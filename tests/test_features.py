@@ -13,16 +13,19 @@ from minirec.features import (
     FeatureSpec,
     bucketize,
     canonical_bytes,
+    columns_of,
     cross_values,
     fnv1a64,
     generate,
-    hash_id,
+    hash_ids,
+    record_from_json,
+    stack_rows,
 )
 from minirec.model import init_params
 from minirec.sample_stream import JoinConfig, run_pipeline
-from minirec.trainer import load_records
+from minirec.trainer import read_columns
 
-from helpers import fnv1a64_reference, make_config
+from helpers import fnv1a64_reference, generate_reference, make_config
 
 
 class TestFnv1a64:
@@ -47,24 +50,34 @@ class TestFnv1a64:
 
 
 class TestHashId:
+    """hash_ids over short lists (hashed one by one) and long ones (byte position by position)."""
+
     def test_empty_string(self):
-        assert hash_id("", 1000) == 0xCBF29CE484222325 % 1000
+        for count in (1, 60):
+            assert hash_ids([""] * count, 1000).tolist() == [0xCBF29CE484222325 % 1000] * count
 
     def test_single_character(self):
-        assert hash_id("a", 997) == 0xAF63DC4C8601EC8C % 997
+        for count in (1, 60):
+            assert hash_ids(["a"] * count, 997).tolist() == [0xAF63DC4C8601EC8C % 997] * count
 
     def test_deterministic(self):
-        assert hash_id("u1", 500) == hash_id("u1", 500)
+        values = [f"u{i}" for i in range(100)]
+        assert hash_ids(values, 500).tolist() == hash_ids(values, 500).tolist()
+        assert hash_ids(values, 500).tolist()[:3] == hash_ids(values[:3], 500).tolist()
 
     def test_str_and_bytes_agree(self):
-        assert hash_id("value", 100) == hash_id(b"value", 100)
+        values = ["value", "é\x00", "日本"]
+        want = [fnv1a64(v.encode("utf-8")) % 100 for v in values]
+        assert hash_ids(values, 100).tolist() == want
+        assert hash_ids(values * 30, 100).tolist() == want * 30
 
     def test_always_below_vocab(self):
         rng = np.random.default_rng(9)
-        for _ in range(500):
+        for _ in range(50):
             vocab = int(rng.integers(2, 10_000))
-            raw = f"tok{rng.integers(1_000_000)}"
-            assert 0 <= hash_id(raw, vocab) < vocab
+            values = [f"tok{i}" for i in rng.integers(1_000_000, size=int(rng.integers(1, 200)))]
+            ids = hash_ids(values, vocab)
+            assert ids.dtype == np.int64 and ((0 <= ids) & (ids < vocab)).all()
 
 
 class TestBucketize:
@@ -129,51 +142,63 @@ def _specs():
     )
 
 
+def _hash(raw, vocab_size):
+    return fnv1a64_reference(raw.encode("utf-8")) % vocab_size
+
+
+def _one(record, specs):
+    """One record's features through the columnar generator; its error raises."""
+    batch = generate(columns_of([record], specs), specs)
+    if batch.errors:
+        raise batch.errors[0]
+    return batch.row(0)
+
+
 class TestGenerate:
     def test_id_slot_uses_hash(self):
-        fv = generate({"user": "u1"}, _specs()[:1])
-        assert fv.ids["user_id"] == (hash_id("u1", 1000),)
+        fv = _one({"user": "u1"}, _specs()[:1])
+        assert fv.ids["user_id"] == (_hash("u1", 1000),)
 
     def test_missing_column_gives_empty_ids(self):
-        fv = generate({}, _specs()[:1])
+        fv = _one({}, _specs()[:1])
         assert fv.ids["user_id"] == ()
 
     def test_missing_numeric_raw_gives_zero(self):
-        fv = generate({}, _specs()[3:4])
+        fv = _one({}, _specs()[3:4])
         assert fv.dense["age"] == 0.0
 
     def test_multi_id_keeps_duplicates(self):
-        fv = generate({"tags": "a|b|a"}, _specs()[1:2])
-        expect = (hash_id("a", 64), hash_id("b", 64), hash_id("a", 64))
+        fv = _one({"tags": "a|b|a"}, _specs()[1:2])
+        expect = (_hash("a", 64), _hash("b", 64), _hash("a", 64))
         assert fv.ids["tags"] == expect
 
     def test_multi_id_skips_empty_segments(self):
-        fv = generate({"tags": "a||b|"}, _specs()[1:2])
-        assert fv.ids["tags"] == (hash_id("a", 64), hash_id("b", 64))
+        fv = _one({"tags": "a||b|"}, _specs()[1:2])
+        assert fv.ids["tags"] == (_hash("a", 64), _hash("b", 64))
 
     def test_bucket_slot(self):
-        fv = generate({"price": "15"}, _specs()[2:3])
+        fv = _one({"price": "15"}, _specs()[2:3])
         assert fv.ids["price_bucket"] == (2,)
 
     def test_cross_slot(self):
-        fv = generate({"user": "u1", "item": "i9"}, _specs()[4:])
+        fv = _one({"user": "u1", "item": "i9"}, _specs()[4:])
         raw = "u1" + CROSS_SEPARATOR + "i9"
-        assert fv.ids["user_x_item"] == (hash_id(raw, 4096),)
+        assert fv.ids["user_x_item"] == (_hash(raw, 4096),)
 
     def test_non_numeric_text_rejected(self):
         with pytest.raises(InvalidValue):
-            generate({"price": "cheap"}, _specs()[2:3])
+            _one({"price": "cheap"}, _specs()[2:3])
         with pytest.raises(InvalidValue):
-            generate({"age": "old"}, _specs()[3:4])
+            _one({"age": "old"}, _specs()[3:4])
 
     def test_slot_order_independence(self):
         """Each slot's output only depends on its own spec and columns."""
         record = {"user": "u7", "tags": "x|y", "price": "3", "age": "41", "item": "i2"}
         specs = _specs()
-        forward = generate(record, specs)
-        backward = generate(record, tuple(reversed(specs)))
+        forward = _one(record, specs)
+        backward = _one(record, tuple(reversed(specs)))
         shuffled_order = [2, 4, 0, 3, 1]
-        shuffled = generate(record, tuple(specs[i] for i in shuffled_order))
+        shuffled = _one(record, tuple(specs[i] for i in shuffled_order))
         for spec in specs:
             assert forward.ids.get(spec.name) == backward.ids.get(spec.name)
             assert forward.ids.get(spec.name) == shuffled.ids.get(spec.name)
@@ -191,7 +216,7 @@ class TestGenerate:
                 "age": str(float(rng.uniform(0, 99))),
                 "item": f"i{rng.integers(100000)}",
             }
-            fv = generate(record, specs)
+            fv = _one(record, specs)
             for spec in specs:
                 limit = spec.table_vocab_size
                 for row in fv.ids.get(spec.name, ()):
@@ -201,21 +226,21 @@ class TestGenerate:
 class TestCanonicalBytes:
     def test_deterministic_across_calls(self):
         record = {"user": "u1", "tags": "a|b", "price": "7", "age": "30", "item": "i1"}
-        one = canonical_bytes(generate(record, _specs()))
-        two = canonical_bytes(generate(record, _specs()))
+        one = canonical_bytes(_one(record, _specs()))
+        two = canonical_bytes(_one(record, _specs()))
         assert one == two
 
     def test_differs_on_different_input(self):
         specs = _specs()[:1]
-        one = canonical_bytes(generate({"user": "u1"}, specs))
-        two = canonical_bytes(generate({"user": "u2"}, specs))
+        one = canonical_bytes(_one({"user": "u1"}, specs))
+        two = canonical_bytes(_one({"user": "u2"}, specs))
         assert one != two
 
     def test_slot_eval_order_invisible(self):
         record = {"user": "u1", "tags": "a", "price": "7", "age": "30", "item": "i1"}
         specs = _specs()
-        assert canonical_bytes(generate(record, specs)) == canonical_bytes(
-            generate(record, tuple(reversed(specs)))
+        assert canonical_bytes(_one(record, specs)) == canonical_bytes(
+            _one(record, tuple(reversed(specs)))
         )
 
 
@@ -262,17 +287,185 @@ class TestJsonRecords:
         (tmp_path / "events.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events))
         run_pipeline(str(tmp_path / "events.jsonl"), JoinConfig(label_window_ms=5),
                      str(tmp_path / "samples.csv"))
-        (row,) = load_records(str(tmp_path / "samples.csv"))
-        joined = generate(row, cfg.feature_config)
+        columns = read_columns(str(tmp_path / "samples.csv"))
+        assert columns.rows == 1
+        joined = generate(columns, cfg.feature_config).row(0)
 
         served = []
 
-        def spy(record, specs):
-            served.append(generate(record, specs))
+        def spy(columns, specs):
+            served.append(generate(columns, specs))
             return served[-1]
 
         monkeypatch.setattr(serving, "generate", spy)
         request = json.loads(json.dumps({"user": self.VALUES, "items": [{"key": "a"}]}))
         model = serving.ServingModel(init_params(cfg, np.random.default_rng(0)), cfg)
         assert serving.score(model, request).scores[0] is not None
-        assert canonical_bytes(served[0]) == canonical_bytes(joined)
+        assert canonical_bytes(served[0].row(0)) == canonical_bytes(joined)
+
+
+_ORACLE_SPECS = (
+    FeatureSpec(name="uid", kind="id", source_columns=("u",), vocab_size=997),
+    FeatureSpec(name="tags", kind="multi_id", source_columns=("t",), vocab_size=61),
+    FeatureSpec(name="age", kind="numeric_bucket", source_columns=("n",),
+                boundaries=(-1.0, 0.0, 2.5, 1e30)),
+    FeatureSpec(name="price", kind="numeric_raw", source_columns=("p",)),
+    FeatureSpec(name="u_x_t", kind="cross", source_columns=("u", "t"), vocab_size=4099),
+    FeatureSpec(name="t_x_v", kind="cross", source_columns=("t", "v"), vocab_size=2),
+)
+
+_PIECES = ["a", "b", "zz", "\x00", "é", "日本", "\U0001F600", "\x01", " ", "-"]
+_NUMBERS = ["", "0", "-0", "2.5", "1e30", "-7.25", "abc", "1e300", "-1e300", "nan", "inf",
+            "-inf", "1_000", " 3 ", "3.4028235e38", "3.4028236e38", "-3.40282357e38", "1e-320"]
+
+
+def _random_cell(rng, parts=1):
+    cells = []
+    for _ in range(parts):
+        cells.append("".join(rng.choice(_PIECES) for _ in range(int(rng.integers(0, 4)))))
+    return "|".join(cells)
+
+
+def _oracle_record(rng):
+    """A record over the oracle specs' columns: empty, multi-valued, non-ASCII, NUL, long, bad."""
+    record = {}
+    for column in ("u", "t", "v"):
+        shape = rng.random()
+        if shape < 0.1:
+            continue  # absent column
+        if shape < 0.2:
+            record[column] = ""
+        elif shape < 0.5:
+            record[column] = _random_cell(rng, int(rng.integers(2, 5)))
+        elif shape < 0.55:
+            # at and past MAX_CROSS_COMBINATIONS with the other column
+            record[column] = "|".join(f"{column}{i}" for i in range(int(rng.integers(9, 13))))
+        elif shape < 0.6:
+            record[column] = "L" * int(rng.integers(20, 300))  # outlasts the vectorized bytes
+        else:
+            record[column] = _random_cell(rng)
+    for column in ("n", "p"):
+        if rng.random() < 0.9:
+            record[column] = str(rng.choice(_NUMBERS)) if rng.random() < 0.5 else repr(
+                float(rng.normal(0.0, 10.0)))
+    return record
+
+
+def _oracle_outcome(record, specs):
+    try:
+        return canonical_bytes(generate_reference(record, specs))
+    except InvalidValue as exc:
+        return type(exc)
+
+
+class TestColumnarMatchesOracle:
+    """Every row of a columnar batch equals the per-record oracle: features or error class."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_match_oracle(self, seed):
+        rng = np.random.default_rng([77, seed])
+        records = [_oracle_record(rng) for _ in range(400)]
+        batch = generate(columns_of(records, _ORACLE_SPECS), _ORACLE_SPECS)
+        assert len(batch) == len(records)
+        kinds = set()
+        for i, record in enumerate(records):
+            want = _oracle_outcome(record, _ORACLE_SPECS)
+            got = type(batch.errors[i]) if i in batch.errors else canonical_bytes(batch.row(i))
+            assert got == want, (i, record)
+            kinds.add("error" if i in batch.errors else "ok")
+        assert kinds == {"error", "ok"}
+        # Without '|' anywhere every cell is one value, crosses included.
+        single = [{k: v.replace("|", "") for k, v in r.items()} for r in records]
+        batch = generate(columns_of(single, _ORACLE_SPECS), _ORACLE_SPECS)
+        for i, record in enumerate(single):
+            got = type(batch.errors[i]) if i in batch.errors else canonical_bytes(batch.row(i))
+            assert got == _oracle_outcome(record, _ORACLE_SPECS), (i, record)
+
+    def test_capped_crosses_and_one_row_calls(self):
+        wide = "|".join(f"w{i}" for i in range(11))
+        records = [{"u": wide, "t": "|".join(f"t{i}" for i in range(10))},
+                   {"u": wide, "t": "|".join(f"t{i}" for i in range(9))},
+                   {"u": "x", "t": "||"}, {}]
+        batch = generate(columns_of(records, _ORACLE_SPECS), _ORACLE_SPECS)
+        assert [len(batch.row(i).ids["u_x_t"]) for i in range(4)] == [100, 99, 0, 0]
+        for i, record in enumerate(records):
+            alone = generate(columns_of([record], _ORACLE_SPECS), _ORACLE_SPECS)
+            assert canonical_bytes(alone.row(0)) == canonical_bytes(batch.row(i))
+            assert canonical_bytes(alone.row(0)) == _oracle_outcome(record, _ORACLE_SPECS)
+
+    def test_first_failing_slot_names_the_error(self):
+        records = [{"n": "abc", "p": "1e300"}, {"n": "1", "p": "1e300"}]
+        batch = generate(columns_of(records, _ORACLE_SPECS), _ORACLE_SPECS)
+        assert batch.errors[0].path == "age" and batch.errors[1].path == "price"
+
+    def test_float32_limit(self):
+        limit = 2.0**128 - 2.0**103
+        below = float(np.nextafter(limit, 0.0))
+        for value in (below, -below, limit, -limit, 1e300):
+            batch = generate(columns_of([{"p": repr(value)}], _ORACLE_SPECS[3:4]), _ORACLE_SPECS[3:4])
+            with np.errstate(over="ignore"):
+                finite = bool(np.isfinite(np.float32(value)))
+            assert (0 not in batch.errors) == finite, value
+            if finite:
+                assert batch.row(0).dense["price"] == value
+
+
+class TestBatchRows:
+    """slice, take and stack_rows move whole rows: each row keeps its own features."""
+
+    def _batch(self, seed, n=60):
+        rng = np.random.default_rng(seed)
+        records = [_oracle_record(rng) for _ in range(n)]
+        return generate(columns_of(records, _ORACLE_SPECS), _ORACLE_SPECS)
+
+    @staticmethod
+    def _rows(batch):
+        return [canonical_bytes(batch.row(i)) for i in range(len(batch))]
+
+    def test_slice_take_stack(self):
+        batch = self._batch(5)
+        rows = self._rows(batch)
+        assert self._rows(batch.slice(7, 31)) == rows[7:31]
+        assert self._rows(batch.slice(4, 4)) == []
+        order = np.random.default_rng(6).permutation(len(batch))
+        assert self._rows(batch.take(order)) == [rows[i] for i in order]
+        assert self._rows(batch.take(np.array([3, 3, 0]))) == [rows[3], rows[3], rows[0]]
+        stacked = stack_rows([batch.slice(i, i + 1) for i in range(len(batch))])
+        assert self._rows(stacked) == rows
+        assert stacked.errors.keys() == batch.errors.keys()
+        for name, slot in stacked.ids.items():
+            assert np.array_equal(slot.ids, batch.ids[name].ids)
+            assert np.array_equal(slot.offsets, batch.ids[name].offsets)
+        with pytest.raises(ValueError):
+            stack_rows([batch.slice(0, 2)])
+
+    def test_errors_follow_their_rows(self):
+        batch = self._batch(8)
+        assert batch.errors
+        order = np.random.default_rng(9).permutation(len(batch))
+        taken = batch.take(order)
+        assert {int(order[k]) for k in taken.errors} == set(batch.errors)
+        assert {k + 10 for k in batch.slice(10, 40).errors} == {r for r in batch.errors if 10 <= r < 40}
+
+
+class TestHashIds:
+    def test_matches_reference_on_mixed_lengths(self):
+        rng = np.random.default_rng(12)
+        values = []
+        for _ in range(300):
+            length = int(rng.choice([0, 1, 3, 8, 40, 300]))
+            values.append("".join(rng.choice(_PIECES) for _ in range(length)))
+        for vocab in (2, 1000, 2**63 - 25):
+            want = [fnv1a64_reference(v.encode("utf-8")) % vocab for v in values]
+            assert hash_ids(values, vocab).tolist() == want
+            # a few long values finish in the scalar tail, one value alone too
+            assert hash_ids(values[:3], vocab).tolist() == want[:3]
+        assert hash_ids([], 7).tolist() == []
+
+
+class TestJsonNull:
+    def test_null_is_a_missing_cell(self):
+        record = record_from_json({"u": None, "p": None, "t": True, "n": 3})
+        assert record == {"u": "", "p": "", "t": "True", "n": "3"}
+        specs = (_ORACLE_SPECS[0], _ORACLE_SPECS[3])
+        assert canonical_bytes(_one(record, specs)) == canonical_bytes(_one({}, specs))

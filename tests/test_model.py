@@ -12,18 +12,18 @@ from minirec.errors import (
     IndexOutOfRange,
     NonFinite,
 )
-from minirec.features import FeatureSpec, generate
+from minirec.features import FeatureSpec, columns_of, generate
 from minirec.model import (
     PROB_CLIP,
     _clip_probability,
     auc,
     backward,
     copy_params,
+    csr_rows,
     evaluate_metrics,
     first_order_sum,
     fm_second_order,
     forward,
-    id_rows,
     init_params,
     logloss,
     params_equal,
@@ -46,7 +46,13 @@ def _table(rng, vocab=10, dim=4):
 
 def _one_row(table, ids):
     """CSR rows of a single sample reading `ids` from `table`."""
-    return id_rows([ids], table.shape[0])
+    return csr_rows(np.array(ids, dtype=np.int64), np.array([0, len(ids)]), table.shape[0])
+
+
+def _features(record, specs):
+    """One record as a one-row batch, and that row's FeatureVector."""
+    batch = generate(columns_of([record], specs), specs)
+    return batch, batch.row(0)
 
 
 class TestPooledLookup:
@@ -76,8 +82,9 @@ class TestPooledLookup:
 
     def test_out_of_range(self):
         table = _table(np.random.default_rng(3))
-        with pytest.raises(IndexOutOfRange):
-            pooled_lookup(table, _one_row(table, [10]), "sum")
+        for ids in ([10], [2, -1]):
+            with pytest.raises(IndexOutOfRange):
+                pooled_lookup(table, _one_row(table, ids), "sum")
 
 
 class TestFmSecondOrder:
@@ -138,8 +145,8 @@ class TestForward:
         params = init_params(cfg, np.random.default_rng([1, 0]))
         for arr in params.tensors.values():
             arr[:] = 0
-        fv = generate(_random_record(np.random.default_rng(5)), cfg.feature_config)
-        assert forward(params, [fv]).probability[0] == pytest.approx(0.5)
+        batch, fv = _features(_random_record(np.random.default_rng(5)), cfg.feature_config)
+        assert forward(params, batch).probability[0] == pytest.approx(0.5)
 
     def test_bias_only(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
@@ -147,8 +154,8 @@ class TestForward:
         for arr in params.tensors.values():
             arr[:] = 0
         params.tensors["bias"][0] = 2.0
-        fv = generate({"user_id": "u1"}, cfg.feature_config)
-        assert float(forward(params, [fv]).probability[0]) == pytest.approx(0.880797, abs=1e-5)
+        batch, fv = _features({"user_id": "u1"}, cfg.feature_config)
+        assert float(forward(params, batch).probability[0]) == pytest.approx(0.880797, abs=1e-5)
 
     def test_matches_straight_line_reference(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
@@ -157,26 +164,26 @@ class TestForward:
             params = init_params(cfg, np.random.default_rng([trial, 0]))
             for arr in params.tensors.values():
                 arr += rng.normal(0, 0.3, arr.shape).astype(np.float32)
-            fv = generate(_random_record(rng), cfg.feature_config)
-            got = float(forward(params, [fv]).probability[0])
+            batch, fv = _features(_random_record(rng), cfg.feature_config)
+            got = float(forward(params, batch).probability[0])
             want = straight_line_probability(params, cfg.feature_config, fv)
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_logreg_ignores_embeddings(self, tmp_path):
         cfg = _three_slot_config(tmp_path, model_type="logreg")
         params = init_params(cfg, np.random.default_rng([2, 0]))
-        fv = generate(_random_record(np.random.default_rng(7)), cfg.feature_config)
-        base = float(forward(params, [fv]).probability[0])
+        batch, fv = _features(_random_record(np.random.default_rng(7)), cfg.feature_config)
+        base = float(forward(params, batch).probability[0])
         for spec in cfg.feature_config:
             params.tensors[f"emb:{spec.name}"][:] = 99.0
-        assert float(forward(params, [fv]).probability[0]) == base
+        assert float(forward(params, batch).probability[0]) == base
 
     def test_bitwise_reproducible(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([3, 0]))
-        fv = generate(_random_record(np.random.default_rng(8)), cfg.feature_config)
-        a = forward(params, [fv])
-        b = forward(params, [fv])
+        batch, fv = _features(_random_record(np.random.default_rng(8)), cfg.feature_config)
+        a = forward(params, batch)
+        b = forward(params, batch)
         assert float(a.probability[0]) == float(b.probability[0])
         assert float(a.logit[0]) == float(b.logit[0])
 
@@ -185,18 +192,19 @@ class TestForward:
         params = init_params(cfg, np.random.default_rng([4, 0]))
         for arr in params.tensors.values():
             arr[:] = 0
-        fv = generate({"user_id": "u1"}, cfg.feature_config)
+        batch, fv = _features({"user_id": "u1"}, cfg.feature_config)
         params.tensors["bias"][0] = 40.0
-        high = float(forward(params, [fv]).probability[0])
+        high = float(forward(params, batch).probability[0])
         assert high == float(np.float32(1 - 1e-7)) and high < 1.0
         params.tensors["bias"][0] = -40.0
-        low = float(forward(params, [fv]).probability[0])
+        low = float(forward(params, batch).probability[0])
         assert low == float(np.float32(1e-7)) and low > 0.0
 
 
-def _fd_check(params, cfg, fv, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
+def _fd_check(params, cfg, batch, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
     """Central finite differences of the float64 reference loss."""
-    trace = forward(params, [fv])
+    fv = batch.row(0)
+    trace = forward(params, batch)
     grad = backward(trace, [label], reg)
 
     def check(arr, index, analytic):
@@ -233,8 +241,8 @@ class TestBackward:
         params = init_params(cfg, np.random.default_rng([5, 0]))
         for arr in params.tensors.values():
             arr[:] = 0
-        fv = generate({"user_id": "u1"}, cfg.feature_config)
-        grad = backward(forward(params, [fv]), [0], 0.0)
+        batch, fv = _features({"user_id": "u1"}, cfg.feature_config)
+        grad = backward(forward(params, batch), [0], 0.0)
         assert float(grad.dense["bias"][0]) == pytest.approx(0.5)
 
     def test_finite_differences(self, tmp_path):
@@ -244,14 +252,14 @@ class TestBackward:
             params = init_params(cfg, np.random.default_rng([trial, 0]))
             for arr in params.tensors.values():
                 arr += rng.normal(0, 0.1, arr.shape).astype(np.float32)
-            fv = generate(_random_record(rng), cfg.feature_config)
-            _fd_check(params, cfg, fv, int(rng.integers(2)), reg=1e-4)
+            batch, fv = _features(_random_record(rng), cfg.feature_config)
+            _fd_check(params, cfg, batch, int(rng.integers(2)), reg=1e-4)
 
     def test_regularization_adds_2_lambda_row(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([6, 0]))
-        fv = generate({"user_id": "u3"}, cfg.feature_config)
-        trace = forward(params, [fv])
+        batch, fv = _features({"user_id": "u3"}, cfg.feature_config)
+        trace = forward(params, batch)
         bare = backward(trace, [1], 0.0)
         reg = backward(trace, [1], 0.01)
         row = fv.ids["user_id"][0]
@@ -262,8 +270,8 @@ class TestBackward:
     def test_sparse_parts_cover_only_touched_rows(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([7, 0]))
-        fv = generate({"user_id": "u1", "item_tags": "a|b"}, cfg.feature_config)
-        grad = backward(forward(params, [fv]), [1], 0.01)
+        batch, fv = _features({"user_id": "u1", "item_tags": "a|b"}, cfg.feature_config)
+        grad = backward(forward(params, batch), [1], 0.01)
         assert set(grad.emb_rows["user_id"].ids.tolist()) == set(fv.ids["user_id"])
         assert set(grad.emb_rows["item_tags"].ids.tolist()) == set(fv.ids["item_tags"])
         # numeric_raw with value 0.0 stays untouched
@@ -272,8 +280,8 @@ class TestBackward:
     def test_logreg_has_no_embedding_gradients(self, tmp_path):
         cfg = _three_slot_config(tmp_path, model_type="logreg")
         params = init_params(cfg, np.random.default_rng([8, 0]))
-        fv = generate(_random_record(np.random.default_rng(10)), cfg.feature_config)
-        grad = backward(forward(params, [fv]), [1], 0.01)
+        batch, fv = _features(_random_record(np.random.default_rng(10)), cfg.feature_config)
+        grad = backward(forward(params, batch), [1], 0.01)
         assert grad.emb_rows == {} or all(not v for v in grad.emb_rows.values())
         assert list(grad.dense) == ["bias"]
         assert any(grad.fo_rows.values())

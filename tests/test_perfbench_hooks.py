@@ -3,12 +3,21 @@
 perfbench/*.py install timing wrappers with `tracer.wrap(owner, "attr", ...)`,
 where owner is a module, mostly minirec's, or a class in one. A renamed or moved
 function breaks only the traced run, which the tier-1 suite does not start;
-this test reads the calls from the benchmark's source and resolves each.
+this test reads the calls from the benchmark's source and resolves each. A
+function that still exists but is no longer called would leave its layer
+metric at zero, so the hot names are also checked to be reached.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from minirec import serving, trainer
+from minirec.model import init_params
+
+from helpers import make_config, write_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,3 +74,40 @@ def test_every_traced_hook_resolves():
         if not found or not callable(getattr(owner, attr)):
             missing.append(f"{name}: {owner.__name__}.{attr}")
     assert missing == []
+
+
+def test_hooks_are_reached(tmp_path, monkeypatch):
+    """The wrapped names are the ones a training run and a request call, once per file or side."""
+    calls = {}
+
+    def count(module, attr):
+        original = getattr(module, attr)
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for attr in ("generate", "load_dataset", "forward", "backward"):
+        count(trainer, attr)
+    for attr in ("generate", "compute_parts"):
+        count(serving, attr)
+
+    rows = [[k % 2, f"u{k % 5}", f"i{k % 3}"] for k in range(20)]
+    write_csv(tmp_path / "train.csv", ["label", "user_id", "item_id"], rows)
+    write_csv(tmp_path / "eval.csv", ["label", "user_id", "item_id"], rows)
+    cfg = make_config(tmp_path, train_config={"num_epochs": 1, "batch_size": 8})
+    _, report = trainer.train(cfg)
+    assert report.steps == 3
+    assert calls["trainer.load_dataset"] == calls["trainer.generate"] == 2
+    assert calls["trainer.forward"] == calls["trainer.backward"] == 3
+
+    model = serving.ServingModel(init_params(cfg, np.random.default_rng(0)), cfg)
+    items = [{"key": k, "features": {"item_id": k}} for k in ("a", "b")]
+    assert None not in serving.score(model, {"user": {"user_id": "u1"}, "items": items}).scores
+    # one generate and one compute_parts call per side: user, items, cross
+    assert calls["serving.generate"] == 3
+    assert calls["serving.compute_parts"] == 3

@@ -20,7 +20,7 @@ from minirec.delta_stream import (
 )
 from minirec.errors import MinirecError
 from minirec import serving
-from minirec.features import FeatureSpec, generate
+from minirec.features import FeatureSpec, columns_of, generate
 from minirec.model import PROB_CLIP, forward, init_params
 from minirec.serving import (
     MAX_BODY_BYTES,
@@ -206,7 +206,8 @@ class TestScore:
         request = _request("u1", ["a", "b", "c"])
         before = score(model, request, cache)
         # Rewrite the embedding row that item "b" reads.
-        row = generate({"item_id": "b"}, model.partition.item).ids["item_id"][0]
+        specs = model.partition.item
+        row = generate(columns_of([{"item_id": "b"}], specs), specs).row(0).ids["item_id"][0]
         index = list(model.snapshot().tensors).index("emb:item_id")
         msg = DeltaMessage(model_version=1, sparse=(SparseRecord(index, row, (1.0, -2.0, 3.0, -4.0)),))
         assert model.apply_delta(msg) == 1
@@ -319,8 +320,32 @@ class TestBatchInvariance:
                 item = items[position]
                 alone = score(model, {"user": user, "items": [item]}).scores
                 assert alone == [uncached[position]]
-                fv = generate({**user, **item["features"]}, specs)
-                assert float(forward(model.snapshot(), [fv]).probability[0]) == uncached[position]
+                batch = generate(columns_of([{**user, **item["features"]}], specs), specs)
+                assert float(forward(model.snapshot(), batch).probability[0]) == uncached[position]
+
+    def test_cross_side_failure_nulls_only_that_item(self, tmp_path):
+        # "ctx_price" reads an unprefixed column, so it is generated with the cross slots.
+        features = [
+            {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 50},
+            {"name": "item_id", "kind": "id", "source_columns": ["item_id"], "vocab_size": 50},
+            {"name": "ctx_price", "kind": "numeric_raw", "source_columns": ["price"]},
+            {"name": "user_x_item", "kind": "cross", "source_columns": ["user_id", "item_id"],
+             "vocab_size": 97},
+        ]
+        cfg = make_config(tmp_path, feature_config=features)
+        model = ServingModel(init_params(cfg, np.random.default_rng([3, 0])), cfg)
+        assert [s.name for s in model.partition.cross] == ["ctx_price", "user_x_item"]
+        prices = ["1.5", "abc", "", "1e300", "-2"]
+        items = [{"key": f"i{k}", "features": {"item_id": f"i{k}", "price": p}}
+                 for k, p in enumerate(prices)]
+        request = {"user": {"user_id": "u1"}, "items": items}
+        cache = LruCache(10)
+        for _ in range(2):
+            scores = score(model, request, cache).scores
+            assert [s is None for s in scores] == [False, True, False, True, False]
+            for position in (0, 2, 4):
+                alone = score(model, {"user": request["user"], "items": [items[position]]}).scores
+                assert alone == [scores[position]]
 
     @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
     def test_score_all_equals_per_sample_forward(self, tmp_path, model_type):
@@ -333,12 +358,12 @@ class TestBatchInvariance:
              "item_cats": f"c{rng.integers(0, 9)}", "item_price": f"{rng.uniform(0, 5):.3f}"}
             for _ in range(200)
         ]
-        fvs = [generate(r, model.config.feature_config) for r in records]
-        want = [float(forward(params, [fv]).probability[0]) for fv in fvs]
+        specs = model.config.feature_config
+        batch = generate(columns_of(records, specs), specs)
+        want = [float(forward(params, batch.slice(i, i + 1)).probability[0]) for i in range(len(batch))]
         assert len(set(want)) > 100
-        for size in (1, 7, 64, 200):
-            assert score_all(params, fvs[:size]) == want[:size]
-        assert score_all(params, []) == []
+        for size in (0, 1, 7, 64, 200):
+            assert score_all(params, batch.slice(0, size)) == want[:size]
 
 
 class TestApplyDelta:
@@ -592,15 +617,42 @@ class TestHostileInputs:
         yield model, handle
         handle.shutdown()
 
-    @pytest.mark.parametrize("age", ["abc", None])
-    def test_user_feature_error_is_400(self, served, capfd, age):
-        # user_age is a numeric_bucket slot; JSON null arrives as the text "None".
+    @pytest.mark.parametrize("age, reason", [
+        ("abc", "non-numeric text 'abc'"),
+        ("1e300", "numeric value '1e300' is not finite as a float32"),
+    ], ids=["abc", "1e300"])
+    def test_user_feature_error_is_400(self, served, capfd, age, reason):
+        # user_age is a numeric_bucket slot.
         _, handle = served
         body = json.dumps({"user": {"user_age": age}, "items": [{"key": "a"}]}).encode()
         status, payload = _http(handle, "POST", "/v1/predict", body)
         assert status == 400
-        assert payload["error"] == f"invalid value at 'user_age': non-numeric text '{age}'"
+        assert payload["error"] == f"invalid value at 'user_age': {reason}"
         assert "Traceback" not in capfd.readouterr().err
+
+    def test_null_is_a_missing_feature(self, served):
+        model, handle = served
+        with_null = {"user": {"user_id": "u1", "user_age": None},
+                     "items": [{"key": "a", "features": {"item_id": "a", "item_price": None}}]}
+        without = {"user": {"user_id": "u1"}, "items": [{"key": "a", "features": {"item_id": "a"}}]}
+        status, payload = _http(handle, "POST", "/v1/predict", json.dumps(with_null).encode())
+        assert status == 200
+        assert payload["scores"] == score(model, without).scores
+        assert payload["scores"][0] is not None
+
+    def test_item_number_rule_nulls_that_item(self, served):
+        model, handle = served
+        items = [{"key": k, "features": {"item_id": k, "item_price": price}}
+                 for k, price in (("a", "2.5"), ("b", "1e300"), ("c", "-inf"), ("d", "0.5"))]
+        items.append({"key": "e", "features": ["not", "an", "object"]})
+        request = {"user": {"user_id": "u1"}, "items": items}
+        status, payload = _http(handle, "POST", "/v1/predict", json.dumps(request).encode())
+        assert status == 200
+        scores = payload["scores"]
+        assert [s is None for s in scores] == [False, True, True, False, True]
+        for position in (0, 3):
+            alone = score(model, {"user": request["user"], "items": [items[position]]}).scores
+            assert alone == [scores[position]]
 
     def test_logit_below_exp_range_scores_clipped(self, served):
         # This price drives the logit to about -1e19; math.exp(1e19) overflows.

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from minirec.delta_stream import DeltaAccumulator, decode_delta, emit_delta, encode_delta
-from minirec.errors import DataError, IndexOutOfRange, IoError
-from minirec.features import FeatureVector
+from minirec.delta_stream import DeltaAccumulator, apply_delta, decode_delta, emit_delta, encode_delta
+from minirec.errors import DataError, IndexOutOfRange, IoError, NonFinite
+from minirec.features import FeatureBatch, FeatureVector, SlotIds
 from minirec.model import copy_params, init_params, params_equal
 from minirec.optim import AdamOptimizer
-from minirec.trainer import load_dataset, load_records, train, train_step
+from minirec.trainer import load_dataset, read_columns, train, train_step
 
 from helpers import (
     OracleAdam,
@@ -34,7 +34,7 @@ def _small_dataset(tmp_path, rows=120, seed=3):
 class TestLoadData:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
-            load_records(str(tmp_path / "nope.csv"))
+            read_columns(str(tmp_path / "nope.csv"))
 
     def test_bad_label(self, tmp_path):
         write_csv(tmp_path / "train.csv", ["label", "user_id", "item_id"],
@@ -42,6 +42,29 @@ class TestLoadData:
         cfg = make_config(tmp_path)
         with pytest.raises(DataError):
             load_dataset(cfg, str(tmp_path / "train.csv"))
+
+    @pytest.mark.parametrize("feature, cells, row", [
+        ({"name": "user_age", "kind": "numeric_bucket", "source_columns": ["user_age"],
+          "boundaries": [18.0, 30.0]}, ["1", "2", "abc"], 3),
+        ({"name": "item_price", "kind": "numeric_raw", "source_columns": ["item_price"]},
+         ["2.5", "1e300", "0"], 2),
+    ])
+    def test_feature_error_names_its_row(self, tmp_path, feature, cells, row):
+        column = feature["source_columns"][0]
+        write_csv(tmp_path / "train.csv", ["label", column], [[1, v] for v in cells])
+        cfg = make_config(tmp_path, feature_config=[feature])
+        with pytest.raises(DataError) as err:
+            load_dataset(cfg, str(tmp_path / "train.csv"))
+        assert err.value.row == row
+        assert repr(cells[row - 1]) in str(err.value) and feature["name"] in str(err.value)
+
+    def test_lowest_bad_row_wins_label_first(self, tmp_path):
+        features = [{"name": "age", "kind": "numeric_raw", "source_columns": ["age"]}]
+        write_csv(tmp_path / "train.csv", ["label", "age"], [[1, "1"], [7, "x"], [0, "y"]])
+        cfg = make_config(tmp_path, feature_config=features)
+        with pytest.raises(DataError) as err:
+            load_dataset(cfg, str(tmp_path / "train.csv"))
+        assert err.value.row == 2 and "label" in err.value.reason
 
     def test_loads_features_once(self, tmp_path):
         _small_dataset(tmp_path)
@@ -165,10 +188,10 @@ class TestDeltaEmission:
         sink = _ListSink()
         art, _ = train(cfg, sink=sink)
         (msg,) = [decode_delta(f) for f in sink.frames]
-        fvs, _ = load_dataset(cfg, str(tmp_path / "train.csv"))
+        batch, _ = load_dataset(cfg, str(tmp_path / "train.csv"))
         expected = {
             (index, row)
-            for fv in fvs
+            for fv in (batch.row(i) for i in range(len(batch)))
             for index, slot in ((0, "user_id"), (2, "item_id"))
             for row in fv.ids[slot]
         }
@@ -229,6 +252,24 @@ def _random_fv(rng):
     )
 
 
+def _batch_of(fvs):
+    """The FeatureBatch holding these FeatureVectors as its rows, in order."""
+    ids = {}
+    for name in fvs[0].ids:
+        lists = [fv.ids[name] for fv in fvs]
+        offsets = np.cumsum([0] + [len(ids) for ids in lists]).astype(np.int64)
+        ids[name] = SlotIds(np.array([i for ids in lists for i in ids], dtype=np.int64), offsets)
+    dense = {name: np.array([fv.dense[name] for fv in fvs]) for name in fvs[0].dense}
+    return FeatureBatch(len(fvs), ids, dense)
+
+
+def _step(params, opt, batch, reg, slot_scale=None):
+    """train_step on (FeatureVector, label) pairs."""
+    labels = np.array([label for _, label in batch])
+    rows = np.arange(1, len(batch) + 1)
+    return train_step(params, opt, _batch_of([fv for fv, _ in batch]), labels, rows, reg, slot_scale)
+
+
 def _assert_state_equal(opt, oracle):
     """The optimizer keeps one row state per tensor; a dense tensor is its row 0."""
     for name, rows in oracle.sparse.items():
@@ -271,7 +312,7 @@ class TestBatchedStepMatchesPerSample:
             per_row = None if scales is None else {
                 n: np.array([s[n] for s in scales]) for n in names}
             want, samples = oracle_train_step(reference, oracle, batch, reg, scales)
-            got = train_step(params, opt, batch, reg, per_row)
+            got = _step(params, opt, batch, reg, per_row)
 
             assert params_equal(params, reference)
             _assert_state_equal(opt, oracle)
@@ -300,5 +341,32 @@ class TestBatchedStepMatchesPerSample:
         bad.ids["tags"] = (1, 7)
         batch = [(_random_fv(rng), 1), (bad, 0)]
         with pytest.raises(IndexOutOfRange):
-            train_step(params, AdamOptimizer(0.05), batch, 0.0)
+            _step(params, AdamOptimizer(0.05), batch, 0.0)
         assert params_equal(params, before)
+
+
+class TestNonFiniteLogits:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_diverging_learning_rate_fails_at_the_batch(self, tmp_path):
+        """Training stops at the first batch whose logits overflow and names its rows.
+
+        Every delta published before it holds finite values only.
+        """
+        _small_dataset(tmp_path, rows=64)
+        cfg = make_config(tmp_path, train_config={
+            "num_epochs": 3, "batch_size": 16, "delta_period_steps": 1, "learning_rate": 1e20})
+        sink = _ListSink()
+        with pytest.raises(NonFinite) as err:
+            train(cfg, sink=sink)
+        shuffle = np.random.default_rng([cfg.train_config.seed, 1])
+        batches = []
+        for _ in range(3):
+            order = shuffle.permutation(64)
+            batches += [(order[start:start + 16] + 1).tolist() for start in range(0, 64, 16)]
+        assert err.value.rows == batches[len(sink.frames)]
+        assert str(err.value.rows) in str(err.value)
+        assert 0 < len(sink.frames) < len(batches)
+        params = init_params(cfg, np.random.default_rng([cfg.train_config.seed, 0]))
+        for frame in sink.frames:
+            params = apply_delta(params, decode_delta(frame))
+        assert all(np.isfinite(t).all() for t in params.tensors.values())
