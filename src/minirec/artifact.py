@@ -9,6 +9,9 @@ Layout:
             gapless from 0
   rest      tensor payloads, little-endian float32, directory order
 
+Loading reads each tensor's payload into its slice of the parameter
+arenas (`model.ArenaLayout`).
+
 The embedded config is the exact config the model was trained with, so an
 artifact alone is enough to regenerate features and score consistently.
 """
@@ -17,16 +20,16 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig, build_config, canonical_json, to_plain
 from .errors import ConfigError, FormatError, IoError
-from .model import ModelParams, tensor_shapes
+from .model import empty_params
 
 MAGIC = b"ERMODEL1"
 
@@ -78,22 +81,27 @@ def save_artifact(artifact: ModelArtifact, path: str) -> None:
 def load_artifact(path: str) -> ModelArtifact:
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_artifact(fh, os.fstat(fh.fileno()).st_size)
     except OSError as exc:
         raise IoError(f"cannot read artifact {path!r}: {exc}") from exc
 
-    if len(blob) < len(MAGIC) + 4:
+
+def _read_artifact(fh, size: int) -> ModelArtifact:
+    """Parse an open artifact file of `size` bytes, each tensor read straight into its arena slice."""
+    fixed = fh.read(len(MAGIC) + 4)
+    if len(fixed) < len(MAGIC) + 4:
         raise FormatError("artifact shorter than fixed header")
-    if blob[: len(MAGIC)] != MAGIC:
+    if fixed[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic")
-    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
-    header_end = len(MAGIC) + 4 + header_len
-    if len(blob) < header_end:
+    (header_len,) = struct.unpack_from("<I", fixed, len(MAGIC))
+    header_end = len(fixed) + header_len
+    if size < header_end:
         raise FormatError("truncated header")
     try:
-        header = json.loads(blob[len(MAGIC) + 4 : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"invalid header JSON: {exc}") from None
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to parse.
+        raise FormatError(f"invalid header JSON: {type(exc).__name__}: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError("header is not a JSON object")
     for key in ("config", "model_version", "seed", "step_count", "tensors"):
@@ -106,33 +114,26 @@ def load_artifact(path: str) -> ModelArtifact:
     except ConfigError as exc:
         raise FormatError(f"invalid embedded config: {exc}") from None
 
-    shapes = tensor_shapes(cfg)
+    params = empty_params(cfg)
     directory = header["tensors"]
-    if not isinstance(directory, list) or len(directory) != len(shapes):
-        raise FormatError(f"tensor directory must be a list of {len(shapes)} entries")
-    payload_len = len(blob) - header_end
-    tensors: dict[str, np.ndarray] = {}
+    if not isinstance(directory, list) or len(directory) != len(params.tensors):
+        raise FormatError(f"tensor directory must be a list of {len(params.tensors)} entries")
+    payload_len = size - header_end
     offset = 0
-    for entry, (name, shape) in zip(directory, shapes.items()):
-        want = {"name": name, "shape": list(shape), "offset": offset}
+    for entry, (name, tensor) in zip(directory, params.tensors.items()):
+        want = {"name": name, "shape": list(tensor.shape), "offset": offset}
         if entry != want:
             raise FormatError(f"tensor directory entry {entry!r}, expected {want!r}")
-        count = math.prod(shape)
-        end = offset + 4 * count
-        if end > payload_len:
+        end = offset + tensor.nbytes
+        if end > payload_len or fh.readinto(memoryview(tensor).cast("B")) != tensor.nbytes:
             raise FormatError(f"tensor {name!r} extends past end of file")
-        data = np.frombuffer(blob, dtype="<f4", count=count, offset=header_end + offset)
-        tensors[name] = data.reshape(shape).astype(np.float32)
         offset = end
     if offset != payload_len:
         raise FormatError("trailing bytes after last tensor")
+    if sys.byteorder == "big":
+        # The payload is little-endian float32.
+        for arena in (params.emb, params.fo, params.dense):
+            arena.byteswap(inplace=True)
 
-    m = cfg.model_config
-    params = ModelParams(
-        specs=cfg.feature_config,
-        model_type=m.model_type,
-        embedding_dim=m.embedding_dim,
-        tensors=tensors,
-        model_version=header["model_version"],
-    )
+    params.model_version = header["model_version"]
     return ModelArtifact(config=cfg, params=params, seed=header["seed"], step_count=header["step_count"])

@@ -121,6 +121,9 @@ def _parse_section(path: str, raw: Any, defaults: Any) -> Any:
 def _parse_feature_specs(raw: Any) -> tuple[FeatureSpec, ...]:
     if not isinstance(raw, list):
         raise InvalidValue("feature_config", "expected a JSON array of feature specs")
+    if not raw:
+        # The model needs a slot: its MLP input and its FM term are built from the slots.
+        raise InvalidValue("feature_config", "needs at least one feature spec")
     specs = []
     for i, entry in enumerate(raw):
         path = f"feature_config[{i}]"

@@ -11,12 +11,17 @@ A delta frame is fully self-delimiting and checksummed:
 All integers and floats are little-endian. Records carry current values,
 not increments, so applying a frame twice equals applying it once, and a
 consumer that drops frames with version <= current turns at-least-once
-delivery into exactly-once state effects.
+delivery into exactly-once state effects. Versions are contiguous: a
+frame above current + 1 is refused with VersionGap, since the frames
+between hold rows it does not.
 
 This module owns the message: `emit_delta` builds one from the rows the
 trainer touched, and `apply_delta` turns a snapshot plus a message into
 the next snapshot. Both read a record's tensor_index as a position in
-`ModelParams.tensors`.
+`ModelParams.tensors`. The trainer tracks touched rows as global rows of
+the emb and fo arenas (slot i's table row r is global row base[i] + r;
+see `model.ArenaLayout`); `emit_delta` gathers each arena's rows with one
+fancy index and maps them back to (tensor_index, row) records.
 
 Two transports share one publish/consume interface: append-only file
 (file://) and TCP (tcp://), both with u32 length-prefixed framing. A file
@@ -47,6 +52,7 @@ from .errors import (
     NonFinite,
     UnknownSlot,
     UnknownTensor,
+    VersionGap,
 )
 from .model import ModelParams, SparseGradient, copy_params, is_sparse_tensor
 
@@ -138,14 +144,16 @@ def decode_delta(frame: bytes) -> DeltaMessage:
 def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
     """The snapshot after msg, or None if params already holds its version.
 
-    Every record is checked against params, and every value for being
-    finite, before anything is copied, so a rejected message raises and
-    leaves params as it was. The result shares every untouched tensor with
-    params and holds fresh copies of the touched ones; its model_version
-    is set last.
+    A version above params' version + 1 raises VersionGap. Every record is
+    checked against params, and every value for being finite, before
+    anything is copied, so a rejected message raises and leaves params as
+    it was. The result shares every untouched arena with params and holds
+    fresh copies of the touched ones; its model_version is set last.
     """
     if msg.model_version <= params.model_version:
         return None
+    if msg.model_version > params.model_version + 1:
+        raise VersionGap(f"frame version {msg.model_version} after held version {params.model_version}")
     for rec in (*msg.sparse, *msg.dense):
         # One NaN or infinity makes the sum non-finite; float32 values cannot overflow it.
         total = sum(rec.values)
@@ -170,7 +178,8 @@ def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
             raise DimensionMismatch(
                 f"record for {name!r} has {len(rec.values)} values, tensor has {arr.size}"
             )
-    fresh = copy_params(params, {items[rec.tensor_index][0] for rec in (*msg.sparse, *msg.dense)})
+    spans = params.layout.spans
+    fresh = copy_params(params, {spans[items[rec.tensor_index][0]][0] for rec in (*msg.sparse, *msg.dense)})
     arrays = list(fresh.tensors.values())
     for rec in msg.sparse:
         arrays[rec.tensor_index][rec.row_id] = np.asarray(rec.values, dtype=np.float32)
@@ -183,15 +192,14 @@ def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
 
 @dataclass
 class DeltaAccumulator:
-    """Rows touched since the last emission, keyed by tensor name."""
+    """Global rows of the emb and fo arenas touched since the last emission."""
 
-    touched: dict[str, set[int]] = field(default_factory=dict)
+    touched: dict[str, set[int]] = field(default_factory=lambda: {"emb": set(), "fo": set()})
     steps_since_emit: int = 0
 
     def add(self, grad: SparseGradient) -> None:
-        for prefix, rows_by_slot in (("emb", grad.emb_rows), ("fo", grad.fo_rows)):
-            for slot, rows in rows_by_slot.items():
-                self.touched.setdefault(f"{prefix}:{slot}", set()).update(rows.ids.tolist())
+        self.touched["emb"].update(grad.emb.ids.tolist())
+        self.touched["fo"].update(grad.fo.ids.tolist())
         self.steps_since_emit += 1
 
 
@@ -201,22 +209,24 @@ def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
     The version increments first and the message carries the incremented
     value, so versions across a stream are strictly increasing even for
     empty periods. Values are the rows' current states, not gradients.
+    Sparse records come in tensor order, rows ascending within a tensor.
     """
     params.model_version += 1
-    sparse: list[SparseRecord] = []
-    dense: list[DenseRecord] = []
-    for index, (name, arr) in enumerate(params.tensors.items()):
-        if is_sparse_tensor(name):
-            rows = sorted(acc.touched.get(name, ()))
-            values = arr[rows].tolist()
-            sparse.extend(SparseRecord(index, r, tuple(v)) for r, v in zip(rows, values))
-        elif acc.steps_since_emit > 0:
-            dense.append(DenseRecord(index, tuple(arr.reshape(-1).tolist())))
-    acc.touched.clear()
+    layout = params.layout
+    records = []
+    for arena, touched in acc.touched.items():
+        rows = np.array(sorted(touched), dtype=np.int64)
+        slot, row = layout.locate(rows)
+        records += zip(layout.table_index[arena][slot].tolist(), row.tolist(), getattr(params, arena)[rows].tolist())
+    sparse = tuple(SparseRecord(i, r, tuple(v)) for i, r, v in sorted(records))
+    dense: tuple[DenseRecord, ...] = ()
+    if acc.steps_since_emit > 0:
+        flat = params.dense.tolist()
+        dense = tuple(DenseRecord(i, tuple(flat[start:stop])) for i, start, stop in layout.dense_spans)
+    for rows in acc.touched.values():
+        rows.clear()
     acc.steps_since_emit = 0
-    return DeltaMessage(
-        model_version=params.model_version, sparse=tuple(sparse), dense=tuple(dense)
-    )
+    return DeltaMessage(model_version=params.model_version, sparse=sparse, dense=dense)
 
 
 # --- transports ---

@@ -106,6 +106,10 @@ class ChecksumError(MinirecError):
     pass
 
 
+class VersionGap(MinirecError):
+    """A delta frame more than one version above the snapshot it would update."""
+
+
 # --- serving ---------------------------------------------------------------
 
 class UnknownSlot(MinirecError):

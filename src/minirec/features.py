@@ -13,9 +13,10 @@ Hashing is FNV-1a 64 over each value's UTF-8 bytes, reduced modulo the
 slot's vocab_size. It runs one byte position at a time over all of a
 slot's values at once; the few values longer than the rest finish byte
 by byte in Python. A row whose cell cannot be read (a number that is not
-finite as a float32, or text that is not a number) gets no features in
-that slot and an error in `FeatureBatch.errors`: callers decide whether
-that fails the file, the request or one item.
+finite as a float32, text that is not a number, or text with a lone
+surrogate, which has no UTF-8 bytes to hash) gets no features in that
+slot and an error in `FeatureBatch.errors`: callers decide whether that
+fails the file, the request or one item.
 """
 
 from __future__ import annotations
@@ -350,16 +351,41 @@ def generate(columns: Columns, specs: Sequence[FeatureSpec]) -> FeatureBatch:
             counts = (v is not None for v in values)
             ids[spec.name] = SlotIds(np.array(buckets, dtype=np.int64), _offsets(counts, n))
             continue
-        if spec.kind == "id":
-            values, counts = [c for c in cells if c], map(bool, cells)
-        else:
-            if spec.kind == "multi_id":
-                per_row = _split_cells(cells)
-            else:
-                per_row = _cross_cells(cells, columns.cells.get(spec.source_columns[1], empty))
-            values, counts = list(chain.from_iterable(per_row)), map(len, per_row)
-        ids[spec.name] = SlotIds(hash_ids(values, spec.vocab_size), _offsets(counts, n))
+        other = columns.cells.get(spec.source_columns[1], empty) if spec.kind == "cross" else empty
+        try:
+            ids[spec.name] = _hashed(spec, cells, other)
+        except UnicodeEncodeError:
+            ids[spec.name] = _hashed(spec, _encodable(cells, spec.name, errors), _encodable(other, spec.name, errors))
     return FeatureBatch(n, ids, dense, errors)
+
+
+def _hashed(spec: FeatureSpec, cells: Sequence[str], other: Sequence[str]) -> SlotIds:
+    """A hashed slot's CSR ids; `other` is a cross slot's second source column."""
+    if spec.kind == "id":
+        values, counts = [c for c in cells if c], map(bool, cells)
+    else:
+        per_row = _split_cells(cells) if spec.kind == "multi_id" else _cross_cells(cells, other)
+        values, counts = list(chain.from_iterable(per_row)), map(len, per_row)
+    return SlotIds(hash_ids(values, spec.vocab_size), _offsets(counts, len(cells)))
+
+
+def is_utf8(text: str) -> bool:
+    """Whether the text has a UTF-8 form; a lone surrogate has none."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _encodable(cells: Sequence[str], slot: str, errors: dict) -> list[str]:
+    """The cells with each one that is not `is_utf8` emptied and its row's error recorded."""
+    out = list(cells)
+    for row, cell in enumerate(cells):
+        if not is_utf8(cell):
+            errors.setdefault(row, InvalidValue(slot, "text is not valid Unicode"))
+            out[row] = ""
+    return out
 
 
 def record_from_json(obj: Mapping) -> dict[str, str]:

@@ -4,6 +4,16 @@ Parameters are 32-bit floats and every reduction runs in a fixed
 sequential order, so a forward pass is bitwise reproducible on one
 platform and scores survive the 32-bit serving wire format unchanged.
 
+Every parameter lives in one of three arenas (`ArenaLayout`): the slots'
+embedding tables are row ranges of one `emb` array of shape (total rows,
+D), their first-order tables the same row ranges of one `fo` array of
+shape (total rows, 1), and the MLP weights and the bias lie end to end in
+one flat `dense` vector. Slot i's tables start at the global row
+`base[i]`, so training works on global rows: `backward` dedups every
+slot's rows at once, and the optimizer and the delta stream make one
+update or one gather per arena. `ModelParams.tensors` names a view of
+each table and dense tensor for the callers that read one by name.
+
 The forward pass is split into `compute_parts` (per-slot pooled embedding
 and first-order sums) and `assemble` (FM + MLP + bias on top of the
 parts). Both `forward` and `compute_parts` read a `FeatureBatch`, whose
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,19 +50,78 @@ PROB_CLIP = 1e-7
 _F32 = np.float32
 
 
+class ArenaLayout:
+    """Where each tensor of `tensor_shapes` lies in the three parameter arenas.
+
+    Slot i's `emb:` and `fo:` tables are rows `base[i]` to `base[i + 1]` of
+    the emb and fo arenas, slots in config order, so row r of either table
+    is the global row `base[i] + r` of its arena. The dense tensors lie end
+    to end, in tensor order, in the flat dense vector. `spans` gives each
+    tensor's (arena, start, stop), in rows or in values.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+        self.shapes = dict(shapes)
+        self.spans: dict[str, tuple[str, int, int]] = {}
+        bases: dict[str, int] = {}
+        rows = size = 0
+        for name, shape in self.shapes.items():
+            arena, _, slot = name.partition(":")
+            if is_sparse_tensor(name):
+                if slot not in bases:
+                    bases[slot] = rows
+                    rows += shape[0]
+                self.spans[name] = (arena, bases[slot], bases[slot] + shape[0])
+            else:
+                self.spans[name] = ("dense", size, size + math.prod(shape))
+                size += math.prod(shape)
+        self.rows, self.dense_size = rows, size
+        self.base = np.array([*bases.values(), rows], dtype=np.int64)
+        index = {name: i for i, name in enumerate(self.shapes)}
+        # Per sparse arena, the tensor index of each slot's table, in slot order.
+        self.table_index = {
+            arena: np.array([index[f"{arena}:{slot}"] for slot in bases], dtype=np.int64)
+            for arena in ("emb", "fo")
+        }
+        self.slots = tuple(bases)
+        self.dense_spans = [(index[name], start, stop)
+                            for name, (arena, start, stop) in self.spans.items() if arena == "dense"]
+
+    def views(self, emb: np.ndarray, fo: np.ndarray, dense: np.ndarray) -> dict[str, np.ndarray]:
+        """Every tensor by name, as a view into its arena."""
+        arenas = {"emb": emb, "fo": fo, "dense": dense}
+        return {name: arenas[arena][start:stop].reshape(self.shapes[name])
+                for name, (arena, start, stop) in self.spans.items()}
+
+    def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slot position and the table row of each global row."""
+        slot = np.searchsorted(self.base, rows, side="right") - 1
+        return slot, rows - self.base[slot]
+
+
 @dataclass
 class ModelParams:
-    """Model state: every parameter tensor by name, in `tensor_shapes` order.
+    """Model state: the three arenas of `layout`, and a view of every tensor by name.
 
-    A tensor's position in `tensors` is its wire index in delta messages
-    and its position in the artifact payload.
+    `emb` is (total rows, D), `fo` is (total rows, 1) and `dense` is flat.
+    `tensors` lists every tensor in `tensor_shapes` order as a view into
+    its arena, so writes through either show in both. A tensor's position
+    in `tensors` is its wire index in delta messages and its position in
+    the artifact payload.
     """
 
     specs: tuple[FeatureSpec, ...]
     model_type: str
     embedding_dim: int
-    tensors: dict[str, np.ndarray]
+    layout: ArenaLayout
+    emb: np.ndarray
+    fo: np.ndarray
+    dense: np.ndarray
     model_version: int = 0
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.tensors = self.layout.views(self.emb, self.fo, self.dense)
 
     @property
     def slot_names(self) -> tuple[str, ...]:
@@ -85,29 +154,50 @@ class SlotPart(NamedTuple):
     fo: np.ndarray
 
 
+class ArenaEntries(NamedTuple):
+    """Every slot's entries over N samples in one flat list, slot after slot.
+
+    Entry e reads the global row `row[e]` of the emb and fo arenas for
+    sample `owner[e]` of the slot at position `slot[e]`. `value[e]` weighs
+    its first-order row; `weight[e]` weighs its embedding row in the pooled
+    sum: the value, or the float32 reciprocal of the sample's entry count
+    in a mean-pooled slot.
+    """
+
+    row: np.ndarray
+    owner: np.ndarray
+    slot: np.ndarray
+    value: np.ndarray
+    weight: np.ndarray
+
+
 @dataclass
 class ForwardTrace:
     """Intermediates of `assemble` over N rows; `logit` and `probability` are (N,).
 
-    `slot_scale` holds each slot's float32 scale, a scalar or one per row;
-    `rows` is set by `forward` for `backward`.
+    Per-slot intermediates are sequences in slot order: `fo` holds (N,)
+    arrays, and `pooled` and `scaled_pooled` (N, D) arrays, or are None
+    for logreg. `scale` holds each slot's float32 scale for each row,
+    (N,), or is None without slot scales. `entries` is set by `forward`
+    for `backward`.
     """
 
     params: ModelParams
-    parts: dict[str, SlotPart]
-    slot_scale: dict[str, np.ndarray] | None
-    scaled_pooled: list[np.ndarray]
+    fo: Sequence[np.ndarray]
+    pooled: Sequence[np.ndarray] | None
+    scale: list[np.ndarray] | None
+    scaled_pooled: Sequence[np.ndarray] | None
     mlp_input: np.ndarray | None
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
     logit: np.ndarray
     probability: np.ndarray
-    rows: dict[str, SlotRows] | None = None
+    entries: ArenaEntries | None = None
 
 
 @dataclass
 class SparseRows:
-    """Gradient of some rows of one table: sorted unique row ids, one value row each."""
+    """Gradient of some rows of a table or an arena: sorted unique row ids, one value row each."""
 
     ids: np.ndarray
     values: np.ndarray
@@ -118,16 +208,39 @@ class SparseRows:
 
 @dataclass
 class SparseGradient:
-    """Per-slot rows of the emb/fo tables, and whole dense tensors by name.
+    """Gradient in the arena layout: global rows of the emb and fo arenas, the whole dense vector.
 
+    `emb_rows`, `fo_rows` and `dense_tensors` are the same gradient per
+    table and per tensor by name, for callers that read one by name.
     `slot_scale`, present when the forward pass had slot scales, holds the
     gradient of each slot's scale, one per sample.
     """
 
-    emb_rows: dict[str, SparseRows]
-    fo_rows: dict[str, SparseRows]
-    dense: dict[str, np.ndarray]
+    layout: ArenaLayout
+    emb: SparseRows
+    fo: SparseRows
+    dense: np.ndarray
     slot_scale: dict[str, np.ndarray] | None = None
+
+    def _by_table(self, rows: SparseRows) -> dict[str, SparseRows]:
+        """Each slot's rows of `rows` as table rows; slots without rows are left out."""
+        base = self.layout.base
+        cuts = np.searchsorted(rows.ids, base).tolist()
+        return {slot: SparseRows(rows.ids[a:b] - base[i], rows.values[a:b])
+                for i, (slot, a, b) in enumerate(zip(self.layout.slots, cuts, cuts[1:])) if b > a}
+
+    @property
+    def emb_rows(self) -> dict[str, SparseRows]:
+        return self._by_table(self.emb)
+
+    @property
+    def fo_rows(self) -> dict[str, SparseRows]:
+        return self._by_table(self.fo)
+
+    @property
+    def dense_tensors(self) -> dict[str, np.ndarray]:
+        return {name: self.dense[start:stop].reshape(self.layout.shapes[name])
+                for name, (arena, start, stop) in self.layout.spans.items() if arena == "dense"}
 
 
 def tensor_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
@@ -152,28 +265,38 @@ def tensor_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: PipelineConfig, rng: np.random.Generator) -> ModelParams:
-    """Fresh parameters: embeddings U(-0.01, 0.01), MLP Glorot, rest zero.
-
-    Draws follow tensor order (tables in config order, then MLP layers),
-    so a seeded generator produces identical parameters on every run.
-    """
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in tensor_shapes(cfg).items():
-        if name.startswith("emb:"):
-            tensors[name] = rng.uniform(-0.01, 0.01, size=shape).astype(_F32)
-        elif name.startswith("mlp:W"):
-            limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(_F32)
-        else:
-            tensors[name] = np.zeros(shape, dtype=_F32)
+def empty_params(cfg: PipelineConfig) -> ModelParams:
+    """Parameters of the config's shapes in unwritten arenas; the caller writes every tensor."""
     m = cfg.model_config
+    layout = ArenaLayout(tensor_shapes(cfg))
     return ModelParams(
         specs=cfg.feature_config,
         model_type=m.model_type,
         embedding_dim=m.embedding_dim,
-        tensors=tensors,
+        layout=layout,
+        emb=np.empty((layout.rows, m.embedding_dim), dtype=_F32),
+        fo=np.empty((layout.rows, 1), dtype=_F32),
+        dense=np.empty(layout.dense_size, dtype=_F32),
     )
+
+
+def init_params(cfg: PipelineConfig, rng: np.random.Generator) -> ModelParams:
+    """Fresh parameters: embeddings U(-0.01, 0.01), MLP Glorot, rest zero.
+
+    Draws follow tensor order (tables in config order, then MLP layers),
+    each into its tensor's slice of an arena, so a seeded generator
+    produces identical parameters on every run.
+    """
+    params = empty_params(cfg)
+    for name, tensor in params.tensors.items():
+        if name.startswith("emb:"):
+            tensor[...] = rng.uniform(-0.01, 0.01, size=tensor.shape)
+        elif name.startswith("mlp:W"):
+            limit = math.sqrt(6.0 / (tensor.shape[0] + tensor.shape[1]))
+            tensor[...] = rng.uniform(-limit, limit, size=tensor.shape)
+        else:
+            tensor[...] = 0.0
+    return params
 
 
 def mlp_layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -191,20 +314,16 @@ def is_sparse_tensor(name: str) -> bool:
     return name.startswith("emb:") or name.startswith("fo:")
 
 
-def copy_params(params: ModelParams, names: Iterable[str] | None = None) -> ModelParams:
-    """Copy with fresh arrays for the `names` tensors (default all); the rest are shared."""
-    tensors = dict(params.tensors)
-    for name in tensors if names is None else names:
-        tensors[name] = tensors[name].copy()
-    return dataclasses.replace(params, tensors=tensors)
+def copy_params(params: ModelParams, arenas: Iterable[str] = ("emb", "fo", "dense")) -> ModelParams:
+    """Copy with fresh arrays for the named arenas (default all); the rest are shared."""
+    return dataclasses.replace(params, **{arena: getattr(params, arena).copy() for arena in arenas})
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:
-    if list(a.tensors) != list(b.tensors):
+    """Same tensors in the same order, and bit-equal arenas."""
+    if list(a.layout.shapes.items()) != list(b.layout.shapes.items()):
         return False
-    return all(
-        x.shape == y.shape and np.array_equal(x, y) for x, y in zip(a.tensors.values(), b.tensors.values())
-    )
+    return all(np.array_equal(getattr(a, arena), getattr(b, arena)) for arena in ("emb", "fo", "dense"))
 
 
 def _fold(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -375,26 +494,23 @@ def assemble(
     an (N,) array of per-row scales. The feature-selection gates drive this
     hook. Absent slots default to scale 1.
     """
-    scales = None
+    pooled, fo = zip(*[parts[spec.name] for spec in params.specs])
+    scale = None
     if slot_scale is not None:
-        scales = {s.name: np.asarray(slot_scale.get(s.name, 1.0), dtype=_F32) for s in params.specs}
+        scale = [np.broadcast_to(np.asarray(slot_scale.get(spec.name, 1.0), dtype=_F32), fo[0].shape)
+                 for spec in params.specs]
     logit = params.tensors["bias"][0]
-    for spec in params.specs:
-        fo = parts[spec.name].fo
-        logit = logit + (fo if scales is None else scales[spec.name] * fo)
+    for term in fo if scale is None else [s * f for s, f in zip(scale, fo)]:
+        logit = logit + term
 
-    scaled_pooled: list[np.ndarray] = []
+    scaled_pooled: Sequence[np.ndarray] | None = None
     mlp_input: np.ndarray | None = None
     pre_activations: list[np.ndarray] = []
     activations: list[np.ndarray] = []
     if params.model_type == "deepfm":
-        for spec in params.specs:
-            pooled = parts[spec.name].pooled
-            scaled_pooled.append(pooled if scales is None else scales[spec.name][..., None] * pooled)
+        scaled_pooled = pooled if scale is None else [s[:, None] * p for s, p in zip(scale, pooled)]
         logit = logit + fm_second_order(scaled_pooled)
-        mlp_input = (
-            np.concatenate(scaled_pooled, axis=-1) if scaled_pooled else np.zeros(0, dtype=_F32)
-        )
+        mlp_input = np.concatenate(scaled_pooled, axis=-1)
         x = mlp_input
         layers = mlp_layers(params)
         last = len(layers) - 1
@@ -409,14 +525,33 @@ def assemble(
     probability = np.array([_clip_probability(v) for v in logit.tolist()], dtype=_F32)
     return ForwardTrace(
         params=params,
-        parts=parts,
-        slot_scale=scales,
+        fo=fo,
+        pooled=pooled if params.model_type == "deepfm" else None,
+        scale=scale,
         scaled_pooled=scaled_pooled,
         mlp_input=mlp_input,
         pre_activations=pre_activations,
         activations=activations,
         logit=logit,
         probability=probability,
+    )
+
+
+def _arena_entries(params: ModelParams, rows: dict[str, SlotRows]) -> ArenaEntries:
+    """The SlotRows of every slot, in slot order, as one ArenaEntries."""
+    slots = [rows[spec.name] for spec in params.specs]
+    slot = np.repeat(np.arange(len(slots)), [len(r.ids) for r in slots])
+    weight = [
+        # The float32 reciprocal, not a division: dividing rounds differently.
+        _F32(1.0) / r.divisor[r.owner] if spec.pooling == "mean" and spec.kind != "numeric_raw" else r.value
+        for spec, r in zip(params.specs, slots)
+    ]
+    return ArenaEntries(
+        row=np.concatenate([r.ids for r in slots]) + params.layout.base[slot],
+        owner=np.concatenate([r.owner for r in slots]),
+        slot=slot,
+        value=np.concatenate([r.value for r in slots]),
+        weight=np.concatenate(weight),
     )
 
 
@@ -428,7 +563,7 @@ def forward(
     """Forward pass over the batch's N samples; one sample is a one-row batch."""
     rows = _slot_rows(params, batch)
     trace = assemble(params, _pool(params, rows), slot_scale)
-    trace.rows = rows
+    trace.entries = _arena_entries(params, rows)
     return trace
 
 
@@ -447,79 +582,60 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
     mean = _F32(1.0 / n)
     d = trace.probability - np.asarray(labels, dtype=_F32)
 
-    grad = SparseGradient(
-        emb_rows={},
-        fo_rows={},
-        dense={"bias": _sum_samples(d[:, None]) * mean},
-        slot_scale={} if trace.slot_scale is not None else None,
-    )
-
-    grad_input: np.ndarray | None = None
-    layers = mlp_layers(params)
-    if layers:
+    scale = None if trace.scale is None else np.stack(trace.scale)
+    # Dense gradients from the output side in, so reversed they are in tensor order.
+    dense = [_sum_samples(d[:, None]) * mean]
+    grad_pooled: np.ndarray | None = None
+    grad_scaled: np.ndarray | None = None
+    if params.model_type == "deepfm":
+        layers = mlp_layers(params)
         delta = d[:, None]
         for i in range(len(layers) - 1, -1, -1):
             x = trace.activations[i - 1] if i > 0 else trace.mlp_input
-            grad.dense[f"mlp:W{i}"] = _sum_samples(x[:, :, None] * delta[:, None, :]) * mean
-            grad.dense[f"mlp:b{i}"] = _sum_samples(delta) * mean
+            dense.append(_sum_samples(delta) * mean)
+            dense.append((_sum_samples(x[:, :, None] * delta[:, None, :]) * mean).reshape(-1))
             delta = _rowwise_matmul(delta, layers[i][0].T)
             if i > 0:
                 delta = delta * (trace.pre_activations[i - 1] > 0)
-        grad_input = delta
+        # The slots' scaled pooled embeddings as (S, N, D), folded over the slots in order.
+        u = np.stack(trace.scaled_pooled)
+        fm_total = np.add.reduce(u, axis=0, initial=_F32(0.0))
+        grad_scaled = d[None, :, None] * (fm_total - u) + delta.reshape(n, len(u), -1).transpose(1, 0, 2)
+        grad_pooled = grad_scaled if scale is None else scale[..., None] * grad_scaled
 
-    fm_total: np.ndarray | None = None
-    if params.model_type == "deepfm":
-        fm_total = np.zeros((n, params.embedding_dim), dtype=_F32)
-        for u in trace.scaled_pooled:
-            fm_total += u
+    slot_scale = None
+    if scale is not None:
+        gate = d * np.stack(trace.fo)
+        if grad_scaled is not None:
+            dim = params.embedding_dim
+            pooled = np.stack(trace.pooled).reshape(-1, dim)
+            # One dot per (slot, row): a batched reduction need not round like it.
+            dots = [np.dot(g, p) for g, p in zip(grad_scaled.reshape(-1, dim), pooled)]
+            gate = gate + np.array(dots, dtype=_F32).reshape(gate.shape)
+        slot_scale = dict(zip(params.slot_names, gate))
 
-    dim = params.embedding_dim
-    for slot_index, spec in enumerate(params.specs):
-        part = trace.parts[spec.name]
-        scale = None if trace.slot_scale is None else trace.slot_scale[spec.name]
-
-        grad_pooled = None
-        grad_scaled = None
-        if params.model_type == "deepfm":
-            u = trace.scaled_pooled[slot_index]
-            grad_scaled = d[:, None] * (fm_total - u)
-            if grad_input is not None:
-                grad_scaled = grad_scaled + grad_input[:, slot_index * dim : (slot_index + 1) * dim]
-            grad_pooled = grad_scaled if scale is None else scale[..., None] * grad_scaled
-
-        if grad.slot_scale is not None:
-            gate = d * part.fo
-            if grad_scaled is not None:
-                # One dot per row: a batched reduction need not round like it.
-                gate = gate + np.array([np.dot(g, p) for g, p in zip(grad_scaled, part.pooled)], dtype=_F32)
-            grad.slot_scale[spec.name] = gate
-
-        r = trace.rows[spec.name]
-        # A numeric_raw value of zero reads its row but has no gradient there.
-        touched = r.value != 0.0
-        owner, value = r.owner[touched], r.value[touched]
-        if not len(owner):
-            continue
-        # Entries fold per (sample, row) pair in id-list order: a sample's
-        # own gradient of the row, where the regularizer joins once. Pairs
-        # sort sample-major, so each row then folds its samples in order.
-        vocab_size = params.tensors[f"fo:{spec.name}"].shape[0]
-        pairs, pair_of_entry = np.unique(owner * vocab_size + r.ids[touched], return_inverse=True)
-        pair_rows = pairs % vocab_size
-        ids, row_of_pair = np.unique(pair_rows, return_inverse=True)
-        ds = d if scale is None else d * scale
-        fo_pair = _fold(pair_of_entry, ds[owner] * value, len(pairs))
-        grad.fo_rows[spec.name] = SparseRows(ids, _fold(row_of_pair, fo_pair, len(ids))[:, None] * mean)
-        if grad_pooled is not None:
-            weight = value
-            if spec.pooling == "mean" and spec.kind != "numeric_raw":
-                # The float32 reciprocal, not a division: dividing rounds differently.
-                weight = _F32(1.0) / r.divisor[owner]
-            emb_pair = _fold(pair_of_entry, grad_pooled[owner] * weight[:, None], len(pairs))
-            if reg > 0.0:
-                emb_pair += _F32(2.0 * reg) * params.tensors[f"emb:{spec.name}"][pair_rows]
-            grad.emb_rows[spec.name] = SparseRows(ids, _fold(row_of_pair, emb_pair, len(ids)) * mean)
-    return grad
+    e = trace.entries
+    # A numeric_raw value of zero reads its row but has no gradient there.
+    touched = e.value != 0.0
+    row, owner, slot, value = e.row[touched], e.owner[touched], e.slot[touched], e.value[touched]
+    # Entries fold per (row, sample) pair in id-list order: a sample's own
+    # gradient of the row, where the regularizer joins once. Pairs sort
+    # row-major, so each row then folds its samples in batch order.
+    pairs, pair_of_entry = np.unique(row * n + owner, return_inverse=True)
+    pair_rows = pairs // n
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pair_rows[1:] != pair_rows[:-1]
+    ids, row_of_pair = pair_rows[first], np.cumsum(first) - 1
+    ds = d[owner] if scale is None else d[owner] * scale[slot, owner]
+    fo_pair = _fold(pair_of_entry, ds * value, len(pairs))
+    fo = SparseRows(ids, _fold(row_of_pair, fo_pair, len(ids))[:, None] * mean)
+    emb = SparseRows(ids[:0], np.zeros((0, params.embedding_dim), dtype=_F32))
+    if grad_pooled is not None:
+        emb_pair = _fold(pair_of_entry, grad_pooled[slot, owner] * e.weight[touched][:, None], len(pairs))
+        if reg > 0.0:
+            emb_pair += _F32(2.0 * reg) * params.emb[pair_rows]
+        emb = SparseRows(ids, _fold(row_of_pair, emb_pair, len(ids)) * mean)
+    return SparseGradient(params.layout, emb, fo, np.concatenate(dense[::-1]), slot_scale)
 
 
 def logloss(scores: Iterable[float], labels: Iterable[float]) -> float:

@@ -1,14 +1,16 @@
-"""Lazy sparse Adam.
+"""Lazy sparse Adam over the parameter arenas.
 
-Sparse tensors (embedding and first-order tables) keep per-row moment
-vectors and per-row step counts: a row's moments and bias-correction
-exponent advance only when a batch touches it. Untouched rows stay
-bit-identical across steps, which is what makes "parameters changed this
-period" a well-defined small set for delta streaming. A step updates
-each table's touched rows in one vectorized pass; every operation is
-elementwise, so each row gets the bits a one-row update would give it.
+The emb and fo arenas (every slot's embedding and first-order tables,
+slot i's from global row `base[i]`; see `model.ArenaLayout`) keep
+per-row moment vectors and per-row step counts: a row's moments and
+bias-correction exponent advance only when a batch touches it. Untouched
+rows stay bit-identical across steps, which is what makes "parameters
+changed this period" a well-defined small set for delta streaming. A
+step updates each arena's touched global rows in one vectorized pass;
+every operation is elementwise, so each row gets the bits a one-row
+update of its own table would give it.
 
-A dense tensor (MLP weights, global bias) is updated as a one-row table
+The dense vector (MLP weights, global bias) is updated as a one-row table
 that every step touches, so its step count is shared by all its values.
 """
 
@@ -23,13 +25,9 @@ from .model import ModelParams, SparseGradient
 _F32 = np.float32
 
 
-# The row id of a dense tensor viewed as a one-row table.
-_ROW0 = np.zeros(1, dtype=np.int64)
-
-
 @dataclass
 class _RowState:
-    """Moments and step counts of every row of one table; untouched rows stay zero.
+    """Moments and step counts of every row of one arena; untouched rows stay zero.
 
     The arrays come from np.zeros, whose pages the OS maps on first write,
     so memory grows with the rows touched, not with the vocabulary.
@@ -60,16 +58,16 @@ class AdamOptimizer:
             self._corrections = np.concatenate([self._corrections, np.array(more, dtype=_F32)])
         return self._corrections[steps]
 
-    def _row_update(self, name: str, table: np.ndarray, ids: np.ndarray, grad: np.ndarray) -> None:
+    def _row_update(self, arena: str, table: np.ndarray, ids: np.ndarray | slice, grad: np.ndarray) -> None:
         """One Adam step on the rows `ids` of `table`, each with its own step count."""
-        state = self._state.get(name)
+        state = self._state.get(arena)
         if state is None:
             state = _RowState(
                 m=np.zeros(table.shape, dtype=_F32),
                 v=np.zeros(table.shape, dtype=_F32),
                 step=np.zeros(table.shape[0], dtype=np.int64),
             )
-            self._state[name] = state
+            self._state[arena] = state
         b1, b2 = _F32(self.beta1), _F32(self.beta2)
         t = state.step[ids] + 1
         m = b1 * state.m[ids] + (_F32(1.0) - b1) * grad
@@ -83,15 +81,13 @@ class AdamOptimizer:
         table[ids] -= _F32(self.learning_rate) * m_hat / (np.sqrt(v_hat) + _F32(self.epsilon))
 
     def apply(self, params: ModelParams, grad: SparseGradient) -> None:
-        """Update params in place. Rows absent from grad are not read."""
-        for prefix, rows_by_slot in (("emb", grad.emb_rows), ("fo", grad.fo_rows)):
-            for slot, rows in rows_by_slot.items():
-                name = f"{prefix}:{slot}"
-                table = params.tensors[name]
-                self._row_update(name, table, rows.ids, rows.values.reshape(len(rows), *table.shape[1:]))
-        # Tensors are C-contiguous, so reshape gives a view the update writes through.
-        for name, g in grad.dense.items():
-            self._row_update(name, params.tensors[name].reshape(1, -1), _ROW0, g.reshape(1, -1))
+        """Update params in place, one row update per arena. Rows absent from grad are not read."""
+        if len(grad.emb):
+            self._row_update("emb", params.emb, grad.emb.ids, grad.emb.values)
+        if len(grad.fo):
+            self._row_update("fo", params.fo, grad.fo.ids, grad.fo.values)
+        # A view of the dense vector as one row, which the update writes through.
+        self._row_update("dense", params.dense[None], slice(None), grad.dense[None])
 
 
 @dataclass

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidValue, IoError, MalformedEvent
-from .features import record_from_json
+from .features import is_utf8, record_from_json
 
 EVENT_KINDS = ("impression", "click", "feature_log")
 
@@ -295,10 +295,14 @@ def run_pipeline(
     """
     joiner = Joiner(cfg)
     try:
-        with open(input_path) as fh:
+        # surrogateescape turns a byte that is not UTF-8 into a lone surrogate, which is not is_utf8.
+        with open(input_path, encoding="utf-8", errors="surrogateescape") as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
+                    continue
+                if not (line.isascii() or is_utf8(line)):
+                    joiner.stats.malformed += 1
                     continue
                 try:
                     joiner.feed(json.loads(line))

@@ -2,9 +2,11 @@
 
 Readers score against an immutable parameter snapshot grabbed once per
 request; `delta_stream.apply_delta` builds the next snapshot, copying only
-the tensors a message touches, and the server publishes it with a single
-reference swap. Readers never lock and never observe a half-applied
-message.
+the parameter arenas a message touches, and the server publishes it with
+a single reference swap. Readers never lock and never observe a
+half-applied message. A frame more than one version ahead is refused and
+counted as `deltas_gap`: the server stays at its last good version rather
+than report one whose earlier rows it lacks.
 
 A request's features come from one columnar `generate` call per side:
 user, items, cross. The item cache stores each item's item-side features
@@ -21,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -32,7 +35,7 @@ import numpy as np
 from .artifact import load_artifact
 from .config import PipelineConfig
 from .delta_stream import DeltaMessage, apply_delta, decode_delta
-from .errors import InvalidValue, MinirecError
+from .errors import InvalidValue, MinirecError, VersionGap
 from .features import FeatureBatch, FeatureSpec, columns_of, generate, record_from_json, stack_rows
 from .model import ModelParams, SlotPart, assemble, compute_parts
 
@@ -99,9 +102,12 @@ class LruCache:
 
 @dataclass
 class ScoreResponse:
+    """A request's scores; `nulled` counts the rows nulled for a non-finite logit."""
+
     scores: list[float | None]
     model_version: int
     cache_hits: int
+    nulled: int = 0
 
     def to_plain(self) -> dict:
         return {
@@ -158,8 +164,9 @@ def score(
     every item, the item and cross slots' parts over all items, one call
     each; one assemble pass follows, and no row's result depends on the
     others. A per-item feature failure yields a null score in that
-    position; a user-side one raises. cache_hits counts item-side cache
-    hits.
+    position, and so does a row whose logit is not finite (counted in
+    `nulled`); a user-side feature failure raises. cache_hits counts
+    item-side cache hits.
     """
     params = model.snapshot()
     part = model.partition
@@ -190,7 +197,7 @@ def score(
             raise batch.errors[k]
         return batch.take(np.array([k]))
 
-    hits, rows, failed = 0, {}, set()
+    hits, nulled, rows, failed = 0, 0, {}, set()
     if cache is None:
         failed.update(generated().errors)
     else:
@@ -219,20 +226,24 @@ def score(
             parts[name] = SlotPart(pooled, np.repeat(p.fo, n))
         parts.update(compute_parts(params, item_batch, part.item))
         parts.update(compute_parts(params, cross, part.cross))
-        probabilities = assemble(params, parts).probability.tolist()
-        for k, probability in zip(valid, probabilities):
-            scores[positions[k]] = probability
-    return ScoreResponse(scores=scores, model_version=params.model_version, cache_hits=hits)
+        trace = assemble(params, parts)
+        for k, logit, probability in zip(valid, trace.logit.tolist(), trace.probability.tolist()):
+            # A float32 overflow (a huge numeric_raw value) leaves no score to give.
+            if math.isfinite(logit):
+                scores[positions[k]] = probability
+            else:
+                nulled += 1
+    return ScoreResponse(scores=scores, model_version=params.model_version, cache_hits=hits, nulled=nulled)
 
 
 class _Metrics:
     def __init__(self):
         self._lock = threading.Lock()
         self._window: deque = deque(maxlen=METRICS_WINDOW)
-        # Frames applied, failed decode or validation, or dropped as already held,
-        # and consume calls that raised.
-        self.deltas = {"deltas_applied": 0, "deltas_rejected": 0, "deltas_stale": 0,
-                       "queue_errors": 0}
+        # Frames applied, failed decode or validation, dropped as already held or
+        # refused for a version gap; consume calls that raised; scores nulled.
+        self.counters = {"deltas_applied": 0, "deltas_rejected": 0, "deltas_stale": 0,
+                         "deltas_gap": 0, "queue_errors": 0, "scores_nulled": 0}
 
     def record(self, latency_us: float, cache_hits: int, items: int) -> None:
         with self._lock:
@@ -240,7 +251,7 @@ class _Metrics:
 
     def count(self, counter: str) -> None:
         with self._lock:
-            self.deltas[counter] += 1
+            self.counters[counter] += 1
 
     @staticmethod
     def _percentile(values: list[float], q: float) -> float:
@@ -253,7 +264,7 @@ class _Metrics:
     def snapshot(self) -> dict:
         with self._lock:
             window = list(self._window)
-            deltas = dict(self.deltas)
+            counters = dict(self.counters)
         latencies = [w[1] for w in window]
         total_items = sum(w[3] for w in window)
         total_hits = sum(w[2] for w in window)
@@ -264,7 +275,7 @@ class _Metrics:
             "latency_p50_us": self._percentile(latencies, 0.50),
             "latency_p95_us": self._percentile(latencies, 0.95),
             "latency_p99_us": self._percentile(latencies, 0.99),
-            **deltas,
+            **counters,
         }
 
 
@@ -290,6 +301,10 @@ class _Poller(threading.Thread):
                 continue
             try:
                 version = self.model.apply_delta(decode_delta(frame))
+            except VersionGap as exc:
+                self.metrics.count("deltas_gap")
+                log.warning("delta refused: %s", exc)
+                continue
             except MinirecError as exc:
                 self.metrics.count("deltas_rejected")
                 log.warning("delta rejected: %s", exc)
@@ -421,6 +436,8 @@ def http_serve(
                 response = score(model, request, cache)
                 latency_us = (time.perf_counter() - start) * 1e6
                 metrics.record(latency_us, response.cache_hits, len(response.scores))
+                for _ in range(response.nulled):
+                    metrics.count("scores_nulled")
                 self._reply(200, response.to_plain())
             except MinirecError as exc:
                 # A user-side feature failure: per-item failures score null instead.

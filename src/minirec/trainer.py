@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .artifact import ModelArtifact
 from .config import PipelineConfig
 from .delta_stream import DeltaAccumulator, emit_delta, encode_delta
 from .errors import DataError, IoError, MinirecError, NonFinite
-from .features import Columns, FeatureBatch, generate
+from .features import Columns, FeatureBatch, generate, is_utf8
 from .model import (
     ModelParams,
     SparseGradient,
@@ -53,17 +54,27 @@ def read_columns(path: str, delimiter: str = ",") -> Columns:
 
     Blank lines are skipped; a short row's missing cells are empty and a
     long row's extra cells are dropped. When a name repeats in the
-    header, its last column wins.
+    header, its last column wins. A row that is not UTF-8, or that the
+    csv module cannot parse (a field over its size limit), raises
+    DataError naming its data row (0 for the header).
     """
+    header: list[str] | None = None
+    rows: list[list[str]] = []
     try:
-        with open(path, newline="") as fh:
+        # surrogateescape keeps a bad byte as a lone surrogate, found below per row.
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             header = next(reader, None)
             if header is None:
                 raise DataError(0, "missing header row")
-            rows = [row for row in reader if row]
+            rows.extend(row for row in reader if row)
     except OSError as exc:
         raise IoError(f"cannot read {path!r}: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(0 if header is None else len(rows) + 1, f"unreadable CSV row: {exc}") from None
+    if not is_utf8("".join(chain(header, *rows))):
+        bad = next(i for i, row in enumerate([header, *rows]) if not is_utf8("".join(row)))
+        raise DataError(bad, "row is not valid UTF-8")
     width = len(header)
     if any(len(row) != width for row in rows):
         rows = [(row + [""] * width)[:width] for row in rows]

@@ -121,6 +121,14 @@ def test_malformed_header_is_format_error(tmp_path, tamper):
         load_artifact(str(bad))
 
 
+def test_deeply_nested_header_is_format_error(tmp_path):
+    header = b"[" * 200_000
+    bad = tmp_path / "nested.erm"
+    bad.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(FormatError):
+        load_artifact(str(bad))
+
+
 def test_bad_magic(tmp_path):
     art = _artifact(tmp_path)
     path = str(tmp_path / "model.erm")

@@ -225,6 +225,23 @@ class TestStreamJoinCommand:
         assert "'payload:label'" in err and "Traceback" not in err
         assert not out_path.exists()
 
+    def test_non_utf8_line_is_malformed(self, workspace, tmp_path, capsys):
+        events_path = tmp_path / "events.jsonl"
+        events = [
+            {"kind": "feature_log", "event_time": 10, "request_id": "r1",
+             "payload": {"user_id": "u1", "item_id": "a"}},
+            {"kind": "impression", "event_time": 10, "request_id": "r1", "item_key": "a"},
+            {"kind": "click", "event_time": 12, "request_id": "r1", "item_key": "a"},
+        ]
+        lines = [json.dumps(e).encode() + b"\n" for e in events]
+        lines.insert(1, b'{"kind": "click", "request_id": "r\xff"}\n')
+        events_path.write_bytes(b"".join(lines))
+        code, summary = _run(capsys, [
+            "stream-join", "-c", str(workspace), "--events", str(events_path),
+            "--window-ms", "5", "--out", str(tmp_path / "samples.csv")])
+        assert code == 0
+        assert (summary["samples"], summary["malformed"]) == (1, 1)
+
     def test_bad_window_is_runtime_error(self, workspace, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
         events_path.write_text("")
@@ -295,6 +312,39 @@ class TestExitCodes:
         code, _ = _run(capsys, [
             "eval", "-c", str(workspace), "--model", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("bad_row", [
+        "0,u\xff\n".encode("latin-1"), b"0," + b"x" * 200_000 + b"\n",
+    ], ids=["non_utf8_byte", "long_field"])
+    @pytest.mark.parametrize("command", ["train", "eval", "predict-file"])
+    def test_unreadable_csv_row_is_named(self, workspace, tmp_path, capsys, command, bad_row):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"label,user_id,item_id\n1,u1,i1\n\n" + bad_row + b"1,u2,i2\n")
+        model_dir = tmp_path / "model"
+        assert main(["export", "-c", str(workspace), "--model-dir", str(model_dir)]) == 0
+        argv = {
+            "train": ["train", "-c", str(workspace), "--train", str(bad), "--model-dir", str(model_dir)],
+            "eval": ["eval", "-c", str(workspace), "--model", str(model_dir / "model.erm"), "--eval", str(bad)],
+            "predict-file": ["predict-file", "--model", str(model_dir / "model.erm"),
+                             "--input", str(bad), "--out", str(tmp_path / "scores.txt")],
+        }[command]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad data row 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "serve"])
+    def test_deeply_nested_artifact_header_is_runtime_error(self, workspace, tmp_path, capsys, command):
+        header = b"[" * 200_000
+        bad = tmp_path / "nested.erm"
+        bad.write_bytes(b"ERMODEL1" + len(header).to_bytes(4, "little") + header)
+        argv = {"eval": ["eval", "-c", str(workspace), "--model", str(bad)],
+                "serve": ["serve", "--model", str(bad), "--bind", "127.0.0.1:0"]}[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "invalid header JSON" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "predict-file"])
     def test_feature_error_names_its_row(self, tmp_path, capsys, command):

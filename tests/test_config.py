@@ -98,6 +98,13 @@ def test_duplicate_slot_names(tmp_path):
         parse_config(json.dumps(obj))
 
 
+def test_empty_feature_config_rejected(tmp_path):
+    obj = config_dict(tmp_path)
+    obj["feature_config"] = []
+    with pytest.raises(InvalidValue, match="at least one feature spec"):
+        parse_config(json.dumps(obj))
+
+
 def test_zero_epochs_allowed(tmp_path):
     obj = config_dict(tmp_path)
     obj["train_config"]["num_epochs"] = 0

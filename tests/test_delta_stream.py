@@ -35,6 +35,7 @@ from minirec.errors import (
     NonFinite,
     UnknownSlot,
     UnknownTensor,
+    VersionGap,
 )
 from minirec.model import init_params, params_equal
 from minirec.serving import load_model
@@ -129,52 +130,61 @@ class TestValidateAndApply:
     def test_apply_writes_rows_and_version(self, tmp_path):
         cfg, params = _params(tmp_path)
         before = params.tensors["emb:user_id"].copy()
-        msg = DeltaMessage(5, (SparseRecord(0, 10, tuple(float(i) for i in range(8))),), ())
+        msg = DeltaMessage(1, (SparseRecord(0, 10, tuple(float(i) for i in range(8))),), ())
         fresh = apply_delta(params, msg)
         np.testing.assert_array_equal(
             fresh.tensors["emb:user_id"][10], np.arange(8, dtype=np.float32))
-        assert fresh.model_version == 5
-        # Copy on write: the input snapshot is unchanged, untouched tensors are shared.
+        assert fresh.model_version == 1
+        # Copy on write: the input snapshot is unchanged, untouched arenas are shared.
         np.testing.assert_array_equal(params.tensors["emb:user_id"], before)
         assert params.model_version == 0
         for name, arr in params.tensors.items():
-            assert (fresh.tensors[name] is arr) == (name != "emb:user_id"), name
+            assert np.shares_memory(fresh.tensors[name], arr) == (params.layout.spans[name][0] != "emb"), name
 
     def test_idempotent(self, tmp_path):
         cfg, params = _params(tmp_path)
         records = ((SparseRecord(0, 3, tuple([1.0] * 8)),), (DenseRecord(4, tuple([0.5] * 16 * 16)),))
-        once = apply_delta(params, DeltaMessage(5, *records))
-        twice = apply_delta(once, DeltaMessage(6, *records))
+        once = apply_delta(params, DeltaMessage(1, *records))
+        twice = apply_delta(once, DeltaMessage(2, *records))
         assert params_equal(once, twice)
 
     def test_held_version_is_skipped(self, tmp_path):
         cfg, params = _params(tmp_path)
-        fresh = apply_delta(params, DeltaMessage(5, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
-        for version in (4, 5):
+        fresh = apply_delta(params, DeltaMessage(1, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
+        for version in (0, 1):
             assert apply_delta(fresh, DeltaMessage(version, (SparseRecord(0, 3, (2.0,) * 8),), ())) is None
         assert apply_delta(params, DeltaMessage(0)) is None
 
+    def test_version_gap_is_refused(self, tmp_path):
+        cfg, params = _params(tmp_path)
+        with pytest.raises(VersionGap):
+            apply_delta(params, DeltaMessage(2, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
+        once = apply_delta(params, DeltaMessage(1))
+        with pytest.raises(VersionGap):
+            apply_delta(once, DeltaMessage(3))
+        assert params.model_version == 0 and once.model_version == 1
+
     def test_unknown_sparse_index(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(5, (SparseRecord(99, 0, (1.0,) * 8),), ())
+        msg = DeltaMessage(1, (SparseRecord(99, 0, (1.0,) * 8),), ())
         with pytest.raises(UnknownSlot):
             apply_delta(params, msg)
 
     def test_dense_index_on_sparse_tensor(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(5, (), (DenseRecord(0, (1.0,) * 8),))
+        msg = DeltaMessage(1, (), (DenseRecord(0, (1.0,) * 8),))
         with pytest.raises(UnknownTensor):
             apply_delta(params, msg)
 
     def test_row_out_of_range(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(5, (SparseRecord(0, 2000, (1.0,) * 8),), ())
+        msg = DeltaMessage(1, (SparseRecord(0, 2000, (1.0,) * 8),), ())
         with pytest.raises(IndexOutOfRange):
             apply_delta(params, msg)
 
     def test_dim_mismatch(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(5, (SparseRecord(0, 0, (1.0, 2.0)),), ())
+        msg = DeltaMessage(1, (SparseRecord(0, 0, (1.0, 2.0)),), ())
         with pytest.raises(DimensionMismatch):
             apply_delta(params, msg)
 
@@ -197,9 +207,9 @@ class TestValidateAndApply:
         ]
         for bad, error in cases:
             if isinstance(bad, SparseRecord):
-                msg = DeltaMessage(5, (good_sparse, bad), (good_dense,))
+                msg = DeltaMessage(1, (good_sparse, bad), (good_dense,))
             else:
-                msg = DeltaMessage(5, (good_sparse,), (good_dense, bad))
+                msg = DeltaMessage(1, (good_sparse,), (good_dense, bad))
             with pytest.raises(error):
                 apply_delta(params, msg)
             for name, arr in params.tensors.items():

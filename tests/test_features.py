@@ -191,6 +191,25 @@ class TestGenerate:
         with pytest.raises(InvalidValue):
             _one({"age": "old"}, _specs()[3:4])
 
+    @pytest.mark.parametrize("rows", [4, 60], ids=["scalar_hash", "columnar_hash"])
+    def test_lone_surrogate_is_that_rows_error(self, rows):
+        """A value with no UTF-8 form fails its own row only; the other rows hash as before."""
+        specs = _specs()
+        records = [{"user": f"u{i}", "tags": f"t{i}|x", "item": f"i{i}"} for i in range(rows)]
+        bad = {1: "user", 2: "tags", rows - 1: "item"}
+        for row, column in bad.items():
+            records[row][column] = "\ud800" if column != "tags" else "ok|\udcff"
+        batch = generate(columns_of(records, specs), specs)
+        assert sorted(batch.errors) == sorted(bad)
+        for row in bad:
+            assert isinstance(batch.errors[row], InvalidValue)
+            assert "not valid Unicode" in str(batch.errors[row])
+        good = [i for i in range(rows) if i not in bad]
+        want = generate(columns_of([records[i] for i in good], specs), specs)
+        got = batch.take(np.array(good))
+        for name in want.ids:
+            assert got.ids[name].ids.tolist() == want.ids[name].ids.tolist(), name
+
     def test_slot_order_independence(self):
         """Each slot's output only depends on its own spec and columns."""
         record = {"user": "u7", "tags": "x|y", "price": "3", "age": "41", "item": "i2"}

@@ -227,8 +227,8 @@ def _fd_check(params, cfg, batch, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
         table = params.tensors[f"fo:{slot}"]
         for row, value in zip(rows.ids.tolist(), rows.values):
             check(table, (row, 0), float(value[0]))
-    assert set(grad.dense) == {n for n in params.tensors if n.startswith("mlp:") or n == "bias"}
-    for name, g in grad.dense.items():
+    assert set(grad.dense_tensors) == {n for n in params.tensors if n.startswith("mlp:") or n == "bias"}
+    for name, g in grad.dense_tensors.items():
         for index in np.ndindex(g.shape):
             check(params.tensors[name], index, float(g[index]))
     return grad
@@ -243,7 +243,7 @@ class TestBackward:
             arr[:] = 0
         batch, fv = _features({"user_id": "u1"}, cfg.feature_config)
         grad = backward(forward(params, batch), [0], 0.0)
-        assert float(grad.dense["bias"][0]) == pytest.approx(0.5)
+        assert float(grad.dense_tensors["bias"][0]) == pytest.approx(0.5)
 
     def test_finite_differences(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
@@ -283,7 +283,7 @@ class TestBackward:
         batch, fv = _features(_random_record(np.random.default_rng(10)), cfg.feature_config)
         grad = backward(forward(params, batch), [1], 0.01)
         assert grad.emb_rows == {} or all(not v for v in grad.emb_rows.values())
-        assert list(grad.dense) == ["bias"]
+        assert list(grad.dense_tensors) == ["bias"]
         assert any(grad.fo_rows.values())
 
 
@@ -385,6 +385,35 @@ def test_copy_params_is_deep(tmp_path):
     assert params_equal(params, clone)
     clone.tensors["emb:user_id"][0, 0] += 1.0
     assert not params_equal(params, clone)
+
+
+@pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+def test_tensors_are_views_into_three_arenas(tmp_path, model_type):
+    """Each table is a row range of the emb or fo arena at its slot's base; dense tensors tile one vector."""
+    cfg = _three_slot_config(tmp_path, model_type=model_type)
+    params = init_params(cfg, np.random.default_rng([9, 0]))
+    shapes = tensor_shapes(cfg)
+    assert list(params.tensors) == list(shapes)
+    dim = cfg.model_config.embedding_dim
+    rows, dense = 0, 0
+    for spec in cfg.feature_config:
+        emb, fo = params.tensors[f"emb:{spec.name}"], params.tensors[f"fo:{spec.name}"]
+        assert np.shares_memory(emb, params.emb) and np.shares_memory(fo, params.fo)
+        assert emb.__array_interface__["data"][0] == params.emb[rows:].__array_interface__["data"][0]
+        assert fo.__array_interface__["data"][0] == params.fo[rows:].__array_interface__["data"][0]
+        rows += spec.table_vocab_size
+    assert params.emb.shape == (rows, dim) and params.fo.shape == (rows, 1)
+    for name, shape in shapes.items():
+        if not name.startswith(("emb:", "fo:")):
+            tensor = params.tensors[name]
+            assert np.shares_memory(tensor, params.dense) and tensor.shape == shape
+            assert tensor.__array_interface__["data"][0] == params.dense[dense:].__array_interface__["data"][0]
+            dense += tensor.size
+    assert params.dense.shape == (dense,)
+    params.tensors["bias"][0] = 3.0
+    params.emb[rows - 1, 0] = 5.0
+    assert params.dense[-1] == 3.0
+    assert params.tensors[f"emb:{cfg.feature_config[-1].name}"][-1, 0] == 5.0
 
 
 def test_init_params_seeded(tmp_path):

@@ -21,18 +21,18 @@ def _config(tmp_path):
     )
 
 
+def _arena_rows(params, rows_by_slot, dim, fill):
+    """Table rows by slot as sorted global rows of an arena."""
+    ids = sorted(params.layout.spans[f"fo:{slot}"][1] + row
+                 for slot, rows in rows_by_slot.items() for row in rows)
+    return SparseRows(np.array(ids, dtype=np.int64), np.full((len(ids), dim), fill, np.float32))
+
+
 def _grad(params, emb_rows, fo_rows, fill=0.1):
-    dense = {name: np.full_like(arr, fill) for name, arr in params.tensors.items()
-             if name.startswith("mlp:") or name == "bias"}
-    emb = {
-        slot: SparseRows(np.array(sorted(rows)), np.full((len(rows), 4), fill, np.float32))
-        for slot, rows in emb_rows.items()
-    }
-    fo = {
-        slot: SparseRows(np.array(sorted(rows)), np.full((len(rows), 1), fill, np.float32))
-        for slot, rows in fo_rows.items()
-    }
-    return SparseGradient(emb_rows=emb, fo_rows=fo, dense=dense)
+    dense = np.full_like(params.dense, fill)
+    emb = _arena_rows(params, emb_rows, 4, fill)
+    fo = _arena_rows(params, fo_rows, 1, fill)
+    return SparseGradient(params.layout, emb=emb, fo=fo, dense=dense)
 
 
 def _adam_reference(value, grads, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):

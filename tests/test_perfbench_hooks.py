@@ -111,3 +111,47 @@ def test_hooks_are_reached(tmp_path, monkeypatch):
     # one generate and one compute_parts call per side: user, items, cross
     assert calls["serving.generate"] == 3
     assert calls["serving.compute_parts"] == 3
+
+
+def test_rows_per_step_observer_counts_distinct_rows(tmp_path, monkeypatch):
+    """train_publish's traced run records, per optimizer step, the distinct table rows the step touched.
+
+    The observer reads the gradient the optimizer receives. Here a real
+    Tracer runs it over a small training run, and each recorded value is
+    checked against the rows counted from that step's features.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    common = importlib.import_module("common")
+    train_publish = importlib.import_module("train_publish")
+
+    features = [
+        {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 7},
+        {"name": "item_tags", "kind": "multi_id", "source_columns": ["item_tags"], "vocab_size": 5},
+        {"name": "item_price", "kind": "numeric_raw", "source_columns": ["item_price"]},
+    ]
+    rows = [[k % 2, f"u{k % 9}", "|".join(f"t{j}" for j in range(k % 4)), str(k % 3)] for k in range(40)]
+    write_csv(tmp_path / "train.csv", ["label", "user_id", "item_tags", "item_price"], rows)
+    write_csv(tmp_path / "eval.csv", ["label", "user_id", "item_tags", "item_price"], rows[:10])
+    cfg = make_config(tmp_path, feature_config=features, train_config={"num_epochs": 2, "batch_size": 8})
+
+    expected = []
+    forward = trainer.forward
+
+    def counting_forward(params, batch, slot_scale=None):
+        # Each hashed slot's distinct ids, plus row 0 of a numeric_raw slot with a nonzero value,
+        # counted once in the embedding tables and once in the first-order tables.
+        touched = sum(len(set(batch.ids[name].ids.tolist())) for name in batch.ids)
+        touched += sum(bool(np.any(values != 0.0)) for values in batch.dense.values())
+        expected.append(2 * touched)
+        return forward(params, batch, slot_scale)
+
+    monkeypatch.setattr(trainer, "forward", counting_forward)
+    tracer = common.Tracer()
+    train_publish._trace(tracer)
+    try:
+        _, report = trainer.train(cfg)
+    finally:
+        tracer.restore()
+    assert report.steps == 10
+    assert tracer.values["optim.rows"] == expected
+    assert trainer.forward is counting_forward

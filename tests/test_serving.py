@@ -14,6 +14,7 @@ import pytest
 from minirec.delta_stream import (
     DeltaMessage,
     SparseRecord,
+    decode_delta,
     encode_delta,
     open_consumer,
     open_publisher,
@@ -21,7 +22,7 @@ from minirec.delta_stream import (
 from minirec.errors import MinirecError
 from minirec import serving
 from minirec.features import FeatureSpec, columns_of, generate
-from minirec.model import PROB_CLIP, forward, init_params
+from minirec.model import PROB_CLIP, copy_params, forward, init_params, params_equal
 from minirec.serving import (
     MAX_BODY_BYTES,
     LruCache,
@@ -31,9 +32,9 @@ from minirec.serving import (
     partition_slots,
     score,
 )
-from minirec.trainer import score_all
+from minirec.trainer import score_all, train
 
-from helpers import LruSimulator, make_config
+from helpers import LruSimulator, make_config, replay_reference, write_logistic_dataset
 
 
 def _spec(name, cols, kind="id"):
@@ -396,10 +397,12 @@ class TestApplyDelta:
                            sparse=(SparseRecord(0, 7, (9.0, 9.0, 9.0, 9.0)),))
         model.apply_delta(msg)
         new = model.snapshot()
-        assert new.tensors["emb:user_id"] is not old.tensors["emb:user_id"]
-        assert new.tensors["emb:item_id"] is old.tensors["emb:item_id"]
-        assert new.tensors["fo:user_id"] is old.tensors["fo:user_id"]
-        assert new.tensors["bias"] is old.tensors["bias"]
+        # The touched emb arena is copied whole; the fo arena and the dense vector are shared.
+        assert not np.shares_memory(new.tensors["emb:user_id"], old.tensors["emb:user_id"])
+        assert new.emb is not old.emb
+        np.testing.assert_array_equal(new.tensors["emb:item_id"], old.tensors["emb:item_id"])
+        assert new.fo is old.fo and np.shares_memory(new.tensors["fo:user_id"], old.tensors["fo:user_id"])
+        assert new.dense is old.dense and np.shares_memory(new.tensors["bias"], old.tensors["bias"])
 
     def test_stale_version_skipped(self, tmp_path):
         model = _make_model(tmp_path)
@@ -439,7 +442,9 @@ class TestMetrics:
             "deltas_applied": 0,
             "deltas_rejected": 0,
             "deltas_stale": 0,
+            "deltas_gap": 0,
             "queue_errors": 0,
+            "scores_nulled": 0,
         }
 
     def test_percentiles_and_rates(self):
@@ -601,7 +606,8 @@ class TestHttpService:
         assert status == 200
         assert set(snap) == {"qps", "cache_hit_rate", "latency_p50_us",
                              "latency_p95_us", "latency_p99_us", "deltas_applied",
-                             "deltas_rejected", "deltas_stale", "queue_errors"}
+                             "deltas_rejected", "deltas_stale", "deltas_gap", "queue_errors",
+                             "scores_nulled"}
         assert snap["latency_p50_us"] > 0.0
         assert snap["cache_hit_rate"] == pytest.approx(0.5)
         assert snap["deltas_applied"] == snap["deltas_rejected"] == snap["deltas_stale"] == 0
@@ -663,6 +669,34 @@ class TestHostileInputs:
         assert status == 200
         assert payload["scores"] == [np.float32(PROB_CLIP).item()]
         assert payload["scores"] == score(model, request).scores
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_logit_scores_null_and_is_counted(self, served, capfd):
+        # Both prices are finite as float32, but the logit overflows.
+        model, handle = served
+        items = [{"key": k, "features": {"item_id": k, "item_price": price}}
+                 for k, price in (("a", "2.5"), ("b", "1e30"), ("c", "3.4e38"))]
+        request = {"user": {"user_id": "u1"}, "items": items}
+        status, payload = _http(handle, "POST", "/v1/predict", json.dumps(request).encode())
+        assert status == 200
+        assert payload["scores"][1:] == [None, None]
+        assert payload["scores"][0] == score(model, {"user": request["user"], "items": items[:1]}).scores[0]
+        assert _http(handle, "GET", "/v1/metrics")[1]["scores_nulled"] == 2
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_lone_surrogate_is_a_feature_error(self, served, capfd):
+        model, handle = served
+        items = [{"key": k, "features": {"item_id": k}} for k in ("a", "\ud800", "c")]
+        status, payload = _http(handle, "POST", "/v1/predict",
+                                json.dumps({"user": {"user_id": "u1"}, "items": items}).encode())
+        assert status == 200
+        assert [s is None for s in payload["scores"]] == [False, True, False]
+        assert payload["scores"][2] == score(model, {"user": {"user_id": "u1"}, "items": items[2:]}).scores[0]
+        status, payload = _http(handle, "POST", "/v1/predict",
+                                json.dumps({"user": {"user_id": "u\ud800"}, "items": items[:1]}).encode())
+        assert status == 400
+        assert payload["error"] == "invalid value at 'user_id': text is not valid Unicode"
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_deeply_nested_body_is_400(self, served, capfd):
         _, handle = served
@@ -753,6 +787,61 @@ class TestPoller:
             assert snap["queue_errors"] >= 1
             assert snap["deltas_applied"] == 0
             assert model.version == 0
+        finally:
+            handle.shutdown()
+            consumer.close()
+
+
+class TestQueueFaults:
+    """A frame lost from a replayed queue stops the server at the version before it."""
+
+    @pytest.fixture(scope="class")
+    def queue(self, tmp_path_factory):
+        """A trained config, its version-0 parameters and the frames of its file queue."""
+        tmp_path = tmp_path_factory.mktemp("queue")
+        write_logistic_dataset(tmp_path, n_train=256, n_eval=64, seed=5)
+        cfg = make_config(tmp_path, train_config={
+            "num_epochs": 1, "batch_size": 32, "delta_period_steps": 1, "seed": 3})
+        publisher = open_publisher(f"file://{tmp_path / 'trained'}")
+        try:
+            train(cfg, sink=publisher)
+        finally:
+            publisher.close()
+        blob = (tmp_path / "trained.dq").read_bytes()
+        frames, pos = [], 0
+        while pos < len(blob):
+            (length,) = struct.unpack_from("<I", blob, pos)
+            frames.append(blob[pos + 4 : pos + 4 + length])
+            pos += 4 + length
+        assert len(frames) == 8
+        return cfg, init_params(cfg, np.random.default_rng([3, 0])), frames
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_bit_flip_in_frame_k(self, queue, tmp_path, k):
+        cfg, start, frames = queue
+        corrupt = [bytearray(f) for f in frames]
+        corrupt[k - 1][len(corrupt[k - 1]) // 2] ^= 0x10
+        base = tmp_path / "flipped"
+        base.with_suffix(".dq").write_bytes(b"".join(struct.pack("<I", len(f)) + f for f in corrupt))
+
+        reference = copy_params(start)
+        for frame in frames[: k - 1]:
+            replay_reference(reference, decode_delta(frame))
+
+        model = ServingModel(copy_params(start), cfg)
+        consumer = open_consumer(f"file://{base}")
+        handle = http_serve(model, None, consumer=consumer, poll_interval_ms=20)
+        try:
+            deadline = time.monotonic() + 10.0
+            snap = _http(handle, "GET", "/v1/metrics")[1]
+            while (snap["deltas_applied"] + snap["deltas_rejected"] + snap["deltas_gap"] < len(frames)
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+                snap = _http(handle, "GET", "/v1/metrics")[1]
+            assert (snap["deltas_applied"], snap["deltas_rejected"], snap["deltas_gap"]) == (
+                k - 1, 1, len(frames) - k)
+            assert _http(handle, "GET", "/v1/version")[1]["model_version"] == k - 1
+            assert params_equal(model.snapshot(), reference)
         finally:
             handle.shutdown()
             consumer.close()

@@ -270,23 +270,30 @@ def _step(params, opt, batch, reg, slot_scale=None):
     return train_step(params, opt, _batch_of([fv for fv, _ in batch]), labels, rows, reg, slot_scale)
 
 
-def _assert_state_equal(opt, oracle):
-    """The optimizer keeps one row state per tensor; a dense tensor is its row 0."""
-    for name, rows in oracle.sparse.items():
-        state = opt._state[name]
-        touched = np.zeros(len(state.step), dtype=bool)
+def _assert_state_equal(opt, oracle, params):
+    """The optimizer keeps one row state per arena, read here per tensor slice; the dense vector is one row."""
+    spans = params.layout.spans
+    for name, (arena, start, stop) in spans.items():
+        if arena == "dense" or arena not in opt._state:
+            continue
+        rows = oracle.sparse.get(name, {})
+        state = opt._state[arena]
+        m_all, v_all, step_all = state.m[start:stop], state.v[start:stop], state.step[start:stop]
+        touched = np.zeros(len(step_all), dtype=bool)
         touched[list(rows)] = True
         for row, (m, v, t) in rows.items():
-            assert np.array_equal(state.m[row], m) and np.array_equal(state.v[row], v), (name, row)
-            assert state.step[row] == t, (name, row)
-        assert not state.m[~touched].any() and not state.v[~touched].any()
-        assert not state.step[~touched].any()
+            assert np.array_equal(m_all[row], m) and np.array_equal(v_all[row], v), (name, row)
+            assert step_all[row] == t, (name, row)
+        assert not m_all[~touched].any() and not v_all[~touched].any()
+        assert not step_all[~touched].any()
     for name, (m, v, t) in oracle.dense.items():
-        state = opt._state[name]
-        assert state.m.shape == state.v.shape == (1, m.size), name
-        assert np.array_equal(state.m[0], m.reshape(-1)) and np.array_equal(state.v[0], v.reshape(-1)), name
+        state = opt._state["dense"]
+        _, start, stop = spans[name]
+        assert state.m.shape == state.v.shape == (1, params.dense.size), name
+        assert np.array_equal(state.m[0, start:stop], m.reshape(-1)), name
+        assert np.array_equal(state.v[0, start:stop], v.reshape(-1)), name
         assert state.step.tolist() == [t], name
-    assert set(opt._state) == set(oracle.sparse) | set(oracle.dense)
+    assert set(opt._state) == {spans[name][0] for name in (*oracle.sparse, *oracle.dense)}
 
 
 class TestBatchedStepMatchesPerSample:
@@ -315,7 +322,7 @@ class TestBatchedStepMatchesPerSample:
             got = _step(params, opt, batch, reg, per_row)
 
             assert params_equal(params, reference)
-            _assert_state_equal(opt, oracle)
+            _assert_state_equal(opt, oracle, params)
             for kind, rows_by_slot in (("emb", got.emb_rows), ("fo", got.fo_rows)):
                 assert set(rows_by_slot) == set(want[kind])
                 for slot, rows in rows_by_slot.items():
@@ -323,8 +330,8 @@ class TestBatchedStepMatchesPerSample:
                     expect = [want[kind][slot][r] for r in rows.ids.tolist()]
                     assert np.array_equal(rows.values.reshape(len(rows), -1),
                                           np.array(expect, dtype=np.float32).reshape(len(rows), -1))
-            assert list(got.dense) == list(want["dense"])
-            for name, g in got.dense.items():
+            assert list(got.dense_tensors) == sorted(want["dense"], key=list(params.tensors).index)
+            for name, g in got.dense_tensors.items():
                 assert np.array_equal(g, want["dense"][name]), name
             if gated:
                 for name in names:
