@@ -13,15 +13,21 @@ not increments, so applying a frame twice equals applying it once, and a
 consumer that drops frames with version <= current turns at-least-once
 delivery into exactly-once state effects. Versions are contiguous: a
 frame above current + 1 is refused with VersionGap, since the frames
-between hold rows it does not.
+between hold rows it does not. When a frame writes one row twice, the
+later record wins.
 
 This module owns the message: `emit_delta` builds one from the rows the
 trainer touched, and `apply_delta` turns a snapshot plus a message into
-the next snapshot. Both read a record's tensor_index as a position in
-`ModelParams.tensors`. The trainer tracks touched rows as global rows of
-the emb and fo arenas (slot i's table row r is global row base[i] + r;
-see `model.ArenaLayout`); `emit_delta` gathers each arena's rows with one
-fancy index and maps them back to (tensor_index, row) records.
+the next snapshot. Both read a tensor_index as a position in
+`ModelParams.tensors`. In memory a message is columnar: a `SparseRun` is
+a stretch of consecutive sparse records of one tensor and dim, held as a
+row array and a (k, dim) value array, and a `DenseRun` is one dense
+record. Emit, encode, decode and apply work a run at a time with numpy;
+`DeltaMessage.sparse` and `.dense` show the records one by one for tests
+and oracles. The trainer tracks touched rows as global rows of the emb
+and fo arenas (slot i's table row r is global row base[i] + r; see
+`model.ArenaLayout`), and `emit_delta` gathers each arena's rows with one
+fancy index and splits them into one run per table.
 
 Two transports share one publish/consume interface: append-only file
 (file://) and TCP (tcp://), both with u32 length-prefixed framing. A file
@@ -31,7 +37,7 @@ replay is the trainer's state; TCP is live.
 
 from __future__ import annotations
 
-import math
+import functools
 import os
 import socket
 import struct
@@ -60,6 +66,8 @@ DELTA_MAGIC = b"ERDU"
 FORMAT_VERSION = 1
 # Publishers refuse a longer frame; readers reject a longer prefix unread.
 MAX_FRAME_BYTES = 1 << 28
+# Records a decoder reads first while looking for a run's end; it doubles per look.
+_RUN_PROBE = 128
 
 
 class SparseRecord(NamedTuple):
@@ -73,133 +81,223 @@ class DenseRecord(NamedTuple):
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+class SparseRun(NamedTuple):
+    """Consecutive sparse records of one tensor: row `rows[i]` takes `values[i]`.
+
+    `rows` is an array of k non-negative integers (uint64 when decoded)
+    and `values` a float32 array of shape (k, dim), k >= 1.
+    """
+
+    tensor_index: int
+    rows: np.ndarray
+    values: np.ndarray
+
+
+class DenseRun(NamedTuple):
+    """One dense record: every value of a tensor, flat, as float32."""
+
+    tensor_index: int
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class DeltaMessage:
-    """One period's parameter changes. Values must be float32-exact."""
+    """One period's parameter changes as runs of records, in frame order.
+
+    Messages are equal when their versions and records are, however the
+    records are cut into runs.
+    """
 
     model_version: int
-    sparse: tuple[SparseRecord, ...] = ()
-    dense: tuple[DenseRecord, ...] = ()
+    sparse_runs: tuple[SparseRun, ...] = ()
+    dense_runs: tuple[DenseRun, ...] = ()
+
+    @property
+    def sparse(self) -> tuple[SparseRecord, ...]:
+        """The sparse records one by one, in frame order; built afresh on every read."""
+        return tuple(SparseRecord(run.tensor_index, row, tuple(values))
+                     for run in self.sparse_runs
+                     for row, values in zip(run.rows.tolist(), run.values.tolist()))
+
+    @property
+    def dense(self) -> tuple[DenseRecord, ...]:
+        return tuple(DenseRecord(run.tensor_index, tuple(run.values.tolist())) for run in self.dense_runs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeltaMessage):
+            return NotImplemented
+        return (self.model_version, self.sparse, self.dense) == (other.model_version, other.sparse, other.dense)
+
+
+@functools.lru_cache(maxsize=64)
+def _sparse_dtype(dim: int) -> np.dtype:
+    """One sparse record of `dim` values as it lies on the wire, packed."""
+    return np.dtype([("t", "<u2"), ("r", "<u8"), ("d", "<u2"), ("v", "<f4", (dim,))])
 
 
 def encode_delta(msg: DeltaMessage) -> bytes:
-    buf = bytearray(DELTA_MAGIC)
-    buf += struct.pack("<IQII", FORMAT_VERSION, msg.model_version, len(msg.sparse), len(msg.dense))
-    for rec in msg.sparse:
-        buf += struct.pack("<HQH", rec.tensor_index, rec.row_id, len(rec.values))
-        buf += struct.pack(f"<{len(rec.values)}f", *rec.values)
-    for rec in msg.dense:
-        buf += struct.pack("<HI", rec.tensor_index, len(rec.values))
-        buf += struct.pack(f"<{len(rec.values)}f", *rec.values)
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    return bytes(buf)
+    sparse_count = sum(len(run.rows) for run in msg.sparse_runs)
+    parts = [DELTA_MAGIC, struct.pack("<IQII", FORMAT_VERSION, msg.model_version, sparse_count, len(msg.dense_runs))]
+    for run in msg.sparse_runs:
+        dim = run.values.shape[1]
+        records = np.empty(len(run.rows), _sparse_dtype(dim))
+        records["t"], records["r"], records["d"], records["v"] = run.tensor_index, run.rows, dim, run.values
+        parts.append(records.tobytes())
+    for run in msg.dense_runs:
+        parts += (struct.pack("<HI", run.tensor_index, len(run.values)), run.values.astype("<f4").tobytes())
+    body = b"".join(parts)
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
-class _Reader:
-    def __init__(self, frame: bytes):
-        self.frame = frame
-        self.pos = 0
+def _need(frame: bytes, end: int) -> None:
+    if end > len(frame):
+        raise FormatError("frame truncated")
 
-    def take(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.frame):
-            raise FormatError("frame truncated")
-        out = struct.unpack_from(fmt, self.frame, self.pos)
-        self.pos += size
-        return out
+
+def _sparse_run(frame: bytes, pos: int, left: int) -> tuple[SparseRun, int]:
+    """The run at `pos` and where it ends: up to `left` whole records with the first one's tensor and dim.
+
+    The run's end is looked for in windows from `pos` that double in size,
+    so each run reads at most a fixed window or four times its own length,
+    however many runs the frame has.
+    """
+    _need(frame, pos + 12)
+    tensor_index, dim = struct.unpack_from("<H8xH", frame, pos)
+    dtype = _sparse_dtype(dim)
+    _need(frame, pos + dtype.itemsize)
+    limit, size = min(left, (len(frame) - pos) // dtype.itemsize), _RUN_PROBE
+    while True:
+        window = np.frombuffer(frame, dtype, min(size, limit), pos)
+        other = np.flatnonzero((window["t"] != tensor_index) | (window["d"] != dim))
+        if len(other) or len(window) == limit:
+            break
+        size *= 2
+    records = window[: other[0]] if len(other) else window
+    return SparseRun(tensor_index, records["r"], records["v"]), pos + len(records) * dtype.itemsize
 
 
 def decode_delta(frame: bytes) -> DeltaMessage:
-    """Exact inverse of encode_delta on valid frames.
+    """Exact inverse of encode_delta on valid frames; runs are the longest stretches of one tensor and dim.
 
     Structural errors (bad magic, unknown format version, truncation,
     trailing bytes) raise FormatError; an intact structure with a wrong
-    checksum raises ChecksumError. Never returns a partial message.
+    checksum raises ChecksumError. Never returns a partial message. The
+    runs' arrays are read-only views of `frame`.
     """
-    r = _Reader(frame)
-    (magic,) = r.take("<4s")
-    if magic != DELTA_MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    fmt_version, model_version, sparse_count, dense_count = r.take("<IQII")
+    _need(frame, 4)
+    if frame[:4] != DELTA_MAGIC:
+        raise FormatError(f"bad magic {bytes(frame[:4])!r}")
+    _need(frame, 24)
+    fmt_version, model_version, sparse_count, dense_count = struct.unpack_from("<IQII", frame, 4)
     if fmt_version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {fmt_version}")
-    sparse = []
-    for _ in range(sparse_count):
-        tensor_index, row_id, dim = r.take("<HQH")
-        values = r.take(f"<{dim}f")
-        sparse.append(SparseRecord(tensor_index, row_id, values))
+    pos, sparse = 24, []
+    while sparse_count:
+        run, pos = _sparse_run(frame, pos, sparse_count)
+        sparse.append(run)
+        sparse_count -= len(run.rows)
     dense = []
     for _ in range(dense_count):
-        tensor_index, length = r.take("<HI")
-        values = r.take(f"<{length}f")
-        dense.append(DenseRecord(tensor_index, values))
-    (crc,) = r.take("<I")
-    if r.pos != len(frame):
+        _need(frame, pos + 6)
+        tensor_index, length = struct.unpack_from("<HI", frame, pos)
+        _need(frame, pos + 6 + 4 * length)
+        dense.append(DenseRun(tensor_index, np.frombuffer(frame, "<f4", length, pos + 6)))
+        pos += 6 + 4 * length
+    _need(frame, pos + 4)
+    if pos + 4 != len(frame):
         raise FormatError("trailing bytes after checksum")
-    if crc != zlib.crc32(frame[: len(frame) - 4]):
+    (crc,) = struct.unpack_from("<I", frame, pos)
+    if crc != zlib.crc32(memoryview(frame)[:pos]):
         raise ChecksumError("frame checksum mismatch")
-    return DeltaMessage(model_version=model_version, sparse=tuple(sparse), dense=tuple(dense))
+    return DeltaMessage(model_version, tuple(sparse), tuple(dense))
+
+
+def _check_finite(values: np.ndarray) -> None:
+    """NonFinite with the record's sum if a record (a row; a dense run is one) holds a NaN or an infinity."""
+    if np.isfinite(values).all():
+        return
+    records = np.atleast_2d(values)
+    # One NaN or infinity makes the sum non-finite; float32 values cannot overflow it.
+    raise NonFinite(sum(records[np.isfinite(records).all(axis=1).argmin()].tolist()))
+
+
+def _last_writes(run: SparseRun) -> tuple[np.ndarray, np.ndarray]:
+    """The run's rows and values with only the last record of each row kept.
+
+    numpy does not say which value a fancy-index write keeps for a
+    repeated index. emit_delta's rows ascend, which needs no dedup.
+    """
+    rows, values = run.rows, run.values
+    if (rows[1:] > rows[:-1]).all():
+        return rows, values
+    _, last = np.unique(rows[::-1], return_index=True)
+    keep = len(rows) - 1 - last
+    return rows[keep], values[keep]
 
 
 def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
     """The snapshot after msg, or None if params already holds its version.
 
-    A version above params' version + 1 raises VersionGap. Every record is
+    A version above params' version + 1 raises VersionGap. Every run is
     checked against params, and every value for being finite, before
     anything is copied, so a rejected message raises and leaves params as
-    it was. The result shares every untouched arena with params and holds
-    fresh copies of the touched ones; its model_version is set last.
+    it was. The error is the one the first bad record would raise when
+    checked one by one: non-finite values over all records first, then
+    the sparse records in frame order, then the dense ones. The result
+    shares every untouched arena with params and holds fresh copies of
+    the touched ones; its model_version is set last.
     """
     if msg.model_version <= params.model_version:
         return None
     if msg.model_version > params.model_version + 1:
         raise VersionGap(f"frame version {msg.model_version} after held version {params.model_version}")
-    for rec in (*msg.sparse, *msg.dense):
-        # One NaN or infinity makes the sum non-finite; float32 values cannot overflow it.
-        total = sum(rec.values)
-        if not math.isfinite(total):
-            raise NonFinite(total)
+    for run in (*msg.sparse_runs, *msg.dense_runs):
+        _check_finite(run.values)
     items = list(params.tensors.items())
-    for rec in msg.sparse:
-        if not (0 <= rec.tensor_index < len(items) and is_sparse_tensor(items[rec.tensor_index][0])):
-            raise UnknownSlot(rec.tensor_index)
-        name, arr = items[rec.tensor_index]
-        if not 0 <= rec.row_id < arr.shape[0]:
-            raise IndexOutOfRange(rec.row_id, arr.shape[0])
-        if len(rec.values) != arr.shape[1]:
+    for run in msg.sparse_runs:
+        if not (0 <= run.tensor_index < len(items) and is_sparse_tensor(items[run.tensor_index][0])):
+            raise UnknownSlot(run.tensor_index)
+        name, arr = items[run.tensor_index]
+        out = np.flatnonzero(run.rows >= arr.shape[0])
+        # Each record checks its row before its dim, and a run's records share one dim.
+        if run.values.shape[1] != arr.shape[1] and not (len(out) and out[0] == 0):
             raise DimensionMismatch(
-                f"record for {name!r} has dim {len(rec.values)}, table dim {arr.shape[1]}"
+                f"record for {name!r} has dim {run.values.shape[1]}, table dim {arr.shape[1]}"
             )
-    for rec in msg.dense:
-        if not 0 <= rec.tensor_index < len(items) or is_sparse_tensor(items[rec.tensor_index][0]):
-            raise UnknownTensor(rec.tensor_index)
-        name, arr = items[rec.tensor_index]
-        if len(rec.values) != arr.size:
+        if len(out):
+            raise IndexOutOfRange(int(run.rows[out[0]]), arr.shape[0])
+    for run in msg.dense_runs:
+        if not 0 <= run.tensor_index < len(items) or is_sparse_tensor(items[run.tensor_index][0]):
+            raise UnknownTensor(run.tensor_index)
+        name, arr = items[run.tensor_index]
+        if len(run.values) != arr.size:
             raise DimensionMismatch(
-                f"record for {name!r} has {len(rec.values)} values, tensor has {arr.size}"
+                f"record for {name!r} has {len(run.values)} values, tensor has {arr.size}"
             )
     spans = params.layout.spans
-    fresh = copy_params(params, {spans[items[rec.tensor_index][0]][0] for rec in (*msg.sparse, *msg.dense)})
+    fresh = copy_params(params, {spans[items[run.tensor_index][0]][0]
+                                 for run in (*msg.sparse_runs, *msg.dense_runs)})
     arrays = list(fresh.tensors.values())
-    for rec in msg.sparse:
-        arrays[rec.tensor_index][rec.row_id] = np.asarray(rec.values, dtype=np.float32)
-    for rec in msg.dense:
-        arr = arrays[rec.tensor_index]
-        arr[...] = np.asarray(rec.values, dtype=np.float32).reshape(arr.shape)
+    for run in msg.sparse_runs:
+        rows, values = _last_writes(run)
+        arrays[run.tensor_index][rows] = values
+    for run in msg.dense_runs:
+        arr = arrays[run.tensor_index]
+        arr[...] = run.values.reshape(arr.shape)
     fresh.model_version = msg.model_version
     return fresh
 
 
 @dataclass
 class DeltaAccumulator:
-    """Global rows of the emb and fo arenas touched since the last emission."""
+    """Global rows of the emb and fo arenas touched since the last emission: one array per step."""
 
-    touched: dict[str, set[int]] = field(default_factory=lambda: {"emb": set(), "fo": set()})
+    touched: dict[str, list[np.ndarray]] = field(default_factory=lambda: {"emb": [], "fo": []})
     steps_since_emit: int = 0
 
     def add(self, grad: SparseGradient) -> None:
-        self.touched["emb"].update(grad.emb.ids.tolist())
-        self.touched["fo"].update(grad.fo.ids.tolist())
+        self.touched["emb"].append(grad.emb.ids)
+        self.touched["fo"].append(grad.fo.ids)
         self.steps_since_emit += 1
 
 
@@ -209,24 +307,25 @@ def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
     The version increments first and the message carries the incremented
     value, so versions across a stream are strictly increasing even for
     empty periods. Values are the rows' current states, not gradients.
-    Sparse records come in tensor order, rows ascending within a tensor.
+    There is one sparse run per touched table, in tensor order, rows
+    ascending within it.
     """
     params.model_version += 1
     layout = params.layout
-    records = []
-    for arena, touched in acc.touched.items():
-        rows = np.array(sorted(touched), dtype=np.int64)
-        slot, row = layout.locate(rows)
-        records += zip(layout.table_index[arena][slot].tolist(), row.tolist(), getattr(params, arena)[rows].tolist())
-    sparse = tuple(SparseRecord(i, r, tuple(v)) for i, r, v in sorted(records))
-    dense: tuple[DenseRecord, ...] = ()
+    sparse = []
+    for arena, steps in acc.touched.items():
+        rows = np.unique(np.concatenate([np.empty(0, np.int64), *steps]))
+        values = getattr(params, arena)[rows]
+        sparse += [SparseRun(int(layout.table_index[arena][i]), rows[a:b] - layout.base[i], values[a:b])
+                   for i, a, b in layout.split(rows)]
+        steps.clear()
+    sparse.sort(key=lambda run: run.tensor_index)
+    dense: tuple[DenseRun, ...] = ()
     if acc.steps_since_emit > 0:
-        flat = params.dense.tolist()
-        dense = tuple(DenseRecord(i, tuple(flat[start:stop])) for i, start, stop in layout.dense_spans)
-    for rows in acc.touched.values():
-        rows.clear()
+        flat = params.dense.copy()
+        dense = tuple(DenseRun(i, flat[start:stop]) for i, start, stop in layout.dense_spans)
     acc.steps_since_emit = 0
-    return DeltaMessage(model_version=params.model_version, sparse=sparse, dense=dense)
+    return DeltaMessage(params.model_version, tuple(sparse), dense)
 
 
 # --- transports ---

@@ -93,10 +93,10 @@ class ArenaLayout:
         return {name: arenas[arena][start:stop].reshape(self.shapes[name])
                 for name, (arena, start, stop) in self.spans.items()}
 
-    def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slot position and the table row of each global row."""
-        slot = np.searchsorted(self.base, rows, side="right") - 1
-        return slot, rows - self.base[slot]
+    def split(self, rows: np.ndarray) -> list[tuple[int, int, int]]:
+        """(slot position, start, stop) of each slot's stretch of the sorted global rows; empty ones left out."""
+        cuts = np.searchsorted(rows, self.base).tolist()
+        return [(i, a, b) for i, (a, b) in enumerate(zip(cuts, cuts[1:])) if b > a]
 
 
 @dataclass
@@ -224,10 +224,9 @@ class SparseGradient:
 
     def _by_table(self, rows: SparseRows) -> dict[str, SparseRows]:
         """Each slot's rows of `rows` as table rows; slots without rows are left out."""
-        base = self.layout.base
-        cuts = np.searchsorted(rows.ids, base).tolist()
-        return {slot: SparseRows(rows.ids[a:b] - base[i], rows.values[a:b])
-                for i, (slot, a, b) in enumerate(zip(self.layout.slots, cuts, cuts[1:])) if b > a}
+        layout = self.layout
+        return {layout.slots[i]: SparseRows(rows.ids[a:b] - layout.base[i], rows.values[a:b])
+                for i, a, b in layout.split(rows.ids)}
 
     @property
     def emb_rows(self) -> dict[str, SparseRows]:
@@ -336,12 +335,16 @@ def _fold(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 def _sum_samples(values: np.ndarray) -> np.ndarray:
     """Sum over the first axis as a left fold from zero in row order.
 
-    np.sum may sum pairwise along a contiguous axis, which rounds differently.
+    np.add.reduce over the first axis of a C-ordered array adds one whole
+    row after another into the result, unless a row is a single value: then
+    it sums the column pairwise, which rounds differently. np.cumsum adds
+    in order; its fold starts at the first row, not at zero, which differs
+    only where every row is -0.0, and adding zero gives the +0.0 a fold
+    from zero would.
     """
-    out = np.zeros(values.shape[1:], dtype=_F32)
-    for row in values:
-        out += row
-    return out
+    if values[0].size == 1:
+        return np.cumsum(values, axis=0)[-1] + _F32(0.0)
+    return np.add.reduce(np.ascontiguousarray(values), axis=0, initial=_F32(0.0))
 
 
 def csr_rows(ids: np.ndarray, offsets: np.ndarray, vocab_size: int) -> SlotRows:

@@ -277,6 +277,23 @@ class Joiner:
         self._advance(math.inf)
 
 
+def _write_samples(path: str, samples: list[LabeledSample], label_column: str, delimiter: str) -> None:
+    """Write the samples as UTF-8 CSV: the label column, then the sorted union of payload keys."""
+    columns = sorted({k for s in samples for k in s.payload})
+    if label_column in columns:
+        raise InvalidValue(
+            f"payload:{label_column}", "a payload key equal to the label column would overwrite the label"
+        )
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, delimiter=delimiter)
+            writer.writerow([label_column, *columns])
+            for s in samples:
+                writer.writerow([s.label, *(s.payload.get(c, "") for c in columns)])
+    except OSError as exc:
+        raise IoError(f"cannot write samples {path!r}: {exc}") from exc
+
+
 def run_pipeline(
     input_path: str,
     cfg: JoinConfig,
@@ -292,6 +309,8 @@ def run_pipeline(
     byte-identical. Column naming and delimiter follow the training
     data_config so the output feeds the trainer directly. A payload key
     equal to the label column raises InvalidValue before the output opens.
+    The output is UTF-8; a sample that has no UTF-8 form is dropped and
+    counted as malformed, so `samples` counts the rows written.
     """
     joiner = Joiner(cfg)
     try:
@@ -312,19 +331,16 @@ def run_pipeline(
         raise IoError(f"cannot read events {input_path!r}: {exc}") from exc
     joiner.flush()
 
-    columns = sorted({k for s in joiner.samples for k in s.payload})
-    if label_column in columns:
-        raise InvalidValue(
-            f"payload:{label_column}", "a payload key equal to the label column would overwrite the label"
-        )
     try:
-        with open(output_path, "w", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter)
-            writer.writerow([label_column, *columns])
-            for s in joiner.samples:
-                writer.writerow([s.label, *(s.payload.get(c, "") for c in columns)])
-    except OSError as exc:
-        raise IoError(f"cannot write samples {output_path!r}: {exc}") from exc
+        _write_samples(output_path, joiner.samples, label_column, delimiter)
+    except UnicodeEncodeError:
+        # A JSON escape such as \ud800 parses into a lone surrogate, which
+        # has no UTF-8 form: each sample that holds one is malformed, and
+        # the file is written again without them.
+        kept = [s for s in joiner.samples if is_utf8("".join([*s.payload, *map(str, s.payload.values())]))]
+        joiner.stats.malformed += len(joiner.samples) - len(kept)
+        joiner.stats.samples = len(kept)
+        _write_samples(output_path, kept, label_column, delimiter)
     if stats_path is not None:
         with open(stats_path, "w") as fh:
             json.dump(joiner.stats.to_plain(), fh, indent=2, sort_keys=True)

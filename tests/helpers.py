@@ -4,19 +4,24 @@ Everything here is an independent re-computation: reference hashes via
 functools.reduce, the feature generator one record at a time, AUC by
 explicit pair counting, the forward pass as a
 straight-line float64 program, the float32 training step one sample at a
-time, a naive list-based LRU, an unchecked in-place delta replay, and the
-stream join as a time-sorted batch program. None of it shares code with
+time, a naive list-based LRU, an unchecked in-place delta replay, the
+delta wire format one record at a time with struct, and the stream join
+as a time-sorted batch program. None of it shares code with
 the package under test beyond reading its data types.
 """
 
 import csv
+import itertools
 import json
 import math
+import struct
+import zlib
 from functools import reduce
 
 import numpy as np
 
 from minirec.config import parse_config
+from minirec.delta_stream import DeltaMessage, DenseRecord, DenseRun, SparseRecord, SparseRun
 from minirec.errors import IndexOutOfRange, InvalidValue, MalformedEvent
 from minirec.sample_stream import Event, JoinStats, LabeledSample, parse_event
 
@@ -239,6 +244,58 @@ def replay_reference(params, msg):
         arr = arrays[rec.tensor_index]
         arr[...] = np.reshape(rec.values, arr.shape)
     params.model_version = msg.model_version
+
+
+# ---------------------------------------------------------------------
+# Messages from records, and the per-record wire codec: the columnar codec's oracle
+# ---------------------------------------------------------------------
+
+def message_of(model_version, sparse=(), dense=()):
+    """A DeltaMessage of (tensor_index, row_id, values) and (tensor_index, values) records.
+
+    Each stretch of consecutive sparse records with one tensor and dim is
+    one run; each dense record is one run.
+    """
+    runs = []
+    for (tensor_index, dim), group in itertools.groupby(sparse, lambda rec: (rec[0], len(rec[2]))):
+        group = list(group)
+        runs.append(SparseRun(tensor_index, np.array([rec[1] for rec in group], dtype=np.uint64),
+                              np.array([rec[2] for rec in group], dtype=np.float32).reshape(len(group), dim)))
+    dense_runs = tuple(DenseRun(index, np.array(values, dtype=np.float32)) for index, values in dense)
+    return DeltaMessage(model_version, tuple(runs), dense_runs)
+
+
+def encode_reference(msg) -> bytes:
+    """The frame of msg, packed one record and one struct call at a time."""
+    buf = bytearray(b"ERDU")
+    buf += struct.pack("<IQII", 1, msg.model_version, len(msg.sparse), len(msg.dense))
+    for rec in msg.sparse:
+        buf += struct.pack("<HQH", rec.tensor_index, rec.row_id, len(rec.values))
+        buf += struct.pack(f"<{len(rec.values)}f", *rec.values)
+    for rec in msg.dense:
+        buf += struct.pack("<HI", rec.tensor_index, len(rec.values))
+        buf += struct.pack(f"<{len(rec.values)}f", *rec.values)
+    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
+    return bytes(buf)
+
+
+def decode_reference(frame: bytes):
+    """The message of a valid frame, unpacked one record at a time; asserts on any other frame."""
+    pos = 24
+    magic, fmt_version, model_version, sparse_count, dense_count = struct.unpack_from("<4sIQII", frame)
+    assert (magic, fmt_version) == (b"ERDU", 1)
+    sparse, dense = [], []
+    for _ in range(sparse_count):
+        tensor_index, row_id, dim = struct.unpack_from("<HQH", frame, pos)
+        values = struct.unpack_from(f"<{dim}f", frame, pos + 12)
+        sparse.append(SparseRecord(tensor_index, row_id, values))
+        pos += 12 + 4 * dim
+    for _ in range(dense_count):
+        tensor_index, length = struct.unpack_from("<HI", frame, pos)
+        dense.append(DenseRecord(tensor_index, struct.unpack_from(f"<{length}f", frame, pos + 6)))
+        pos += 6 + 4 * length
+    assert pos + 4 == len(frame) and struct.unpack_from("<I", frame, pos)[0] == zlib.crc32(frame[:pos])
+    return message_of(model_version, sparse, dense)
 
 
 # ---------------------------------------------------------------------

@@ -25,7 +25,6 @@ from minirec.artifact import (
 )
 from minirec.config import Distribution, SearchSpace
 from minirec.delta_stream import (
-    DeltaMessage,
     DenseRecord,
     SparseRecord,
     decode_delta,
@@ -64,6 +63,7 @@ from helpers import (
     informative_feature_config,
     make_config,
     mean_logloss,
+    message_of,
     pairwise_auc,
     replay_reference,
     sample_key,
@@ -575,7 +575,7 @@ def _random_message(rng):
                     tuple(float(np.float32(x))
                           for x in rng.normal(0, 1, int(rng.integers(1, 20)))))
         for _ in range(int(rng.integers(0, 3))))
-    return DeltaMessage(int(rng.integers(0, 2 ** 40)), sparse, dense)
+    return message_of(int(rng.integers(0, 2 ** 40)), sparse, dense)
 
 
 def _random_artifact(rng, tmp_path, tag):
@@ -617,7 +617,7 @@ def test_criterion_10_wire_robustness(tmp_path):
             assert back.step_count == artifact.step_count
             assert params_equal(back.params, artifact.params)
 
-        frame = encode_delta(DeltaMessage(
+        frame = encode_delta(message_of(
             7,
             (SparseRecord(0, 12, (1.0, -2.5, 0.25, 3.0)),
              SparseRecord(1, 12, (0.5,)),
@@ -654,7 +654,7 @@ def _random_delta(rng, version, sparse_info, dense_info):
         dense = (DenseRecord(tensor_index,
                              tuple(float(np.float32(x))
                                    for x in rng.normal(0, 0.3, length))),)
-    return DeltaMessage(version, tuple(sparse), dense)
+    return message_of(version, tuple(sparse), dense)
 
 
 def test_criterion_11_concurrency_consistency(tmp_path):

@@ -1,18 +1,20 @@
 """Delta wire format, the copy-on-write applier, and queue transports."""
 
+import importlib.util
+import math
 import socket
 import struct
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minirec import delta_stream
+from minirec import delta_stream, trainer
 from minirec.artifact import ModelArtifact, save_artifact
 from minirec.delta_stream import (
     DELTA_MAGIC,
-    DeltaMessage,
     DenseRecord,
     FileConsumer,
     FilePublisher,
@@ -37,11 +39,19 @@ from minirec.errors import (
     UnknownTensor,
     VersionGap,
 )
-from minirec.model import init_params, params_equal
+from minirec.config import build_config
+from minirec.model import copy_params, init_params, params_equal
 from minirec.serving import load_model
 from minirec.trainer import train
 
-from helpers import make_config, write_logistic_dataset
+from helpers import (
+    decode_reference,
+    encode_reference,
+    make_config,
+    message_of,
+    replay_reference,
+    write_logistic_dataset,
+)
 
 
 def _random_message(rng, version=None):
@@ -60,7 +70,7 @@ def _random_message(rng, version=None):
         )
         for _ in range(rng.integers(0, 3))
     )
-    return DeltaMessage(
+    return message_of(
         model_version=int(rng.integers(1, 2**40)) if version is None else version,
         sparse=sparse,
         dense=dense,
@@ -69,7 +79,7 @@ def _random_message(rng, version=None):
 
 class TestWireFormat:
     def test_empty_message_size(self):
-        frame = encode_delta(DeltaMessage(model_version=7, sparse=(), dense=()))
+        frame = encode_delta(message_of(model_version=7, sparse=(), dense=()))
         assert len(frame) == 28
         assert frame[:4] == DELTA_MAGIC
         version, model_version, n_sparse, n_dense = struct.unpack("<IQII", frame[4:24])
@@ -82,32 +92,32 @@ class TestWireFormat:
             assert decode_delta(encode_delta(msg)) == msg
 
     def test_bad_magic(self):
-        frame = bytearray(encode_delta(DeltaMessage(1, (), ())))
+        frame = bytearray(encode_delta(message_of(1, (), ())))
         frame[:4] = b"XXXX"
         with pytest.raises(FormatError):
             decode_delta(bytes(frame))
 
     def test_unsupported_format_version(self):
-        frame = bytearray(encode_delta(DeltaMessage(1, (), ())))
+        frame = bytearray(encode_delta(message_of(1, (), ())))
         frame[4:8] = struct.pack("<I", 2)
         with pytest.raises(FormatError):
             decode_delta(bytes(frame))
 
     def test_truncated_mid_record(self):
-        msg = DeltaMessage(3, (SparseRecord(0, 5, (1.0, 2.0, 3.0)),), ())
+        msg = message_of(3, (SparseRecord(0, 5, (1.0, 2.0, 3.0)),), ())
         frame = encode_delta(msg)
         with pytest.raises(FormatError):
             decode_delta(frame[: len(frame) - 8])
 
     def test_crc_corruption(self):
-        msg = DeltaMessage(3, (SparseRecord(0, 5, (1.0, 2.0)),), ())
+        msg = message_of(3, (SparseRecord(0, 5, (1.0, 2.0)),), ())
         frame = bytearray(encode_delta(msg))
         frame[30] ^= 0xFF
         with pytest.raises(ChecksumError):
             decode_delta(bytes(frame))
 
     def test_every_single_bit_flip_detected(self):
-        msg = DeltaMessage(
+        msg = message_of(
             9,
             (SparseRecord(0, 12, (0.5, -0.25)),),
             (DenseRecord(2, (1.5,)),),
@@ -121,6 +131,106 @@ class TestWireFormat:
                     decode_delta(bytes(corrupted))
 
 
+def _oracle_message(rng):
+    """Stretches of records with tensors repeated and in any order, repeated rows, dim 0 and row 2**64 - 1."""
+    sparse = []
+    for _ in range(int(rng.integers(0, 8))):
+        tensor_index, dim = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        for _ in range(int(rng.integers(1, 12))):
+            row = [0, 7, 7, 2**64 - 1, int(rng.integers(0, 2**64, dtype=np.uint64))][int(rng.integers(5))]
+            sparse.append(SparseRecord(tensor_index, row, tuple(float(np.float32(v)) for v in rng.normal(0, 1, dim))))
+    dense = [DenseRecord(int(rng.integers(0, 8)), tuple(float(np.float32(v)) for v in rng.normal(0, 1, int(rng.integers(0, 6)))))
+             for _ in range(int(rng.integers(0, 4)))]
+    return message_of(int(rng.integers(0, 2**64, dtype=np.uint64)), sparse, dense)
+
+
+def _perfbench_common():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("perfbench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _ListSink:
+    def __init__(self):
+        self.frames = []
+
+    def publish(self, frame):
+        self.frames.append(frame)
+
+
+class TestWireOracle:
+    """The columnar codec against helpers.py's per-record struct codec."""
+
+    def test_random_messages_match_reference(self):
+        rng = np.random.default_rng(18)
+        messages = [message_of(0), message_of(2**64 - 1)] + [_oracle_message(rng) for _ in range(300)]
+        records = [rec for msg in messages for rec in msg.sparse]
+        dense = [rec for msg in messages for rec in msg.dense]
+        # The corpus holds the cases a columnar codec could get wrong.
+        assert any(not msg.sparse and not msg.dense for msg in messages)
+        assert any(len(rec.values) == 0 for rec in records) and any(len(rec.values) == 0 for rec in dense)
+        assert any(rec.row_id == 2**64 - 1 for rec in records)
+        for msg in messages:
+            frame = encode_delta(msg)
+            assert frame == encode_reference(msg)
+            decoded = decode_delta(frame)
+            assert decoded == decode_reference(frame) == msg
+            # Runs are the longest stretches of one tensor and dim, as message_of cuts them.
+            assert [(run.tensor_index, run.values.shape[1], len(run.rows)) for run in decoded.sparse_runs] == [
+                (run.tensor_index, run.values.shape[1], len(run.rows)) for run in msg.sparse_runs]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_train_publish_frames_match_reference(self, tmp_path, monkeypatch, seed):
+        common = _perfbench_common()
+        world, rng = common.World(seed), np.random.default_rng([seed, 1])
+        common.write_training_csv(tmp_path / "train.csv", world, rng, 1024)
+        common.write_training_csv(tmp_path / "eval.csv", world, rng, 512)
+        cfg = build_config(common.pipeline_config(seed))
+        messages, sink = [], _ListSink()
+        emit = trainer.emit_delta
+
+        def recording_emit(acc, params):
+            messages.append(emit(acc, params))
+            return messages[-1]
+
+        monkeypatch.setattr(trainer, "emit_delta", recording_emit)
+        train(cfg, str(tmp_path / "train.csv"), str(tmp_path / "eval.csv"), sink=sink)
+        assert len(sink.frames) == len(messages) == 8
+        for msg, frame in zip(messages, sink.frames):
+            assert frame == encode_reference(msg)
+            keys = [(rec.tensor_index, rec.row_id) for rec in msg.sparse]
+            assert keys == sorted(set(keys))
+            assert decode_delta(frame) == decode_reference(frame) == msg
+
+    def test_alternating_tensors_decode_in_linear_work(self, monkeypatch):
+        """Every record starts a new run; decode reads each record a bounded number of times."""
+        read = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def frombuffer(self, *args, **kwargs):
+                out = np.frombuffer(*args, **kwargs)
+                read.append(out.nbytes)
+                return out
+
+        monkeypatch.setattr(delta_stream, "np", CountingNumpy())
+        cost = {}
+        for n in (10_000, 20_000):
+            records = [SparseRecord(i % 2, i, (float(i),) * (8 if i % 2 else 1)) for i in range(n)]
+            frame = encode_reference(message_of(1, records))
+            read.clear()
+            decoded = decode_delta(frame)
+            cost[n] = sum(read)
+            assert len(decoded.sparse_runs) == n
+            assert decoded == decode_reference(frame)
+        # Linear work doubles with the frame; a re-scan of the rest per run would quadruple.
+        assert cost[20_000] < 2.5 * cost[10_000]
+
+
 def _params(tmp_path):
     cfg = make_config(tmp_path)
     return cfg, init_params(cfg, np.random.default_rng([1, 0]))
@@ -130,7 +240,7 @@ class TestValidateAndApply:
     def test_apply_writes_rows_and_version(self, tmp_path):
         cfg, params = _params(tmp_path)
         before = params.tensors["emb:user_id"].copy()
-        msg = DeltaMessage(1, (SparseRecord(0, 10, tuple(float(i) for i in range(8))),), ())
+        msg = message_of(1, (SparseRecord(0, 10, tuple(float(i) for i in range(8))),), ())
         fresh = apply_delta(params, msg)
         np.testing.assert_array_equal(
             fresh.tensors["emb:user_id"][10], np.arange(8, dtype=np.float32))
@@ -144,47 +254,47 @@ class TestValidateAndApply:
     def test_idempotent(self, tmp_path):
         cfg, params = _params(tmp_path)
         records = ((SparseRecord(0, 3, tuple([1.0] * 8)),), (DenseRecord(4, tuple([0.5] * 16 * 16)),))
-        once = apply_delta(params, DeltaMessage(1, *records))
-        twice = apply_delta(once, DeltaMessage(2, *records))
+        once = apply_delta(params, message_of(1, *records))
+        twice = apply_delta(once, message_of(2, *records))
         assert params_equal(once, twice)
 
     def test_held_version_is_skipped(self, tmp_path):
         cfg, params = _params(tmp_path)
-        fresh = apply_delta(params, DeltaMessage(1, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
+        fresh = apply_delta(params, message_of(1, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
         for version in (0, 1):
-            assert apply_delta(fresh, DeltaMessage(version, (SparseRecord(0, 3, (2.0,) * 8),), ())) is None
-        assert apply_delta(params, DeltaMessage(0)) is None
+            assert apply_delta(fresh, message_of(version, (SparseRecord(0, 3, (2.0,) * 8),), ())) is None
+        assert apply_delta(params, message_of(0)) is None
 
     def test_version_gap_is_refused(self, tmp_path):
         cfg, params = _params(tmp_path)
         with pytest.raises(VersionGap):
-            apply_delta(params, DeltaMessage(2, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
-        once = apply_delta(params, DeltaMessage(1))
+            apply_delta(params, message_of(2, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
+        once = apply_delta(params, message_of(1))
         with pytest.raises(VersionGap):
-            apply_delta(once, DeltaMessage(3))
+            apply_delta(once, message_of(3))
         assert params.model_version == 0 and once.model_version == 1
 
     def test_unknown_sparse_index(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(1, (SparseRecord(99, 0, (1.0,) * 8),), ())
+        msg = message_of(1, (SparseRecord(99, 0, (1.0,) * 8),), ())
         with pytest.raises(UnknownSlot):
             apply_delta(params, msg)
 
     def test_dense_index_on_sparse_tensor(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(1, (), (DenseRecord(0, (1.0,) * 8),))
+        msg = message_of(1, (), (DenseRecord(0, (1.0,) * 8),))
         with pytest.raises(UnknownTensor):
             apply_delta(params, msg)
 
     def test_row_out_of_range(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(1, (SparseRecord(0, 2000, (1.0,) * 8),), ())
+        msg = message_of(1, (SparseRecord(0, 2000, (1.0,) * 8),), ())
         with pytest.raises(IndexOutOfRange):
             apply_delta(params, msg)
 
     def test_dim_mismatch(self, tmp_path):
         cfg, params = _params(tmp_path)
-        msg = DeltaMessage(1, (SparseRecord(0, 0, (1.0, 2.0)),), ())
+        msg = message_of(1, (SparseRecord(0, 0, (1.0, 2.0)),), ())
         with pytest.raises(DimensionMismatch):
             apply_delta(params, msg)
 
@@ -207,14 +317,96 @@ class TestValidateAndApply:
         ]
         for bad, error in cases:
             if isinstance(bad, SparseRecord):
-                msg = DeltaMessage(1, (good_sparse, bad), (good_dense,))
+                msg = message_of(1, (good_sparse, bad), (good_dense,))
             else:
-                msg = DeltaMessage(1, (good_sparse,), (good_dense, bad))
+                msg = message_of(1, (good_sparse,), (good_dense, bad))
             with pytest.raises(error):
                 apply_delta(params, msg)
             for name, arr in params.tensors.items():
                 np.testing.assert_array_equal(arr, before[name])
             assert params.model_version == 0
+
+
+def _first_error(params, msg):
+    """The error of the first bad record, records checked one at a time; None for a good message."""
+    for rec in (*msg.sparse, *msg.dense):
+        if not math.isfinite(sum(rec.values)):
+            return NonFinite(sum(rec.values))
+    items = list(params.tensors.items())
+    for rec in msg.sparse:
+        if not (0 <= rec.tensor_index < len(items) and items[rec.tensor_index][0].startswith(("emb:", "fo:"))):
+            return UnknownSlot(rec.tensor_index)
+        name, arr = items[rec.tensor_index]
+        if rec.row_id >= arr.shape[0]:
+            return IndexOutOfRange(rec.row_id, arr.shape[0])
+        if len(rec.values) != arr.shape[1]:
+            return DimensionMismatch(f"record for {name!r} has dim {len(rec.values)}, table dim {arr.shape[1]}")
+    for rec in msg.dense:
+        if not 0 <= rec.tensor_index < len(items) or items[rec.tensor_index][0].startswith(("emb:", "fo:")):
+            return UnknownTensor(rec.tensor_index)
+        name, arr = items[rec.tensor_index]
+        if len(rec.values) != arr.size:
+            return DimensionMismatch(f"record for {name!r} has {len(rec.values)} values, tensor has {arr.size}")
+    return None
+
+
+class TestRunsApply:
+    """apply_delta on whole runs against record-by-record checks and replay_reference."""
+
+    def test_repeated_row_takes_the_later_record(self, tmp_path):
+        cfg, params = _params(tmp_path)
+        rng = np.random.default_rng(5)
+        # One long run over four rows, then the same tensor again in a later run.
+        rows = rng.integers(0, 4, 300).tolist()
+        records = [SparseRecord(0, row, (float(i),) * 8) for i, row in enumerate(rows)]
+        records += [SparseRecord(2, 3, (-1.0,) * 8), SparseRecord(0, rows[0], (-2.0,) * 8)]
+        msg = message_of(1, records)
+        fresh = apply_delta(params, decode_delta(encode_delta(msg)))
+        reference = copy_params(params)
+        replay_reference(reference, msg)
+        assert params_equal(fresh, reference)
+        last = {row: float(i) for i, row in enumerate(rows)} | {rows[0]: -2.0}
+        for row, value in last.items():
+            np.testing.assert_array_equal(fresh.tensors["emb:user_id"][row], np.full(8, value, np.float32))
+
+    def test_errors_match_record_by_record_checks(self, tmp_path):
+        cfg, params = _params(tmp_path)
+        before = copy_params(params)
+        shapes = [arr.shape for arr in params.tensors.values()]
+        rng = np.random.default_rng(11)
+        raised = set()
+        for _ in range(400):
+            sparse = []
+            for _ in range(int(rng.integers(0, 4))):
+                index = int(rng.choice([0, 1, 2, 3, 4, 99])) if rng.random() < 0.1 else int(rng.integers(0, 4))
+                dim = shapes[index][1] if index < 4 and rng.random() < 0.9 else int(rng.integers(1, 9))
+                for _ in range(int(rng.integers(1, 6))):
+                    row = int(rng.integers(0, 4000 if rng.random() < 0.1 else 2000))
+                    values = rng.normal(0, 1, dim).astype(np.float32)
+                    if rng.random() < 0.03:
+                        values[int(rng.integers(dim))] = rng.choice([np.nan, np.inf, -np.inf])
+                    sparse.append(SparseRecord(index, row, tuple(values.tolist())))
+            dense = []
+            for _ in range(int(rng.integers(0, 3))):
+                index = int(rng.integers(4, len(shapes))) if rng.random() < 0.9 else int(rng.choice([0, 99]))
+                size = int(np.prod(shapes[index])) if index < len(shapes) and rng.random() < 0.9 else 3
+                values = rng.normal(0, 1, size).astype(np.float32)
+                if rng.random() < 0.05:
+                    values[0] = np.nan
+                dense.append(DenseRecord(index, tuple(values.tolist())))
+            msg = message_of(1, sparse, dense)
+            want = _first_error(params, msg)
+            if want is None:
+                reference = copy_params(params)
+                replay_reference(reference, msg)
+                assert params_equal(apply_delta(params, msg), reference)
+                continue
+            with pytest.raises(type(want)) as err:
+                apply_delta(params, msg)
+            assert str(err.value) == str(want)
+            raised.add(type(want))
+        assert raised == {NonFinite, UnknownSlot, IndexOutOfRange, DimensionMismatch, UnknownTensor}
+        assert params_equal(params, before) and params.model_version == 0
 
 
 def _drain(consumer):

@@ -9,6 +9,11 @@ import pytest
 # has hand-written expectations of its own in test_sample_stream.py.
 ALLOWED = {
     ("minirec.config", "parse_config"),
+    ("minirec.delta_stream", "DeltaMessage"),
+    ("minirec.delta_stream", "DenseRecord"),
+    ("minirec.delta_stream", "DenseRun"),
+    ("minirec.delta_stream", "SparseRecord"),
+    ("minirec.delta_stream", "SparseRun"),
     ("minirec.sample_stream", "Event"),
     ("minirec.sample_stream", "JoinStats"),
     ("minirec.sample_stream", "LabeledSample"),

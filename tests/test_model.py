@@ -16,6 +16,7 @@ from minirec.features import FeatureSpec, columns_of, generate
 from minirec.model import (
     PROB_CLIP,
     _clip_probability,
+    _sum_samples,
     auc,
     backward,
     copy_params,
@@ -439,3 +440,19 @@ def test_first_order_sum_scalar_loop(tmp_path):
     ids = [1, 5, 1]
     want = sum(float(table[i, 0]) for i in ids)
     assert float(first_order_sum(table, _one_row(table, ids))[0]) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(32, 1), (7, 1), (32, 64), (32, 56, 64), (32, 32, 1), (1, 3)])
+def test_sum_samples_is_a_left_fold_from_zero(shape):
+    """Bit for bit the sum one row at a time from +0.0, as backward's gradients need."""
+    rng = np.random.default_rng(sum(shape))
+    for trial in range(50):
+        values = (rng.normal(0, 1, shape) * 10.0 ** rng.integers(-4, 5, shape)).astype(np.float32)
+        if trial % 5 == 0:
+            values[rng.random(shape) < 0.5] = -0.0
+        if trial % 10 == 0:
+            values[...] = -0.0
+        want = np.zeros(shape[1:], dtype=np.float32)
+        for row in values:
+            want += row
+        assert _sum_samples(values).tobytes() == want.tobytes()

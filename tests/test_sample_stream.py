@@ -379,6 +379,37 @@ class TestRunPipeline:
                      label_column="clicked", delimiter="\t")
         assert out.read_text().splitlines()[0] == "clicked\titem_id\tprice\tuser_id"
 
+    def test_lone_surrogate_sample_is_malformed(self, tmp_path):
+        """A \\ud800 escape in a payload drops that sample from the UTF-8 output."""
+        events = tmp_path / "events.jsonl"
+        events.write_text(
+            '{"kind": "impression", "event_time": 10, "request_id": "r1", "item_key": "a"}\n'
+            '{"kind": "feature_log", "event_time": 10, "request_id": "r1", "payload": {"user_id": "\\ud800"}}\n'
+            '{"kind": "impression", "event_time": 100, "request_id": "r2", "item_key": "b"}\n'
+        )
+        out, stats_path = tmp_path / "samples.csv", tmp_path / "stats.json"
+        stats = run_pipeline(str(events), JoinConfig(label_window_ms=5), str(out), str(stats_path))
+        assert (stats.malformed, stats.samples) == (1, 0)
+        assert out.read_bytes() == b"label\r\n"
+        assert json.loads(stats_path.read_text()) == stats.to_plain()
+
+    def test_lone_surrogate_drops_only_its_sample(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        lines = [
+            {"kind": "feature_log", "event_time": 10, "request_id": "r1", "payload": {"user_id": "u1"}},
+            {"kind": "impression", "event_time": 10, "request_id": "r1", "item_key": "a"},
+            {"kind": "feature_log", "event_time": 20, "request_id": "r2", "payload": {"tag": "\ud800"}},
+            {"kind": "impression", "event_time": 20, "request_id": "r2", "item_key": "b"},
+            {"kind": "feature_log", "event_time": 30, "request_id": "r3", "payload": {"\udfff": "v"}},
+            {"kind": "impression", "event_time": 30, "request_id": "r3", "item_key": "c"},
+            {"kind": "impression", "event_time": 100, "request_id": "r4", "item_key": "d"},
+        ]
+        events.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "samples.csv"
+        stats = run_pipeline(str(events), JoinConfig(label_window_ms=5), str(out))
+        assert (stats.malformed, stats.samples) == (2, 1)
+        assert out.read_text(encoding="utf-8").splitlines() == ["label,user_id", "0,u1"]
+
     def test_missing_input_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
             run_pipeline(str(tmp_path / "absent.jsonl"), JoinConfig(label_window_ms=5),

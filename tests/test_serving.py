@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from minirec.delta_stream import (
-    DeltaMessage,
     SparseRecord,
     decode_delta,
     encode_delta,
@@ -34,7 +33,7 @@ from minirec.serving import (
 )
 from minirec.trainer import score_all, train
 
-from helpers import LruSimulator, make_config, replay_reference, write_logistic_dataset
+from helpers import LruSimulator, make_config, message_of, replay_reference, write_logistic_dataset
 
 
 def _spec(name, cols, kind="id"):
@@ -210,7 +209,7 @@ class TestScore:
         specs = model.partition.item
         row = generate(columns_of([{"item_id": "b"}], specs), specs).row(0).ids["item_id"][0]
         index = list(model.snapshot().tensors).index("emb:item_id")
-        msg = DeltaMessage(model_version=1, sparse=(SparseRecord(index, row, (1.0, -2.0, 3.0, -4.0)),))
+        msg = message_of(model_version=1, sparse=(SparseRecord(index, row, (1.0, -2.0, 3.0, -4.0)),))
         assert model.apply_delta(msg) == 1
         after = score(model, request, cache)
         assert after.cache_hits == 3
@@ -371,7 +370,7 @@ class TestApplyDelta:
     def test_applies_and_bumps_version(self, tmp_path):
         model = _make_model(tmp_path)
         values = (1.5, -2.0, 0.25, 8.0)
-        msg = DeltaMessage(model_version=1, sparse=(SparseRecord(0, 7, values),))
+        msg = message_of(model_version=1, sparse=(SparseRecord(0, 7, values),))
         assert model.apply_delta(msg) == 1
         assert model.version == 1
         np.testing.assert_array_equal(
@@ -384,7 +383,7 @@ class TestApplyDelta:
         model = _make_model(tmp_path)
         old = model.snapshot()
         row_before = old.tensors["emb:user_id"][7].copy()
-        msg = DeltaMessage(model_version=1,
+        msg = message_of(model_version=1,
                            sparse=(SparseRecord(0, 7, (9.0, 9.0, 9.0, 9.0)),))
         model.apply_delta(msg)
         np.testing.assert_array_equal(old.tensors["emb:user_id"][7], row_before)
@@ -393,7 +392,7 @@ class TestApplyDelta:
     def test_copy_on_write_shares_untouched_tensors(self, tmp_path):
         model = _make_model(tmp_path)
         old = model.snapshot()
-        msg = DeltaMessage(model_version=1,
+        msg = message_of(model_version=1,
                            sparse=(SparseRecord(0, 7, (9.0, 9.0, 9.0, 9.0)),))
         model.apply_delta(msg)
         new = model.snapshot()
@@ -407,14 +406,14 @@ class TestApplyDelta:
     def test_stale_version_skipped(self, tmp_path):
         model = _make_model(tmp_path)
         before = model.snapshot()
-        msg = DeltaMessage(model_version=0,
+        msg = message_of(model_version=0,
                            sparse=(SparseRecord(0, 1, (0.0, 0.0, 0.0, 0.0)),))
         assert model.apply_delta(msg) is None
         assert model.snapshot() is before
 
     def test_replay_of_applied_version_is_noop(self, tmp_path):
         model = _make_model(tmp_path)
-        msg = DeltaMessage(model_version=1,
+        msg = message_of(model_version=1,
                            sparse=(SparseRecord(0, 1, (1.0, 1.0, 1.0, 1.0)),))
         assert model.apply_delta(msg) == 1
         assert model.apply_delta(msg) is None
@@ -422,7 +421,7 @@ class TestApplyDelta:
     def test_rejected_message_leaves_state(self, tmp_path):
         model = _make_model(tmp_path)
         before = model.snapshot()
-        bad = DeltaMessage(model_version=1,
+        bad = message_of(model_version=1,
                            sparse=(SparseRecord(0, 10_000, (0.0, 0.0, 0.0, 0.0)),))
         with pytest.raises(MinirecError):
             model.apply_delta(bad)
@@ -718,7 +717,7 @@ class TestPoller:
                             poll_interval_ms=20)
         try:
             publisher.publish(b"garbage frame")
-            msg = DeltaMessage(model_version=1,
+            msg = message_of(model_version=1,
                                sparse=(SparseRecord(0, 2, (4.0, 3.0, 2.0, 1.0)),))
             publisher.publish(encode_delta(msg))
             deadline = time.monotonic() + 5.0
@@ -755,7 +754,7 @@ class TestPoller:
         try:
             # A well-formed frame, CRC included, whose values are all NaN.
             nan = float("nan")
-            publisher.publish(encode_delta(DeltaMessage(
+            publisher.publish(encode_delta(message_of(
                 model_version=1, sparse=(SparseRecord(0, 2, (nan, nan, nan, nan)),))))
             deadline = time.monotonic() + 5.0
             snap = _http(handle, "GET", "/v1/metrics")[1]
