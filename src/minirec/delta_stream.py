@@ -37,13 +37,12 @@ replay is the trainer's state; TCP is live.
 
 from __future__ import annotations
 
-import functools
 import os
 import socket
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -129,7 +128,6 @@ class DeltaMessage:
         return (self.model_version, self.sparse, self.dense) == (other.model_version, other.sparse, other.dense)
 
 
-@functools.lru_cache(maxsize=64)
 def _sparse_dtype(dim: int) -> np.dtype:
     """One sparse record of `dim` values as it lies on the wire, packed."""
     return np.dtype([("t", "<u2"), ("r", "<u8"), ("d", "<u2"), ("v", "<f4", (dim,))])
@@ -288,16 +286,16 @@ def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
     return fresh
 
 
-@dataclass
 class DeltaAccumulator:
-    """Global rows of the emb and fo arenas touched since the last emission: one array per step."""
+    """Rows of the emb and fo arenas touched since the last emission: one flag per global row."""
 
-    touched: dict[str, list[np.ndarray]] = field(default_factory=lambda: {"emb": [], "fo": []})
-    steps_since_emit: int = 0
+    def __init__(self, rows: int):
+        self.touched = {"emb": np.zeros(rows, dtype=bool), "fo": np.zeros(rows, dtype=bool)}
+        self.steps_since_emit = 0
 
     def add(self, grad: SparseGradient) -> None:
-        self.touched["emb"].append(grad.emb.ids)
-        self.touched["fo"].append(grad.fo.ids)
+        self.touched["emb"][grad.emb.ids] = True
+        self.touched["fo"][grad.fo.ids] = True
         self.steps_since_emit += 1
 
 
@@ -313,12 +311,12 @@ def emit_delta(acc: DeltaAccumulator, params: ModelParams) -> DeltaMessage:
     params.model_version += 1
     layout = params.layout
     sparse = []
-    for arena, steps in acc.touched.items():
-        rows = np.unique(np.concatenate([np.empty(0, np.int64), *steps]))
+    for arena, mask in acc.touched.items():
+        rows = np.flatnonzero(mask)
         values = getattr(params, arena)[rows]
         sparse += [SparseRun(int(layout.table_index[arena][i]), rows[a:b] - layout.base[i], values[a:b])
                    for i, a, b in layout.split(rows)]
-        steps.clear()
+        mask[rows] = False
     sparse.sort(key=lambda run: run.tensor_index)
     dense: tuple[DenseRun, ...] = ()
     if acc.steps_since_emit > 0:

@@ -195,7 +195,7 @@ def train(
     shuffle_rng = np.random.default_rng([t.seed, 1])
     params = init_params(cfg, init_rng)
     optimizer = AdamOptimizer(t.learning_rate, t.adam_beta1, t.adam_beta2, t.adam_epsilon)
-    acc = DeltaAccumulator()
+    acc = DeltaAccumulator(params.layout.rows)
     report = TrainReport()
 
     data, labels = load_dataset(cfg, effective_train) if t.num_epochs > 0 else (None, np.zeros(0))

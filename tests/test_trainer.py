@@ -8,6 +8,7 @@ from minirec.errors import DataError, IndexOutOfRange, IoError, NonFinite
 from minirec.features import FeatureBatch, FeatureVector, SlotIds
 from minirec.model import copy_params, init_params, params_equal
 from minirec.optim import AdamOptimizer
+from minirec import trainer
 from minirec.trainer import load_dataset, read_columns, train, train_step
 
 from helpers import (
@@ -203,12 +204,41 @@ class TestDeltaEmission:
     def test_emit_delta_empty_period_still_increments(self, tmp_path):
         cfg = make_config(tmp_path)
         params = init_params(cfg, np.random.default_rng([1, 0]))
-        acc = DeltaAccumulator()
+        acc = DeltaAccumulator(params.layout.rows)
         msg = emit_delta(acc, params)
         assert msg.model_version == 1
         assert msg.sparse == () and msg.dense == ()
         again = emit_delta(acc, params)
         assert again.model_version == 2
+
+    def test_accumulator_without_sink_stays_bounded(self, tmp_path, monkeypatch):
+        """With no sink nothing is emitted: the accumulator holds one flag per arena row, set for the rows touched."""
+        _small_dataset(tmp_path)
+        made = []
+
+        class Recording(DeltaAccumulator):
+            def __init__(self, rows):
+                super().__init__(rows)
+                made.append(self)
+
+        monkeypatch.setattr(trainer, "DeltaAccumulator", Recording)
+        cfg = make_config(tmp_path, train_config={"num_epochs": 3, "batch_size": 8})
+        art, report = train(cfg)
+        (acc,) = made
+        assert report.steps == 45 and report.deltas_emitted == 0
+        rows = art.params.layout.rows
+        assert {arena: mask.shape for arena, mask in acc.touched.items()} == {"emb": (rows,), "fo": (rows,)}
+        batch, _ = load_dataset(cfg, str(tmp_path / "train.csv"))
+        expected = {
+            (index, row)
+            for fv in (batch.row(i) for i in range(len(batch)))
+            for index, slot in ((0, "user_id"), (2, "item_id"))
+            for row in fv.ids[slot]
+        }
+        expected |= {(index + 1, row) for index, row in expected}
+        msg = emit_delta(acc, art.params)
+        assert {(rec.tensor_index, rec.row_id) for rec in msg.sparse} == expected
+        assert emit_delta(acc, art.params).sparse == ()
 
     def test_delta_carries_values_not_gradients(self, tmp_path):
         _small_dataset(tmp_path)
