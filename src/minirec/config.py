@@ -263,15 +263,6 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def serialize_config(cfg: PipelineConfig) -> str:
-    """Canonical JSON for a config, all defaults materialized.
-
-    The output fully determines a run without reference to code-level
-    defaults, and equal configs serialize to equal bytes.
-    """
-    return canonical_json(to_plain(cfg))
-
-
 def apply_override(cfg: PipelineConfig, path: str, value: Any) -> PipelineConfig:
     """Return a copy of cfg with the single scalar leaf at `path` replaced."""
     parts = path.split(".")

@@ -5,12 +5,13 @@ pooled embedding and its first-order contribution. Gates use the logistic
 concrete relaxation: z = sigmoid((log_alpha + ln u - ln(1-u)) / tau) for
 uniform noise u, making the expected gate differentiable in log_alpha.
 
-Optimization alternates: even steps update model weights on a train batch
-(gates sampled, gate parameters frozen); odd steps update gate parameters
-on a validation batch (weights frozen), minimizing the validation logloss
-plus lambda_g * sum_i sigmoid(log_alpha_i). Optimizing gates against
-held-out data is what lets an uninformative slot's keep probability fall:
-it contributes nothing to generalization, so only the penalty acts on it.
+Optimization alternates: even steps, the trainer's loop, update model
+weights on a train batch (gates sampled, gate parameters frozen); odd
+steps update gate parameters on a validation batch (weights frozen),
+minimizing the validation logloss plus lambda_g * sum_i
+sigmoid(log_alpha_i). Optimizing gates against held-out data is what
+lets an uninformative slot's keep probability fall: it contributes
+nothing to generalization, so only the penalty acts on it.
 
 A slot's importance is its keep probability p_i = sigmoid(log_alpha_i).
 """
@@ -18,16 +19,16 @@ A slot's importance is its keep probability p_i = sigmoid(log_alpha_i).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import InvalidValue
+from .errors import DataError, InvalidValue
 from .features import FeatureSpec
-from .model import ModelParams, backward, forward, init_params
-from .optim import AdamOptimizer, ScalarAdam
-from .trainer import load_dataset, train_step
+from .model import ModelParams, backward, forward
+from .optim import ScalarAdam
+from .trainer import fit, load_dataset
 
 DEFAULT_TAU = 0.5
 DEFAULT_LAMBDA_G = 1e-3
@@ -66,16 +67,49 @@ class GateTrainResult:
     steps: int = 0
 
 
-def _sample_gates(
-    gates: GateParams, slot_names: tuple[str, ...], rng: np.random.Generator, count: int
-) -> dict[str, np.ndarray]:
-    """Gate draws for `count` samples, per slot; drawn sample by sample in slot order."""
-    draws = np.zeros((count, len(slot_names)))
-    for row in draws:
-        for i, name in enumerate(slot_names):
-            u = min(max(rng.random(), _U_CLIP), 1.0 - _U_CLIP)
-            row[i] = gate_value(gates.log_alpha[name], u, gates.tau)
-    return {name: draws[:, i] for i, name in enumerate(slot_names)}
+class _GateStep:
+    """The gate half of each step of the trainer's loop, with the weights frozen.
+
+    Validation batches cycle independently of train batches, and both
+    draw fresh gate noise per sample from the [seed, 2] stream.
+    """
+
+    def __init__(self, cfg: PipelineConfig, valid, tau: float, lambda_g: float, learning_rate: float):
+        self.names = tuple(spec.name for spec in cfg.feature_config)
+        self.log_alpha = np.zeros(len(self.names))
+        self.tau, self.lambda_g = tau, lambda_g
+        self.valid, self.valid_labels = valid
+        self.count = min(cfg.train_config.batch_size, len(self.valid_labels))
+        self.order, self.pos = np.zeros(0, dtype=np.int64), 0
+        self.noise = np.random.default_rng([cfg.train_config.seed, 2])
+        self.optimizer = ScalarAdam(learning_rate)
+
+    def scales(self, count: int) -> dict[str, np.ndarray]:
+        """Gates of `count` samples per slot, from one noise draw read sample by sample in slot order."""
+        u = np.clip(self.noise.random((count, len(self.names))), _U_CLIP, 1.0 - _U_CLIP)
+        alphas, tau = self.log_alpha.tolist(), self.tau
+        z = np.array([[gate_value(a, x, tau) for a, x in zip(alphas, row)] for row in u.tolist()])
+        return dict(zip(self.names, z.T))
+
+    def step(self, params: ModelParams, shuffle_rng: np.random.Generator) -> None:
+        """One ScalarAdam step on a validation batch's logloss plus lambda_g * sum_i p_i."""
+        # The next `count` rows of the validation order; the next order is
+        # drawn from the epoch shuffle stream only when a row of it is needed.
+        picked = self.order[self.pos : self.pos + self.count]
+        self.pos += len(picked)
+        if len(picked) < self.count:
+            self.order, self.pos = shuffle_rng.permutation(len(self.valid_labels)), self.count - len(picked)
+            picked = np.concatenate([picked, self.order[: self.pos]])
+        scales = self.scales(len(picked))
+        trace = forward(params, self.valid.take(picked), slot_scale=scales)
+        g = np.stack(list(backward(trace, self.valid_labels[picked], 0.0).slot_scale.values()))
+        z = np.stack(list(scales.values()))
+        # Each slot's terms summed in sample order as a left fold from zero:
+        # cumsum adds in order, and adding 0.0 turns a -0.0 total into +0.0.
+        terms = g.astype(np.float64) * z * (1.0 - z) / self.tau
+        gate_grad = (np.cumsum(terms, axis=1)[:, -1] + 0.0) / len(picked)
+        p = np.array(list(map(_sigmoid, self.log_alpha.tolist())))
+        self.optimizer.apply(self.log_alpha, gate_grad + self.lambda_g * p * (1.0 - p))
 
 
 def train_with_gates(
@@ -88,10 +122,10 @@ def train_with_gates(
 ) -> GateTrainResult:
     """Alternating weight/gate optimization; returns per-slot importances.
 
-    Validation batches cycle independently of train batches; both draw
-    fresh gate noise per sample from the [seed, 2] stream. Raises
-    InvalidValue unless tau and gate_learning_rate are finite and > 0 and
-    lambda_g is finite and >= 0.
+    The weight steps run on the trainer's loop, each followed by one gate
+    step. Raises InvalidValue unless tau and gate_learning_rate are finite
+    and > 0 and lambda_g is finite and >= 0, and DataError when the
+    validation file has no data rows.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidValue("tau", "must be finite and > 0")
@@ -99,63 +133,16 @@ def train_with_gates(
         raise InvalidValue("gate_learning_rate", "must be finite and > 0")
     if not (math.isfinite(lambda_g) and lambda_g >= 0):
         raise InvalidValue("lambda_g", "must be finite and >= 0")
-    t = cfg.train_config
-    train_path = train_path if train_path is not None else cfg.data_config.train_path
-    valid_path = valid_path if valid_path is not None else cfg.data_config.eval_path
-
-    init_rng = np.random.default_rng([t.seed, 0])
-    shuffle_rng = np.random.default_rng([t.seed, 1])
-    noise_rng = np.random.default_rng([t.seed, 2])
-
-    params = init_params(cfg, init_rng)
-    slot_names = params.slot_names
-    gates = GateParams(log_alpha={name: 0.0 for name in slot_names}, tau=tau, lambda_g=lambda_g)
-    weight_opt = AdamOptimizer(t.learning_rate, t.adam_beta1, t.adam_beta2, t.adam_epsilon)
-    gate_opt = ScalarAdam(gate_learning_rate)
-
-    train_data, train_labels = load_dataset(cfg, train_path)
-    valid_data, valid_labels = load_dataset(cfg, valid_path)
-    reg = cfg.model_config.embedding_regularization
-
-    valid_order: list[int] = []
-    valid_pos = 0
-    steps = 0
-    for _ in range(t.num_epochs):
-        order = shuffle_rng.permutation(len(train_labels))
-        shuffled, shuffled_labels, rows = train_data.take(order), train_labels[order], order + 1
-        for start in range(0, len(order), t.batch_size):
-            stop = min(start + t.batch_size, len(order))
-            draws = _sample_gates(gates, slot_names, noise_rng, stop - start)
-            step = shuffled.slice(start, stop)
-            train_step(params, weight_opt, step, shuffled_labels[start:stop], rows[start:stop], reg, draws)
-            steps += 1
-
-            picked = []
-            for _ in range(min(t.batch_size, len(valid_labels))):
-                if valid_pos >= len(valid_order):
-                    valid_order = list(shuffle_rng.permutation(len(valid_labels)))
-                    valid_pos = 0
-                picked.append(valid_order[valid_pos])
-                valid_pos += 1
-            z = _sample_gates(gates, slot_names, noise_rng, len(picked))
-            trace = forward(params, valid_data.take(np.array(picked)), slot_scale=z)
-            grad = backward(trace, valid_labels[picked], 0.0)
-            gate_grad = np.zeros(len(slot_names))
-            for i, name in enumerate(slot_names):
-                for g, zi in zip(grad.slot_scale[name].tolist(), z[name].tolist()):
-                    gate_grad[i] += g * zi * (1.0 - zi) / gates.tau
-            gate_grad /= len(picked)
-            for i, name in enumerate(slot_names):
-                p = _sigmoid(gates.log_alpha[name])
-                gate_grad[i] += lambda_g * p * (1.0 - p)
-            alphas = np.array([gates.log_alpha[name] for name in slot_names])
-            gate_opt.apply(alphas, gate_grad)
-            gates.log_alpha = {name: float(alphas[i]) for i, name in enumerate(slot_names)}
-            steps += 1
-
-    return GateTrainResult(
-        importances=gates.keep_probabilities(), params=params, gates=gates, steps=steps
-    )
+    data = load_dataset(cfg, cfg.data_config.train_path if train_path is None else train_path)
+    valid_path = cfg.data_config.eval_path if valid_path is None else valid_path
+    valid = load_dataset(cfg, valid_path)
+    if not len(valid[1]):
+        raise DataError(0, f"validation file {valid_path!r} has no data rows")
+    gate_step = _GateStep(cfg, valid, tau, lambda_g, gate_learning_rate)
+    artifact, report = fit(cfg, data, gates=gate_step)
+    gates = GateParams(dict(zip(gate_step.names, gate_step.log_alpha.tolist())), tau, lambda_g)
+    # one weight step and one gate step per train batch
+    return GateTrainResult(gates.keep_probabilities(), artifact.params, gates, steps=2 * report.steps)
 
 
 def select(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from .config import Distribution, PipelineConfig, SearchSpace, apply_override
@@ -105,11 +106,16 @@ class Trial:
         }
 
 
-def _trainer_evaluate(cfg: PipelineConfig, epochs: int, stop_check) -> list[float]:
-    """Default objective: train, reporting the primary eval metric per epoch."""
-    from .trainer import train
+def _trainer_evaluate(cfg: PipelineConfig, epochs: int, stop_check, loaded: dict) -> list[float]:
+    """Default objective: the trainer's loop, reporting the primary eval metric per epoch.
+
+    `loaded` holds each data_config's datasets (a search cannot override feature_config).
+    """
+    from .trainer import fit, load_splits
 
     cfg = apply_override(cfg, "train_config.num_epochs", epochs)
+    if cfg.data_config not in loaded:
+        loaded[cfg.data_config] = load_splits(cfg)
     metrics = cfg.eval_config.metrics
     metric = "auc" if "auc" in metrics else metrics[0]
     curve: list[float] = []
@@ -121,7 +127,7 @@ def _trainer_evaluate(cfg: PipelineConfig, epochs: int, stop_check) -> list[floa
         curve.append(-value if metric == "logloss" else value)
         return stop_check(curve)
 
-    train(cfg, epoch_callback=callback)
+    fit(cfg, *loaded[cfg.data_config], epoch_callback=callback)
     return curve
 
 
@@ -140,10 +146,10 @@ def run_search(
     evaluate_fn(cfg, epochs, stop_check) must run up to `epochs` epochs,
     append to its metric curve per epoch, consult stop_check(curve) after
     each one, and return the curve (shorter when stopped). The default
-    runs the real trainer. The best trial maximizes final metric
-    (best-so-far for pruned trials); failed trials never win.
+    runs the trainer on files read once per search. The best trial
+    maximizes final metric (best-so-far for pruned trials); failed trials never win.
     """
-    evaluate = evaluate_fn if evaluate_fn is not None else _trainer_evaluate
+    evaluate = evaluate_fn if evaluate_fn is not None else partial(_trainer_evaluate, loaded={})
     trials: list[Trial] = []
     completed_curves: list[list[float]] = []
     for trial_id in range(max_trials):

@@ -1,7 +1,8 @@
 """Mini-batch training loop with evaluation, export, and delta emission.
 
-Training is a pure function of (config, data bytes, seed). Three seeded
-RNG streams keep the sources of randomness independent and reproducible:
+Training is a pure function of (config, data bytes, seed), and one loop,
+`fit`, runs it on loaded datasets for `train`, HPO and feature selection.
+Three seeded RNG streams keep the sources of randomness independent:
 [seed, 0] initializes parameters, [seed, 1] shuffles epochs, [seed, 2] is
 reserved for gate noise in feature selection.
 
@@ -154,8 +155,7 @@ def train_step(
     not finite, NonFinite names them and nothing is updated. slot_scale,
     when given, holds each slot's per-sample scales (the feature-selection
     gates). forward and backward are looked up in this module, so wrappers
-    installed on trainer.forward/backward see every training batch of
-    both loops.
+    installed on trainer.forward/backward see every training batch.
     """
     trace = forward(params, batch, slot_scale)
     finite = np.isfinite(trace.logit)
@@ -166,6 +166,13 @@ def train_step(
     return grad
 
 
+def load_splits(cfg: PipelineConfig) -> tuple:
+    """cfg's train dataset, None when no epoch runs, and eval dataset, None without a path."""
+    d = cfg.data_config
+    data = load_dataset(cfg, d.train_path) if cfg.train_config.num_epochs > 0 else None
+    return data, load_dataset(cfg, d.eval_path) if d.eval_path else None
+
+
 def train(
     cfg: PipelineConfig,
     train_path: str | None = None,
@@ -173,24 +180,32 @@ def train(
     sink=None,
     epoch_callback=None,
 ) -> tuple[ModelArtifact, TrainReport]:
-    """Run the full seeded training loop.
+    """`fit` on the config's files, or on the paths given, which the artifact's config then names."""
+    d = cfg.data_config
+    d = dataclasses.replace(d, train_path=d.train_path if train_path is None else train_path,
+                            eval_path=d.eval_path if eval_path is None else eval_path)
+    cfg = dataclasses.replace(cfg, data_config=d)
+    return fit(cfg, *load_splits(cfg), sink=sink, epoch_callback=epoch_callback)
+
+
+def fit(
+    cfg: PipelineConfig,
+    data: tuple[FeatureBatch, np.ndarray] | None,
+    eval_data: tuple[FeatureBatch, np.ndarray] | None = None,
+    sink=None,
+    epoch_callback=None,
+    gates=None,
+) -> tuple[ModelArtifact, TrainReport]:
+    """Run the seeded training loop over loaded `(batch, labels)` datasets.
 
     sink: optional delta publisher; a delta is emitted and published every
     train_config.delta_period_steps optimizer steps, plus a final partial
     period. epoch_callback(epoch, metrics) may return True to stop after
-    the current epoch (the HPO stopping hook).
+    the current epoch (the HPO stopping hook). gates: the feature-selection
+    gate step; `gates.scales(n)` gives the slot scales of a weight step's
+    n samples, and `gates.step(params, shuffle_rng)` runs after that step.
     """
     t = cfg.train_config
-    effective_train = train_path if train_path is not None else cfg.data_config.train_path
-    effective_eval = eval_path if eval_path is not None else cfg.data_config.eval_path
-    if effective_train != cfg.data_config.train_path or effective_eval != cfg.data_config.eval_path:
-        cfg = dataclasses.replace(
-            cfg,
-            data_config=dataclasses.replace(
-                cfg.data_config, train_path=effective_train, eval_path=effective_eval
-            ),
-        )
-
     init_rng = np.random.default_rng([t.seed, 0])
     shuffle_rng = np.random.default_rng([t.seed, 1])
     params = init_params(cfg, init_rng)
@@ -198,20 +213,19 @@ def train(
     acc = DeltaAccumulator(params.layout.rows)
     report = TrainReport()
 
-    data, labels = load_dataset(cfg, effective_train) if t.num_epochs > 0 else (None, np.zeros(0))
-    eval_data = None
-    if effective_eval:
-        eval_data = load_dataset(cfg, effective_eval)
-
     reg = cfg.model_config.embedding_regularization
     for epoch in range(1, t.num_epochs + 1):
+        batch, labels = data
         order = shuffle_rng.permutation(len(labels))
-        shuffled, shuffled_labels, rows = data.take(order), labels[order], order + 1
+        shuffled, shuffled_labels, rows = batch.take(order), labels[order], order + 1
         for start in range(0, len(order), t.batch_size):
             stop = min(start + t.batch_size, len(order))
+            scale = None if gates is None else gates.scales(stop - start)
             step = shuffled.slice(start, stop)
-            acc.add(train_step(params, optimizer, step, shuffled_labels[start:stop], rows[start:stop], reg))
+            acc.add(train_step(params, optimizer, step, shuffled_labels[start:stop], rows[start:stop], reg, scale))
             report.steps += 1
+            if scale is not None:
+                gates.step(params, shuffle_rng)
             if sink is not None and report.steps % t.delta_period_steps == 0:
                 sink.publish(encode_delta(emit_delta(acc, params)))
                 report.deltas_emitted += 1

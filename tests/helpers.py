@@ -6,7 +6,8 @@ explicit pair counting, the forward pass as a
 straight-line float64 program, the float32 training step one sample at a
 time, a naive list-based LRU, an unchecked in-place delta replay, the
 delta wire format one record at a time with struct, and the stream join
-as a time-sorted batch program. None of it shares code with
+as a time-sorted batch program, and feature selection's alternating
+weight/gate loop on the per-sample step. None of it shares code with
 the package under test beyond reading its data types.
 """
 
@@ -719,3 +720,106 @@ def oracle_train_step(params, optimizer, batch, reg, scales=None):
     avg = oracle_average(grads)
     optimizer.apply(params, avg)
     return avg, grads
+
+
+# ---------------------------------------------------------------------
+# Feature selection: the alternating weight/gate loop, scalar by scalar
+# ---------------------------------------------------------------------
+
+def _reference_sigmoid(x):
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _reference_gates(log_alpha, names, rng, count, tau):
+    """Gates of `count` samples; one rng.random() per gate, sample by sample in slot order."""
+    gates = []
+    for _ in range(count):
+        z = {}
+        for name in names:
+            u = min(max(rng.random(), 1e-12), 1.0 - 1e-12)
+            z[name] = _reference_sigmoid((log_alpha[name] + math.log(u) - math.log(1.0 - u)) / tau)
+        gates.append(z)
+    return gates
+
+
+def _reference_samples(cfg, path):
+    """A CSV's rows as (features, label) pairs, each row generated on its own."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh, delimiter=cfg.data_config.delimiter))
+    label = cfg.data_config.label_column
+    return [(generate_reference(row, cfg.feature_config), int(float(row[label]))) for row in rows]
+
+
+class _ReferenceScalarAdam:
+    """Adam on Python floats, one value at a time."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, epsilon
+        self.m, self.v, self.t = {}, {}, 0
+
+    def apply(self, values, grads):
+        self.t += 1
+        for key, g in grads.items():
+            m = self.beta1 * self.m.get(key, 0.0) + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v.get(key, 0.0) + (1.0 - self.beta2) * (g * g)
+            self.m[key], self.v[key] = m, v
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            values[key] -= self.lr * m_hat / (math.sqrt(v_hat) + self.eps)
+
+
+def train_with_gates_reference(cfg, params, tau=0.5, lambda_g=1e-3, gate_learning_rate=0.05):
+    """Feature selection on the config's files from `params`, the [seed, 0] initial weights.
+
+    Even steps update the weights on a train batch with sampled gates (the
+    per-sample step); odd steps update the gates on a validation batch,
+    whose order cycles through permutations drawn from the epoch shuffle
+    stream [seed, 1] when a row of a new one is needed. Gate noise comes
+    from [seed, 2]. Returns (importances, steps); `params` ends trained.
+    """
+    t = cfg.train_config
+    shuffle_rng = np.random.default_rng([t.seed, 1])
+    noise_rng = np.random.default_rng([t.seed, 2])
+    names = [spec.name for spec in cfg.feature_config]
+    log_alpha = {name: 0.0 for name in names}
+    weight_opt = OracleAdam(t.learning_rate, t.adam_beta1, t.adam_beta2, t.adam_epsilon)
+    gate_opt = _ReferenceScalarAdam(gate_learning_rate)
+    train = _reference_samples(cfg, cfg.data_config.train_path)
+    valid = _reference_samples(cfg, cfg.data_config.eval_path)
+    reg = cfg.model_config.embedding_regularization
+
+    valid_order, valid_pos, steps = [], 0, 0
+    for _ in range(t.num_epochs):
+        order = shuffle_rng.permutation(len(train)).tolist()
+        for start in range(0, len(order), t.batch_size):
+            batch = [train[i] for i in order[start:start + t.batch_size]]
+            scales = _reference_gates(log_alpha, names, noise_rng, len(batch), tau)
+            oracle_train_step(params, weight_opt, batch, reg, scales)
+            steps += 1
+
+            picked = []
+            for _ in range(min(t.batch_size, len(valid))):
+                if valid_pos >= len(valid_order):
+                    valid_order = shuffle_rng.permutation(len(valid)).tolist()
+                    valid_pos = 0
+                picked.append(valid_order[valid_pos])
+                valid_pos += 1
+            z = _reference_gates(log_alpha, names, noise_rng, len(picked), tau)
+            grads = []
+            for row, zs in zip(picked, z):
+                fv, label = valid[row]
+                grads.append(oracle_backward(params, oracle_forward(params, fv, zs), fv, label, 0.0)["gate"])
+            gate_grad = {}
+            for name in names:
+                total = 0.0
+                for g, zs in zip(grads, z):
+                    total += g[name] * zs[name] * (1.0 - zs[name]) / tau
+                p = _reference_sigmoid(log_alpha[name])
+                gate_grad[name] = total / len(picked) + lambda_g * p * (1.0 - p)
+            gate_opt.apply(log_alpha, gate_grad)
+            steps += 1
+
+    return {name: _reference_sigmoid(a) for name, a in log_alpha.items()}, steps

@@ -184,6 +184,16 @@ class TestSelectFeaturesCommand:
         assert code == 2
         assert f"'{name}'" in err and "Traceback" not in err
 
+    def test_empty_validation_file_refused_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        empty = tmp_path / "empty.csv"
+        write_csv(empty, ["label", "user_id", "item_id"], [])
+        monkeypatch.setattr(feature_select, "fit",
+                            lambda *args, **kwargs: pytest.fail("gate training started"))
+        code = main(["select-features", "-c", str(workspace), "--valid", str(empty)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "has no data rows" in err and "Traceback" not in err
+
 
 class TestStreamJoinCommand:
     def test_joins_event_log(self, workspace, tmp_path, capsys):

@@ -10,7 +10,6 @@ from minirec.config import (
     canonical_json,
     parse_config,
     parse_search_space,
-    serialize_config,
     to_plain,
 )
 from minirec.errors import InvalidValue, MissingSection, UnknownKey
@@ -115,14 +114,14 @@ def test_zero_epochs_allowed(tmp_path):
 class TestRoundtrip:
     def test_parse_serialize_parse(self, tmp_path):
         cfg = parse_config(json.dumps(config_dict(tmp_path)))
-        again = parse_config(serialize_config(cfg))
+        again = parse_config(canonical_json(to_plain(cfg)))
         assert again == cfg
 
     def test_serialization_is_canonical(self, tmp_path):
         cfg = parse_config(json.dumps(config_dict(tmp_path)))
-        assert serialize_config(cfg) == serialize_config(cfg)
+        assert canonical_json(to_plain(cfg)) == canonical_json(to_plain(cfg))
         # sorted keys, no whitespace
-        text = serialize_config(cfg)
+        text = canonical_json(to_plain(cfg))
         assert ": " not in text and ", " not in text
 
     def test_canonical_json_sorts_keys(self):
@@ -134,8 +133,8 @@ class TestApplyOverride:
         cfg = parse_config(json.dumps(config_dict(tmp_path)))
         out = apply_override(cfg, "model_config.embedding_regularization", 5e-5)
         assert out.model_config.embedding_regularization == 5e-5
-        before = json.loads(serialize_config(cfg))
-        after = json.loads(serialize_config(out))
+        before = json.loads(canonical_json(to_plain(cfg)))
+        after = json.loads(canonical_json(to_plain(out)))
         diffs = []
         for section in before:
             if before[section] == after[section]:

@@ -19,6 +19,8 @@ from helpers import (
     informative_feature_config,
     make_config,
     straight_line_probability,
+    train_with_gates_reference,
+    write_csv,
     write_informative_dataset,
 )
 
@@ -165,6 +167,74 @@ class TestTrainWithGates:
         a = train_with_gates(cfg)
         b = train_with_gates(cfg)
         assert a.importances == b.importances
+
+
+def _criterion_6_run(tmp_path, seed):
+    """Criterion 6's config on fewer rows."""
+    n_slots, informative = 20, (0, 3, 7, 11, 15, 19)
+    write_informative_dataset(tmp_path / "train.csv", n_slots, informative, 300, seed=seed, rule_seed=seed)
+    write_informative_dataset(tmp_path / "eval.csv", n_slots, informative, 150, seed=seed + 500,
+                              rule_seed=seed)
+    return make_config(
+        tmp_path, informative_feature_config(n_slots, vocab=200),
+        model_config={"embedding_dim": 4, "mlp_hidden_dims": [8]},
+        train_config={"learning_rate": 0.05, "batch_size": 64, "num_epochs": 3, "seed": seed,
+                      "delta_period_steps": 10_000},
+    )
+
+
+def _five_kind_run(tmp_path, seed, model_type):
+    """Every feature kind, mean pooling and numeric_raw; fewer validation rows than a batch."""
+    features = [
+        {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 40},
+        {"name": "tags", "kind": "multi_id", "source_columns": ["tags"], "vocab_size": 7},
+        {"name": "cats", "kind": "multi_id", "source_columns": ["cats"], "vocab_size": 5,
+         "pooling": "mean"},
+        {"name": "price", "kind": "numeric_raw", "source_columns": ["price"]},
+        {"name": "age", "kind": "numeric_bucket", "source_columns": ["age"],
+         "boundaries": [18.0, 30.0, 50.0]},
+        {"name": "user_item", "kind": "cross", "source_columns": ["user_id", "item_id"],
+         "vocab_size": 30},
+    ]
+    rng = np.random.default_rng([seed, 9])
+    for name, count in (("train.csv", 160), ("eval.csv", 20)):
+        rows = []
+        for _ in range(count):
+            user, item = int(rng.integers(12)), int(rng.integers(6))
+            tags = "|".join(f"t{int(t)}" for t in rng.integers(0, 9, int(rng.integers(0, 4))))
+            cats = "|".join(f"c{int(c)}" for c in rng.integers(0, 6, int(rng.integers(0, 3))))
+            price = "" if rng.random() < 0.3 else repr(round(float(rng.normal(0.0, 2.0)), 3))
+            age = repr(int(rng.integers(10, 70)))
+            label = int(rng.random() < (0.8 if (user + item) % 3 == 0 else 0.2))
+            rows.append([label, f"u{user}", f"i{item}", tags, cats, price, age])
+        write_csv(tmp_path / name, ["label", "user_id", "item_id", "tags", "cats", "price", "age"], rows)
+    return make_config(
+        tmp_path, features,
+        model_config={"model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [6, 3]},
+        train_config={"learning_rate": 0.05, "batch_size": 32, "num_epochs": 2, "seed": seed},
+    )
+
+
+@pytest.mark.parametrize("run", [
+    _criterion_6_run,
+    lambda tmp_path, seed: _five_kind_run(tmp_path, seed, "deepfm"),
+    lambda tmp_path, seed: _five_kind_run(tmp_path, seed, "logreg"),
+], ids=["criterion_6", "five_kinds_deepfm", "five_kinds_logreg"])
+def test_train_with_gates_matches_reference_bitwise(tmp_path, run):
+    """Gate steps on the trainer's loop give the per-sample alternating loop's bits.
+
+    The reference draws one scalar per gate and sums the gate gradient in
+    a Python loop; the weights it ends with must equal the trainer's.
+    """
+    for seed in range(3):
+        cfg = run(tmp_path, seed)
+        params = init_params(cfg, np.random.default_rng([seed, 0]))
+        importances, steps = train_with_gates_reference(cfg, params, tau=0.7, lambda_g=2e-3)
+        result = train_with_gates(cfg, tau=0.7, lambda_g=2e-3)
+        assert result.importances == importances
+        assert result.steps == steps
+        for arena in ("emb", "fo", "dense"):
+            assert getattr(result.params, arena).tobytes() == getattr(params, arena).tobytes(), arena
 
 
 def _spec(name):

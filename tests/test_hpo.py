@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from minirec.config import Distribution, SearchSpace, parse_search_space
+from minirec import trainer
+from minirec.config import Distribution, SearchSpace, apply_override, parse_search_space
 from minirec.errors import DataError
 from minirec.hpo import (
     SplitMix64,
@@ -17,7 +18,7 @@ from minirec.hpo import (
     trial_rng,
 )
 
-from helpers import make_config, splitmix64_reference
+from helpers import make_config, splitmix64_reference, write_logistic_dataset
 
 
 class TestSplitMix64:
@@ -208,3 +209,54 @@ class TestRunSearch:
         plain = trials[0].to_plain()
         assert {"trial_id", "assignment", "curve", "status", "final_metric"} <= set(plain)
         json.dumps(plain)
+
+
+def _count_loads(monkeypatch):
+    """The paths trainer.load_dataset is called with, in call order."""
+    loads = []
+    load_dataset = trainer.load_dataset
+
+    def counting_load(cfg, path):
+        loads.append(path)
+        return load_dataset(cfg, path)
+
+    monkeypatch.setattr(trainer, "load_dataset", counting_load)
+    return loads
+
+
+class TestTrainerObjective:
+    def test_search_reads_each_file_once_and_matches_train(self, tmp_path, monkeypatch):
+        """The default objective loads train and eval once per search; each trial's curve is its own train run's."""
+        write_logistic_dataset(tmp_path, n_train=300, n_eval=150, seed=77)
+        cfg = make_config(tmp_path, train_config={"batch_size": 32, "seed": 7})
+        space = SearchSpace(entries=(
+            ("train_config.learning_rate", Distribution(kind="loguniform", lo=1e-3, hi=0.2)),
+        ))
+        loads = _count_loads(monkeypatch)
+        _, trials = run_search(cfg, space, max_trials=3, epochs=2, seed=11)
+        assert loads == [cfg.data_config.train_path, cfg.data_config.eval_path]
+        assert [t.status for t in trials] == ["completed"] * 3
+
+        for trial in trials:
+            trial_cfg = cfg
+            for path, value in {**trial.assignment, "train_config.num_epochs": 2}.items():
+                trial_cfg = apply_override(trial_cfg, path, value)
+            _, report = trainer.train(trial_cfg)
+            assert trial.curve == [entry["auc"] for entry in report.curves]
+
+    def test_each_data_config_is_loaded_once(self, tmp_path, monkeypatch):
+        """A trial whose data_config no earlier trial had loads its own files; later ones reuse them."""
+        write_logistic_dataset(tmp_path, n_train=200, n_eval=100, seed=78)
+        other_eval = tmp_path / "eval2.csv"
+        other_eval.write_bytes((tmp_path / "eval.csv").read_bytes())
+        cfg = make_config(tmp_path, train_config={"batch_size": 32})
+        evals = (cfg.data_config.eval_path, str(other_eval))
+        space = SearchSpace(entries=(("data_config.eval_path", Distribution(kind="choice", values=evals)),))
+        loads = _count_loads(monkeypatch)
+        _, trials = run_search(cfg, space, max_trials=6, epochs=1, seed=2, enable_stopping=False)
+        first_seen = list(dict.fromkeys(t.assignment["data_config.eval_path"] for t in trials))
+        assert sorted(first_seen) == sorted(evals)
+        assert loads == [p for eval_path in first_seen for p in (cfg.data_config.train_path, eval_path)]
+        curves = {}
+        for t in trials:
+            assert curves.setdefault(t.assignment["data_config.eval_path"], t.curve) == t.curve

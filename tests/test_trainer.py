@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from minirec.delta_stream import DeltaAccumulator, apply_delta, decode_delta, emit_delta, encode_delta
+from minirec.artifact import save_artifact
+from minirec.delta_stream import (
+    DeltaAccumulator,
+    apply_delta,
+    decode_delta,
+    emit_delta,
+    encode_delta,
+    open_publisher,
+)
 from minirec.errors import DataError, IndexOutOfRange, IoError, NonFinite
 from minirec.features import FeatureBatch, FeatureVector, SlotIds
 from minirec.model import copy_params, init_params, params_equal
 from minirec.optim import AdamOptimizer
 from minirec import trainer
-from minirec.trainer import load_dataset, read_columns, train, train_step
+from minirec.trainer import fit, load_dataset, read_columns, train, train_step
 
 from helpers import (
     OracleAdam,
@@ -101,6 +109,29 @@ class TestTrainDeterminism:
         assert params_equal(art.params, init)
         assert art.model_version == 0
         assert report.steps == 0
+
+
+class TestLoadedData:
+    def test_fit_on_loaded_data_matches_train_on_paths(self, tmp_path):
+        """train reads the files and runs fit; fit on the same datasets writes the same bytes."""
+        _small_dataset(tmp_path)
+        cfg = make_config(tmp_path, train_config={"num_epochs": 3, "batch_size": 16, "delta_period_steps": 4})
+        runs = {}
+        for name in ("paths", "loaded"):
+            sink = open_publisher(f"file://{tmp_path / name}")
+            try:
+                if name == "paths":
+                    art, report = train(cfg, sink=sink)
+                else:
+                    data = load_dataset(cfg, cfg.data_config.train_path)
+                    eval_data = load_dataset(cfg, cfg.data_config.eval_path)
+                    art, report = fit(cfg, data, eval_data, sink=sink)
+            finally:
+                sink.close()
+            save_artifact(art, str(tmp_path / f"{name}.erm"))
+            runs[name] = report, (tmp_path / f"{name}.erm").read_bytes(), (tmp_path / f"{name}.dq").read_bytes()
+        assert runs["paths"][0].deltas_emitted == 6
+        assert runs["loaded"] == runs["paths"]
 
 
 class TestEvalCurves:
