@@ -99,8 +99,9 @@ def _read_artifact(fh, size: int) -> ModelArtifact:
         raise FormatError("truncated header")
     try:
         header = json.loads(fh.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested too deep to parse.
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8, bad JSON or an integer past Python's digit
+        # limit; RecursionError: arrays or objects nested too deep.
         raise FormatError(f"invalid header JSON: {type(exc).__name__}: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError("header is not a JSON object")

@@ -60,13 +60,16 @@ def _setup_logging() -> None:
     )
 
 
-def _load_config(path: str, seed: int | None) -> PipelineConfig:
+def _read_text(path: str, what: str) -> str:
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read config {path!r}: {exc}") from exc
-    cfg = parse_config(text)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _load_config(path: str, seed: int | None) -> PipelineConfig:
+    cfg = parse_config(_read_text(path, "config"))
     if seed is not None:
         cfg = apply_override(cfg, "train_config.seed", seed)
     return cfg
@@ -160,11 +163,7 @@ def _cmd_serve(args) -> None:
 
 def _cmd_hpo(args) -> None:
     cfg = _load_config(args.config, args.seed)
-    try:
-        with open(args.space) as fh:
-            space = parse_search_space(fh.read())
-    except OSError as exc:
-        raise IoError(f"cannot read search space {args.space!r}: {exc}") from exc
+    space = parse_search_space(_read_text(args.space, "search space"))
     best, trials = hpo_mod.run_search(
         cfg,
         space,

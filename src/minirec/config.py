@@ -242,12 +242,17 @@ def parse_host_port(text: str, path: str) -> tuple[str, int]:
     return host, number
 
 
-def parse_config(text: str) -> PipelineConfig:
+def _parse_json(text: str) -> Any:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or an integer past Python's digit limit;
+        # RecursionError: arrays or objects nested too deep.
         raise InvalidValue("", f"invalid JSON: {exc}") from None
-    return build_config(obj)
+
+
+def parse_config(text: str) -> PipelineConfig:
+    return build_config(_parse_json(text))
 
 
 def to_plain(value: Any) -> Any:
@@ -286,11 +291,7 @@ def apply_override(cfg: PipelineConfig, path: str, value: Any) -> PipelineConfig
 
 def parse_search_space(text: str) -> SearchSpace:
     """Parse an HPO search space: dotted path -> {"_type", "_value"}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidValue("", f"invalid JSON: {exc}") from None
-    return build_search_space(obj)
+    return build_search_space(_parse_json(text))
 
 
 def build_search_space(obj: Any) -> SearchSpace:

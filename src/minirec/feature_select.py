@@ -125,7 +125,7 @@ def train_with_gates(
     The weight steps run on the trainer's loop, each followed by one gate
     step. Raises InvalidValue unless tau and gate_learning_rate are finite
     and > 0 and lambda_g is finite and >= 0, and DataError when the
-    validation file has no data rows.
+    training or the validation file has no data rows.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidValue("tau", "must be finite and > 0")
@@ -133,11 +133,12 @@ def train_with_gates(
         raise InvalidValue("gate_learning_rate", "must be finite and > 0")
     if not (math.isfinite(lambda_g) and lambda_g >= 0):
         raise InvalidValue("lambda_g", "must be finite and >= 0")
-    data = load_dataset(cfg, cfg.data_config.train_path if train_path is None else train_path)
+    train_path = cfg.data_config.train_path if train_path is None else train_path
     valid_path = cfg.data_config.eval_path if valid_path is None else valid_path
-    valid = load_dataset(cfg, valid_path)
-    if not len(valid[1]):
-        raise DataError(0, f"validation file {valid_path!r} has no data rows")
+    data, valid = load_dataset(cfg, train_path), load_dataset(cfg, valid_path)
+    for what, path, (_, labels) in (("training", train_path, data), ("validation", valid_path, valid)):
+        if not len(labels):
+            raise DataError(0, f"{what} file {path!r} has no data rows")
     gate_step = _GateStep(cfg, valid, tau, lambda_g, gate_learning_rate)
     artifact, report = fit(cfg, data, gates=gate_step)
     gates = GateParams(dict(zip(gate_step.names, gate_step.log_alpha.tolist())), tau, lambda_g)

@@ -27,6 +27,9 @@ Boundaries sharing a timestamp are processed closes first, then pair
 expiries, then log evictions, so a log is never evicted ahead of a pair
 emitted at the same boundary.
 
+Events and samples are immutable named tuples, so building one per line
+costs one tuple allocation.
+
 The oracle is `batch_join_reference` in the test suite's helpers
 (tests/helpers.py): a time-sorted batch join written without this
 module's Joiner.
@@ -39,6 +42,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidValue, IoError, MalformedEvent
 from .features import is_utf8, record_from_json
@@ -48,8 +52,7 @@ EVENT_KINDS = ("impression", "click", "feature_log")
 _CLOSE, _PAIR_EXPIRY, _LOG_EXPIRY = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str
     event_time: int
     request_id: str
@@ -69,8 +72,7 @@ class JoinConfig:
             raise InvalidValue("allowed_lateness_ms", "must be >= 0")
 
 
-@dataclass(frozen=True)
-class LabeledSample:
+class LabeledSample(NamedTuple):
     request_id: str
     item_key: str
     label: int
@@ -107,7 +109,8 @@ def parse_event(obj) -> Event:
     if kind not in EVENT_KINDS:
         raise MalformedEvent(f"unknown kind {kind!r}")
     t = obj.get("event_time")
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t) or t < 0:
+    # An int is finite however long: math.isfinite would overflow converting one past float range.
+    if isinstance(t, bool) or not (isinstance(t, int) or isinstance(t, float) and math.isfinite(t)) or t < 0:
         raise MalformedEvent(f"bad event_time {t!r}")
     request_id = obj.get("request_id")
     if not isinstance(request_id, str) or not request_id:
@@ -123,10 +126,10 @@ def parse_event(obj) -> Event:
         if not isinstance(raw, dict):
             raise MalformedEvent("feature_log needs a payload object")
         payload = record_from_json(raw)
-    return Event(kind=kind, event_time=int(t), request_id=request_id, item_key=item_key, payload=payload)
+    return Event(kind, int(t), request_id, item_key, payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pair:
     request_id: str
     item_key: str
@@ -135,7 +138,7 @@ class _Pair:
     done: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _BufferedLog:
     event_time: int
     payload: dict
@@ -152,6 +155,8 @@ class Joiner:
         self.cfg = cfg
         self.stats = JoinStats()
         self.samples: list[LabeledSample] = []
+        self._window = cfg.label_window_ms
+        self._lateness = cfg.allowed_lateness_ms
         self._watermark = -math.inf
         self._impressions: dict[tuple[str, str], int] = {}
         self._emitted: dict[tuple[str, str], int] = {}
@@ -185,51 +190,55 @@ class Joiner:
             self.stats.malformed += 1
             return
         self._deliver(event)
-        self._advance(event.event_time - self.cfg.allowed_lateness_ms)
+        watermark = event.event_time - self._lateness
+        if watermark > self._watermark:
+            self._watermark = watermark
+        # Checked on every event, not only when the watermark moves: a late
+        # feature log pushes an expiry that may already be due.
+        if self._heap and self._heap[0][0] < self._watermark:
+            self._advance()
 
     def _deliver(self, event: Event) -> None:
-        w = self.cfg.label_window_ms
-        key = (event.request_id, event.item_key)
-        if event.kind == "impression":
+        kind, t, rid, item_key, payload = event
+        w = self._window
+        key = (rid, item_key)
+        if kind == "impression":
             if key in self._impressions or key in self._emitted:
                 self.stats.dup_impressions += 1
-            elif self._watermark > event.event_time + w:
+            elif self._watermark > t + w:
                 self.stats.late_dropped += 1
             else:
-                self._impressions[key] = event.event_time
-                self._push(event.event_time + w, _CLOSE, key)
-        elif event.kind == "click":
-            if key in self._emitted:
-                t0 = self._emitted[key]
-                if t0 <= event.event_time <= t0 + w:
+                self._impressions[key] = t
+                self._push(t + w, _CLOSE, key)
+        elif kind == "click":
+            t0 = self._emitted.get(key)
+            if t0 is not None:
+                if t0 <= t <= t0 + w:
                     self.stats.late_dropped += 1
             elif key in self._clicks:
                 self.stats.dup_clicks += 1
-                self._clicks[key] = min(self._clicks[key], event.event_time)
+                self._clicks[key] = min(self._clicks[key], t)
             else:
-                self._clicks[key] = event.event_time
+                self._clicks[key] = t
+        elif rid in self._logs:
+            self.stats.dup_logs += 1
         else:
-            rid = event.request_id
-            if rid in self._logs:
-                self.stats.dup_logs += 1
-                return
-            self._logs[rid] = _BufferedLog(event.event_time, event.payload or {})
-            self._push(event.event_time + w + self.cfg.allowed_lateness_ms, _LOG_EXPIRY, rid)
-            for pair in self._pending.get(rid, []):
-                if not pair.done and self._log_matches(pair, event.event_time):
-                    self._emit_sample(pair, event.payload or {})
-            self._prune_pending(rid)
+            payload = payload or {}
+            self._logs[rid] = _BufferedLog(t, payload)
+            self._push(t + w + self._lateness, _LOG_EXPIRY, rid)
+            pending = self._pending.get(rid)
+            if pending:
+                for pair in pending:
+                    if not pair.done and self._log_matches(pair.event_time, t):
+                        pair.done = True
+                        self._emit(pair.request_id, pair.item_key, pair.label, payload, pair.event_time)
+                self._prune_pending(rid)
 
-    def _log_matches(self, pair: _Pair, log_time: int) -> bool:
-        lo = pair.event_time - self.cfg.allowed_lateness_ms
-        hi = pair.event_time + self.cfg.label_window_ms + self.cfg.allowed_lateness_ms
-        return lo <= log_time <= hi
+    def _log_matches(self, t0: int, log_time: int) -> bool:
+        return t0 - self._lateness <= log_time <= t0 + self._window + self._lateness
 
-    def _emit_sample(self, pair: _Pair, payload: dict) -> None:
-        pair.done = True
-        self.samples.append(
-            LabeledSample(pair.request_id, pair.item_key, pair.label, payload, pair.event_time)
-        )
+    def _emit(self, rid: str, item_key: str, label: int, payload: dict, t0: int) -> None:
+        self.samples.append(LabeledSample(rid, item_key, label, payload, t0))
         self.stats.samples += 1
 
     def _prune_pending(self, rid: str) -> None:
@@ -239,11 +248,11 @@ class Joiner:
         else:
             self._pending.pop(rid, None)
 
-    def _advance(self, candidate: float) -> None:
-        if candidate > self._watermark:
-            self._watermark = candidate
-        while self._heap and self._heap[0][0] < self._watermark:
-            _, priority, _, data = heapq.heappop(self._heap)
+    def _advance(self) -> None:
+        """Process every boundary the watermark has strictly passed."""
+        heap = self._heap
+        while heap and heap[0][0] < self._watermark:
+            _, priority, _, data = heapq.heappop(heap)
             if priority == _CLOSE:
                 self._close_window(data)
             elif priority == _PAIR_EXPIRY:
@@ -259,22 +268,23 @@ class Joiner:
         t0 = self._impressions.pop(key, None)
         if t0 is None:
             return
-        w = self.cfg.label_window_ms
+        w = self._window
         self._emitted[key] = t0
         click = self._clicks.get(key)
         label = 1 if click is not None and t0 <= click <= t0 + w else 0
         rid, item_key = key
-        pair = _Pair(rid, item_key, label, t0)
         log = self._logs.get(rid)
-        if log is not None and self._log_matches(pair, log.event_time):
-            self._emit_sample(pair, log.payload)
+        if log is not None and self._log_matches(t0, log.event_time):
+            self._emit(rid, item_key, label, log.payload, t0)
         else:
+            pair = _Pair(rid, item_key, label, t0)
             self._pending.setdefault(rid, []).append(pair)
-            self._push(t0 + w + self.cfg.allowed_lateness_ms, _PAIR_EXPIRY, pair)
+            self._push(t0 + w + self._lateness, _PAIR_EXPIRY, pair)
 
     def flush(self) -> None:
         """Close every open window and drain all buffers."""
-        self._advance(math.inf)
+        self._watermark = math.inf
+        self._advance()
 
 
 def _write_samples(path: str, samples: list[LabeledSample], label_column: str, delimiter: str) -> None:
@@ -313,6 +323,10 @@ def run_pipeline(
     counted as malformed, so `samples` counts the rows written.
     """
     joiner = Joiner(cfg)
+    feed, stats = joiner.feed, joiner.stats
+    # The line is stripped, so a parse that ends at its length accepts
+    # exactly the lines json.loads accepts, without its per-call checks.
+    decode = json.JSONDecoder().raw_decode
     try:
         # surrogateescape turns a byte that is not UTF-8 into a lone surrogate, which is not is_utf8.
         with open(input_path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -321,12 +335,19 @@ def run_pipeline(
                 if not line:
                     continue
                 if not (line.isascii() or is_utf8(line)):
-                    joiner.stats.malformed += 1
+                    stats.malformed += 1
                     continue
                 try:
-                    joiner.feed(json.loads(line))
-                except json.JSONDecodeError:
-                    joiner.stats.malformed += 1
+                    obj, end = decode(line)
+                except (ValueError, RecursionError):
+                    # ValueError: bad JSON or an integer past Python's digit
+                    # limit; RecursionError: arrays or objects nested too deep.
+                    stats.malformed += 1
+                    continue
+                if end != len(line):
+                    stats.malformed += 1
+                    continue
+                feed(obj)
     except OSError as exc:
         raise IoError(f"cannot read events {input_path!r}: {exc}") from exc
     joiner.flush()

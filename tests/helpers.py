@@ -308,6 +308,16 @@ def decode_reference(frame: bytes):
 # by its key's earliest click, then join each labeled pair to its
 # request's first feature log.
 
+# JSON texts that json.loads refuses with a ValueError or RecursionError
+# that is not a JSONDecodeError: arrays nested past the recursion limit, and
+# an event_time past Python's 4,300-digit integer conversion limit.
+UNPARSABLE_JSON = {
+    "deep_nesting": "[" * 100_000,
+    "long_integer": '{"kind": "impression", "event_time": ' + "1" * 5001
+                    + ', "request_id": "r", "item_key": "i"}',
+}
+
+
 def event_time_of(obj):
     return obj.event_time if isinstance(obj, Event) else obj.get("event_time", 0)
 

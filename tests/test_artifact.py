@@ -129,6 +129,14 @@ def test_deeply_nested_header_is_format_error(tmp_path):
         load_artifact(str(bad))
 
 
+def test_over_long_header_integer_is_format_error(tmp_path):
+    header = b'{"model_version": ' + b"1" * 5001 + b"}"
+    bad = tmp_path / "long.erm"
+    bad.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(FormatError, match="invalid header JSON"):
+        load_artifact(str(bad))
+
+
 def test_bad_magic(tmp_path):
     art = _artifact(tmp_path)
     path = str(tmp_path / "model.erm")

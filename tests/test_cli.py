@@ -12,6 +12,7 @@ from minirec.features import generate
 from minirec.model import forward
 
 from helpers import (
+    UNPARSABLE_JSON,
     config_dict,
     informative_feature_config,
     write_csv,
@@ -195,6 +196,17 @@ class TestSelectFeaturesCommand:
         assert "has no data rows" in err and "Traceback" not in err
 
 
+    def test_empty_training_file_refused_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        empty = tmp_path / "empty.csv"
+        write_csv(empty, ["label", "user_id", "item_id"], [])
+        monkeypatch.setattr(feature_select, "fit",
+                            lambda *args, **kwargs: pytest.fail("gate training started"))
+        code = main(["select-features", "-c", str(workspace), "--train", str(empty)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "training file" in err and "has no data rows" in err and "Traceback" not in err
+
+
 class TestStreamJoinCommand:
     def test_joins_event_log(self, workspace, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
@@ -252,6 +264,20 @@ class TestStreamJoinCommand:
         assert code == 0
         assert (summary["samples"], summary["malformed"]) == (1, 1)
 
+    @pytest.mark.parametrize("line", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON.keys())
+    def test_unparsable_line_is_malformed(self, workspace, tmp_path, capsys, line):
+        events_path = tmp_path / "events.jsonl"
+        events = [
+            {"kind": "feature_log", "event_time": 10, "request_id": "r1", "payload": {"user_id": "u1"}},
+            {"kind": "impression", "event_time": 10, "request_id": "r1", "item_key": "a"},
+        ]
+        events_path.write_text(line + "\n" + "".join(json.dumps(e) + "\n" for e in events))
+        code, summary = _run(capsys, [
+            "stream-join", "-c", str(workspace), "--events", str(events_path),
+            "--window-ms", "5", "--out", str(tmp_path / "samples.csv")])
+        assert code == 0
+        assert (summary["samples"], summary["malformed"]) == (1, 1)
+
     def test_bad_window_is_runtime_error(self, workspace, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
         events_path.write_text("")
@@ -276,6 +302,25 @@ class TestExitCodes:
             "train", "-c", str(tmp_path / "none.json"),
             "--model-dir", str(tmp_path / "m")])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [*UNPARSABLE_JSON.values(), b'{"a": "\xff"}'],
+                             ids=[*UNPARSABLE_JSON.keys(), "non_utf8_byte"])
+    def test_unparsable_config_is_runtime_error(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code = main(["train", "-c", str(config), "--model-dir", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON.keys())
+    def test_unparsable_search_space_is_runtime_error(self, workspace, tmp_path, capsys, text):
+        space = tmp_path / "space.json"
+        space.write_text(text)
+        code = main(["hpo", "-c", str(workspace), "--space", str(space)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "invalid JSON" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("bind", ["127.0.0.1:abc", "127.0.0.1:65536", "127.0.0.1:-1"])
     def test_bad_bind_port_is_runtime_error(self, workspace, tmp_path, capsys, bind):

@@ -14,7 +14,7 @@ from minirec.config import (
 )
 from minirec.errors import InvalidValue, MissingSection, UnknownKey
 
-from helpers import config_dict
+from helpers import UNPARSABLE_JSON, config_dict
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -213,3 +213,10 @@ def test_to_plain_roundtrips_config(tmp_path):
     assert isinstance(plain, dict)
     assert set(plain) == {"data_config", "feature_config", "model_config",
                           "train_config", "eval_config"}
+
+
+@pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON.keys())
+@pytest.mark.parametrize("parse", [parse_config, parse_search_space])
+def test_unparsable_json_is_invalid_value(parse, text):
+    with pytest.raises(InvalidValue, match="invalid JSON"):
+        parse(text)

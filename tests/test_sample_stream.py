@@ -1,5 +1,7 @@
 """Event-time joiner: parsing, windows, lateness, and order invariance."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -8,7 +10,13 @@ import pytest
 from minirec.errors import InvalidValue, IoError, MalformedEvent
 from minirec.sample_stream import Event, JoinConfig, Joiner, parse_event, run_pipeline
 
-from helpers import aggregate_events, batch_join_reference, event_time_of, sample_key
+from helpers import (
+    UNPARSABLE_JSON,
+    aggregate_events,
+    batch_join_reference,
+    event_time_of,
+    sample_key,
+)
 
 
 class TestParseEvent:
@@ -22,6 +30,12 @@ class TestParseEvent:
                              "request_id": "r1", "payload": {"age": 31, "city": "x"}})
         assert event.event_time == 9
         assert event.payload == {"age": "31", "city": "x"}
+
+    def test_integer_time_past_float_range(self):
+        """An int is finite however long; one past float range must not overflow the check."""
+        t = 10 ** 400
+        event = parse_event({"kind": "impression", "event_time": t, "request_id": "r", "item_key": "i"})
+        assert event.event_time == t
 
     @pytest.mark.parametrize("obj", [
         "not a dict",
@@ -224,6 +238,15 @@ class TestFeatureJoinWindow:
         assert joiner.stats.dup_logs == 1
         assert joiner.samples[0].payload == {"f": "first"}
 
+    def test_log_already_expired_is_evicted_on_arrival(self):
+        """A log whose expiry is behind the watermark leaves no buffer, so its copy is no duplicate."""
+        joiner = Joiner(JoinConfig(label_window_ms=10, allowed_lateness_ms=5))
+        joiner.feed(Event("impression", 1000, "r2", "x"))
+        joiner.feed(_log(0, "r"))
+        joiner.feed(_log(0, "r"))
+        assert joiner.stats.dup_logs == 0
+        assert joiner.buffered_logs == 0
+
     def test_buffers_drain_after_flush(self):
         joiner = self._joiner()
         rng = np.random.default_rng(70)
@@ -410,7 +433,130 @@ class TestRunPipeline:
         assert (stats.malformed, stats.samples) == (2, 1)
         assert out.read_text(encoding="utf-8").splitlines() == ["label,user_id", "0,u1"]
 
+    @pytest.mark.parametrize("line", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON.keys())
+    def test_unparsable_line_is_malformed(self, tmp_path, line):
+        events = tmp_path / "events.jsonl"
+        self._write_events(events)
+        with open(events, "a") as fh:
+            fh.write(line + "\n")
+        stats = run_pipeline(str(events), JoinConfig(label_window_ms=5), str(tmp_path / "out.csv"))
+        assert (stats.malformed, stats.samples) == (2, 2)
+
     def test_missing_input_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
             run_pipeline(str(tmp_path / "absent.jsonl"), JoinConfig(label_window_ms=5),
                          str(tmp_path / "out.csv"))
+
+
+def _decoder_corpus(rng) -> list[bytes]:
+    """Events lines in time order, with lines of every kind the decoder must refuse or accept.
+
+    Each refused line is built from a fresh request's event, so accepting
+    it would change the samples or the stats.
+    """
+    valid = []
+    for r in range(80):
+        rid, t0 = f"r{r:03d}", int(rng.integers(0, 4000))
+        if rng.random() < 0.8:
+            payload = {"user_id": f"u{r % 7}", "score": "NaN" if r % 5 == 0 else str(r)}
+            if r % 11 == 0:
+                payload["tag"] = "\ud800"  # a lone surrogate: the sample has no UTF-8 form
+            valid.append({"kind": "feature_log", "event_time": t0 + int(rng.integers(-20, 70)),
+                          "request_id": rid, "payload": payload})
+        for j in range(int(rng.integers(1, 4))):
+            imp = {"kind": "impression", "event_time": t0 + j, "request_id": rid, "item_key": f"i{j}"}
+            valid.append(imp)
+            if rng.random() < 0.4:
+                valid.append({**imp, "kind": "click", "event_time": t0 + j + int(rng.integers(0, 60))})
+    valid.sort(key=lambda e: max(e["event_time"], 0))
+    for e in valid:
+        e["event_time"] = max(e["event_time"], 0)
+
+    def text(e) -> str:
+        # NaN payload values go out as the bare JSON-extension token, not as a string.
+        return json.dumps(e).replace('"NaN"', "NaN")
+
+    lines = []
+    for i, e in enumerate(valid):
+        # \x0b and U+3000 are whitespace to str.strip but not to JSON.
+        lines.append((f"\x0b{text(e)}\u3000" if i % 9 == 0 else text(e)).encode())
+    for n in range(12):
+        fresh = {"kind": "impression", "event_time": int(rng.integers(0, 4000)),
+                 "request_id": f"bad{n}", "item_key": "i0"}
+        good = text(fresh)
+        refused = [
+            b"\xef\xbb\xbf" + good.encode(),
+            (good + " trailing").encode(),
+            (good + good).encode(),
+            good.replace(str(fresh["event_time"]), "NaN").encode(),
+            good.replace(str(fresh["event_time"]), "Infinity").encode(),
+            b"{}",
+            good.replace("bad", "bad\xff").encode("latin-1"),
+            good.replace("bad", "bad\udc80", 1).encode("utf-8", "surrogatepass"),
+            ("[" * 100_000).encode(),
+            good.replace(str(fresh["event_time"]), "1" * 5001).encode(),
+        ][n % 10]
+        lines.insert(int(rng.integers(0, len(lines) + 1)), refused)
+    lines.insert(0, b"\xef\xbb\xbf" + text(valid[0]).encode())
+    lines.append(b"")
+    lines.append(json.dumps({"kind": "impression", "event_time": 10 ** 400,
+                             "request_id": "last", "item_key": "i0"}).encode())
+    return lines
+
+
+def _oracle_csv(samples, label_column="label") -> str:
+    columns = sorted({k for s in samples for k in s.payload})
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow([label_column, *columns])
+    for s in samples:
+        writer.writerow([s.label, *(s.payload.get(c, "") for c in columns)])
+    return buffer.getvalue()
+
+
+def _has_utf8_form(sample) -> bool:
+    try:
+        "".join([*sample.payload, *sample.payload.values()]).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_run_pipeline_matches_json_loads_oracle(tmp_path, seed):
+    """run_pipeline accepts exactly the stripped lines json.loads accepts.
+
+    The oracle decodes each line as strict UTF-8, strips it, skips it when
+    blank and counts it malformed when json.loads refuses it; the batch
+    join over the rest gives the samples, less each one with no UTF-8 form.
+    """
+    lines = _decoder_corpus(np.random.default_rng(seed))
+    events_path = tmp_path / "events.jsonl"
+    events_path.write_bytes(b"\n".join(lines) + b"\n")
+    cfg = JoinConfig(label_window_ms=50, allowed_lateness_ms=20)
+
+    refused, events = 0, []
+    for raw in lines:
+        try:
+            text = raw.decode("utf-8").strip()
+            obj = json.loads(text) if text else None
+        except (ValueError, RecursionError):
+            refused += 1
+            continue
+        if obj is None:
+            continue
+        try:
+            events.append(parse_event(obj))
+        except MalformedEvent:
+            refused += 1
+    assert refused >= 12
+    want, want_stats = batch_join_reference(events, cfg)
+    kept = [s for s in want if _has_utf8_form(s)]
+    assert 0 < len(kept) < len(want)
+    want_stats.malformed += refused + len(want) - len(kept)
+    want_stats.samples = len(kept)
+
+    out = tmp_path / "samples.csv"
+    stats = run_pipeline(str(events_path), cfg, str(out))
+    assert stats == want_stats
+    assert out.read_bytes() == _oracle_csv(kept).encode("utf-8")
