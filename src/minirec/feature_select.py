@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DataError, InvalidValue
+from .errors import InvalidValue
 from .features import FeatureSpec
 from .model import ModelParams, backward, forward
 from .optim import ScalarAdam
-from .trainer import fit, load_dataset
+from .trainer import fit, load_dataset, require_rows
 
 DEFAULT_TAU = 0.5
 DEFAULT_LAMBDA_G = 1e-3
@@ -135,10 +135,8 @@ def train_with_gates(
         raise InvalidValue("lambda_g", "must be finite and >= 0")
     train_path = cfg.data_config.train_path if train_path is None else train_path
     valid_path = cfg.data_config.eval_path if valid_path is None else valid_path
-    data, valid = load_dataset(cfg, train_path), load_dataset(cfg, valid_path)
-    for what, path, (_, labels) in (("training", train_path, data), ("validation", valid_path, valid)):
-        if not len(labels):
-            raise DataError(0, f"{what} file {path!r} has no data rows")
+    data = require_rows("training", train_path, load_dataset(cfg, train_path))
+    valid = require_rows("validation", valid_path, load_dataset(cfg, valid_path))
     gate_step = _GateStep(cfg, valid, tau, lambda_g, gate_learning_rate)
     artifact, report = fit(cfg, data, gates=gate_step)
     gates = GateParams(dict(zip(gate_step.names, gate_step.log_alpha.tolist())), tau, lambda_g)

@@ -16,8 +16,11 @@ each table and dense tensor for the callers that read one by name.
 
 The forward pass is split into `compute_parts` (per-slot pooled embedding
 and first-order sums) and `assemble` (FM + MLP + bias on top of the
-parts). Both `forward` and `compute_parts` read a `FeatureBatch`, whose
-per-slot CSR ids become the table rows each sample reads. Serving
+parts). Both `forward` and `compute_parts` turn a `FeatureBatch` into one
+`ArenaEntries` list with `lookup_entries`: every table row that the
+batch's samples read, as a global arena row, weighed by its value and
+binned by (slot, sample). Pooling is one fold per arena over those bins,
+and `backward` reads the same entries that `forward` pooled. Serving
 computes the user, item and cross slots' parts in separate calls and
 assembles them in one pass; its cache holds item features, not parts, so
 cached and uncached scores run the same float operations. Both work on
@@ -84,6 +87,8 @@ class ArenaLayout:
             for arena in ("emb", "fo")
         }
         self.slots = tuple(bases)
+        # Each slot's first global row and table size, by slot name.
+        self.tables = {slot: (bases[slot], self.shapes[f"fo:{slot}"][0]) for slot in bases}
         self.dense_spans = [(index[name], start, stop)
                             for name, (arena, start, stop) in self.spans.items() if arena == "dense"]
 
@@ -128,21 +133,6 @@ class ModelParams:
         return tuple(s.name for s in self.specs)
 
 
-class SlotRows(NamedTuple):
-    """One slot's table rows over N samples in CSR form, flat in sample order.
-
-    Entry e reads row `ids[e]` for sample `owner[e]` with weight `value[e]`:
-    1 for a hashed or bucketized id, the raw value for numeric_raw, whose
-    one row 0 every sample reads. `divisor[n]` is sample n's float32 entry
-    count for mean pooling, 1 for a sample without entries.
-    """
-
-    ids: np.ndarray
-    owner: np.ndarray
-    value: np.ndarray
-    divisor: np.ndarray
-
-
 class SlotPart(NamedTuple):
     """Per-slot forward intermediates of N rows: pooled embeddings and first-order sums.
 
@@ -155,20 +145,20 @@ class SlotPart(NamedTuple):
 
 
 class ArenaEntries(NamedTuple):
-    """Every slot's entries over N samples in one flat list, slot after slot.
+    """The table rows that N samples read in some slots, as one flat list, slot after slot.
 
-    Entry e reads the global row `row[e]` of the emb and fo arenas for
-    sample `owner[e]` of the slot at position `slot[e]`. `value[e]` weighs
-    its first-order row; `weight[e]` weighs its embedding row in the pooled
-    sum: the value, or the float32 reciprocal of the sample's entry count
-    in a mean-pooled slot.
+    Entry e reads the global row `row[e]` of the emb and fo arenas into the
+    bin `bin[e]`, which is `k * N + sample` for the k-th of the slots looked
+    up, so each bin's entries are in id-list order. `value[e]` weighs the
+    row: 1 for a hashed or bucketized id, the raw value for numeric_raw,
+    whose one row every sample reads. `divisor[b]` is bin b's float32 entry
+    count in a mean-pooled slot; it is 1 in a sum-pooled slot or an empty bin.
     """
 
     row: np.ndarray
-    owner: np.ndarray
-    slot: np.ndarray
+    bin: np.ndarray
     value: np.ndarray
-    weight: np.ndarray
+    divisor: np.ndarray
 
 
 @dataclass
@@ -347,36 +337,6 @@ def _sum_samples(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(values), axis=0, initial=_F32(0.0))
 
 
-def csr_rows(ids: np.ndarray, offsets: np.ndarray, vocab_size: int) -> SlotRows:
-    """SlotRows of one hashed or bucketized slot from its int64 CSR ids.
-
-    Raises IndexOutOfRange on an id outside the slot's table.
-    """
-    # As unsigned, a negative id is larger than any vocab_size.
-    if len(ids) and ids.view(np.uint64).max() >= vocab_size:
-        raise IndexOutOfRange(int(ids[(ids < 0) | (ids >= vocab_size)][0]), vocab_size)
-    counts = offsets[1:] - offsets[:-1]
-    return SlotRows(
-        ids=ids,
-        owner=np.arange(len(counts)).repeat(counts),
-        value=np.ones(len(ids), dtype=_F32),
-        divisor=np.maximum(counts, 1).astype(_F32),
-    )
-
-
-def pooled_lookup(table: np.ndarray, rows: SlotRows, pooling: str = "sum") -> np.ndarray:
-    """(N, D) sums (or means) of each sample's rows, accumulated in id-list position order."""
-    out = _fold(rows.owner, table[rows.ids], len(rows.divisor))
-    if pooling == "mean":
-        out /= rows.divisor[:, None]
-    return out
-
-
-def first_order_sum(table: np.ndarray, rows: SlotRows) -> np.ndarray:
-    """(N,) sums of each sample's first-order weights, in id-list position order."""
-    return _fold(rows.owner, table[rows.ids, 0], len(rows.divisor))
-
-
 def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
     """Second-order FM term via 0.5 * sum_k[(sum_i e_ik)^2 - sum_i e_ik^2].
 
@@ -403,50 +363,68 @@ def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
     return _F32(0.5) * acc
 
 
-def _slot_rows(
-    params: ModelParams, batch: FeatureBatch, specs: Sequence[FeatureSpec] | None = None
-) -> dict[str, SlotRows]:
-    """Each slot's table rows over the batch's samples, ids range-checked.
+def lookup_entries(params: ModelParams, batch: FeatureBatch, specs: Sequence[FeatureSpec]) -> ArenaEntries:
+    """The entries of `specs`' slots over the batch's samples, in the order of `specs`.
 
-    A numeric_raw slot reads its single row 0 once per sample, weighted by
-    the raw value. `specs` restricts the result to a subset of the slots,
-    each of which the batch must hold.
+    Raises SlotMismatch when the batch holds a slot the model lacks or
+    lacks one of `specs`, and IndexOutOfRange on an id outside its table.
     """
-    known = set(params.slot_names)
+    tables = params.layout.tables
     for name in (*batch.ids, *batch.dense):
-        if name not in known:
+        if name not in tables:
             raise SlotMismatch(f"feature batch has undeclared slot {name!r}")
     n = len(batch)
-    rows: dict[str, SlotRows] = {}
-    for spec in params.specs if specs is None else specs:
+    if not specs:
+        return ArenaEntries(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, _F32), np.zeros(0, _F32))
+    rows, counts, raw, entries = [], [], [], 0
+    divisor = np.ones(len(specs) * n, dtype=_F32)
+    for k, spec in enumerate(specs):
         held = batch.dense if spec.kind == "numeric_raw" else batch.ids
         if spec.name not in held:
             raise SlotMismatch(f"feature batch has no slot {spec.name!r}")
+        start, size = tables[spec.name]
         if spec.kind == "numeric_raw":
-            value = batch.dense[spec.name].astype(_F32)
-            rows[spec.name] = SlotRows(np.zeros(n, np.intp), np.arange(n), value, np.ones(n, _F32))
-        else:
-            vocab_size = params.tensors[f"fo:{spec.name}"].shape[0]
-            rows[spec.name] = csr_rows(*batch.ids[spec.name], vocab_size)
-    return rows
-
-
-def _pool(params: ModelParams, rows: dict[str, SlotRows]) -> dict[str, SlotPart]:
-    need_pooled = params.model_type == "deepfm"
-    parts: dict[str, SlotPart] = {}
-    for spec in params.specs:
-        if spec.name not in rows:
+            raw.append((entries, batch.dense[spec.name]))
+            rows.append(np.full(n, start))
+            counts.append(np.ones(n, np.int64))
+            entries += n
             continue
-        r = rows[spec.name]
-        emb = params.tensors[f"emb:{spec.name}"]
-        fo = params.tensors[f"fo:{spec.name}"]
-        if spec.kind == "numeric_raw":
-            pooled = r.value[:, None] * emb[0] if need_pooled else None
-            parts[spec.name] = SlotPart(pooled, r.value * fo[0, 0])
-        else:
-            pooled = pooled_lookup(emb, r, spec.pooling) if need_pooled else None
-            parts[spec.name] = SlotPart(pooled, first_order_sum(fo, r))
-    return parts
+        ids, offsets = batch.ids[spec.name]
+        # As unsigned, a negative id is larger than any table size.
+        if len(ids) and ids.view(np.uint64).max() >= size:
+            raise IndexOutOfRange(int(ids[(ids < 0) | (ids >= size)][0]), size)
+        count = offsets[1:] - offsets[:-1]
+        rows.append(ids + start)
+        counts.append(count)
+        entries += len(ids)
+        if spec.pooling == "mean":
+            divisor[k * n : (k + 1) * n] = np.maximum(count, 1)
+    value = np.ones(entries, dtype=_F32)
+    for at, dense in raw:
+        value[at : at + n] = dense
+    return ArenaEntries(
+        row=np.concatenate(rows),
+        bin=np.arange(len(divisor)).repeat(np.concatenate(counts)),
+        value=value,
+        divisor=divisor,
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pool(params: ModelParams, entries: ArenaEntries, specs: Sequence[FeatureSpec], n: int) -> dict[str, SlotPart]:
+    """Each of `specs`' slots' part over N samples: one fold per arena over the entries' bins.
+
+    A value too large for float32 arithmetic overflows to a non-finite
+    part without a warning; the logit it reaches tells the caller.
+    """
+    e = entries
+    fo = _fold(e.bin, params.fo[:, 0][e.row] * e.value, len(e.divisor)).reshape(len(specs), n)
+    pooled: Sequence[np.ndarray | None] = [None] * len(specs)
+    if params.model_type == "deepfm":
+        summed = _fold(e.bin, np.take(params.emb, e.row, axis=0) * e.value[:, None], len(e.divisor))
+        summed /= e.divisor[:, None]
+        pooled = summed.reshape(len(specs), n, params.embedding_dim)
+    return {spec.name: SlotPart(p, f) for spec, p, f in zip(specs, pooled, fo)}
 
 
 def compute_parts(
@@ -461,7 +439,8 @@ def compute_parts(
     three calls, over features that may come from its item cache. Parts
     read the parameters, so they are computed afresh for every request.
     """
-    return _pool(params, _slot_rows(params, batch, specs))
+    specs = params.specs if specs is None else specs
+    return _pool(params, lookup_entries(params, batch, specs), specs, len(batch))
 
 
 def _clip_probability(logit: float) -> float:
@@ -482,6 +461,7 @@ def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ w)[:, 0, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble(
     params: ModelParams,
     parts: dict[str, SlotPart],
@@ -495,7 +475,8 @@ def assemble(
     `slot_scale` multiplies a slot's pooled embedding and first-order
     contribution before they enter the logit: one scale for every row, or
     an (N,) array of per-row scales. The feature-selection gates drive this
-    hook. Absent slots default to scale 1.
+    hook. Absent slots default to scale 1. A non-finite part or an
+    overflow gives a non-finite logit, without a numpy warning.
     """
     pooled, fo = zip(*[parts[spec.name] for spec in params.specs])
     scale = None
@@ -540,33 +521,15 @@ def assemble(
     )
 
 
-def _arena_entries(params: ModelParams, rows: dict[str, SlotRows]) -> ArenaEntries:
-    """The SlotRows of every slot, in slot order, as one ArenaEntries."""
-    slots = [rows[spec.name] for spec in params.specs]
-    slot = np.repeat(np.arange(len(slots)), [len(r.ids) for r in slots])
-    weight = [
-        # The float32 reciprocal, not a division: dividing rounds differently.
-        _F32(1.0) / r.divisor[r.owner] if spec.pooling == "mean" and spec.kind != "numeric_raw" else r.value
-        for spec, r in zip(params.specs, slots)
-    ]
-    return ArenaEntries(
-        row=np.concatenate([r.ids for r in slots]) + params.layout.base[slot],
-        owner=np.concatenate([r.owner for r in slots]),
-        slot=slot,
-        value=np.concatenate([r.value for r in slots]),
-        weight=np.concatenate(weight),
-    )
-
-
 def forward(
     params: ModelParams,
     batch: FeatureBatch,
     slot_scale: Mapping[str, float | np.ndarray] | None = None,
 ) -> ForwardTrace:
     """Forward pass over the batch's N samples; one sample is a one-row batch."""
-    rows = _slot_rows(params, batch)
-    trace = assemble(params, _pool(params, rows), slot_scale)
-    trace.entries = _arena_entries(params, rows)
+    entries = lookup_entries(params, batch, params.specs)
+    trace = assemble(params, _pool(params, entries, params.specs, len(batch)), slot_scale)
+    trace.entries = entries
     return trace
 
 
@@ -620,7 +583,8 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
     e = trace.entries
     # A numeric_raw value of zero reads its row but has no gradient there.
     touched = e.value != 0.0
-    row, owner, slot, value = e.row[touched], e.owner[touched], e.slot[touched], e.value[touched]
+    row, bins, value = e.row[touched], e.bin[touched], e.value[touched]
+    owner = bins % n
     # Entries fold per (row, sample) pair in id-list order: a sample's own
     # gradient of the row, where the regularizer joins once. Pairs sort
     # row-major, so each row then folds its samples in batch order.
@@ -629,12 +593,16 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
     first = np.ones(len(pairs), dtype=bool)
     first[1:] = pair_rows[1:] != pair_rows[:-1]
     ids, row_of_pair = pair_rows[first], np.cumsum(first) - 1
-    ds = d[owner] if scale is None else d[owner] * scale[slot, owner]
+    ds = d[owner] if scale is None else d[owner] * scale.reshape(-1)[bins]
     fo_pair = _fold(pair_of_entry, ds * value, len(pairs))
     fo = SparseRows(ids, _fold(row_of_pair, fo_pair, len(ids))[:, None] * mean)
     emb = SparseRows(ids[:0], np.zeros((0, params.embedding_dim), dtype=_F32))
     if grad_pooled is not None:
-        emb_pair = _fold(pair_of_entry, grad_pooled[slot, owner] * e.weight[touched][:, None], len(pairs))
+        # In a mean slot the weight is the float32 reciprocal of the count:
+        # multiplying by it rounds differently from dividing by the count.
+        weight = value / e.divisor[bins]
+        grad_entries = np.take(grad_pooled.reshape(-1, params.embedding_dim), bins, axis=0) * weight[:, None]
+        emb_pair = _fold(pair_of_entry, grad_entries, len(pairs))
         if reg > 0.0:
             emb_pair += _F32(2.0 * reg) * params.emb[pair_rows]
         emb = SparseRows(ids, _fold(row_of_pair, emb_pair, len(ids)) * mean)

@@ -124,11 +124,26 @@ def load_dataset(cfg: PipelineConfig, path: str) -> tuple[FeatureBatch, np.ndarr
     return batch, labels
 
 
+def require_rows(what: str, path: str, data: tuple[FeatureBatch, np.ndarray]) -> tuple[FeatureBatch, np.ndarray]:
+    """The dataset loaded from `path`; DataError naming it the `what` file if it has no data rows."""
+    if not len(data[1]):
+        raise DataError(0, f"{what} file {path!r} has no data rows")
+    return data
+
+
 def score_all(params: ModelParams, batch: FeatureBatch) -> list[float]:
-    """Probabilities of every row, assembled in one pass; each equals its own `forward`."""
+    """Probabilities of every row, assembled in one pass; each equals its own `forward`.
+
+    A row whose logit is not finite has no score: the lowest such row
+    raises DataError naming its 1-based data row.
+    """
     if not len(batch):
         return []
-    return assemble(params, compute_parts(params, batch)).probability.tolist()
+    trace = assemble(params, compute_parts(params, batch))
+    bad = np.flatnonzero(~np.isfinite(trace.logit))
+    if len(bad):
+        raise DataError(int(bad[0]) + 1, f"logit {float(trace.logit[bad[0]])!r} is not finite")
+    return trace.probability.tolist()
 
 
 def evaluate_params(
@@ -167,9 +182,14 @@ def train_step(
 
 
 def load_splits(cfg: PipelineConfig) -> tuple:
-    """cfg's train dataset, None when no epoch runs, and eval dataset, None without a path."""
+    """cfg's train dataset, None when no epoch runs, and eval dataset, None without a path.
+
+    A train dataset without data rows raises DataError before any step.
+    """
     d = cfg.data_config
-    data = load_dataset(cfg, d.train_path) if cfg.train_config.num_epochs > 0 else None
+    data = None
+    if cfg.train_config.num_epochs > 0:
+        data = require_rows("training", d.train_path, load_dataset(cfg, d.train_path))
     return data, load_dataset(cfg, d.eval_path) if d.eval_path else None
 
 

@@ -541,6 +541,34 @@ def write_informative_dataset(path, n_slots, informative, n_rows, seed,
 F32 = np.float32
 
 
+def per_slot_parts(params, batch, specs=None):
+    """Each slot's (pooled, first-order) parts over the batch's N rows, one slot at a time.
+
+    A hashed or bucketized slot folds its rows from zero in id-list order
+    with np.add.at, and a mean slot then divides by its float32 count, 1
+    for an empty row; a numeric_raw slot multiplies its one row by the
+    raw values. pooled is None for logreg. Slots are `specs`, default all.
+    """
+    parts = {}
+    n = len(batch)
+    for spec in params.specs if specs is None else specs:
+        emb, fo = params.tensors[f"emb:{spec.name}"], params.tensors[f"fo:{spec.name}"]
+        if spec.kind == "numeric_raw":
+            value = batch.dense[spec.name].astype(F32)
+            pooled, first = value[:, None] * emb[0], value * fo[0, 0]
+        else:
+            ids, offsets = batch.ids[spec.name]
+            counts = np.diff(offsets)
+            owner = np.repeat(np.arange(n), counts)
+            pooled, first = np.zeros((n, emb.shape[1]), dtype=F32), np.zeros(n, dtype=F32)
+            np.add.at(pooled, owner, emb[ids])
+            np.add.at(first, owner, fo[ids, 0])
+            if spec.pooling == "mean":
+                pooled /= np.maximum(counts, 1).astype(F32)[:, None]
+        parts[spec.name] = (pooled if params.model_type == "deepfm" else None, first)
+    return parts
+
+
 def _oracle_layers(params):
     t = params.tensors
     return [(t[f"mlp:W{i}"], t[f"mlp:b{i}"]) for i in range(sum(n.startswith("mlp:W") for n in t))]

@@ -75,6 +75,17 @@ class TestTrainCommand:
         assert paths[0] != paths[1]
         assert paths[0] == paths[2]
 
+    def test_empty_training_file_refused_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        empty = tmp_path / "empty.csv"
+        write_csv(empty, ["label", "user_id", "item_id"], [])
+        monkeypatch.setattr(trainer, "fit", lambda *args, **kwargs: pytest.fail("training started"))
+        model_dir = tmp_path / "model"
+        code = main(["train", "-c", str(workspace), "--train", str(empty), "--model-dir", str(model_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "training file" in err and "has no data rows" in err and "Traceback" not in err
+        assert not (model_dir / "model.erm").exists()
+
 
 class TestEvalCommand:
     def test_reports_metrics(self, workspace, tmp_path, capsys):
@@ -400,6 +411,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "invalid header JSON" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict-file"])
+    def test_non_finite_logit_names_its_row(self, tmp_path, capsys, command):
+        # Finite as float32, but the price's pooled embedding overflows the FM term.
+        features = [{"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 50},
+                    {"name": "item_price", "kind": "numeric_raw", "source_columns": ["item_price"]}]
+        rows = [[1, "u1", "2.5"], [0, "u2", "1e30"], [1, "u3", "3.4e38"], [0, "u4", "-1"]]
+        write_csv(tmp_path / "data.csv", ["label", "user_id", "item_price"], rows)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_dict(tmp_path, feature_config=features)))
+        model = tmp_path / "model" / "model.erm"
+        assert main(["export", "-c", str(config), "--model-dir", str(model.parent)]) == 0
+        out = tmp_path / "scores.txt"
+        argv = {"eval": ["eval", "-c", str(config), "--model", str(model), "--eval", str(tmp_path / "data.csv")],
+                "predict-file": ["predict-file", "--model", str(model), "--input", str(tmp_path / "data.csv"),
+                                 "--out", str(out)]}[command]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad data row 2" in err and "is not finite" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "predict-file"])
     def test_feature_error_names_its_row(self, tmp_path, capsys, command):

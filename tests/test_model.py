@@ -12,30 +12,30 @@ from minirec.errors import (
     IndexOutOfRange,
     NonFinite,
 )
-from minirec.features import FeatureSpec, columns_of, generate
+from minirec.features import FeatureBatch, FeatureSpec, SlotIds, columns_of, generate
 from minirec.model import (
     PROB_CLIP,
     _clip_probability,
     _sum_samples,
     auc,
     backward,
+    compute_parts,
     copy_params,
-    csr_rows,
     evaluate_metrics,
-    first_order_sum,
     fm_second_order,
     forward,
     init_params,
     logloss,
     params_equal,
-    pooled_lookup,
     tensor_shapes,
 )
+from minirec.serving import partition_slots
 
 from helpers import (
     make_config,
     mean_logloss,
     pairwise_auc,
+    per_slot_parts,
     straight_line_loss,
     straight_line_probability,
 )
@@ -45,9 +45,16 @@ def _table(rng, vocab=10, dim=4):
     return rng.uniform(-1, 1, (vocab, dim)).astype(np.float32)
 
 
-def _one_row(table, ids):
-    """CSR rows of a single sample reading `ids` from `table`."""
-    return csr_rows(np.array(ids, dtype=np.int64), np.array([0, len(ids)]), table.shape[0])
+def _one_row_part(tmp_path, table, ids, pooling="sum"):
+    """compute_parts of one sample reading `ids` in a one-slot model whose tables are `table` and its first column."""
+    spec = {"name": "tags", "kind": "multi_id", "source_columns": ["tags"],
+            "vocab_size": table.shape[0], "pooling": pooling}
+    cfg = make_config(tmp_path, feature_config=[spec], model_config={"embedding_dim": table.shape[1]})
+    params = init_params(cfg, np.random.default_rng(0))
+    params.tensors["emb:tags"][...] = table
+    params.tensors["fo:tags"][...] = table[:, :1]
+    batch = FeatureBatch(1, {"tags": SlotIds(np.array(ids, dtype=np.int64), np.array([0, len(ids)]))}, {})
+    return compute_parts(params, batch)["tags"]
 
 
 def _features(record, specs):
@@ -57,23 +64,24 @@ def _features(record, specs):
 
 
 class TestPooledLookup:
-    def test_duplicate_row_doubles(self):
+    def test_duplicate_row_doubles(self, tmp_path):
         table = _table(np.random.default_rng(0))
-        out = pooled_lookup(table, _one_row(table, [3, 3]), "sum")[0]
+        out = _one_row_part(tmp_path, table, [3, 3], "sum").pooled[0]
         np.testing.assert_allclose(out, 2 * table[3], rtol=1e-6)
 
-    def test_empty_ids_zero_vector(self):
+    def test_empty_ids_zero_vector(self, tmp_path):
         table = _table(np.random.default_rng(1))
-        np.testing.assert_array_equal(pooled_lookup(table, _one_row(table, []), "sum")[0], np.zeros(4, np.float32))
-        np.testing.assert_array_equal(pooled_lookup(table, _one_row(table, []), "mean")[0], np.zeros(4, np.float32))
+        for pooling in ("sum", "mean"):
+            np.testing.assert_array_equal(_one_row_part(tmp_path, table, [], pooling).pooled[0],
+                                          np.zeros(4, np.float32))
 
-    def test_matches_scalar_loop(self):
+    def test_matches_scalar_loop(self, tmp_path):
         rng = np.random.default_rng(2)
         for _ in range(100):
             table = _table(rng, vocab=int(rng.integers(2, 30)), dim=int(rng.integers(1, 9)))
             ids = list(rng.integers(0, table.shape[0], size=rng.integers(0, 8)))
             for pooling in ("sum", "mean"):
-                got = pooled_lookup(table, _one_row(table, ids), pooling)[0]
+                got = _one_row_part(tmp_path, table, ids, pooling).pooled[0]
                 want = np.zeros(table.shape[1], dtype=np.float64)
                 for i in ids:
                     want += table[i].astype(np.float64)
@@ -81,11 +89,64 @@ class TestPooledLookup:
                     want /= len(ids)
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, tmp_path):
         table = _table(np.random.default_rng(3))
         for ids in ([10], [2, -1]):
             with pytest.raises(IndexOutOfRange):
-                pooled_lookup(table, _one_row(table, ids), "sum")
+                _one_row_part(tmp_path, table, ids, "sum")
+
+
+def _five_kind_specs(pooling):
+    """Every feature kind, split over user, item and cross slots, all pooled by `pooling`."""
+    kinds = [
+        {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 50},
+        {"name": "user_tags", "kind": "multi_id", "source_columns": ["user_tags"], "vocab_size": 40},
+        {"name": "user_age", "kind": "numeric_bucket", "source_columns": ["user_age"],
+         "boundaries": [18.0, 30.0, 50.0]},
+        {"name": "item_price", "kind": "numeric_raw", "source_columns": ["item_price"]},
+        {"name": "item_cats", "kind": "multi_id", "source_columns": ["item_cats"], "vocab_size": 30},
+        {"name": "user_x_item", "kind": "cross", "source_columns": ["user_tags", "item_cats"],
+         "vocab_size": 60},
+    ]
+    return [{**spec, "pooling": pooling} for spec in kinds]
+
+
+def _five_kind_record(rng):
+    """A record whose cells may be empty; prices include 0, -0.0 and missing."""
+    def tags(prefix, count):
+        return "|".join(f"{prefix}{rng.integers(count)}" for _ in range(rng.integers(0, 4)))
+    return {
+        "user_id": str(rng.choice(["", "u1", "u2", "u3"])),
+        "user_tags": tags("t", 25),
+        "user_age": str(rng.choice(["", "17", "30", "64.5"])),
+        "item_price": str(rng.choice(["", "0", "-0.0", "2.5", "-1e3"])),
+        "item_cats": tags("c", 20),
+    }
+
+
+@pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+@pytest.mark.parametrize("pooling", ["sum", "mean"])
+def test_compute_parts_equals_per_slot_fold(tmp_path, pooling, model_type):
+    """Bit for bit the per-slot fold, for every slot and for serving's user, item and cross subsets."""
+    cfg = make_config(tmp_path, feature_config=_five_kind_specs(pooling),
+                      model_config={"model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [8]})
+    part = partition_slots(cfg.feature_config)
+    rng = np.random.default_rng(21)
+    for trial, rows in enumerate((1, 2, 7, 32)):
+        params = init_params(cfg, np.random.default_rng([trial, 0]))
+        for arr in params.tensors.values():
+            arr += rng.normal(0, 0.3, arr.shape).astype(np.float32)
+        records = [_five_kind_record(rng) for _ in range(rows)]
+        for specs in (None, part.user, part.item, part.cross):
+            batch = generate(columns_of(records, specs or cfg.feature_config), specs or cfg.feature_config)
+            got, want = compute_parts(params, batch, specs), per_slot_parts(params, batch, specs)
+            assert list(got) == list(want)
+            for name, (pooled, fo) in want.items():
+                assert np.array_equal(got[name].fo, fo)
+                if pooled is None:
+                    assert got[name].pooled is None
+                else:
+                    assert np.array_equal(got[name].pooled, pooled)
 
 
 class TestFmSecondOrder:
@@ -439,7 +500,7 @@ def test_first_order_sum_scalar_loop(tmp_path):
     table = _table(rng, dim=1)
     ids = [1, 5, 1]
     want = sum(float(table[i, 0]) for i in ids)
-    assert float(first_order_sum(table, _one_row(table, ids))[0]) == pytest.approx(want, rel=1e-6)
+    assert float(_one_row_part(tmp_path, table, ids).fo[0]) == pytest.approx(want, rel=1e-6)
 
 
 @pytest.mark.parametrize("shape", [(32, 1), (7, 1), (32, 64), (32, 56, 64), (32, 32, 1), (1, 3)])

@@ -7,6 +7,7 @@ import statistics
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -669,7 +670,6 @@ class TestHostileInputs:
         assert payload["scores"] == [np.float32(PROB_CLIP).item()]
         assert payload["scores"] == score(model, request).scores
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_non_finite_logit_scores_null_and_is_counted(self, served, capfd):
         # Both prices are finite as float32, but the logit overflows.
         model, handle = served
@@ -682,6 +682,16 @@ class TestHostileInputs:
         assert payload["scores"][0] == score(model, {"user": request["user"], "items": items[:1]}).scores[0]
         assert _http(handle, "GET", "/v1/metrics")[1]["scores_nulled"] == 2
         assert "Traceback" not in capfd.readouterr().err
+
+    def test_float32_overflow_warns_nothing(self, tmp_path):
+        model = _five_kind_model(tmp_path, "deepfm")
+        request = {"user": {"user_id": "u1"},
+                   "items": [{"key": "a", "features": {"item_id": "a", "item_price": "3e38"}}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cache in (None, LruCache(4)):
+                response = score(model, request, cache)
+                assert response.scores == [None] and response.nulled == 1
 
     def test_lone_surrogate_is_a_feature_error(self, served, capfd):
         model, handle = served
