@@ -175,10 +175,7 @@ class FeatureBatch:
         ids = {}
         for name, s in self.ids.items():
             starts = s.offsets[index]
-            counts = s.offsets[index + 1] - starts
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-            ids[name] = SlotIds(s.ids[entries], offsets)
+            ids[name] = gather_runs(s.ids, starts, s.offsets[index + 1] - starts)
         errors = {}
         if self.errors:
             errors = {k: self.errors[r] for k, r in enumerate(index.tolist()) if r in self.errors}
@@ -186,19 +183,12 @@ class FeatureBatch:
         return FeatureBatch(len(index), ids, dense, errors)
 
 
-def stack_rows(rows: Sequence[FeatureBatch]) -> FeatureBatch:
-    """One-row batches as the rows of one batch, in order; all must hold the same slots."""
-    if any(r.size != 1 for r in rows):
-        raise ValueError("stack_rows takes one-row batches")
-    if len(rows) == 1:
-        return rows[0]
-    ids = {}
-    for name in rows[0].ids:
-        arrays = [r.ids[name].ids for r in rows]
-        ids[name] = SlotIds(np.concatenate(arrays), _offsets(map(len, arrays), len(rows)))
-    dense = {name: np.concatenate([r.dense[name] for r in rows]) for name in rows[0].dense}
-    errors = {k: r.errors[0] for k, r in enumerate(rows) if r.errors}
-    return FeatureBatch(len(rows), ids, dense, errors)
+def gather_runs(ids: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> SlotIds:
+    """The runs `ids[starts[r] : starts[r] + counts[r]]`, one per row, end to end as one slot."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    entries = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+    return SlotIds(ids[entries], offsets)
 
 
 def columns_of(records: Sequence[Mapping[str, str]], specs: Sequence[FeatureSpec]) -> Columns:
@@ -388,12 +378,14 @@ def _encodable(cells: Sequence[str], slot: str, errors: dict) -> list[str]:
     return out
 
 
-def record_from_json(obj: Mapping) -> dict[str, str]:
-    """A JSON object as a raw record.
+def json_cell(value) -> str:
+    """A JSON value as a raw cell: null is an empty (missing) cell; other non-strings go through str()."""
+    return value if isinstance(value, str) else "" if value is None else str(value)
 
-    JSON null is an empty (missing) cell; other non-strings go through str().
-    """
-    return {str(k): v if isinstance(v, str) else "" if v is None else str(v) for k, v in obj.items()}
+
+def record_from_json(obj: Mapping) -> dict[str, str]:
+    """A JSON object as a raw record, each value a `json_cell`."""
+    return {str(k): json_cell(v) for k, v in obj.items()}
 
 
 def canonical_bytes(fv: FeatureVector) -> bytes:

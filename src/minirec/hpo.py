@@ -109,13 +109,20 @@ class Trial:
 def _trainer_evaluate(cfg: PipelineConfig, epochs: int, stop_check, loaded: dict) -> list[float]:
     """Default objective: the trainer's loop, reporting the primary eval metric per epoch.
 
-    `loaded` holds each data_config's datasets (a search cannot override feature_config).
+    `loaded` holds each data_config's datasets, or the error its load
+    raised, which every later trial on it raises again without re-reading
+    the files (a search cannot override feature_config).
     """
     from .trainer import fit, load_splits
 
     cfg = apply_override(cfg, "train_config.num_epochs", epochs)
     if cfg.data_config not in loaded:
-        loaded[cfg.data_config] = load_splits(cfg)
+        try:
+            loaded[cfg.data_config] = load_splits(cfg)
+        except MinirecError as exc:
+            loaded[cfg.data_config] = exc
+    if isinstance(loaded[cfg.data_config], MinirecError):
+        raise loaded[cfg.data_config]
     metrics = cfg.eval_config.metrics
     metric = "auc" if "auc" in metrics else metrics[0]
     curve: list[float] = []
@@ -194,6 +201,8 @@ def run_search(
 
     viable = [t for t in trials if t.final_metric is not None]
     if not viable:
-        raise MinirecError("no trial produced a metric")
+        failed = next((t for t in trials if t.error is not None), None)
+        cause = "" if failed is None else f"; trial {failed.trial_id} failed: {failed.error}"
+        raise MinirecError(f"no trial produced a metric{cause}")
     best = max(viable, key=lambda t: (t.final_metric, -t.trial_id))
     return best, trials

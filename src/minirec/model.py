@@ -21,9 +21,9 @@ parts). Both `forward` and `compute_parts` turn a `FeatureBatch` into one
 batch's samples read, as a global arena row, weighed by its value and
 binned by (slot, sample). Pooling is one fold per arena over those bins,
 and `backward` reads the same entries that `forward` pooled. Serving
-computes the user, item and cross slots' parts in separate calls and
-assembles them in one pass; its cache holds item features, not parts, so
-cached and uncached scores run the same float operations. Both work on
+computes a request's parts over every slot in one call and assembles
+them in one pass; its cache holds item features, not parts, so cached
+and uncached scores run the same float operations. Both work on
 N rows at once, and training's `backward` and the optimizer take a whole
 batch in one pass; every row gets the bits its own one-row pass would
 give.
@@ -316,10 +316,20 @@ def params_equal(a: ModelParams, b: ModelParams) -> bool:
 
 
 def _fold(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Sum `values` into `size` bins by `index`; each bin is a left fold from zero in input order."""
-    out = np.zeros((size, *values.shape[1:]), dtype=_F32)
-    np.add.at(out, index, values)
-    return out
+    """Sum `values` into `size` bins by `index`; each bin is a left fold from zero in input order.
+
+    (E, D) values fold as one 1-D np.add.at over the flat positions
+    `bin * D + k`: each element still folds in input order, so the bits
+    are those of a 2-D np.add.at, which is several times slower.
+    """
+    if values.ndim == 1:
+        out = np.zeros(size, dtype=_F32)
+        np.add.at(out, index, values)
+        return out
+    dim = values.shape[1]
+    out = np.zeros(size * dim, dtype=_F32)
+    np.add.at(out, (index[:, None] * dim + np.arange(dim)).reshape(-1), values.reshape(-1))
+    return out.reshape(size, dim)
 
 
 def _sum_samples(values: np.ndarray) -> np.ndarray:
@@ -341,26 +351,21 @@ def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
     """Second-order FM term via 0.5 * sum_k[(sum_i e_ik)^2 - sum_i e_ik^2].
 
     Equal to the sum of pairwise dot products of the vectors. Vectors of
-    shape (N, D) give one term per row; the sum over k runs in the same
+    shape (N, D) give one term per row. Each sum is a `_sum_samples` fold
+    from zero, over the slots and then over k, which runs in the same
     order for every row, so a row's term does not depend on the others.
     """
     vectors = list(pooled)
     if not vectors:
         return _F32(0.0)
     dim = vectors[0].shape[-1]
-    total = np.zeros(vectors[0].shape, dtype=_F32)
-    total_sq = np.zeros(vectors[0].shape, dtype=_F32)
     for v in vectors:
         if v.shape[-1] != dim:
             raise DimensionMismatch(f"expected dim {dim}, got {v.shape[-1]}")
-        total += v
-        total_sq += v * v
-    # Transposed so that [k] is a scalar for one row and a column for N rows.
-    terms = (total * total - total_sq).T
-    acc = _F32(0.0)
-    for k in range(dim):
-        acc = acc + terms[k]
-    return _F32(0.5) * acc
+    stacked = np.stack(vectors)
+    total = _sum_samples(stacked)
+    # Transposed so that the fold over k runs down the first axis.
+    return _F32(0.5) * _sum_samples((total * total - _sum_samples(stacked * stacked)).T)
 
 
 def lookup_entries(params: ModelParams, batch: FeatureBatch, specs: Sequence[FeatureSpec]) -> ArenaEntries:
@@ -434,10 +439,10 @@ def compute_parts(
 
     A slot's part depends only on that slot's features and tables, never
     on other slots, and a row's part never on the other rows. `specs`
-    restricts computation to a subset of the model's slots: serving
-    computes the user-side, item-side and cross parts of a request in
-    three calls, over features that may come from its item cache. Parts
-    read the parameters, so they are computed afresh for every request.
+    restricts computation to a subset of the model's slots. Serving
+    computes a request's parts in one call, over features that may come
+    from its item cache; parts read the parameters, so they are computed
+    afresh for every request.
     """
     specs = params.specs if specs is None else specs
     return _pool(params, lookup_entries(params, batch, specs), specs, len(batch))

@@ -9,13 +9,22 @@ counted as `deltas_gap`: the server stays at its last good version rather
 than report one whose earlier rows it lacks.
 
 A request's features come from one columnar `generate` call per side:
-user, items, cross. The item cache stores each item's item-side features
-as a one-row batch, keyed by the item key alone, and a request
-concatenates its items' rows. Features do not depend on the parameters,
-so entries survive deltas; the cache assumes that an item's features are
-a pure function of its key. Cached or not, the features go through the
-same `compute_parts` and `assemble` calls, so cached and uncached scores
-are bit-identical.
+user, items, cross. The item cache is an LRU map from the item key alone
+to a row of a columnar store (`ItemStore`): per item slot a flat id
+buffer with a start and a count per row, per numeric_raw slot a float64
+column. A request takes the cache lock once, looks its keys up in order
+and gathers its items' rows with one gather per slot. Features do not
+depend on the parameters, so entries survive deltas; the cache assumes
+that an item's features are a pure function of its key. The user's row
+is repeated to every item, and one `compute_parts` over every slot and
+one `assemble` score the request. Cached or not, the features go through
+the same calls, so cached and uncached scores are bit-identical.
+
+The HTTP server scores one request at a time: a scoring lane (one lock)
+covers a request from its JSON decode to its encoded reply, but no
+socket read or write, so a client that stalls its body or its reply
+holds up no one else. Two requests scored at once would trade the GIL
+mid-request and both finish later than one after the other.
 """
 
 from __future__ import annotations
@@ -36,8 +45,18 @@ from .artifact import load_artifact
 from .config import PipelineConfig
 from .delta_stream import DeltaMessage, apply_delta, decode_delta
 from .errors import InvalidValue, MinirecError, VersionGap
-from .features import FeatureBatch, FeatureSpec, columns_of, generate, record_from_json, stack_rows
-from .model import ModelParams, SlotPart, assemble, compute_parts
+from .features import (
+    Columns,
+    FeatureBatch,
+    FeatureSpec,
+    SlotIds,
+    columns_of,
+    gather_runs,
+    generate,
+    json_cell,
+    record_from_json,
+)
+from .model import ModelParams, assemble, compute_parts
 
 log = logging.getLogger("minirec.serving")
 
@@ -75,8 +94,95 @@ def partition_slots(specs: tuple[FeatureSpec, ...]) -> SlotPartition:
     return SlotPartition(user=tuple(user), item=tuple(item), cross=tuple(cross))
 
 
+def _room(a: np.ndarray, size: int) -> np.ndarray:
+    """`a`, or `a` in a zeroed array at least twice as long, with room for `size` entries."""
+    if size <= len(a):
+        return a
+    grown = np.zeros(max(size, 2 * len(a), 16), dtype=a.dtype)
+    grown[: len(a)] = a
+    return grown
+
+
+class _IdColumn:
+    """One hashed or bucketized item slot of an `ItemStore`.
+
+    Row r's ids are `buf[start[r] : start[r] + count[r]]`. A row's ids are
+    written once, at the end of the used part of the buffer; a freed row's
+    ids become garbage, and once garbage passes half of the used part the
+    live rows are moved down, in row order.
+    """
+
+    def __init__(self):
+        self.buf, self.start, self.count = (np.zeros(0, dtype=np.int64) for _ in range(3))
+        self.used = self.garbage = 0
+
+    def put(self, row: int, ids: np.ndarray) -> None:
+        end = self.used + len(ids)
+        self.buf = _room(self.buf, end)
+        self.start, self.count = _room(self.start, row + 1), _room(self.count, row + 1)
+        self.buf[self.used : end] = ids
+        self.start[row], self.count[row], self.used = self.used, len(ids), end
+
+    def free(self, rows: list[int]) -> None:
+        self.garbage += int(self.count[rows].sum())
+        self.count[rows] = 0
+        if 2 * self.garbage > self.used:
+            live = gather_runs(self.buf, self.start, self.count)
+            self.used, self.garbage = len(live.ids), 0
+            self.buf[: self.used] = live.ids
+            self.start = live.offsets[:-1].copy()
+
+
+class ItemStore:
+    """Item-side features of cached items in columns, one row per item.
+
+    Each hashed or bucketized slot is an `_IdColumn`, each numeric_raw slot
+    a float64 column. Freed rows are reused. `take` gathers rows with one
+    gather per slot.
+    """
+
+    def __init__(self, specs: tuple[FeatureSpec, ...]):
+        self._ids = {s.name: _IdColumn() for s in specs if s.kind != "numeric_raw"}
+        self._dense = {s.name: np.zeros(0) for s in specs if s.kind == "numeric_raw"}
+        self._rows = 0
+        self._free: list[int] = []
+
+    def put(self, features, k: int) -> int:
+        """Row k of the batch `features()` as a new row; raises that row's error if it has one."""
+        batch = features()
+        if k in batch.errors:
+            raise batch.errors[k]
+        if self._free:
+            row = self._free.pop()
+        else:
+            row, self._rows = self._rows, self._rows + 1
+        for name, column in self._ids.items():
+            ids, offsets = batch.ids[name]
+            column.put(row, ids[offsets[k] : offsets[k + 1]])
+        for name in self._dense:
+            self._dense[name] = _room(self._dense[name], row + 1)
+            self._dense[name][row] = batch.dense[name][k]
+        return row
+
+    def free(self, rows: list[int]) -> None:
+        if rows:
+            for column in self._ids.values():
+                column.free(rows)
+            self._free.extend(rows)
+
+    def take(self, rows: list[int]) -> FeatureBatch:
+        index = np.array(rows, dtype=np.int64)
+        ids = {name: gather_runs(c.buf, c.start[index], c.count[index]) for name, c in self._ids.items()}
+        dense = {name: values[index] for name, values in self._dense.items()}
+        return FeatureBatch(len(rows), ids, dense)
+
+
 class LruCache:
-    """Classic LRU with linearizable per-key get-or-insert accounting."""
+    """Classic LRU with linearizable per-key get-or-insert accounting.
+
+    `score` keeps item features here: the map takes an item key to its row
+    of a columnar `ItemStore`, which binds to the item slots on first use.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -84,17 +190,54 @@ class LruCache:
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
+        self._store: ItemStore | None = None
 
     def get_or_insert(self, key, compute) -> tuple[object, bool]:
         with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key], True
-            value = compute()
-            self._data[key] = value
-            if len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-            return value, False
+            value, hit, _ = self._access(key, compute)
+            return value, hit
+
+    def _access(self, key, compute, *args) -> tuple[object, bool, object]:
+        """(value, hit, the value evicted or None); a miss inserts compute(*args). The caller holds the lock."""
+        if key in self._data:
+            self._data.move_to_end(key)
+            return self._data[key], True, None
+        value = compute(*args)
+        self._data[key] = value
+        evicted = self._data.popitem(last=False)[1] if len(self._data) > self.capacity else None
+        return value, False, evicted
+
+    def item_rows(
+        self, specs: tuple[FeatureSpec, ...], keys: list[str], features, skip
+    ) -> tuple[FeatureBatch, int, set[int]]:
+        """Look up `keys` in order and gather their features, all under one hold of the lock.
+
+        Key k is one get-or-insert: a miss stores row k of `features()`,
+        the request's generated item features, unless that row failed.
+        Returns the features of the keys that neither failed nor are in
+        `skip`, in key order, the hit count and the failed positions. Rows
+        evicted on the way are freed only after the gather, so a key
+        evicted by a later key of the same request still reads its own row.
+        """
+        with self._lock:
+            if self._store is None:
+                self._store = ItemStore(specs)
+            store = self._store
+            rows, hits, failed, evicted = [], 0, set(), []
+            for k, key in enumerate(keys):
+                try:
+                    row, hit, old = self._access(key, store.put, features, k)
+                except MinirecError:
+                    failed.add(k)
+                    continue
+                hits += hit
+                if old is not None:
+                    evicted.append(old)
+                if k not in skip:
+                    rows.append(row)
+            batch = store.take(rows)
+            store.free(evicted)
+        return batch, hits, failed
 
     def __len__(self) -> int:
         return len(self._data)
@@ -158,15 +301,14 @@ def score(
 
     Features come from one `generate` call per request side: the user's
     record as one row, the items' records (only when the cache misses one
-    of them), and the cross slots over every (user, item) record. A cached
-    item's features are its one-row batch; the request concatenates the
-    rows. The user slots' parts are computed on one row and repeated to
-    every item, the item and cross slots' parts over all items, one call
-    each; one assemble pass follows, and no row's result depends on the
-    others. A per-item feature failure yields a null score in that
-    position, and so does a row whose logit is not finite (counted in
-    `nulled`); a user-side feature failure raises. cache_hits counts
-    item-side cache hits.
+    of them), and the cross slots over every item, whose cells are the
+    item's own or else the user's. A cached item's features are its row
+    of the cache's columnar store. The user's row is repeated to every
+    valid item, and one `compute_parts` over every slot and one `assemble`
+    score all of them; no row's result depends on the others. A per-item
+    feature failure yields a null score in that position, and so does a
+    row whose logit is not finite (counted in `nulled`); a user-side
+    feature failure raises. cache_hits counts item-side cache hits.
     """
     params = model.snapshot()
     part = model.partition
@@ -177,56 +319,44 @@ def score(
 
     items = request.get("items") or []
     scores: list[float | None] = [None] * len(items)
-    keys, item_records, positions = [], [], []
+    keys, raw, positions = [], [], []
     for position, item in enumerate(items):
         if not isinstance(item, dict) or "key" not in item:
             continue
         features = item.get("features") or {}
         if isinstance(features, dict):
             keys.append(str(item["key"]))
-            item_records.append(record_from_json(features))
+            raw.append(features)
             positions.append(position)
 
+    # An item's cross cell is its own value, else the user's, as in the record {**user, **item}.
+    cells = {name: [json_cell(f.get(name, user_record.get(name, ""))) for f in raw]
+             for name in {c for spec in part.cross for c in spec.source_columns}}
+    cross = generate(Columns(len(raw), cells), part.cross)
     # The request's item features, generated once, on the first cache miss.
-    generated = functools.cache(lambda: generate(columns_of(item_records, part.item), part.item))
+    generated = functools.cache(
+        lambda: generate(columns_of([record_from_json(f) for f in raw], part.item), part.item))
 
-    def item_row(k: int) -> FeatureBatch:
-        # A copy, not a view: a cached row must not keep the request's arrays alive.
-        batch = generated()
-        if k in batch.errors:
-            raise batch.errors[k]
-        return batch.take(np.array([k]))
-
-    hits, nulled, rows, failed = 0, 0, {}, set()
+    hits, nulled = 0, 0
     if cache is None:
-        failed.update(generated().errors)
+        failed = set(generated().errors)
     else:
-        for k, key in enumerate(keys):
-            try:
-                rows[k], hit = cache.get_or_insert(key, lambda: item_row(k))
-                hits += hit
-            except MinirecError:
-                failed.add(k)
-    cross = generate(columns_of([{**user_record, **r} for r in item_records], part.cross), part.cross)
+        item_batch, hits, failed = cache.item_rows(part.item, keys, generated, cross.errors)
     valid = [k for k in range(len(keys)) if k not in failed and k not in cross.errors]
     if valid:
-        if cache is not None:
-            item_batch = stack_rows([rows[k] for k in valid])
-        else:
-            item_batch = generated()
-        if len(valid) < len(keys):
-            index = np.array(valid, dtype=np.int64)
-            cross = cross.take(index)
-            if cache is None:
-                item_batch = item_batch.take(index)
         n = len(valid)
-        parts: dict[str, SlotPart] = {}
-        for name, p in compute_parts(params, user, part.user).items():
-            pooled = None if p.pooled is None else np.repeat(p.pooled, n, axis=0)
-            parts[name] = SlotPart(pooled, np.repeat(p.fo, n))
-        parts.update(compute_parts(params, item_batch, part.item))
-        parts.update(compute_parts(params, cross, part.cross))
-        trace = assemble(params, parts)
+        if n < len(keys):
+            cross = cross.take(np.array(valid))
+        if cache is None:
+            item_batch = generated() if n == len(keys) else generated().take(np.array(valid))
+        # The user's one row, repeated to every valid item.
+        ids = {name: SlotIds(np.tile(ids, n), np.arange(n + 1, dtype=np.int64) * len(ids))
+               for name, (ids, _) in user.ids.items()}
+        dense = {name: np.repeat(values, n) for name, values in user.dense.items()}
+        for side in (item_batch, cross):
+            ids.update(side.ids)
+            dense.update(side.dense)
+        trace = assemble(params, compute_parts(params, FeatureBatch(n, ids, dense)))
         for k, logit, probability in zip(valid, trace.logit.tolist(), trace.probability.tolist()):
             # A float32 overflow (a huge numeric_raw value) leaves no score to give.
             if math.isfinite(logit):
@@ -348,6 +478,35 @@ def http_serve(
     if poll_interval_ms < 1:
         raise InvalidValue("poll_interval_ms", "must be >= 1")
     metrics = _Metrics()
+    # The scoring lane: a request holds it from its JSON decode to its encoded
+    # reply, never across a socket read or write. Two requests scored at once
+    # hand the GIL back and forth mid-request and both finish late.
+    lane = threading.Lock()
+
+    def predict(body: bytes) -> tuple[int, dict]:
+        try:
+            request = json.loads(body.decode("utf-8"))
+            if not isinstance(request, dict) or not isinstance(request.get("items"), list):
+                raise ValueError("request must be an object with an items array")
+            if request.get("user") is not None and not isinstance(request["user"], dict):
+                raise ValueError("user must be an object")
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8; RecursionError, arrays nested too deep.
+            return 400, {"error": str(exc)}
+        try:
+            start = time.perf_counter()
+            response = score(model, request, cache)
+            latency_us = (time.perf_counter() - start) * 1e6
+        except MinirecError as exc:
+            # A user-side feature failure: per-item failures score null instead.
+            return 400, {"error": str(exc)}
+        except Exception as exc:  # pragma: no cover - defensive 500 path
+            log.exception("predict failed")
+            return 500, {"error": str(exc)}
+        metrics.record(latency_us, response.cache_hits, len(response.scores))
+        for _ in range(response.nulled):
+            metrics.count("scores_nulled")
+        return 200, response.to_plain()
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -359,7 +518,9 @@ def http_serve(
             log.debug("http: " + fmt, *args)
 
         def _reply(self, status: int, payload: dict, close: bool = False) -> None:
-            body = json.dumps(payload).encode("utf-8")
+            self._send(status, json.dumps(payload).encode("utf-8"), close)
+
+        def _send(self, status: int, body: bytes, close: bool = False) -> None:
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -421,30 +582,10 @@ def http_serve(
             body = self._read_body(length)
             if body is None:
                 return
-            try:
-                request = json.loads(body.decode("utf-8"))
-                if not isinstance(request, dict) or not isinstance(request.get("items"), list):
-                    raise ValueError("request must be an object with an items array")
-                if request.get("user") is not None and not isinstance(request["user"], dict):
-                    raise ValueError("user must be an object")
-            except (ValueError, RecursionError) as exc:
-                # ValueError covers bad UTF-8; RecursionError, arrays nested too deep.
-                self._reply(400, {"error": str(exc)})
-                return
-            try:
-                start = time.perf_counter()
-                response = score(model, request, cache)
-                latency_us = (time.perf_counter() - start) * 1e6
-                metrics.record(latency_us, response.cache_hits, len(response.scores))
-                for _ in range(response.nulled):
-                    metrics.count("scores_nulled")
-                self._reply(200, response.to_plain())
-            except MinirecError as exc:
-                # A user-side feature failure: per-item failures score null instead.
-                self._reply(400, {"error": str(exc)})
-            except Exception as exc:  # pragma: no cover - defensive 500 path
-                log.exception("predict failed")
-                self._reply(500, {"error": str(exc)})
+            with lane:
+                status, payload = predict(body)
+                reply = json.dumps(payload).encode("utf-8")
+            self._send(status, reply)
 
     server = ThreadingHTTPServer(bind, Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True, name="minirec-http")

@@ -24,6 +24,7 @@ import numpy as np
 from minirec.config import parse_config
 from minirec.delta_stream import DeltaMessage, DenseRecord, DenseRun, SparseRecord, SparseRun
 from minirec.errors import IndexOutOfRange, InvalidValue, MalformedEvent
+from minirec.features import FeatureBatch, SlotIds
 from minirec.sample_stream import Event, JoinStats, LabeledSample, parse_event
 
 
@@ -539,6 +540,20 @@ def write_informative_dataset(path, n_slots, informative, n_rows, seed,
 # bit. It reads `ModelParams` and writes a plain dict-of-rows gradient.
 
 F32 = np.float32
+
+
+def stack_rows(rows):
+    """One-row batches as the rows of one batch, in order; all must hold the same slots."""
+    if any(r.size != 1 for r in rows):
+        raise ValueError("stack_rows takes one-row batches")
+    ids = {}
+    for name in rows[0].ids:
+        arrays = [r.ids[name].ids for r in rows]
+        offsets = np.array([0, *itertools.accumulate(map(len, arrays))], dtype=np.int64)
+        ids[name] = SlotIds(np.concatenate(arrays), offsets)
+    dense = {name: np.concatenate([r.dense[name] for r in rows]) for name in rows[0].dense}
+    errors = {k: r.errors[0] for k, r in enumerate(rows) if r.errors}
+    return FeatureBatch(len(rows), ids, dense, errors)
 
 
 def per_slot_parts(params, batch, specs=None):

@@ -149,6 +149,29 @@ class TestHpoCommand:
             assert "train_config.learning_rate" in trial["assignment"]
 
 
+    def test_header_only_training_file_names_the_cause(self, workspace, tmp_path, capsys, monkeypatch):
+        empty = tmp_path / "empty.csv"
+        write_csv(empty, ["label", "user_id", "item_id"], [])
+        cfg = json.loads(workspace.read_text())
+        cfg["data_config"]["train_path"] = str(empty)
+        config = tmp_path / "empty_train.json"
+        config.write_text(json.dumps(cfg))
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({
+            "train_config.learning_rate": {"_type": "loguniform", "_value": [1e-3, 0.2]},
+        }))
+        reads = []
+        load_dataset = trainer.load_dataset
+        monkeypatch.setattr(trainer, "load_dataset",
+                            lambda cfg, path: reads.append(path) or load_dataset(cfg, path))
+        code = main(["hpo", "-c", str(config), "--space", str(space), "--max-trials", "3", "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "trial 0 failed" in err and "has no data rows" in err and "Traceback" not in err
+        # The failed load is not repeated for the second and third trials.
+        assert reads == [str(empty)]
+
+
 class TestSelectFeaturesCommand:
     def test_prunes_to_keep_fraction(self, tmp_path, capsys):
         train, valid = tmp_path / "train.csv", tmp_path / "eval.csv"

@@ -19,13 +19,12 @@ from minirec.features import (
     generate,
     hash_ids,
     record_from_json,
-    stack_rows,
 )
 from minirec.model import init_params
 from minirec.sample_stream import JoinConfig, run_pipeline
 from minirec.trainer import read_columns
 
-from helpers import fnv1a64_reference, generate_reference, make_config
+from helpers import fnv1a64_reference, generate_reference, make_config, stack_rows
 
 
 class TestFnv1a64:

@@ -14,6 +14,8 @@ ALLOWED = {
     ("minirec.delta_stream", "DenseRun"),
     ("minirec.delta_stream", "SparseRecord"),
     ("minirec.delta_stream", "SparseRun"),
+    ("minirec.features", "FeatureBatch"),
+    ("minirec.features", "SlotIds"),
     ("minirec.sample_stream", "Event"),
     ("minirec.sample_stream", "JoinStats"),
     ("minirec.sample_stream", "LabeledSample"),

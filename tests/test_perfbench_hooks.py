@@ -108,9 +108,9 @@ def test_hooks_are_reached(tmp_path, monkeypatch):
     model = serving.ServingModel(init_params(cfg, np.random.default_rng(0)), cfg)
     items = [{"key": k, "features": {"item_id": k}} for k in ("a", "b")]
     assert None not in serving.score(model, {"user": {"user_id": "u1"}, "items": items}).scores
-    # one generate and one compute_parts call per side: user, items, cross
+    # one generate call per side (user, items, cross) and one compute_parts call over every slot
     assert calls["serving.generate"] == 3
-    assert calls["serving.compute_parts"] == 3
+    assert calls["serving.compute_parts"] == 1
 
 
 def test_rows_per_step_observer_counts_distinct_rows(tmp_path, monkeypatch):

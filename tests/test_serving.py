@@ -5,8 +5,10 @@ import json
 import socket
 import statistics
 import struct
+import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -367,6 +369,60 @@ class TestBatchInvariance:
             assert score_all(params, batch.slice(0, size)) == want[:size]
 
 
+def _store_item(k):
+    """An item of the five-kind model; k % 4 == 0 has no categories."""
+    return {"key": f"i{k}", "features": {
+        "item_id": f"i{k}", "item_cats": "|".join(f"c{j}" for j in range(k % 4)),
+        "item_price": f"{k / 8:.3f}"}}
+
+
+class TestColumnarItemCache:
+    """The cache's columnar item store against an LRU oracle and the uncached scores."""
+
+    def test_matches_lru_oracle_and_uncached_scores(self, tmp_path):
+        # Capacity 4 over 9 keys: rows are evicted and reused, and the id
+        # buffers compacted, within and between requests.
+        model = _five_kind_model(tmp_path, "deepfm")
+        cache, sim = LruCache(4), LruSimulator(4)
+        rng = np.random.default_rng(67)
+        for n in range(300):
+            items = [_store_item(int(k)) for k in rng.integers(0, 9, int(rng.integers(1, 8)))]
+            if n % 3 == 0:
+                # A failing item is never stored; its key is never used again.
+                items.insert(int(rng.integers(0, len(items) + 1)),
+                             {"key": f"bad{n}", "features": {"item_id": "x", "item_price": "abc"}})
+            if n % 4 == 0:
+                items.append(items[0])
+            request = {"user": {"user_id": f"u{n % 5}", "user_tags": "t1|t2", "user_age": "40"},
+                       "items": items}
+            want_hits = sum(sim.access(item["key"]) for item in items if not item["key"].startswith("bad"))
+            response = score(model, request, cache)
+            assert response.cache_hits == want_hits
+            assert list(cache._data) == sim.order
+            assert response.scores == score(model, request, None).scores
+            assert [s is None for s in response.scores] == [item["key"].startswith("bad") for item in items]
+
+    def test_bytes_per_cached_item(self, tmp_path):
+        model = _five_kind_model(tmp_path, "deepfm")
+        cache = LruCache(4096)
+
+        def request(first):
+            return {"user": {"user_id": "u1"}, "items": [_store_item(k) for k in range(first, first + 64)]}
+
+        # The first request binds the store and warms numpy.
+        score(model, request(0), cache)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for first in range(64, 64 * 32, 64):
+                score(model, request(first), cache)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 64 * 32
+        assert grown / (64 * 31) <= 700
+
+
 class TestApplyDelta:
     def test_applies_and_bumps_version(self, tmp_path):
         model = _make_model(tmp_path)
@@ -591,6 +647,61 @@ class TestHttpService:
         finally:
             conn.close()
         assert statistics.median(latencies) < 0.010
+
+    def test_concurrent_clients_score_exactly_beside_a_stalled_body(self, tmp_path):
+        """Four keep-alive clients get the in-process scores while a fifth stalls its body."""
+        model = _five_kind_model(tmp_path, "deepfm")
+        handle = http_serve(model, LruCache(64))
+        rng = np.random.default_rng(68)
+        requests = [[{"user": {"user_id": f"u{c}", "user_tags": "t3", "user_age": str(20 + n)},
+                      "items": _mixed_items(rng, int(rng.integers(1, 24)))[0]} for n in range(25)]
+                    for c in range(4)]
+        want = [[(200, score(model, r).scores) for r in client] for client in requests]
+        got, done = [None] * 4, [0.0] * 4
+        body = b'{"items": []}'
+        stalled = socket.create_connection(handle.address, timeout=10)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            stalled.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+                            + body[:8])
+
+            def client(c):
+                conn = http.client.HTTPConnection(*handle.address, timeout=10)
+                replies = []
+                try:
+                    for request in requests[c]:
+                        conn.request("POST", "/v1/predict", body=json.dumps(request).encode(),
+                                     headers={"Content-Type": "application/json"})
+                        resp = conn.getresponse()
+                        replies.append((resp.status, json.loads(resp.read())["scores"]))
+                finally:
+                    conn.close()
+                got[c], done[c] = replies, time.perf_counter()
+
+            start = time.perf_counter()
+            threads = [threading.Thread(target=client, args=(c,)) for c in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+            # Every client was answered before the stalled body's timeout could fire.
+            assert max(done) - start < serving.BODY_TIMEOUT_S
+            stalled.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                stalled.recv(1)
+            stalled.setblocking(True)
+            stalled.sendall(body[8:])
+            reply = b""
+            while not reply.endswith(b"}"):
+                reply += stalled.recv(4096)
+            assert reply.startswith(b"HTTP/1.1 200") and reply.endswith(b'"scores": [], "model_version": 0, "cache_hits": 0}')
+        finally:
+            sys.setswitchinterval(interval)
+            stalled.close()
+            handle.shutdown()
 
     def test_unknown_paths(self, served):
         _, handle = served
