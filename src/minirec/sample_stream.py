@@ -27,8 +27,14 @@ Boundaries sharing a timestamp are processed closes first, then pair
 expiries, then log evictions, so a log is never evicted ahead of a pair
 emitted at the same boundary.
 
-Events and samples are immutable named tuples, so building one per line
-costs one tuple allocation.
+Each event takes one pass through the joiner: `Joiner.feed` checks a
+decoded object once, getting its fields as a plain tuple from the same
+function that `parse_event` wraps in an `Event`, and routes it by kind
+to the impression, click or feature-log handler; an `Event` passed in
+takes the same route. Windows that the watermark passes are closed inline
+in `_advance`. Samples are immutable named tuples, and the CSV writer
+builds each payload's cells once, since a request's samples share one
+payload.
 
 The oracle is `batch_join_reference` in the test suite's helpers
 (tests/helpers.py): a time-sorted batch join written without this
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -102,20 +109,33 @@ class JoinStats:
         }
 
 
-def parse_event(obj) -> Event:
+def _event_fields(obj) -> tuple[str, int, str, str, dict | None]:
+    """An event object's (kind, event_time, request_id, item_key, payload); raises MalformedEvent.
+
+    The exact types a JSON decoder gives (an int time, str ids, a dict
+    payload) are accepted first; anything else goes through every rule in
+    order, so the first broken rule names the error.
+    """
     if not isinstance(obj, dict):
         raise MalformedEvent("event must be a JSON object")
     kind = obj.get("kind")
+    t = obj.get("event_time")
+    request_id = obj.get("request_id")
+    item_key = obj.get("item_key", "")
+    if type(t) is int and t >= 0 and type(request_id) is str and request_id and type(item_key) is str:
+        if kind == "feature_log":
+            raw = obj.get("payload")
+            if type(raw) is dict:
+                return kind, t, request_id, item_key, record_from_json(raw)
+        elif item_key and (kind == "impression" or kind == "click"):
+            return kind, t, request_id, item_key, None
     if kind not in EVENT_KINDS:
         raise MalformedEvent(f"unknown kind {kind!r}")
-    t = obj.get("event_time")
     # An int is finite however long: math.isfinite would overflow converting one past float range.
     if isinstance(t, bool) or not (isinstance(t, int) or isinstance(t, float) and math.isfinite(t)) or t < 0:
         raise MalformedEvent(f"bad event_time {t!r}")
-    request_id = obj.get("request_id")
     if not isinstance(request_id, str) or not request_id:
         raise MalformedEvent("missing request_id")
-    item_key = obj.get("item_key", "")
     if not isinstance(item_key, str):
         raise MalformedEvent("item_key must be a string")
     if kind != "feature_log" and not item_key:
@@ -126,7 +146,12 @@ def parse_event(obj) -> Event:
         if not isinstance(raw, dict):
             raise MalformedEvent("feature_log needs a payload object")
         payload = record_from_json(raw)
-    return Event(kind, int(t), request_id, item_key, payload)
+    return kind, int(t), request_id, item_key, payload
+
+
+def parse_event(obj) -> Event:
+    """A decoded JSON object as an `Event`; raises MalformedEvent."""
+    return Event(*_event_fields(obj))
 
 
 @dataclass(slots=True)
@@ -136,12 +161,6 @@ class _Pair:
     label: int
     event_time: int
     done: bool = False
-
-
-@dataclass(slots=True)
-class _BufferedLog:
-    event_time: int
-    payload: dict
 
 
 class Joiner:
@@ -161,10 +180,12 @@ class Joiner:
         self._impressions: dict[tuple[str, str], int] = {}
         self._emitted: dict[tuple[str, str], int] = {}
         self._clicks: dict[tuple[str, str], int] = {}
-        self._logs: dict[str, _BufferedLog] = {}
+        # request_id -> (event_time, payload) of its first feature log
+        self._logs: dict[str, tuple[int, dict]] = {}
         self._pending: dict[str, list[_Pair]] = {}
+        # (due time, boundary priority, sequence number, then the impression key, request_id or pair it is for)
         self._heap: list[tuple[float, int, int, object]] = []
-        self._seq = 0
+        self._seq = itertools.count()
 
     # state-size accessors for the bounded-state property
     @property
@@ -179,18 +200,20 @@ class Joiner:
     def buffered_pairs(self) -> int:
         return sum(len(v) for v in self._pending.values())
 
-    def _push(self, when: float, priority: int, data) -> None:
-        heapq.heappush(self._heap, (when, priority, self._seq, data))
-        self._seq += 1
-
     def feed(self, obj) -> None:
+        """One event, an `Event` or a decoded JSON object; a malformed object is counted and skipped."""
         try:
-            event = obj if isinstance(obj, Event) else parse_event(obj)
+            kind, t, rid, item_key, payload = obj if isinstance(obj, Event) else _event_fields(obj)
         except MalformedEvent:
             self.stats.malformed += 1
             return
-        self._deliver(event)
-        watermark = event.event_time - self._lateness
+        if kind == "impression":
+            self._impression(t, (rid, item_key))
+        elif kind == "click":
+            self._click(t, (rid, item_key))
+        else:
+            self._feature_log(t, rid, payload or {})
+        watermark = t - self._lateness
         if watermark > self._watermark:
             self._watermark = watermark
         # Checked on every event, not only when the watermark moves: a late
@@ -198,88 +221,78 @@ class Joiner:
         if self._heap and self._heap[0][0] < self._watermark:
             self._advance()
 
-    def _deliver(self, event: Event) -> None:
-        kind, t, rid, item_key, payload = event
-        w = self._window
-        key = (rid, item_key)
-        if kind == "impression":
-            if key in self._impressions or key in self._emitted:
-                self.stats.dup_impressions += 1
-            elif self._watermark > t + w:
-                self.stats.late_dropped += 1
-            else:
-                self._impressions[key] = t
-                self._push(t + w, _CLOSE, key)
-        elif kind == "click":
-            t0 = self._emitted.get(key)
-            if t0 is not None:
-                if t0 <= t <= t0 + w:
-                    self.stats.late_dropped += 1
-            elif key in self._clicks:
-                self.stats.dup_clicks += 1
-                self._clicks[key] = min(self._clicks[key], t)
-            else:
-                self._clicks[key] = t
-        elif rid in self._logs:
-            self.stats.dup_logs += 1
+    def _impression(self, t: int, key: tuple[str, str]) -> None:
+        if key in self._impressions or key in self._emitted:
+            self.stats.dup_impressions += 1
+        elif self._watermark > t + self._window:
+            self.stats.late_dropped += 1
         else:
-            payload = payload or {}
-            self._logs[rid] = _BufferedLog(t, payload)
-            self._push(t + w + self._lateness, _LOG_EXPIRY, rid)
-            pending = self._pending.get(rid)
-            if pending:
-                for pair in pending:
-                    if not pair.done and self._log_matches(pair.event_time, t):
-                        pair.done = True
-                        self._emit(pair.request_id, pair.item_key, pair.label, payload, pair.event_time)
-                self._prune_pending(rid)
+            self._impressions[key] = t
+            heapq.heappush(self._heap, (t + self._window, _CLOSE, next(self._seq), key))
 
-    def _log_matches(self, t0: int, log_time: int) -> bool:
-        return t0 - self._lateness <= log_time <= t0 + self._window + self._lateness
+    def _click(self, t: int, key: tuple[str, str]) -> None:
+        t0 = self._emitted.get(key)
+        if t0 is not None:
+            if t0 <= t <= t0 + self._window:
+                self.stats.late_dropped += 1
+        elif key in self._clicks:
+            self.stats.dup_clicks += 1
+            self._clicks[key] = min(self._clicks[key], t)
+        else:
+            self._clicks[key] = t
 
-    def _emit(self, rid: str, item_key: str, label: int, payload: dict, t0: int) -> None:
-        self.samples.append(LabeledSample(rid, item_key, label, payload, t0))
-        self.stats.samples += 1
+    def _feature_log(self, t: int, rid: str, payload: dict) -> None:
+        if rid in self._logs:
+            self.stats.dup_logs += 1
+            return
+        self._logs[rid] = (t, payload)
+        lateness = self._lateness
+        heapq.heappush(self._heap, (t + self._window + lateness, _LOG_EXPIRY, next(self._seq), rid))
+        pending = self._pending.get(rid)
+        if pending:
+            for pair in pending:
+                t0 = pair.event_time
+                if not pair.done and t0 - lateness <= t <= t0 + self._window + lateness:
+                    pair.done = True
+                    self.samples.append(LabeledSample(rid, pair.item_key, pair.label, payload, t0))
+                    self.stats.samples += 1
+            self._prune_pending(rid)
 
     def _prune_pending(self, rid: str) -> None:
-        alive = [p for p in self._pending.get(rid, []) if not p.done]
+        alive = [p for p in self._pending[rid] if not p.done]
         if alive:
             self._pending[rid] = alive
         else:
-            self._pending.pop(rid, None)
+            del self._pending[rid]
 
     def _advance(self) -> None:
         """Process every boundary the watermark has strictly passed."""
-        heap = self._heap
-        while heap and heap[0][0] < self._watermark:
-            _, priority, _, data = heapq.heappop(heap)
+        heap, watermark, pop, push = self._heap, self._watermark, heapq.heappop, heapq.heappush
+        impressions, emitted, clicks, logs = self._impressions, self._emitted, self._clicks, self._logs
+        w, lateness, stats, samples = self._window, self._lateness, self.stats, self.samples
+        while heap and heap[0][0] < watermark:
+            _, priority, _, data = pop(heap)
             if priority == _CLOSE:
-                self._close_window(data)
+                t0 = impressions.pop(data)
+                emitted[data] = t0
+                click = clicks.get(data)
+                label = 1 if click is not None and t0 <= click <= t0 + w else 0
+                rid, item_key = data
+                log = logs.get(rid)
+                if log is not None and t0 - lateness <= log[0] <= t0 + w + lateness:
+                    samples.append(LabeledSample(rid, item_key, label, log[1], t0))
+                    stats.samples += 1
+                else:
+                    pair = _Pair(rid, item_key, label, t0)
+                    self._pending.setdefault(rid, []).append(pair)
+                    push(heap, (t0 + w + lateness, _PAIR_EXPIRY, next(self._seq), pair))
             elif priority == _PAIR_EXPIRY:
-                pair = data
-                if not pair.done:
-                    pair.done = True
-                    self.stats.feature_missing += 1
-                    self._prune_pending(pair.request_id)
+                if not data.done:
+                    data.done = True
+                    stats.feature_missing += 1
+                    self._prune_pending(data.request_id)
             else:
-                self._logs.pop(data, None)
-
-    def _close_window(self, key: tuple[str, str]) -> None:
-        t0 = self._impressions.pop(key, None)
-        if t0 is None:
-            return
-        w = self._window
-        self._emitted[key] = t0
-        click = self._clicks.get(key)
-        label = 1 if click is not None and t0 <= click <= t0 + w else 0
-        rid, item_key = key
-        log = self._logs.get(rid)
-        if log is not None and self._log_matches(t0, log.event_time):
-            self._emit(rid, item_key, label, log.payload, t0)
-        else:
-            pair = _Pair(rid, item_key, label, t0)
-            self._pending.setdefault(rid, []).append(pair)
-            self._push(t0 + w + self._lateness, _PAIR_EXPIRY, pair)
+                logs.pop(data, None)
 
     def flush(self) -> None:
         """Close every open window and drain all buffers."""
@@ -289,7 +302,9 @@ class Joiner:
 
 def _write_samples(path: str, samples: list[LabeledSample], label_column: str, delimiter: str) -> None:
     """Write the samples as UTF-8 CSV: the label column, then the sorted union of payload keys."""
-    columns = sorted({k for s in samples for k in s.payload})
+    # A request's samples share one payload object, so each payload's cells are built once.
+    payloads = {id(s.payload): s.payload for s in samples}
+    columns = sorted({k for payload in payloads.values() for k in payload})
     if label_column in columns:
         raise InvalidValue(
             f"payload:{label_column}", "a payload key equal to the label column would overwrite the label"
@@ -298,8 +313,8 @@ def _write_samples(path: str, samples: list[LabeledSample], label_column: str, d
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, delimiter=delimiter)
             writer.writerow([label_column, *columns])
-            for s in samples:
-                writer.writerow([s.label, *(s.payload.get(c, "") for c in columns)])
+            cells = {key: [payload.get(c, "") for c in columns] for key, payload in payloads.items()}
+            writer.writerows([s.label, *cells[id(s.payload)]] for s in samples)
     except OSError as exc:
         raise IoError(f"cannot write samples {path!r}: {exc}") from exc
 
@@ -363,7 +378,10 @@ def run_pipeline(
         joiner.stats.samples = len(kept)
         _write_samples(output_path, kept, label_column, delimiter)
     if stats_path is not None:
-        with open(stats_path, "w") as fh:
-            json.dump(joiner.stats.to_plain(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(stats_path, "w") as fh:
+                json.dump(joiner.stats.to_plain(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise IoError(f"cannot write stats {stats_path!r}: {exc}") from exc
     return joiner.stats

@@ -9,15 +9,16 @@ counted as `deltas_gap`: the server stays at its last good version rather
 than report one whose earlier rows it lacks.
 
 A request's features come from one columnar `generate` call per side:
-user, items, cross. The item cache is an LRU map from the item key alone
-to a row of a columnar store (`ItemStore`): per item slot a flat id
-buffer with a start and a count per row, per numeric_raw slot a float64
-column. A request takes the cache lock once, looks its keys up in order
-and gathers its items' rows with one gather per slot. Features do not
-depend on the parameters, so entries survive deltas; the cache assumes
-that an item's features are a pure function of its key. The user's row
-is repeated to every item, and one `compute_parts` over every slot and
-one `assemble` score the request. Cached or not, the features go through
+user, items, cross; with a cache, the item call covers only the keys it
+misses. The item cache is an LRU map from the item key alone to a row of
+a columnar store (`ItemStore`): per item slot a flat id buffer with a
+start and a count per row, per numeric_raw slot a float64 column. A
+request takes the cache lock once, looks its keys up in order and
+gathers its items' rows with one gather per slot. Features do not depend
+on the parameters, so entries survive deltas; the cache assumes that an
+item's features are a pure function of its key. The user's row is
+repeated to every item, and one `compute_parts` over every slot and one
+`assemble` score the request. Cached or not, the features go through
 the same calls, so cached and uncached scores are bit-identical.
 
 The HTTP server scores one request at a time: a scoring lane (one lock)
@@ -29,7 +30,6 @@ mid-request and both finish later than one after the other.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -147,9 +147,8 @@ class ItemStore:
         self._rows = 0
         self._free: list[int] = []
 
-    def put(self, features, k: int) -> int:
-        """Row k of the batch `features()` as a new row; raises that row's error if it has one."""
-        batch = features()
+    def put(self, batch: FeatureBatch, k: int) -> int:
+        """Row k of `batch` as a new row; raises that row's error if it has one."""
         if k in batch.errors:
             raise batch.errors[k]
         if self._free:
@@ -212,21 +211,34 @@ class LruCache:
     ) -> tuple[FeatureBatch, int, set[int]]:
         """Look up `keys` in order and gather their features, all under one hold of the lock.
 
-        Key k is one get-or-insert: a miss stores row k of `features()`,
-        the request's generated item features, unless that row failed.
-        Returns the features of the keys that neither failed nor are in
-        `skip`, in key order, the hit count and the failed positions. Rows
-        evicted on the way are freed only after the gather, so a key
+        Key k is one get-or-insert: a miss stores the features of position
+        k, unless they failed. `features(positions)` generates the item
+        features of those positions of the request, one row each. The first
+        miss generates every position whose key is not cached at that
+        moment; a key evicted later in the same request gets a call of its
+        own. Returns the features of the keys that neither failed nor are
+        in `skip`, in key order, the hit count and the failed positions.
+        Rows evicted on the way are freed only after the gather, so a key
         evicted by a later key of the same request still reads its own row.
         """
         with self._lock:
             if self._store is None:
                 self._store = ItemStore(specs)
-            store = self._store
+            store, data = self._store, self._data
+            # position -> (generated batch, its row there)
+            generated: dict[int, tuple[FeatureBatch, int]] = {}
+
+            def put(k: int) -> int:
+                if k not in generated:
+                    todo = [k] if generated else [j for j in range(k, len(keys)) if keys[j] not in data]
+                    batch = features(todo)
+                    generated.update((j, (batch, row)) for row, j in enumerate(todo))
+                return store.put(*generated[k])
+
             rows, hits, failed, evicted = [], 0, set(), []
             for k, key in enumerate(keys):
                 try:
-                    row, hit, old = self._access(key, store.put, features, k)
+                    row, hit, old = self._access(key, put, k)
                 except MinirecError:
                     failed.add(k)
                     continue
@@ -299,16 +311,17 @@ def score(
 ) -> ScoreResponse:
     """Score every item in the request against one parameter snapshot.
 
-    Features come from one `generate` call per request side: the user's
-    record as one row, the items' records (only when the cache misses one
-    of them), and the cross slots over every item, whose cells are the
-    item's own or else the user's. A cached item's features are its row
-    of the cache's columnar store. The user's row is repeated to every
-    valid item, and one `compute_parts` over every slot and one `assemble`
-    score all of them; no row's result depends on the others. A per-item
-    feature failure yields a null score in that position, and so does a
-    row whose logit is not finite (counted in `nulled`); a user-side
-    feature failure raises. cache_hits counts item-side cache hits.
+    Features come from one `generate` call per request side: the user's record
+    as one row, the items' records (with a cache, only those of the keys it
+    misses; see `LruCache.item_rows`), and the cross slots over every item,
+    whose cells are the item's own or else the user's. A cached item's
+    features are its row of the cache's columnar store. The user's row is
+    repeated to every valid item, and one `compute_parts` over every slot
+    and one `assemble` score all of them; no row's result depends on the
+    others. A per-item feature failure yields a null score in that position,
+    and so does a row whose logit is not finite (counted in `nulled`); a
+    user-side feature failure raises. cache_hits counts item-side cache
+    hits.
     """
     params = model.snapshot()
     part = model.partition
@@ -333,22 +346,23 @@ def score(
     cells = {name: [json_cell(f.get(name, user_record.get(name, ""))) for f in raw]
              for name in {c for spec in part.cross for c in spec.source_columns}}
     cross = generate(Columns(len(raw), cells), part.cross)
-    # The request's item features, generated once, on the first cache miss.
-    generated = functools.cache(
-        lambda: generate(columns_of([record_from_json(f) for f in raw], part.item), part.item))
+
+    def generate_items(positions) -> FeatureBatch:
+        return generate(columns_of([record_from_json(raw[k]) for k in positions], part.item), part.item)
 
     hits, nulled = 0, 0
     if cache is None:
-        failed = set(generated().errors)
+        item_batch = generate_items(range(len(raw)))
+        failed = set(item_batch.errors)
     else:
-        item_batch, hits, failed = cache.item_rows(part.item, keys, generated, cross.errors)
+        item_batch, hits, failed = cache.item_rows(part.item, keys, generate_items, cross.errors)
     valid = [k for k in range(len(keys)) if k not in failed and k not in cross.errors]
     if valid:
         n = len(valid)
         if n < len(keys):
             cross = cross.take(np.array(valid))
-        if cache is None:
-            item_batch = generated() if n == len(keys) else generated().take(np.array(valid))
+        if cache is None and n < len(keys):
+            item_batch = item_batch.take(np.array(valid))
         # The user's one row, repeated to every valid item.
         ids = {name: SlotIds(np.tile(ids, n), np.arange(n + 1, dtype=np.int64) * len(ids))
                for name, (ids, _) in user.ids.items()}

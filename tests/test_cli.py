@@ -423,6 +423,33 @@ class TestExitCodes:
         assert code == 2
         assert "bad data row 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "hpo", "select-features", "stream-join", "predict-file"])
+    def test_unwritable_output_is_runtime_error(self, workspace, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing" / "out.json")
+        model_dir = tmp_path / "model"
+        assert main(["export", "-c", str(workspace), "--model-dir", str(model_dir)]) == 0
+        # train writes report.json into the model directory; a directory of that name cannot be opened.
+        (model_dir / "report.json").mkdir()
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"train_config.learning_rate": {"_type": "choice", "_value": [0.05]}}))
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"kind": "impression", "event_time": 1, "request_id": "r", "item_key": "a"}))
+        argv = {
+            "train": ["train", "-c", str(workspace), "--model-dir", str(model_dir)],
+            "hpo": ["hpo", "-c", str(workspace), "--space", str(space), "--max-trials", "1", "--epochs", "1",
+                    "--out", missing],
+            "select-features": ["select-features", "-c", str(workspace), "--out", missing],
+            "stream-join": ["stream-join", "-c", str(workspace), "--events", str(events), "--window-ms", "5",
+                            "--out", str(tmp_path / "samples.csv"), "--stats", missing],
+            "predict-file": ["predict-file", "--model", str(model_dir / "model.erm"),
+                             "--input", str(tmp_path / "eval.csv"), "--out", missing],
+        }[command]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["eval", "serve"])
     def test_deeply_nested_artifact_header_is_runtime_error(self, workspace, tmp_path, capsys, command):
         header = b"[" * 200_000

@@ -10,12 +10,14 @@ metric at zero, so the hot names are also checked to be reached.
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 
-from minirec import serving, trainer
+from minirec import sample_stream, serving, trainer
 from minirec.model import init_params
+from minirec.sample_stream import JoinConfig
 
 from helpers import make_config, write_csv
 
@@ -77,7 +79,7 @@ def test_every_traced_hook_resolves():
 
 
 def test_hooks_are_reached(tmp_path, monkeypatch):
-    """The wrapped names are the ones a training run and a request call, once per file or side."""
+    """The wrapped names are the ones a training run, a request and a join call: once per file, side or event."""
     calls = {}
 
     def count(module, attr):
@@ -111,6 +113,16 @@ def test_hooks_are_reached(tmp_path, monkeypatch):
     # one generate call per side (user, items, cross) and one compute_parts call over every slot
     assert calls["serving.generate"] == 3
     assert calls["serving.compute_parts"] == 1
+
+    # join_events' traced run times Joiner.feed: run_pipeline calls it once per decoded line
+    count(sample_stream.Joiner, "feed")
+    events = [{"kind": "impression", "event_time": t, "request_id": f"r{t}", "item_key": "i"} for t in range(5)]
+    lines = [json.dumps(e) for e in events] + ["", "not json", '{"kind": "scroll"}', "[1]"]
+    (tmp_path / "events.jsonl").write_text("\n".join(lines) + "\n")
+    stats = sample_stream.run_pipeline(str(tmp_path / "events.jsonl"), JoinConfig(label_window_ms=5),
+                                       str(tmp_path / "samples.csv"))
+    assert stats.malformed == 3
+    assert calls["Joiner.feed"] == len(events) + 2
 
 
 def test_rows_per_step_observer_counts_distinct_rows(tmp_path, monkeypatch):

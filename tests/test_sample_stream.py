@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -351,6 +352,95 @@ class TestOrderInvariance:
             assert sorted(sample_key(s) for s in joiner.samples) == want_samples
             assert joiner.stats == want_stats
             assert joiner.buffered_pairs == 0
+
+
+class _Time(int):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+def _hostile_corpus(rng) -> list[tuple[object, bool]]:
+    """(event object, whether parse_event must refuse it) in rough time order.
+
+    Each hostile object belongs to a fresh request with an impression and a
+    feature log of its own, so accepting a refused one, or refusing an
+    accepted one, changes the samples or the stats. Accepted objects also
+    cover the slower route: dict, int and str subclasses and float times.
+    """
+    corpus: list[tuple[object, bool]] = []
+    bad_times = [True, False, float("nan"), float("inf"), -float("inf"), -1, -0.5, "7", None, [3]]
+    for r in range(160):
+        t0 = 10 * r + int(rng.integers(0, 5))
+        rid = f"r{r:03d}"
+        log = {"kind": "feature_log", "event_time": t0, "request_id": rid,
+               "payload": {"user_id": f"u{r % 7}", "n": r}}
+        imp = {"kind": "impression", "event_time": t0, "request_id": rid, "item_key": "i0"}
+        click = {**imp, "kind": "click", "event_time": t0 + int(rng.integers(0, 60))}
+        roll = r % 8
+        if roll == 0:
+            corpus.append(({**imp, "event_time": bad_times[int(rng.integers(0, len(bad_times)))]}, True))
+        elif roll == 1:
+            corpus.append(({**imp, "request_id": [None, "", 5, b"r", ["r"]][int(rng.integers(0, 5))]}, True))
+            if rng.random() < 0.5:
+                del corpus[-1][0]["request_id"]
+        elif roll == 2:
+            corpus.append(({**imp, "item_key": [None, 5, True, ["i"], {"k": 1}][int(rng.integers(0, 5))]}, True))
+            corpus.append(({**click, "kind": ["scroll", None, 1, "Impression", ""][int(rng.integers(0, 5))]}, True))
+        elif roll == 3:
+            raw = [None, [1], "p", 3, True][int(rng.integers(0, 5))]
+            corpus.append(({**log, "payload": raw}, True))
+            corpus.append(({**imp, "item_key": ""}, True))
+            log = None
+        elif roll == 4:
+            corpus.append(([["impression", t0, rid, "i0"], "impression", 7, None,
+                            Event("impression", t0, rid, "i0")[:4]][int(rng.integers(0, 5))], True))
+        elif roll == 5:
+            log["payload"] = {"a": None, "b": 1.5, "c": True, "d": [1, {"e": None}], "f": {"g": "h"}}
+        elif roll == 6:
+            log = dict(log, event_time=float(t0) + 0.75)
+            imp = OrderedDict(imp, request_id=_Text(rid))
+            click = {**click, "event_time": _Time(click["event_time"])}
+        else:
+            imp = {**imp, "event_time": 2 ** 70 if r == 159 else t0}
+        if log is not None:
+            corpus.append((log, False))
+        corpus.append((imp, False))
+        if rng.random() < 0.5:
+            corpus.append((click, False))
+    return corpus
+
+
+def test_feed_validates_like_parse_event():
+    """Feeding the objects gives the stats, samples and buffers of feeding parse_event's results."""
+    corpus = _hostile_corpus(np.random.default_rng(73))
+    cfg = JoinConfig(label_window_ms=50, allowed_lateness_ms=20)
+    raw, parsed = Joiner(cfg), Joiner(cfg)
+    refused = 0
+    for obj, bad in corpus:
+        try:
+            event = parse_event(obj)
+        except MalformedEvent:
+            assert bad, obj
+            refused += 1
+            parsed.stats.malformed += 1
+        else:
+            assert not bad, obj
+            parsed.feed(event)
+        raw.feed(obj)
+        assert raw.stats == parsed.stats
+        assert raw.samples == parsed.samples
+        state = (raw.buffered_impressions, raw.buffered_logs, raw.buffered_pairs)
+        assert state == (parsed.buffered_impressions, parsed.buffered_logs, parsed.buffered_pairs)
+    raw.flush()
+    parsed.flush()
+    assert raw.stats == parsed.stats
+    assert raw.samples == parsed.samples
+    assert raw.stats.malformed == refused >= 40
+    assert raw.stats.samples > 80
+    assert {type(s.event_time) for s in raw.samples} == {int}
 
 
 class TestRunPipeline:

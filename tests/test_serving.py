@@ -402,6 +402,40 @@ class TestColumnarItemCache:
             assert response.scores == score(model, request, None).scores
             assert [s is None for s in response.scores] == [item["key"].startswith("bad") for item in items]
 
+    def test_generates_only_missed_keys(self, tmp_path, monkeypatch):
+        """A miss generates the keys not cached at that moment; a key evicted mid-request gets its own call."""
+        model = _five_kind_model(tmp_path, "deepfm")
+        item_rows = []
+
+        def counting_generate(columns, specs):
+            if specs == model.partition.item:
+                item_rows.append(columns.rows)
+            return generate(columns, specs)
+
+        monkeypatch.setattr(serving, "generate", counting_generate)
+
+        def generated(cache, sim, keys):
+            """The row counts of the request's item generate calls; checks hits and scores on the way."""
+            request = {"user": {"user_id": "u1", "user_tags": "t1"}, "items": [_store_item(k) for k in keys]}
+            item_rows.clear()
+            response = score(model, request, cache)
+            rows = list(item_rows)
+            assert response.cache_hits == sum(sim.access(f"i{k}") for k in keys)
+            assert list(cache._data) == sim.order
+            assert response.scores == score(model, request, None).scores
+            return rows
+
+        cache, sim = LruCache(128), LruSimulator(128)
+        assert generated(cache, sim, range(64)) == [64]
+        assert generated(cache, sim, range(64)) == []
+        assert generated(cache, sim, [*range(32), 100, *range(32, 64)]) == [1]
+        # Capacity 8 below the request's 9 distinct keys: inserting key 50 evicts key 0, whose
+        # miss evicts key 1, and so on, each key generated by a call of its own.
+        cache, sim = LruCache(8), LruSimulator(8)
+        assert generated(cache, sim, range(8)) == [8]
+        assert generated(cache, sim, [50, *range(8)]) == [1] * 9
+        assert generated(cache, sim, [60, 5, 61, 7, 62]) == [3]
+
     def test_bytes_per_cached_item(self, tmp_path):
         model = _five_kind_model(tmp_path, "deepfm")
         cache = LruCache(4096)
