@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -68,10 +69,10 @@ def _read_text(path: str, what: str) -> str:
         raise IoError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _write_text(path: str, text: str, what: str) -> None:
+def _write_lines(path: str, lines: Iterable[str], what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise IoError(f"cannot write {what} {path!r}: {exc}") from exc
 
@@ -100,7 +101,7 @@ def _cmd_train(args) -> None:
     artifact_mod.save_artifact(art, path)
     report_path = os.path.join(args.model_dir, "report.json")
     report_json = json.dumps({"curves": report.curves, "final_metrics": report.final_metrics}, indent=2)
-    _write_text(report_path, report_json + "\n", "report")
+    _write_lines(report_path, [report_json, "\n"], "report")
     _emit(
         {
             "command": "train",
@@ -180,7 +181,7 @@ def _cmd_hpo(args) -> None:
         enable_stopping=not args.no_early_stop,
     )
     if args.out:
-        _write_text(args.out, json.dumps([t.to_plain() for t in trials], indent=2) + "\n", "trials")
+        _write_lines(args.out, [json.dumps([t.to_plain() for t in trials], indent=2), "\n"], "trials")
     _emit(
         {
             "command": "hpo",
@@ -211,7 +212,7 @@ def _cmd_select_features(args) -> None:
         "kept_feature_config": [to_plain(spec) for spec in kept],
     }
     if args.out:
-        _write_text(args.out, json.dumps(report, indent=2) + "\n", "report")
+        _write_lines(args.out, [json.dumps(report, indent=2), "\n"], "report")
     _emit(
         {
             "command": "select-features",
@@ -231,11 +232,10 @@ def _cmd_stream_join(args) -> None:
         args.events,
         join_cfg,
         args.out,
+        stats_path=args.stats,
         label_column=cfg.data_config.label_column,
         delimiter=cfg.data_config.delimiter,
     )
-    if args.stats is not None:
-        _write_text(args.stats, json.dumps(stats.to_plain(), indent=2, sort_keys=True) + "\n", "stats")
     _emit({"command": "stream-join", "output": args.out, **stats.to_plain()})
 
 
@@ -245,7 +245,7 @@ def _cmd_predict_file(args) -> None:
     batch = generate(columns, art.config.feature_config)
     trainer.raise_first_error(batch.errors)
     scores = trainer.score_all(art.params, batch)
-    _write_text(args.out, "".join(f"{s!r}\n" for s in scores), "scores")
+    _write_lines(args.out, (f"{s!r}\n" for s in scores), "scores")
     _emit(
         {
             "command": "predict-file",

@@ -112,41 +112,34 @@ class JoinStats:
 def _event_fields(obj) -> tuple[str, int, str, str, dict | None]:
     """An event object's (kind, event_time, request_id, item_key, payload); raises MalformedEvent.
 
-    The exact types a JSON decoder gives (an int time, str ids, a dict
-    payload) are accepted first; anything else goes through every rule in
-    order, so the first broken rule names the error.
+    The rules run in order, so the first broken one names the error; the
+    time rule tries the exact int a JSON decoder gives before the rest.
     """
     if not isinstance(obj, dict):
         raise MalformedEvent("event must be a JSON object")
     kind = obj.get("kind")
-    t = obj.get("event_time")
-    request_id = obj.get("request_id")
-    item_key = obj.get("item_key", "")
-    if type(t) is int and t >= 0 and type(request_id) is str and request_id and type(item_key) is str:
-        if kind == "feature_log":
-            raw = obj.get("payload")
-            if type(raw) is dict:
-                return kind, t, request_id, item_key, record_from_json(raw)
-        elif item_key and (kind == "impression" or kind == "click"):
-            return kind, t, request_id, item_key, None
     if kind not in EVENT_KINDS:
         raise MalformedEvent(f"unknown kind {kind!r}")
+    t = obj.get("event_time")
     # An int is finite however long: math.isfinite would overflow converting one past float range.
-    if isinstance(t, bool) or not (isinstance(t, int) or isinstance(t, float) and math.isfinite(t)) or t < 0:
+    if type(t) is not int and (
+        isinstance(t, bool) or not (isinstance(t, int) or isinstance(t, float) and math.isfinite(t))
+    ) or t < 0:
         raise MalformedEvent(f"bad event_time {t!r}")
+    request_id = obj.get("request_id")
     if not isinstance(request_id, str) or not request_id:
         raise MalformedEvent("missing request_id")
+    item_key = obj.get("item_key", "")
     if not isinstance(item_key, str):
         raise MalformedEvent("item_key must be a string")
-    if kind != "feature_log" and not item_key:
-        raise MalformedEvent(f"{kind} needs an item_key")
-    payload = None
-    if kind == "feature_log":
-        raw = obj.get("payload")
-        if not isinstance(raw, dict):
-            raise MalformedEvent("feature_log needs a payload object")
-        payload = record_from_json(raw)
-    return kind, int(t), request_id, item_key, payload
+    if kind != "feature_log":
+        if not item_key:
+            raise MalformedEvent(f"{kind} needs an item_key")
+        return kind, t if type(t) is int else int(t), request_id, item_key, None
+    raw = obj.get("payload")
+    if not isinstance(raw, dict):
+        raise MalformedEvent("feature_log needs a payload object")
+    return kind, t if type(t) is int else int(t), request_id, item_key, record_from_json(raw)
 
 
 def parse_event(obj) -> Event:

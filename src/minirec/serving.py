@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import logging
+import itertools
 import math
 import threading
 import time
@@ -214,10 +215,14 @@ class LruCache:
         Key k is one get-or-insert: a miss stores the features of position
         k, unless they failed. `features(positions)` generates the item
         features of those positions of the request, one row each. The first
-        miss generates every position whose key is not cached at that
-        moment; a key evicted later in the same request gets a call of its
-        own. Returns the features of the keys that neither failed nor are
-        in `skip`, in key order, the hit count and the failed positions.
+        miss, at position k of n, generates every later position whose key
+        is not cached at that moment or may be evicted before its turn.
+        Each position moves at most one key off the LRU end (a hit moves
+        its key to the other end, a miss evicts one), so only the first
+        n - k keys in LRU order can be evicted, and none when the cache has
+        room for n - k more: a request makes one call. Returns the features
+        of the keys that neither failed nor are in `skip`, in key order,
+        the hit count and the failed positions.
         Rows evicted on the way are freed only after the gather, so a key
         evicted by a later key of the same request still reads its own row.
         """
@@ -230,7 +235,9 @@ class LruCache:
 
             def put(k: int) -> int:
                 if k not in generated:
-                    todo = [k] if generated else [j for j in range(k, len(keys)) if keys[j] not in data]
+                    left = len(keys) - k
+                    evictable = set(itertools.islice(data, left)) if left > self.capacity - len(data) else ()
+                    todo = [j for j in range(k, len(keys)) if keys[j] not in data or keys[j] in evictable]
                     batch = features(todo)
                     generated.update((j, (batch, row)) for row, j in enumerate(todo))
                 return store.put(*generated[k])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from minirec.errors import InvalidValue, IoError, MalformedEvent
-from minirec.sample_stream import Event, JoinConfig, Joiner, parse_event, run_pipeline
+from minirec.sample_stream import Event, JoinConfig, Joiner, _event_fields, parse_event, run_pipeline
 
 from helpers import (
     UNPARSABLE_JSON,
@@ -388,7 +388,7 @@ def _hostile_corpus(rng) -> list[tuple[object, bool]]:
                 del corpus[-1][0]["request_id"]
         elif roll == 2:
             corpus.append(({**imp, "item_key": [None, 5, True, ["i"], {"k": 1}][int(rng.integers(0, 5))]}, True))
-            corpus.append(({**click, "kind": ["scroll", None, 1, "Impression", ""][int(rng.integers(0, 5))]}, True))
+            corpus.append(({**click, "kind": ["scroll", None, 1, "Impression", "", ["click"]][int(rng.integers(0, 6))]}, True))
         elif roll == 3:
             raw = [None, [1], "p", 3, True][int(rng.integers(0, 5))]
             corpus.append(({**log, "payload": raw}, True))
@@ -413,6 +413,19 @@ def _hostile_corpus(rng) -> list[tuple[object, bool]]:
     return corpus
 
 
+def _slow_copy(obj: dict) -> OrderedDict:
+    """The same event with no exact JSON type left: a dict subclass, an int subclass time, str subclass ids."""
+    copy = OrderedDict(obj)
+    t = copy["event_time"]
+    copy["event_time"] = _Time(t) if isinstance(t, int) else t
+    copy["request_id"] = _Text(copy["request_id"])
+    if "item_key" in copy:
+        copy["item_key"] = _Text(copy["item_key"])
+    if "payload" in copy:
+        copy["payload"] = OrderedDict(copy["payload"])
+    return copy
+
+
 def test_feed_validates_like_parse_event():
     """Feeding the objects gives the stats, samples and buffers of feeding parse_event's results."""
     corpus = _hostile_corpus(np.random.default_rng(73))
@@ -428,6 +441,8 @@ def test_feed_validates_like_parse_event():
             parsed.stats.malformed += 1
         else:
             assert not bad, obj
+            assert _event_fields(_slow_copy(obj)) == tuple(event), obj
+            assert type(event.event_time) is int
             parsed.feed(event)
         raw.feed(obj)
         assert raw.stats == parsed.stats

@@ -403,7 +403,7 @@ class TestColumnarItemCache:
             assert [s is None for s in response.scores] == [item["key"].startswith("bad") for item in items]
 
     def test_generates_only_missed_keys(self, tmp_path, monkeypatch):
-        """A miss generates the keys not cached at that moment; a key evicted mid-request gets its own call."""
+        """One call per request, for the keys not cached at the first miss and those the request may evict."""
         model = _five_kind_model(tmp_path, "deepfm")
         item_rows = []
 
@@ -429,12 +429,31 @@ class TestColumnarItemCache:
         assert generated(cache, sim, range(64)) == [64]
         assert generated(cache, sim, range(64)) == []
         assert generated(cache, sim, [*range(32), 100, *range(32, 64)]) == [1]
-        # Capacity 8 below the request's 9 distinct keys: inserting key 50 evicts key 0, whose
-        # miss evicts key 1, and so on, each key generated by a call of its own.
+        # A full cache whose oldest keys the request does not hold: inserting key 300 evicts key 200.
+        cache, sim = LruCache(128), LruSimulator(128)
+        assert generated(cache, sim, [*range(200, 264), *range(64)]) == [128]
+        assert generated(cache, sim, [*range(32), 300, *range(32, 64)]) == [1]
+        # A full cache whose oldest keys the request holds: inserting key 100 evicts key 32, whose
+        # miss evicts key 33, and so on, all generated by the first miss.
+        cache, sim = LruCache(64), LruSimulator(64)
+        assert generated(cache, sim, range(64)) == [64]
+        assert generated(cache, sim, [*range(32), 100, *range(32, 64)]) == [33]
+        # Capacity 8 below the request's 9 distinct keys.
         cache, sim = LruCache(8), LruSimulator(8)
         assert generated(cache, sim, range(8)) == [8]
-        assert generated(cache, sim, [50, *range(8)]) == [1] * 9
+        assert generated(cache, sim, [50, *range(8)]) == [9]
         assert generated(cache, sim, [60, 5, 61, 7, 62]) == [3]
+        # A request twice the capacity, repeated: its first half evicts its second.
+        cache, sim = LruCache(32), LruSimulator(32)
+        assert generated(cache, sim, range(64)) == [64]
+        assert generated(cache, sim, range(64)) == [64]
+        # Seeded requests over caches smaller and larger than them: never a second call.
+        rng = np.random.default_rng(11)
+        for capacity in (3, 8, 20):
+            cache, sim = LruCache(capacity), LruSimulator(capacity)
+            for _ in range(12):
+                keys = rng.integers(0, 24, size=int(rng.integers(1, 20))).tolist()
+                assert len(generated(cache, sim, keys)) <= 1
 
     def test_bytes_per_cached_item(self, tmp_path):
         model = _five_kind_model(tmp_path, "deepfm")
