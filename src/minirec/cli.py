@@ -10,6 +10,7 @@ EASYREC_LOG environment variable sets the log level (default WARNING).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -77,6 +78,44 @@ def _write_lines(path: str, lines: Iterable[str], what: str) -> None:
         raise IoError(f"cannot write {what} {path!r}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _outputs(*paths: str):
+    """Yield a temporary path beside each output; rename them onto the outputs only after the block succeeds.
+
+    If the block or any rename fails, the temporary files are removed and
+    every output already renamed is put back as it was, so a failed
+    command leaves no new file and every old one byte-identical.
+    """
+    temps = [f"{path}.{os.getpid()}.part" for path in paths]
+    olds = [f"{temp}.old" for temp in temps]
+    renamed: list[tuple[str, bool, str]] = []
+    try:
+        yield temps
+        for path, temp, old in zip(paths, temps, olds):
+            if os.path.isdir(path):
+                raise IoError(f"cannot write {path!r}: it is a directory")
+            try:
+                existed = os.path.lexists(path)
+                if existed:
+                    # A hard link keeps the old file to put back.
+                    os.link(path, old, follow_symlinks=False)
+                os.replace(temp, path)
+            except OSError as exc:
+                raise IoError(f"cannot write {path!r}: {exc}") from exc
+            renamed.append((path, existed, old))
+    except BaseException:
+        for path, existed, old in reversed(renamed):
+            if existed:
+                os.replace(old, path)
+            else:
+                os.remove(path)
+        raise
+    finally:
+        for name in (*temps, *olds):
+            with contextlib.suppress(OSError):
+                os.remove(name)
+
+
 def _load_config(path: str, seed: int | None) -> PipelineConfig:
     cfg = parse_config(_read_text(path, "config"))
     if seed is not None:
@@ -98,10 +137,10 @@ def _cmd_train(args) -> None:
         if sink is not None:
             sink.close()
     path = os.path.join(args.model_dir, ARTIFACT_FILENAME)
-    artifact_mod.save_artifact(art, path)
-    report_path = os.path.join(args.model_dir, "report.json")
     report_json = json.dumps({"curves": report.curves, "final_metrics": report.final_metrics}, indent=2)
-    _write_lines(report_path, [report_json, "\n"], "report")
+    with _outputs(path, os.path.join(args.model_dir, "report.json")) as (model_tmp, report_tmp):
+        artifact_mod.save_artifact(art, model_tmp)
+        _write_lines(report_tmp, [report_json, "\n"], "report")
     _emit(
         {
             "command": "train",
@@ -181,7 +220,8 @@ def _cmd_hpo(args) -> None:
         enable_stopping=not args.no_early_stop,
     )
     if args.out:
-        _write_lines(args.out, [json.dumps([t.to_plain() for t in trials], indent=2), "\n"], "trials")
+        with _outputs(args.out) as (out_tmp,):
+            _write_lines(out_tmp, [json.dumps([t.to_plain() for t in trials], indent=2), "\n"], "trials")
     _emit(
         {
             "command": "hpo",
@@ -212,7 +252,8 @@ def _cmd_select_features(args) -> None:
         "kept_feature_config": [to_plain(spec) for spec in kept],
     }
     if args.out:
-        _write_lines(args.out, [json.dumps(report, indent=2), "\n"], "report")
+        with _outputs(args.out) as (out_tmp,):
+            _write_lines(out_tmp, [json.dumps(report, indent=2), "\n"], "report")
     _emit(
         {
             "command": "select-features",
@@ -228,14 +269,15 @@ def _cmd_stream_join(args) -> None:
     join_cfg = sample_stream.JoinConfig(
         label_window_ms=args.window_ms, allowed_lateness_ms=args.lateness_ms
     )
-    stats = sample_stream.run_pipeline(
-        args.events,
-        join_cfg,
-        args.out,
-        stats_path=args.stats,
-        label_column=cfg.data_config.label_column,
-        delimiter=cfg.data_config.delimiter,
-    )
+    with _outputs(args.out, *([args.stats] if args.stats else [])) as (out_tmp, *stats_tmp):
+        stats = sample_stream.run_pipeline(
+            args.events,
+            join_cfg,
+            out_tmp,
+            stats_path=stats_tmp[0] if stats_tmp else None,
+            label_column=cfg.data_config.label_column,
+            delimiter=cfg.data_config.delimiter,
+        )
     _emit({"command": "stream-join", "output": args.out, **stats.to_plain()})
 
 
@@ -245,7 +287,8 @@ def _cmd_predict_file(args) -> None:
     batch = generate(columns, art.config.feature_config)
     trainer.raise_first_error(batch.errors)
     scores = trainer.score_all(art.params, batch)
-    _write_lines(args.out, (f"{s!r}\n" for s in scores), "scores")
+    with _outputs(args.out) as (out_tmp,):
+        _write_lines(out_tmp, (f"{s!r}\n" for s in scores), "scores")
     _emit(
         {
             "command": "predict-file",

@@ -22,12 +22,11 @@ the next snapshot. Both read a tensor_index as a position in
 `ModelParams.tensors`. In memory a message is columnar: a `SparseRun` is
 a stretch of consecutive sparse records of one tensor and dim, held as a
 row array and a (k, dim) value array, and a `DenseRun` is one dense
-record. Emit, encode, decode and apply work a run at a time with numpy;
-`DeltaMessage.sparse` and `.dense` show the records one by one for tests
-and oracles. The trainer tracks touched rows as global rows of the emb
-and fo arenas (slot i's table row r is global row base[i] + r; see
-`model.ArenaLayout`), and `emit_delta` gathers each arena's rows with one
-fancy index and splits them into one run per table.
+record. Emit, encode, decode and apply work a run at a time with numpy.
+The trainer tracks touched rows as global rows of the emb and fo arenas
+(slot i's table row r is global row base[i] + r; see `model.ArenaLayout`),
+and `emit_delta` gathers each arena's rows with one fancy index and
+splits them into one run per table.
 
 Two transports share one publish/consume interface: append-only file
 (file://) and TCP (tcp://), both with u32 length-prefixed framing. A file
@@ -69,17 +68,6 @@ MAX_FRAME_BYTES = 1 << 28
 _RUN_PROBE = 128
 
 
-class SparseRecord(NamedTuple):
-    tensor_index: int
-    row_id: int
-    values: tuple[float, ...]
-
-
-class DenseRecord(NamedTuple):
-    tensor_index: int
-    values: tuple[float, ...]
-
-
 class SparseRun(NamedTuple):
     """Consecutive sparse records of one tensor: row `rows[i]` takes `values[i]`.
 
@@ -101,31 +89,11 @@ class DenseRun(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DeltaMessage:
-    """One period's parameter changes as runs of records, in frame order.
-
-    Messages are equal when their versions and records are, however the
-    records are cut into runs.
-    """
+    """One period's parameter changes as runs of records, in frame order."""
 
     model_version: int
     sparse_runs: tuple[SparseRun, ...] = ()
     dense_runs: tuple[DenseRun, ...] = ()
-
-    @property
-    def sparse(self) -> tuple[SparseRecord, ...]:
-        """The sparse records one by one, in frame order; built afresh on every read."""
-        return tuple(SparseRecord(run.tensor_index, row, tuple(values))
-                     for run in self.sparse_runs
-                     for row, values in zip(run.rows.tolist(), run.values.tolist()))
-
-    @property
-    def dense(self) -> tuple[DenseRecord, ...]:
-        return tuple(DenseRecord(run.tensor_index, tuple(run.values.tolist())) for run in self.dense_runs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeltaMessage):
-            return NotImplemented
-        return (self.model_version, self.sparse, self.dense) == (other.model_version, other.sparse, other.dense)
 
 
 def _sparse_dtype(dim: int) -> np.dtype:

@@ -7,7 +7,9 @@ server calls it once per request side, and a lone record is a one-row
 batch. Every operator is pure and per row: a row's features depend only
 on its own cells and the slot's spec, never on the other rows, on the
 slot order or on which process computes them, which is what makes
-offline and online features identical by construction.
+offline and online features identical by construction. Row r of a slot
+is its ids between offsets r and r + 1; the test suite serializes rows
+to bytes to compare them (`row_bytes` in tests/helpers.py).
 
 Hashing is FNV-1a 64 over each value's UTF-8 bytes, reduced modulo the
 slot's vocab_size. It runs one byte position at a time over all of a
@@ -106,18 +108,6 @@ class FeatureSpec:
         return 1  # numeric_raw: one row, scaled by the dense value
 
 
-@dataclass
-class FeatureVector:
-    """One row's features, as `FeatureBatch.row` gives them.
-
-    Slots of hashed/bucketized kinds appear in `ids` (possibly empty when
-    the source column is missing). numeric_raw slots appear in `dense`.
-    """
-
-    ids: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    dense: dict[str, float] = field(default_factory=dict)
-
-
 class Columns(NamedTuple):
     """N raw records as text columns; a column absent from `cells` is empty in every row."""
 
@@ -150,14 +140,6 @@ class FeatureBatch:
 
     def __len__(self) -> int:
         return self.size
-
-    def row(self, i: int) -> FeatureVector:
-        """Row i as a FeatureVector, the form `canonical_bytes` serializes."""
-        return FeatureVector(
-            ids={name: tuple(s.ids[s.offsets[i] : s.offsets[i + 1]].tolist())
-                 for name, s in self.ids.items()},
-            dense={name: float(values[i]) for name, values in self.dense.items()},
-        )
 
     def slice(self, start: int, stop: int) -> FeatureBatch:
         """Rows start..stop-1, in order."""
@@ -386,22 +368,3 @@ def json_cell(value) -> str:
 def record_from_json(obj: Mapping) -> dict[str, str]:
     """A JSON object as a raw record, each value a `json_cell`."""
     return {str(k): json_cell(v) for k, v in obj.items()}
-
-
-def canonical_bytes(fv: FeatureVector) -> bytes:
-    """Canonical serialization used for byte-level consistency checks.
-
-    One line per slot, sorted by slot name:
-      <name>=ids:<comma-separated decimal ids>
-      <name>=dense:<repr of float>
-    Floats use Python repr (shortest round-trip form), so equal values
-    serialize to equal bytes.
-    """
-    lines = []
-    for name in sorted(set(fv.ids) | set(fv.dense)):
-        if name in fv.ids:
-            line = f"{name}=ids:" + ",".join(str(i) for i in fv.ids[name])
-        else:
-            line = f"{name}=dense:{float(fv.dense[name])!r}"
-        lines.append(line)
-    return "\n".join(lines).encode("utf-8")

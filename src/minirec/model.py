@@ -145,14 +145,14 @@ class SlotPart(NamedTuple):
 
 
 class ArenaEntries(NamedTuple):
-    """The table rows that N samples read in some slots, as one flat list, slot after slot.
+    """The table rows that N samples read, as one flat list, slot after slot.
 
     Entry e reads the global row `row[e]` of the emb and fo arenas into the
-    bin `bin[e]`, which is `k * N + sample` for the k-th of the slots looked
-    up, so each bin's entries are in id-list order. `value[e]` weighs the
-    row: 1 for a hashed or bucketized id, the raw value for numeric_raw,
-    whose one row every sample reads. `divisor[b]` is bin b's float32 entry
-    count in a mean-pooled slot; it is 1 in a sum-pooled slot or an empty bin.
+    bin `bin[e]`, which is `k * N + sample` for the model's k-th slot, so
+    each bin's entries are in id-list order. `value[e]` weighs the row: 1
+    for a hashed or bucketized id, the raw value for numeric_raw, whose one
+    row every sample reads. `divisor[b]` is bin b's float32 entry count in
+    a mean-pooled slot; it is 1 in a sum-pooled slot or an empty bin.
     """
 
     row: np.ndarray
@@ -200,8 +200,8 @@ class SparseRows:
 class SparseGradient:
     """Gradient in the arena layout: global rows of the emb and fo arenas, the whole dense vector.
 
-    `emb_rows`, `fo_rows` and `dense_tensors` are the same gradient per
-    table and per tensor by name, for callers that read one by name.
+    `emb_rows` and `fo_rows` are the same sparse gradient per table by
+    name, for callers that read one by name.
     `slot_scale`, present when the forward pass had slot scales, holds the
     gradient of each slot's scale, one per sample.
     """
@@ -225,11 +225,6 @@ class SparseGradient:
     @property
     def fo_rows(self) -> dict[str, SparseRows]:
         return self._by_table(self.fo)
-
-    @property
-    def dense_tensors(self) -> dict[str, np.ndarray]:
-        return {name: self.dense[start:stop].reshape(self.layout.shapes[name])
-                for name, (arena, start, stop) in self.layout.spans.items() if arena == "dense"}
 
 
 def tensor_shapes(cfg: PipelineConfig) -> dict[str, tuple[int, ...]]:
@@ -368,19 +363,17 @@ def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
     return _F32(0.5) * _sum_samples((total * total - _sum_samples(stacked * stacked)).T)
 
 
-def lookup_entries(params: ModelParams, batch: FeatureBatch, specs: Sequence[FeatureSpec]) -> ArenaEntries:
-    """The entries of `specs`' slots over the batch's samples, in the order of `specs`.
+def lookup_entries(params: ModelParams, batch: FeatureBatch) -> ArenaEntries:
+    """The entries of every slot of the model over the batch's samples, in slot order.
 
     Raises SlotMismatch when the batch holds a slot the model lacks or
-    lacks one of `specs`, and IndexOutOfRange on an id outside its table.
+    lacks one of the model's, and IndexOutOfRange on an id outside its table.
     """
-    tables = params.layout.tables
+    tables, specs = params.layout.tables, params.specs
     for name in (*batch.ids, *batch.dense):
         if name not in tables:
             raise SlotMismatch(f"feature batch has undeclared slot {name!r}")
     n = len(batch)
-    if not specs:
-        return ArenaEntries(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, _F32), np.zeros(0, _F32))
     rows, counts, raw, entries = [], [], [], 0
     divisor = np.ones(len(specs) * n, dtype=_F32)
     for k, spec in enumerate(specs):
@@ -416,13 +409,13 @@ def lookup_entries(params: ModelParams, batch: FeatureBatch, specs: Sequence[Fea
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pool(params: ModelParams, entries: ArenaEntries, specs: Sequence[FeatureSpec], n: int) -> dict[str, SlotPart]:
-    """Each of `specs`' slots' part over N samples: one fold per arena over the entries' bins.
+def _pool(params: ModelParams, entries: ArenaEntries, n: int) -> dict[str, SlotPart]:
+    """Each slot's part over N samples: one fold per arena over the entries' bins.
 
     A value too large for float32 arithmetic overflows to a non-finite
     part without a warning; the logit it reaches tells the caller.
     """
-    e = entries
+    e, specs = entries, params.specs
     fo = _fold(e.bin, params.fo[:, 0][e.row] * e.value, len(e.divisor)).reshape(len(specs), n)
     pooled: Sequence[np.ndarray | None] = [None] * len(specs)
     if params.model_type == "deepfm":
@@ -432,20 +425,16 @@ def _pool(params: ModelParams, entries: ArenaEntries, specs: Sequence[FeatureSpe
     return {spec.name: SlotPart(p, f) for spec, p, f in zip(specs, pooled, fo)}
 
 
-def compute_parts(
-    params: ModelParams, batch: FeatureBatch, specs: Sequence[FeatureSpec] | None = None
-) -> dict[str, SlotPart]:
+def compute_parts(params: ModelParams, batch: FeatureBatch) -> dict[str, SlotPart]:
     """Per-slot pooled embeddings and first-order sums of the batch's N samples, stacked.
 
     A slot's part depends only on that slot's features and tables, never
-    on other slots, and a row's part never on the other rows. `specs`
-    restricts computation to a subset of the model's slots. Serving
-    computes a request's parts in one call, over features that may come
-    from its item cache; parts read the parameters, so they are computed
-    afresh for every request.
+    on other slots, and a row's part never on the other rows. Serving
+    computes a request's parts over every slot in one call, over features
+    that may come from its item cache; parts read the parameters, so they
+    are computed afresh for every request.
     """
-    specs = params.specs if specs is None else specs
-    return _pool(params, lookup_entries(params, batch, specs), specs, len(batch))
+    return _pool(params, lookup_entries(params, batch), len(batch))
 
 
 def _clip_probability(logit: float) -> float:
@@ -532,8 +521,8 @@ def forward(
     slot_scale: Mapping[str, float | np.ndarray] | None = None,
 ) -> ForwardTrace:
     """Forward pass over the batch's N samples; one sample is a one-row batch."""
-    entries = lookup_entries(params, batch, params.specs)
-    trace = assemble(params, _pool(params, entries, params.specs, len(batch)), slot_scale)
+    entries = lookup_entries(params, batch)
+    trace = assemble(params, _pool(params, entries, len(batch)), slot_scale)
     trace.entries = entries
     return trace
 

@@ -28,17 +28,16 @@ expiries, then log evictions, so a log is never evicted ahead of a pair
 emitted at the same boundary.
 
 Each event takes one pass through the joiner: `Joiner.feed` checks a
-decoded object once, getting its fields as a plain tuple from the same
-function that `parse_event` wraps in an `Event`, and routes it by kind
-to the impression, click or feature-log handler; an `Event` passed in
-takes the same route. Windows that the watermark passes are closed inline
-in `_advance`. Samples are immutable named tuples, and the CSV writer
-builds each payload's cells once, since a request's samples share one
-payload.
+decoded object once with `_event_fields`, which returns its fields as a
+plain tuple, and routes it by kind to the impression, click or
+feature-log handler; an `Event` passed in takes the same route. Windows
+that the watermark passes are closed inline in `_advance`. Samples are
+immutable named tuples, and the CSV writer builds each payload's cells
+once, since a request's samples share one payload.
 
 The oracle is `batch_join_reference` in the test suite's helpers
 (tests/helpers.py): a time-sorted batch join written without this
-module's Joiner.
+module's Joiner, which validates events with the same `_event_fields`.
 """
 
 from __future__ import annotations
@@ -140,11 +139,6 @@ def _event_fields(obj) -> tuple[str, int, str, str, dict | None]:
     if not isinstance(raw, dict):
         raise MalformedEvent("feature_log needs a payload object")
     return kind, t if type(t) is int else int(t), request_id, item_key, record_from_json(raw)
-
-
-def parse_event(obj) -> Event:
-    """A decoded JSON object as an `Event`; raises MalformedEvent."""
-    return Event(*_event_fields(obj))
 
 
 @dataclass(slots=True)

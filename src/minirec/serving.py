@@ -178,10 +178,10 @@ class ItemStore:
 
 
 class LruCache:
-    """Classic LRU with linearizable per-key get-or-insert accounting.
+    """LRU map from an item key to its row of a columnar `ItemStore`.
 
-    `score` keeps item features here: the map takes an item key to its row
-    of a columnar `ItemStore`, which binds to the item slots on first use.
+    `score` keeps item features here through `item_rows`; the store binds
+    to the item slots on first use.
     """
 
     def __init__(self, capacity: int):
@@ -191,21 +191,6 @@ class LruCache:
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._store: ItemStore | None = None
-
-    def get_or_insert(self, key, compute) -> tuple[object, bool]:
-        with self._lock:
-            value, hit, _ = self._access(key, compute)
-            return value, hit
-
-    def _access(self, key, compute, *args) -> tuple[object, bool, object]:
-        """(value, hit, the value evicted or None); a miss inserts compute(*args). The caller holds the lock."""
-        if key in self._data:
-            self._data.move_to_end(key)
-            return self._data[key], True, None
-        value = compute(*args)
-        self._data[key] = value
-        evicted = self._data.popitem(last=False)[1] if len(self._data) > self.capacity else None
-        return value, False, evicted
 
     def item_rows(
         self, specs: tuple[FeatureSpec, ...], keys: list[str], features, skip
@@ -232,26 +217,27 @@ class LruCache:
             store, data = self._store, self._data
             # position -> (generated batch, its row there)
             generated: dict[int, tuple[FeatureBatch, int]] = {}
-
-            def put(k: int) -> int:
-                if k not in generated:
-                    left = len(keys) - k
-                    evictable = set(itertools.islice(data, left)) if left > self.capacity - len(data) else ()
-                    todo = [j for j in range(k, len(keys)) if keys[j] not in data or keys[j] in evictable]
-                    batch = features(todo)
-                    generated.update((j, (batch, row)) for row, j in enumerate(todo))
-                return store.put(*generated[k])
-
             rows, hits, failed, evicted = [], 0, set(), []
             for k, key in enumerate(keys):
-                try:
-                    row, hit, old = self._access(key, put, k)
-                except MinirecError:
-                    failed.add(k)
-                    continue
-                hits += hit
-                if old is not None:
-                    evicted.append(old)
+                if key in data:
+                    data.move_to_end(key)
+                    row = data[key]
+                    hits += 1
+                else:
+                    if k not in generated:
+                        left = len(keys) - k
+                        evictable = set(itertools.islice(data, left)) if left > self.capacity - len(data) else ()
+                        todo = [j for j in range(k, len(keys)) if keys[j] not in data or keys[j] in evictable]
+                        batch = features(todo)
+                        generated.update((j, (batch, row)) for row, j in enumerate(todo))
+                    try:
+                        row = store.put(*generated[k])
+                    except MinirecError:
+                        failed.add(k)
+                        continue
+                    data[key] = row
+                    if len(data) > self.capacity:
+                        evicted.append(data.popitem(last=False)[1])
                 if k not in skip:
                     rows.append(row)
             batch = store.take(rows)

@@ -8,7 +8,13 @@ time, a naive list-based LRU, an unchecked in-place delta replay, the
 delta wire format one record at a time with struct, and the stream join
 as a time-sorted batch program, and feature selection's alternating
 weight/gate loop on the per-sample step. None of it shares code with
-the package under test beyond reading its data types.
+the package under test beyond reading its data types, except
+`parse_event`, which wraps the package's event validator so that the
+join oracle applies the same validation rules as the joiner.
+
+It also holds the plain views that tests compare with: a message's
+records one by one (`records_of`), a feature row in canonical bytes
+(`row_bytes`) and a gradient's dense tensors by name (`dense_grads`).
 """
 
 import csv
@@ -18,14 +24,15 @@ import math
 import struct
 import zlib
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from minirec.config import parse_config
-from minirec.delta_stream import DeltaMessage, DenseRecord, DenseRun, SparseRecord, SparseRun
+from minirec.delta_stream import DeltaMessage, DenseRun, SparseRun
 from minirec.errors import IndexOutOfRange, InvalidValue, MalformedEvent
 from minirec.features import FeatureBatch, SlotIds
-from minirec.sample_stream import Event, JoinStats, LabeledSample, parse_event
+from minirec.sample_stream import Event, JoinStats, LabeledSample, _event_fields
 
 
 # ---------------------------------------------------------------------
@@ -60,9 +67,40 @@ def splitmix64_reference(seed: int, count: int) -> list[int]:
 class ReferenceFeatures:
     """One record's features: `ids` per hashed or bucketized slot, `dense` per numeric_raw slot."""
 
-    def __init__(self):
-        self.ids = {}
-        self.dense = {}
+    def __init__(self, ids=None, dense=None):
+        self.ids = {} if ids is None else ids
+        self.dense = {} if dense is None else dense
+
+
+def row_of(batch, i):
+    """Row i of a FeatureBatch as ReferenceFeatures: each slot's ids as a tuple of ints, each dense value a float."""
+    return ReferenceFeatures(
+        ids={name: tuple(s.ids[s.offsets[i]:s.offsets[i + 1]].tolist()) for name, s in batch.ids.items()},
+        dense={name: float(values[i]) for name, values in batch.dense.items()},
+    )
+
+
+def feature_bytes(fv) -> bytes:
+    """Canonical serialization for byte-level consistency checks.
+
+    One line per slot, sorted by slot name:
+      <name>=ids:<comma-separated decimal ids>
+      <name>=dense:<repr of float>
+    Floats use Python repr (shortest round-trip form), so equal values
+    serialize to equal bytes.
+    """
+    lines = []
+    for name in sorted(set(fv.ids) | set(fv.dense)):
+        if name in fv.ids:
+            lines.append(f"{name}=ids:" + ",".join(str(i) for i in fv.ids[name]))
+        else:
+            lines.append(f"{name}=dense:{float(fv.dense[name])!r}")
+    return "\n".join(lines).encode("utf-8")
+
+
+def row_bytes(batch, i) -> bytes:
+    """Row i of a FeatureBatch in `feature_bytes` form."""
+    return feature_bytes(row_of(batch, i))
 
 
 def _reference_number(text, slot):
@@ -240,9 +278,10 @@ def replay_reference(params, msg):
     one row and a dense record the whole tensor.
     """
     arrays = list(params.tensors.values())
-    for rec in msg.sparse:
+    records = records_of(msg)
+    for rec in records.sparse:
         arrays[rec.tensor_index][rec.row_id] = rec.values
-    for rec in msg.dense:
+    for rec in records.dense:
         arr = arrays[rec.tensor_index]
         arr[...] = np.reshape(rec.values, arr.shape)
     params.model_version = msg.model_version
@@ -251,6 +290,34 @@ def replay_reference(params, msg):
 # ---------------------------------------------------------------------
 # Messages from records, and the per-record wire codec: the columnar codec's oracle
 # ---------------------------------------------------------------------
+
+class SparseRecord(NamedTuple):
+    tensor_index: int
+    row_id: int
+    values: tuple
+
+
+class DenseRecord(NamedTuple):
+    tensor_index: int
+    values: tuple
+
+
+class Records(NamedTuple):
+    """A message's version and its records one by one, in frame order."""
+
+    model_version: int
+    sparse: tuple
+    dense: tuple
+
+
+def records_of(msg) -> Records:
+    """The version and records of a DeltaMessage; messages are equal when these are, however cut into runs."""
+    sparse = tuple(SparseRecord(run.tensor_index, row, tuple(values))
+                   for run in msg.sparse_runs
+                   for row, values in zip(run.rows.tolist(), run.values.tolist()))
+    dense = tuple(DenseRecord(run.tensor_index, tuple(run.values.tolist())) for run in msg.dense_runs)
+    return Records(msg.model_version, sparse, dense)
+
 
 def message_of(model_version, sparse=(), dense=()):
     """A DeltaMessage of (tensor_index, row_id, values) and (tensor_index, values) records.
@@ -269,20 +336,21 @@ def message_of(model_version, sparse=(), dense=()):
 
 def encode_reference(msg) -> bytes:
     """The frame of msg, packed one record and one struct call at a time."""
+    records = records_of(msg)
     buf = bytearray(b"ERDU")
-    buf += struct.pack("<IQII", 1, msg.model_version, len(msg.sparse), len(msg.dense))
-    for rec in msg.sparse:
+    buf += struct.pack("<IQII", 1, msg.model_version, len(records.sparse), len(records.dense))
+    for rec in records.sparse:
         buf += struct.pack("<HQH", rec.tensor_index, rec.row_id, len(rec.values))
         buf += struct.pack(f"<{len(rec.values)}f", *rec.values)
-    for rec in msg.dense:
+    for rec in records.dense:
         buf += struct.pack("<HI", rec.tensor_index, len(rec.values))
         buf += struct.pack(f"<{len(rec.values)}f", *rec.values)
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     return bytes(buf)
 
 
-def decode_reference(frame: bytes):
-    """The message of a valid frame, unpacked one record at a time; asserts on any other frame."""
+def decode_reference(frame: bytes) -> Records:
+    """The records of a valid frame, unpacked one record at a time; asserts on any other frame."""
     pos = 24
     magic, fmt_version, model_version, sparse_count, dense_count = struct.unpack_from("<4sIQII", frame)
     assert (magic, fmt_version) == (b"ERDU", 1)
@@ -297,7 +365,7 @@ def decode_reference(frame: bytes):
         dense.append(DenseRecord(tensor_index, struct.unpack_from(f"<{length}f", frame, pos + 6)))
         pos += 6 + 4 * length
     assert pos + 4 == len(frame) and struct.unpack_from("<I", frame, pos)[0] == zlib.crc32(frame[:pos])
-    return message_of(model_version, sparse, dense)
+    return Records(model_version, tuple(sparse), tuple(dense))
 
 
 # ---------------------------------------------------------------------
@@ -317,6 +385,11 @@ UNPARSABLE_JSON = {
     "long_integer": '{"kind": "impression", "event_time": ' + "1" * 5001
                     + ', "request_id": "r", "item_key": "i"}',
 }
+
+
+def parse_event(obj) -> Event:
+    """A decoded JSON object as an Event, by the joiner's own validation rules; raises MalformedEvent."""
+    return Event(*_event_fields(obj))
 
 
 def event_time_of(obj):
@@ -554,6 +627,18 @@ def stack_rows(rows):
     dense = {name: np.concatenate([r.dense[name] for r in rows]) for name in rows[0].dense}
     errors = {k: r.errors[0] for k, r in enumerate(rows) if r.errors}
     return FeatureBatch(len(rows), ids, dense, errors)
+
+
+def dense_grads(grad):
+    """A SparseGradient's dense gradient by tensor name: the tensors other than tables, end to end in shape order."""
+    out, start = {}, 0
+    for name, shape in grad.layout.shapes.items():
+        if not name.startswith(("emb:", "fo:")):
+            size = math.prod(shape)
+            out[name] = grad.dense[start:start + size].reshape(shape)
+            start += size
+    assert start == len(grad.dense)
+    return out
 
 
 def per_slot_parts(params, batch, specs=None):

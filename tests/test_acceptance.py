@@ -25,15 +25,13 @@ from minirec.artifact import (
 )
 from minirec.config import Distribution, SearchSpace
 from minirec.delta_stream import (
-    DenseRecord,
-    SparseRecord,
     decode_delta,
     encode_delta,
     open_consumer,
     open_publisher,
 )
 from minirec.errors import ChecksumError, FormatError
-from minirec.features import FeatureSpec, FeatureVector, canonical_bytes, columns_of, generate
+from minirec.features import FeatureSpec, columns_of, generate
 from minirec.hpo import run_search
 from minirec.model import (
     copy_params,
@@ -56,16 +54,22 @@ from minirec.feature_select import select, train_with_gates
 from minirec.trainer import load_dataset, train
 
 from helpers import (
+    DenseRecord,
     LruSimulator,
+    ReferenceFeatures,
+    SparseRecord,
     batch_join_reference,
     event_time_of,
+    feature_bytes,
     generate_reference,
     informative_feature_config,
     make_config,
     mean_logloss,
     message_of,
     pairwise_auc,
+    records_of,
     replay_reference,
+    row_of,
     sample_key,
     write_csv,
     write_informative_dataset,
@@ -148,18 +152,18 @@ def test_criterion_01_feature_consistency(tmp_path):
         assert [s.name for s in part.cross] == ["user_x_item"]
 
         for i, rec in enumerate(records):
-            off = offline.row(i)
+            off = row_of(offline, i)
             user_rec = {k: v for k, v in rec.items() if k.startswith("user_")}
             item_rec = {k: v for k, v in rec.items() if k.startswith("item_")}
             sides = [
-                generate(columns_of([record], specs), specs).row(0)
+                row_of(generate(columns_of([record], specs), specs), 0)
                 for record, specs in ((user_rec, part.user), (item_rec, part.item),
                                       ({**user_rec, **item_rec}, part.cross))
             ]
-            online = FeatureVector(ids={k: v for fv in sides for k, v in fv.ids.items()},
-                                   dense={k: v for fv in sides for k, v in fv.dense.items()})
-            assert canonical_bytes(off) == canonical_bytes(online)
-            assert canonical_bytes(off) == canonical_bytes(
+            online = ReferenceFeatures(ids={k: v for fv in sides for k, v in fv.ids.items()},
+                                       dense={k: v for fv in sides for k, v in fv.dense.items()})
+            assert feature_bytes(off) == feature_bytes(online)
+            assert feature_bytes(off) == feature_bytes(
                 generate_reference(rec, cfg.feature_config))
 
 
@@ -266,7 +270,7 @@ def test_criterion_04_delta_sparsity(tmp_path):
             order = shuffle.permutation(len(fvs))
             for start in range(0, len(order), batch):
                 for idx in order[start:start + batch]:
-                    for name, ids in fvs.row(idx).ids.items():
+                    for name, ids in row_of(fvs, idx).ids.items():
                         for row in ids:
                             current.add((emb_index[name], int(row)))
                             current.add((emb_index[name] + 1, int(row)))
@@ -281,10 +285,11 @@ def test_criterion_04_delta_sparsity(tmp_path):
         assert len(messages) == len(periods)
         for k, (msg, want) in enumerate(zip(messages, periods)):
             assert msg.model_version == k + 1
-            got = {(r.tensor_index, r.row_id) for r in msg.sparse}
+            records = records_of(msg).sparse
+            got = {(r.tensor_index, r.row_id) for r in records}
             assert got == want
             for tensor_index in (0, 2):
-                emb_rows = sum(1 for r in msg.sparse
+                emb_rows = sum(1 for r in records
                                if r.tensor_index == tensor_index)
                 assert emb_rows <= 500
                 assert emb_rows < 0.05 * vocab
@@ -476,16 +481,24 @@ def test_criterion_08_lru_exactness(tmp_path):
         ranks = np.arange(1, 1001, dtype=np.float64)
         probs = (1.0 / ranks) / np.sum(1.0 / ranks)
         trace = rng.choice(1000, size=10_000, p=probs)
+        # Each access is a one-key request to the lookup that score makes.
+        specs = (FeatureSpec("item_id", "id", ("item_id",), vocab_size=1000),)
+        ids = generate(columns_of([{"item_id": str(k)} for k in range(1000)], specs), specs).ids["item_id"].ids
         cache, sim = LruCache(100), LruSimulator(100)
         got, want = [], []
-        for key in trace:
-            _, hit = cache.get_or_insert(int(key), lambda: None)
-            got.append(hit)
-            want.append(sim.access(int(key)))
+        for key in trace.tolist():
+            batch, hits, failed = cache.item_rows(
+                specs, [str(key)],
+                lambda positions, key=key: generate(columns_of([{"item_id": str(key)}], specs), specs),
+                set())
+            got.append(hits == 1)
+            want.append(sim.access(str(key)))
+            assert list(cache._data) == sim.order
+            assert failed == set() and batch.ids["item_id"].ids.tolist() == [ids[key]]
         assert got == want
 
         model = _make_model(tmp_path)
-        shared = LruCache(256)
+        shared, shared_sim = LruCache(256), LruSimulator(256)
         rng = np.random.default_rng(8080)
         for _ in range(1000):
             request = _keyed_request(rng)
@@ -493,6 +506,8 @@ def test_criterion_08_lru_exactness(tmp_path):
             uncached = score(model, request, None)
             assert cached.scores == uncached.scores
             assert cached.model_version == uncached.model_version
+            assert cached.cache_hits == sum(shared_sim.access(item["key"]) for item in request["items"])
+            assert list(shared._data) == shared_sim.order
 
 
 # ---------------------------------------------------------------------
@@ -606,7 +621,7 @@ def test_criterion_10_wire_robustness(tmp_path):
         rng = np.random.default_rng(1234)
         for _ in range(100):
             msg = _random_message(rng)
-            assert decode_delta(encode_delta(msg)) == msg
+            assert records_of(decode_delta(encode_delta(msg))) == records_of(msg)
         for i in range(100):
             artifact = _random_artifact(rng, tmp_path, i)
             path = str(tmp_path / "roundtrip.erm")

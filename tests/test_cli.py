@@ -450,6 +450,49 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: cannot write") and "Traceback" not in err
 
+    @pytest.mark.parametrize("earlier", ["absent", "present"])
+    @pytest.mark.parametrize("command", ["train", "stream-join"])
+    def test_failed_output_leaves_earlier_outputs_as_they_were(self, workspace, tmp_path, capsys, command, earlier):
+        """A command whose later output fails leaves no new file and every old one byte-identical."""
+        model_dir, out, stats = tmp_path / "model", tmp_path / "samples.csv", tmp_path / "st.json"
+        model_dir.mkdir()
+        if earlier == "present":
+            assert main(["export", "-c", str(workspace), "--model-dir", str(model_dir)]) == 0
+            out.write_text("label,old\n1,x\n")
+        events = tmp_path / "events.jsonl"
+        events.write_text("".join(json.dumps(e) + "\n" for e in [
+            {"kind": "feature_log", "event_time": 10, "request_id": "r1", "payload": {"user_id": "u1"}},
+            {"kind": "impression", "event_time": 10, "request_id": "r1", "item_key": "a"}]))
+        train = ["train", "-c", str(workspace), "--model-dir", str(model_dir)]
+        join = ["stream-join", "-c", str(workspace), "--events", str(events), "--window-ms", "5", "--out", str(out)]
+
+        def files():
+            return {str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
+                    for p in tmp_path.rglob("*")}
+
+        # train writes model.erm, then report.json, which is a directory here.
+        (model_dir / "report.json").mkdir()
+        before = files()
+        capsys.readouterr()
+        if command == "train":
+            code = main(train)
+        else:
+            code = main([*join, "--stats", str(tmp_path / "missing" / "st.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert files() == before
+
+        # With every output writable, the outputs appear and nothing else does.
+        (model_dir / "report.json").rmdir()
+        del before["model/report.json"]
+        code = main(train if command == "train" else [*join, "--stats", str(stats)])
+        assert code == 0
+        added = {"train": {"model/model.erm", "model/report.json"}, "stream-join": {"samples.csv", "st.json"}}[command]
+        after = files()
+        assert set(after) == set(before) | added
+        assert {name: data for name, data in after.items() if name not in added} == {
+            name: data for name, data in before.items() if name not in added}
+
     @pytest.mark.parametrize("command", ["eval", "serve"])
     def test_deeply_nested_artifact_header_is_runtime_error(self, workspace, tmp_path, capsys, command):
         header = b"[" * 200_000

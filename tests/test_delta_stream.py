@@ -15,10 +15,8 @@ from minirec import delta_stream, trainer
 from minirec.artifact import ModelArtifact, save_artifact
 from minirec.delta_stream import (
     DELTA_MAGIC,
-    DenseRecord,
     FileConsumer,
     FilePublisher,
-    SparseRecord,
     TcpConsumer,
     TcpPublisher,
     apply_delta,
@@ -45,10 +43,13 @@ from minirec.serving import load_model
 from minirec.trainer import train
 
 from helpers import (
+    DenseRecord,
+    SparseRecord,
     decode_reference,
     encode_reference,
     make_config,
     message_of,
+    records_of,
     replay_reference,
     write_logistic_dataset,
 )
@@ -89,7 +90,7 @@ class TestWireFormat:
         rng = np.random.default_rng(20)
         for _ in range(100):
             msg = _random_message(rng)
-            assert decode_delta(encode_delta(msg)) == msg
+            assert records_of(decode_delta(encode_delta(msg))) == records_of(msg)
 
     def test_bad_magic(self):
         frame = bytearray(encode_delta(message_of(1, (), ())))
@@ -166,17 +167,17 @@ class TestWireOracle:
     def test_random_messages_match_reference(self):
         rng = np.random.default_rng(18)
         messages = [message_of(0), message_of(2**64 - 1)] + [_oracle_message(rng) for _ in range(300)]
-        records = [rec for msg in messages for rec in msg.sparse]
-        dense = [rec for msg in messages for rec in msg.dense]
+        records = [rec for msg in messages for rec in records_of(msg).sparse]
+        dense = [rec for msg in messages for rec in records_of(msg).dense]
         # The corpus holds the cases a columnar codec could get wrong.
-        assert any(not msg.sparse and not msg.dense for msg in messages)
+        assert any(not r.sparse and not r.dense for r in map(records_of, messages))
         assert any(len(rec.values) == 0 for rec in records) and any(len(rec.values) == 0 for rec in dense)
         assert any(rec.row_id == 2**64 - 1 for rec in records)
         for msg in messages:
             frame = encode_delta(msg)
             assert frame == encode_reference(msg)
             decoded = decode_delta(frame)
-            assert decoded == decode_reference(frame) == msg
+            assert records_of(decoded) == decode_reference(frame) == records_of(msg)
             # Runs are the longest stretches of one tensor and dim, as message_of cuts them.
             assert [(run.tensor_index, run.values.shape[1], len(run.rows)) for run in decoded.sparse_runs] == [
                 (run.tensor_index, run.values.shape[1], len(run.rows)) for run in msg.sparse_runs]
@@ -200,9 +201,9 @@ class TestWireOracle:
         assert len(sink.frames) == len(messages) == 8
         for msg, frame in zip(messages, sink.frames):
             assert frame == encode_reference(msg)
-            keys = [(rec.tensor_index, rec.row_id) for rec in msg.sparse]
+            keys = [(rec.tensor_index, rec.row_id) for rec in records_of(msg).sparse]
             assert keys == sorted(set(keys))
-            assert decode_delta(frame) == decode_reference(frame) == msg
+            assert records_of(decode_delta(frame)) == decode_reference(frame) == records_of(msg)
 
     def test_alternating_tensors_decode_in_linear_work(self, monkeypatch):
         """Every record starts a new run; decode reads each record a bounded number of times."""
@@ -226,7 +227,7 @@ class TestWireOracle:
             decoded = decode_delta(frame)
             cost[n] = sum(read)
             assert len(decoded.sparse_runs) == n
-            assert decoded == decode_reference(frame)
+            assert records_of(decoded) == decode_reference(frame)
         # Linear work doubles with the frame; a re-scan of the rest per run would quadruple.
         assert cost[20_000] < 2.5 * cost[10_000]
 
@@ -329,11 +330,12 @@ class TestValidateAndApply:
 
 def _first_error(params, msg):
     """The error of the first bad record, records checked one at a time; None for a good message."""
-    for rec in (*msg.sparse, *msg.dense):
+    records = records_of(msg)
+    for rec in (*records.sparse, *records.dense):
         if not math.isfinite(sum(rec.values)):
             return NonFinite(sum(rec.values))
     items = list(params.tensors.items())
-    for rec in msg.sparse:
+    for rec in records.sparse:
         if not (0 <= rec.tensor_index < len(items) and items[rec.tensor_index][0].startswith(("emb:", "fo:"))):
             return UnknownSlot(rec.tensor_index)
         name, arr = items[rec.tensor_index]
@@ -341,7 +343,7 @@ def _first_error(params, msg):
             return IndexOutOfRange(rec.row_id, arr.shape[0])
         if len(rec.values) != arr.shape[1]:
             return DimensionMismatch(f"record for {name!r} has dim {len(rec.values)}, table dim {arr.shape[1]}")
-    for rec in msg.dense:
+    for rec in records.dense:
         if not 0 <= rec.tensor_index < len(items) or items[rec.tensor_index][0].startswith(("emb:", "fo:")):
             return UnknownTensor(rec.tensor_index)
         name, arr = items[rec.tensor_index]
@@ -450,7 +452,7 @@ class TestFileQueue:
         assert final.params.model_version == len(frames) >= 4
 
         def rows(msgs):
-            return {(rec.tensor_index, rec.row_id) for msg in msgs for rec in msg.sparse}
+            return {(rec.tensor_index, rec.row_id) for msg in msgs for rec in records_of(msg).sparse}
 
         # Rows that only frames 1-2 carry: a server that skips those frames loses them.
         assert rows(messages[:2]) - rows(messages[2:])

@@ -18,6 +18,7 @@ from minirec.model import assemble, backward, compute_parts, forward, init_param
 from helpers import (
     informative_feature_config,
     make_config,
+    row_of,
     straight_line_probability,
     train_with_gates_reference,
     write_csv,
@@ -104,7 +105,7 @@ class TestGateGradient:
                 0, 0.2, params.tensors[f"emb:{spec.name}"].shape).astype(np.float32)
         specs = cfg.feature_config
         batch = generate(columns_of([{"alpha": "a5", "beta": "b1", "gamma": "c9"}], specs), specs)
-        fv = batch.row(0)
+        fv = row_of(batch, 0)
         tau, lambda_g = 0.5, 1e-3
         rng = np.random.default_rng(43)
         for label in (0, 1):

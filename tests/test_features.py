@@ -12,7 +12,6 @@ from minirec.features import (
     MAX_CROSS_COMBINATIONS,
     FeatureSpec,
     bucketize,
-    canonical_bytes,
     columns_of,
     cross_values,
     fnv1a64,
@@ -24,7 +23,15 @@ from minirec.model import init_params
 from minirec.sample_stream import JoinConfig, run_pipeline
 from minirec.trainer import read_columns
 
-from helpers import fnv1a64_reference, generate_reference, make_config, stack_rows
+from helpers import (
+    feature_bytes,
+    fnv1a64_reference,
+    generate_reference,
+    make_config,
+    row_bytes,
+    row_of,
+    stack_rows,
+)
 
 
 class TestFnv1a64:
@@ -150,7 +157,7 @@ def _one(record, specs):
     batch = generate(columns_of([record], specs), specs)
     if batch.errors:
         raise batch.errors[0]
-    return batch.row(0)
+    return row_of(batch, 0)
 
 
 class TestGenerate:
@@ -244,20 +251,20 @@ class TestGenerate:
 class TestCanonicalBytes:
     def test_deterministic_across_calls(self):
         record = {"user": "u1", "tags": "a|b", "price": "7", "age": "30", "item": "i1"}
-        one = canonical_bytes(_one(record, _specs()))
-        two = canonical_bytes(_one(record, _specs()))
+        one = feature_bytes(_one(record, _specs()))
+        two = feature_bytes(_one(record, _specs()))
         assert one == two
 
     def test_differs_on_different_input(self):
         specs = _specs()[:1]
-        one = canonical_bytes(_one({"user": "u1"}, specs))
-        two = canonical_bytes(_one({"user": "u2"}, specs))
+        one = feature_bytes(_one({"user": "u1"}, specs))
+        two = feature_bytes(_one({"user": "u2"}, specs))
         assert one != two
 
     def test_slot_eval_order_invisible(self):
         record = {"user": "u1", "tags": "a", "price": "7", "age": "30", "item": "i1"}
         specs = _specs()
-        assert canonical_bytes(_one(record, specs)) == canonical_bytes(
+        assert feature_bytes(_one(record, specs)) == feature_bytes(
             _one(record, tuple(reversed(specs)))
         )
 
@@ -307,7 +314,7 @@ class TestJsonRecords:
                      str(tmp_path / "samples.csv"))
         columns = read_columns(str(tmp_path / "samples.csv"))
         assert columns.rows == 1
-        joined = generate(columns, cfg.feature_config).row(0)
+        joined = row_of(generate(columns, cfg.feature_config), 0)
 
         served = []
 
@@ -319,7 +326,7 @@ class TestJsonRecords:
         request = json.loads(json.dumps({"user": self.VALUES, "items": [{"key": "a"}]}))
         model = serving.ServingModel(init_params(cfg, np.random.default_rng(0)), cfg)
         assert serving.score(model, request).scores[0] is not None
-        assert canonical_bytes(served[0].row(0)) == canonical_bytes(joined)
+        assert row_bytes(served[0], 0) == feature_bytes(joined)
 
 
 _ORACLE_SPECS = (
@@ -371,7 +378,7 @@ def _oracle_record(rng):
 
 def _oracle_outcome(record, specs):
     try:
-        return canonical_bytes(generate_reference(record, specs))
+        return feature_bytes(generate_reference(record, specs))
     except InvalidValue as exc:
         return type(exc)
 
@@ -388,7 +395,7 @@ class TestColumnarMatchesOracle:
         kinds = set()
         for i, record in enumerate(records):
             want = _oracle_outcome(record, _ORACLE_SPECS)
-            got = type(batch.errors[i]) if i in batch.errors else canonical_bytes(batch.row(i))
+            got = type(batch.errors[i]) if i in batch.errors else row_bytes(batch, i)
             assert got == want, (i, record)
             kinds.add("error" if i in batch.errors else "ok")
         assert kinds == {"error", "ok"}
@@ -396,7 +403,7 @@ class TestColumnarMatchesOracle:
         single = [{k: v.replace("|", "") for k, v in r.items()} for r in records]
         batch = generate(columns_of(single, _ORACLE_SPECS), _ORACLE_SPECS)
         for i, record in enumerate(single):
-            got = type(batch.errors[i]) if i in batch.errors else canonical_bytes(batch.row(i))
+            got = type(batch.errors[i]) if i in batch.errors else row_bytes(batch, i)
             assert got == _oracle_outcome(record, _ORACLE_SPECS), (i, record)
 
     def test_capped_crosses_and_one_row_calls(self):
@@ -405,11 +412,11 @@ class TestColumnarMatchesOracle:
                    {"u": wide, "t": "|".join(f"t{i}" for i in range(9))},
                    {"u": "x", "t": "||"}, {}]
         batch = generate(columns_of(records, _ORACLE_SPECS), _ORACLE_SPECS)
-        assert [len(batch.row(i).ids["u_x_t"]) for i in range(4)] == [100, 99, 0, 0]
+        assert [len(row_of(batch, i).ids["u_x_t"]) for i in range(4)] == [100, 99, 0, 0]
         for i, record in enumerate(records):
             alone = generate(columns_of([record], _ORACLE_SPECS), _ORACLE_SPECS)
-            assert canonical_bytes(alone.row(0)) == canonical_bytes(batch.row(i))
-            assert canonical_bytes(alone.row(0)) == _oracle_outcome(record, _ORACLE_SPECS)
+            assert row_bytes(alone, 0) == row_bytes(batch, i)
+            assert row_bytes(alone, 0) == _oracle_outcome(record, _ORACLE_SPECS)
 
     def test_first_failing_slot_names_the_error(self):
         records = [{"n": "abc", "p": "1e300"}, {"n": "1", "p": "1e300"}]
@@ -425,7 +432,7 @@ class TestColumnarMatchesOracle:
                 finite = bool(np.isfinite(np.float32(value)))
             assert (0 not in batch.errors) == finite, value
             if finite:
-                assert batch.row(0).dense["price"] == value
+                assert row_of(batch, 0).dense["price"] == value
 
 
 class TestBatchRows:
@@ -438,7 +445,7 @@ class TestBatchRows:
 
     @staticmethod
     def _rows(batch):
-        return [canonical_bytes(batch.row(i)) for i in range(len(batch))]
+        return [row_bytes(batch, i) for i in range(len(batch))]
 
     def test_slice_take_stack(self):
         batch = self._batch(5)
@@ -486,4 +493,4 @@ class TestJsonNull:
         record = record_from_json({"u": None, "p": None, "t": True, "n": 3})
         assert record == {"u": "", "p": "", "t": "True", "n": "3"}
         specs = (_ORACLE_SPECS[0], _ORACLE_SPECS[3])
-        assert canonical_bytes(_one(record, specs)) == canonical_bytes(_one({}, specs))
+        assert feature_bytes(_one(record, specs)) == feature_bytes(_one({}, specs))

@@ -32,10 +32,12 @@ from minirec.model import (
 from minirec.serving import partition_slots
 
 from helpers import (
+    dense_grads,
     make_config,
     mean_logloss,
     pairwise_auc,
     per_slot_parts,
+    row_of,
     straight_line_loss,
     straight_line_probability,
 )
@@ -58,9 +60,9 @@ def _one_row_part(tmp_path, table, ids, pooling="sum"):
 
 
 def _features(record, specs):
-    """One record as a one-row batch, and that row's FeatureVector."""
+    """One record as a one-row batch, and that row's features."""
     batch = generate(columns_of([record], specs), specs)
-    return batch, batch.row(0)
+    return batch, row_of(batch, 0)
 
 
 class TestPooledLookup:
@@ -127,7 +129,7 @@ def _five_kind_record(rng):
 @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
 @pytest.mark.parametrize("pooling", ["sum", "mean"])
 def test_compute_parts_equals_per_slot_fold(tmp_path, pooling, model_type):
-    """Bit for bit the per-slot fold, for every slot and for serving's user, item and cross subsets."""
+    """Bit for bit the per-slot fold, for every slot and for the slots of serving's user, item and cross sides."""
     cfg = make_config(tmp_path, feature_config=_five_kind_specs(pooling),
                       model_config={"model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [8]})
     part = partition_slots(cfg.feature_config)
@@ -137,10 +139,12 @@ def test_compute_parts_equals_per_slot_fold(tmp_path, pooling, model_type):
         for arr in params.tensors.values():
             arr += rng.normal(0, 0.3, arr.shape).astype(np.float32)
         records = [_five_kind_record(rng) for _ in range(rows)]
-        for specs in (None, part.user, part.item, part.cross):
-            batch = generate(columns_of(records, specs or cfg.feature_config), specs or cfg.feature_config)
-            got, want = compute_parts(params, batch, specs), per_slot_parts(params, batch, specs)
-            assert list(got) == list(want)
+        got = compute_parts(params, generate(columns_of(records, cfg.feature_config), cfg.feature_config))
+        assert list(got) == [spec.name for spec in cfg.feature_config]
+        for specs in (cfg.feature_config, part.user, part.item, part.cross):
+            # Each side's slots generated on their own, as serving generates them.
+            want = per_slot_parts(params, generate(columns_of(records, specs), specs), specs)
+            assert list(want) == [spec.name for spec in specs]
             for name, (pooled, fo) in want.items():
                 assert np.array_equal(got[name].fo, fo)
                 if pooled is None:
@@ -265,7 +269,7 @@ class TestForward:
 
 def _fd_check(params, cfg, batch, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
     """Central finite differences of the float64 reference loss."""
-    fv = batch.row(0)
+    fv = row_of(batch, 0)
     trace = forward(params, batch)
     grad = backward(trace, [label], reg)
 
@@ -289,8 +293,8 @@ def _fd_check(params, cfg, batch, label, reg, h=1e-3, tol=1e-3, floor=1e-6):
         table = params.tensors[f"fo:{slot}"]
         for row, value in zip(rows.ids.tolist(), rows.values):
             check(table, (row, 0), float(value[0]))
-    assert set(grad.dense_tensors) == {n for n in params.tensors if n.startswith("mlp:") or n == "bias"}
-    for name, g in grad.dense_tensors.items():
+    assert set(dense_grads(grad)) == {n for n in params.tensors if n.startswith("mlp:") or n == "bias"}
+    for name, g in dense_grads(grad).items():
         for index in np.ndindex(g.shape):
             check(params.tensors[name], index, float(g[index]))
     return grad
@@ -305,7 +309,7 @@ class TestBackward:
             arr[:] = 0
         batch, fv = _features({"user_id": "u1"}, cfg.feature_config)
         grad = backward(forward(params, batch), [0], 0.0)
-        assert float(grad.dense_tensors["bias"][0]) == pytest.approx(0.5)
+        assert float(dense_grads(grad)["bias"][0]) == pytest.approx(0.5)
 
     def test_finite_differences(self, tmp_path):
         cfg = _three_slot_config(tmp_path)
@@ -345,7 +349,7 @@ class TestBackward:
         batch, fv = _features(_random_record(np.random.default_rng(10)), cfg.feature_config)
         grad = backward(forward(params, batch), [1], 0.01)
         assert grad.emb_rows == {} or all(not v for v in grad.emb_rows.values())
-        assert list(grad.dense_tensors) == ["bias"]
+        assert list(dense_grads(grad)) == ["bias"]
         assert any(grad.fo_rows.values())
 
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from minirec.errors import InvalidValue, IoError, MalformedEvent
-from minirec.sample_stream import Event, JoinConfig, Joiner, _event_fields, parse_event, run_pipeline
+from minirec.sample_stream import Event, JoinConfig, Joiner, _event_fields, run_pipeline
 
 from helpers import (
     UNPARSABLE_JSON,
     aggregate_events,
     batch_join_reference,
     event_time_of,
+    parse_event,
     sample_key,
 )
 

@@ -1,7 +1,10 @@
 """Scoring service: slot partitions, LRU cache, copy-on-write deltas, HTTP."""
 
 import http.client
+import itertools
 import json
+import logging
+import math
 import socket
 import statistics
 import struct
@@ -15,7 +18,6 @@ import numpy as np
 import pytest
 
 from minirec.delta_stream import (
-    SparseRecord,
     decode_delta,
     encode_delta,
     open_consumer,
@@ -36,7 +38,15 @@ from minirec.serving import (
 )
 from minirec.trainer import score_all, train
 
-from helpers import LruSimulator, make_config, message_of, replay_reference, write_logistic_dataset
+from helpers import (
+    LruSimulator,
+    SparseRecord,
+    make_config,
+    message_of,
+    replay_reference,
+    row_of,
+    write_logistic_dataset,
+)
 
 
 def _spec(name, cols, kind="id"):
@@ -77,7 +87,29 @@ class TestPartitionSlots:
         assert part.cross == ()
 
 
+_KEY_SPECS = (FeatureSpec(name="item_id", kind="id", source_columns=("item_id",), vocab_size=1000),)
+
+
+def _lookup(cache, keys, value_of=str):
+    """`item_rows` over one request of `keys`, each key's features those of the record {"item_id": value_of(key)}.
+
+    Returns the gathered item ids, one per key, and the hit count.
+    """
+    def features(positions):
+        return generate(columns_of([{"item_id": value_of(keys[k])} for k in positions], _KEY_SPECS), _KEY_SPECS)
+
+    batch, hits, failed = cache.item_rows(_KEY_SPECS, keys, features, set())
+    assert failed == set()
+    return batch.ids["item_id"].ids.tolist(), hits
+
+
+def _id_of(value):
+    return int(generate(columns_of([{"item_id": value}], _KEY_SPECS), _KEY_SPECS).ids["item_id"].ids[0])
+
+
 class TestLruCache:
+    """The cache through `item_rows`, the one lookup `score` makes."""
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             LruCache(0)
@@ -85,27 +117,28 @@ class TestLruCache:
     def test_miss_then_hit(self):
         cache = LruCache(4)
         calls = []
-        value, hit = cache.get_or_insert("k", lambda: calls.append(1) or "v")
-        assert (value, hit) == ("v", False)
-        value, hit = cache.get_or_insert("k", lambda: calls.append(1) or "v2")
-        assert (value, hit) == ("v", True)
-        assert len(calls) == 1
+
+        def counted(value):
+            calls.append(value)
+            return value
+
+        assert _lookup(cache, ["k"], lambda key: counted("v")) == ([_id_of("v")], 0)
+        # A hit keeps the features stored by the miss and generates nothing.
+        assert _lookup(cache, ["k"], lambda key: counted("v2")) == ([_id_of("v")], 1)
+        assert calls == ["v"]
 
     def test_eviction_is_least_recently_used(self):
         cache = LruCache(2)
-        cache.get_or_insert("a", lambda: 1)
-        cache.get_or_insert("b", lambda: 2)
-        cache.get_or_insert("a", lambda: 0)
-        cache.get_or_insert("c", lambda: 3)
+        for key in ("a", "b", "a", "c"):
+            _lookup(cache, [key])
         # touching "a" made "b" least recent, so inserting "c" evicted it
-        _, hit_a = cache.get_or_insert("a", lambda: 0)
-        assert hit_a
-        _, hit_b = cache.get_or_insert("b", lambda: 2)
-        assert not hit_b
+        assert _lookup(cache, ["a"]) == ([_id_of("a")], 1)
+        assert _lookup(cache, ["b"]) == ([_id_of("b")], 0)
         assert len(cache) == 2
+        assert list(cache._data) == ["a", "b"]
 
     def test_matches_naive_simulator(self):
-        """Hit sequence equals a deliberately naive list-based LRU."""
+        """Hit sequence and LRU order equal a deliberately naive list-based LRU."""
         cache = LruCache(50)
         sim = LruSimulator(50)
         rng = np.random.default_rng(61)
@@ -113,29 +146,40 @@ class TestLruCache:
         weights = 1.0 / (keys + 1.0)
         weights /= weights.sum()
         for _ in range(5000):
-            key = int(rng.choice(keys, p=weights))
-            _, hit = cache.get_or_insert(key, lambda: key)
-            assert hit == sim.access(key)
+            key = str(int(rng.choice(keys, p=weights)))
+            ids, hits = _lookup(cache, [key])
+            assert hits == sim.access(key)
+            assert ids == [_id_of(key)]
+            assert list(cache._data) == sim.order
             assert len(cache) <= 50
         assert len(cache) == len(sim.order)
 
-    def test_concurrent_access_keeps_invariants(self):
+    def test_concurrent_access_keeps_invariants(self, tmp_path):
+        """Eight threads share one cache; every cached score equals the uncached one."""
+        model = _make_model(tmp_path)
         cache = LruCache(32)
         errors = []
 
         def worker(seed):
             rng = np.random.default_rng(seed)
-            for _ in range(1000):
-                key = int(rng.integers(0, 100))
-                value, _ = cache.get_or_insert(key, lambda k=key: k)
-                if value != key:
-                    errors.append((key, value))
+            for _ in range(125):
+                keys = [f"i{k}" for k in rng.integers(0, 100, int(rng.integers(1, 9)))]
+                request = _request(f"u{seed}", keys)
+                cached, uncached = score(model, request, cache), score(model, request, None)
+                if cached.scores != uncached.scores:
+                    errors.append((keys, cached.scores, uncached.scores))
 
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(cache) <= 32
 
@@ -210,7 +254,7 @@ class TestScore:
         before = score(model, request, cache)
         # Rewrite the embedding row that item "b" reads.
         specs = model.partition.item
-        row = generate(columns_of([{"item_id": "b"}], specs), specs).row(0).ids["item_id"][0]
+        row = row_of(generate(columns_of([{"item_id": "b"}], specs), specs), 0).ids["item_id"][0]
         index = list(model.snapshot().tensors).index("emb:item_id")
         msg = message_of(model_version=1, sparse=(SparseRecord(index, row, (1.0, -2.0, 3.0, -4.0)),))
         assert model.apply_delta(msg) == 1
@@ -880,6 +924,100 @@ class TestHostileInputs:
         assert status == 400
         assert "error" in payload
         assert "Traceback" not in capfd.readouterr().err
+
+
+def _nested(depth, leaf="x"):
+    value = leaf
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# JSON values a client may send in any position of a /v1/predict body.
+_HOSTILE_VALUES = (
+    None, True, False, math.nan, math.inf, -math.inf, 0, -1, 3.5,
+    1e30, -1e30, 1e-30, 1e300, -1e300, 1e-300, 2**70, -(2**70), 1e20, -1e20,
+    "", "abc", "1e300", "nan", "-inf", "t1||t2|", "\ud800", "a\udfffb", "x" * 5000,
+    [], {}, ["a", 1], {"a": {"b": [1]}}, _nested(50), _nested(900),
+)
+_USER_SLOTS = ("user_id", "user_tags", "user_age")
+_ITEM_SLOTS = ("item_id", "item_cats", "item_price")
+
+
+def _hostile_bodies(rng):
+    """Request bodies with a hostile value in each position, then seeded mixtures of them, as bytes.
+
+    Every item has a key of its own: the cache would score a key it holds
+    with the features it first stored, not with the hostile ones.
+    """
+    good_user = {"user_id": "u1", "user_tags": "t1|t2", "user_age": "33"}
+    keys = itertools.count()
+
+    def good_item():
+        key = f"i{next(keys)}"
+        return {"key": key, "features": {"item_id": key, "item_cats": "c1", "item_price": "2.5"}}
+
+    shapes = [
+        *[lambda v, s=s: {"user": {**good_user, s: v}, "items": [good_item()]} for s in _USER_SLOTS],
+        *[lambda v, s=s: {"user": good_user, "items": [good_item(), {**good_item(), "features": {s: v}}]}
+          for s in _ITEM_SLOTS],
+        lambda v: {"user": good_user, "items": [{"key": v, "features": good_item()["features"]}]},
+        lambda v: {"user": good_user, "items": [good_item(), {**good_item(), "features": v}]},
+        lambda v: {"user": good_user, "items": [v, good_item()]},
+        lambda v: {"user": good_user, "items": v},
+        lambda v: {"user": v, "items": [good_item()]},
+        lambda v: v,
+    ]
+    bodies = [json.dumps(shape(v)).encode() for shape in shapes for v in _HOSTILE_VALUES]
+    for _ in range(150):
+        def pick():
+            return _HOSTILE_VALUES[int(rng.integers(len(_HOSTILE_VALUES)))]
+
+        user = {s: pick() if rng.random() < 0.3 else v for s, v in good_user.items()}
+        items = []
+        for k in range(int(rng.integers(1, 9))):
+            item = good_item()
+            for s in _ITEM_SLOTS:
+                if rng.random() < 0.3:
+                    item["features"][s] = pick()
+            items.append(pick() if rng.random() < 0.1 else item)
+        bodies.append(json.dumps({"user": user, "items": items}).encode())
+    # Bodies that are not JSON a client could build with a JSON encoder.
+    bodies += [
+        b"\xff\xfe", b'{"items": ["\xff"]}', b'{"user": {"user_id": "\xc3\x28"}, "items": [{"key": "a"}]}',
+        b"[" * 100_000, b'{"items": [' + b"[" * 5_000 + b"]" * 5_000 + b"]}", b"", b"null", b"NaN",
+        b'{"user": {"user_age": 1e999}, "items": [{"key": "a"}]}', b'{"items": []',
+    ]
+    return bodies
+
+
+class TestHttpFuzz:
+    def test_hostile_bodies_get_a_score_or_a_json_error(self, tmp_path, caplog):
+        """Each reply is a 200 with scores null or in [PROB_CLIP, 1 - PROB_CLIP], or a 4xx with a JSON error.
+
+        No reply takes over a second and nothing is logged at ERROR. The
+        oracle checks the shape of each reply, not the scores' values.
+        """
+        caplog.set_level(logging.WARNING, logger="minirec")
+        handle = http_serve(_five_kind_model(tmp_path, "deepfm"), LruCache(16))
+        statuses = set()
+        try:
+            for body in _hostile_bodies(np.random.default_rng(81)):
+                start = time.perf_counter()
+                status, payload = _http(handle, "POST", "/v1/predict", body)
+                assert time.perf_counter() - start < 1.0, body[:200]
+                statuses.add(status)
+                if status == 200:
+                    items = json.loads(body)["items"]
+                    assert len(payload["scores"]) == len(items), body[:200]
+                    for value in payload["scores"]:
+                        assert value is None or PROB_CLIP <= value <= 1.0 - PROB_CLIP, (value, body[:200])
+                else:
+                    assert 400 <= status < 500 and isinstance(payload["error"], str), (status, body[:200])
+        finally:
+            handle.shutdown()
+        assert statuses == {200, 400}
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 class TestPoller:

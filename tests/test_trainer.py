@@ -13,7 +13,7 @@ from minirec.delta_stream import (
     open_publisher,
 )
 from minirec.errors import DataError, IndexOutOfRange, IoError, NonFinite
-from minirec.features import FeatureBatch, FeatureVector, SlotIds
+from minirec.features import FeatureBatch, SlotIds
 from minirec.model import copy_params, init_params, params_equal
 from minirec.optim import AdamOptimizer
 from minirec import trainer
@@ -21,9 +21,13 @@ from minirec.trainer import fit, load_dataset, read_columns, train, train_step
 
 from helpers import (
     OracleAdam,
+    ReferenceFeatures,
+    dense_grads,
     make_config,
     oracle_train_step,
+    records_of,
     replay_reference,
+    row_of,
     write_csv,
     write_logistic_dataset,
 )
@@ -223,13 +227,13 @@ class TestDeltaEmission:
         batch, _ = load_dataset(cfg, str(tmp_path / "train.csv"))
         expected = {
             (index, row)
-            for fv in (batch.row(i) for i in range(len(batch)))
+            for fv in (row_of(batch, i) for i in range(len(batch)))
             for index, slot in ((0, "user_id"), (2, "item_id"))
             for row in fv.ids[slot]
         }
         # fo tensors sit at odd indices, one above their embedding table
         expected |= {(index + 1, row) for index, row in expected}
-        got = {(rec.tensor_index, rec.row_id) for rec in msg.sparse}
+        got = {(rec.tensor_index, rec.row_id) for rec in records_of(msg).sparse}
         assert got == expected
 
     def test_emit_delta_empty_period_still_increments(self, tmp_path):
@@ -238,7 +242,7 @@ class TestDeltaEmission:
         acc = DeltaAccumulator(params.layout.rows)
         msg = emit_delta(acc, params)
         assert msg.model_version == 1
-        assert msg.sparse == () and msg.dense == ()
+        assert records_of(msg) == (1, (), ())
         again = emit_delta(acc, params)
         assert again.model_version == 2
 
@@ -262,14 +266,14 @@ class TestDeltaEmission:
         batch, _ = load_dataset(cfg, str(tmp_path / "train.csv"))
         expected = {
             (index, row)
-            for fv in (batch.row(i) for i in range(len(batch)))
+            for fv in (row_of(batch, i) for i in range(len(batch)))
             for index, slot in ((0, "user_id"), (2, "item_id"))
             for row in fv.ids[slot]
         }
         expected |= {(index + 1, row) for index, row in expected}
         msg = emit_delta(acc, art.params)
-        assert {(rec.tensor_index, rec.row_id) for rec in msg.sparse} == expected
-        assert emit_delta(acc, art.params).sparse == ()
+        assert {(rec.tensor_index, rec.row_id) for rec in records_of(msg).sparse} == expected
+        assert records_of(emit_delta(acc, art.params)).sparse == ()
 
     def test_delta_carries_values_not_gradients(self, tmp_path):
         _small_dataset(tmp_path)
@@ -278,7 +282,7 @@ class TestDeltaEmission:
         sink = _ListSink()
         art, _ = train(cfg, sink=sink)
         final = decode_delta(sink.frames[-1])
-        for record in final.sparse:
+        for record in records_of(final).sparse:
             name, arr = list(art.params.tensors.items())[record.tensor_index]
             if name.startswith("emb:"):
                 np.testing.assert_array_equal(
@@ -302,7 +306,7 @@ def _step_config(tmp_path, model_type):
 def _random_fv(rng):
     """Small vocabularies, so ids repeat within a sample and across the batch."""
     price = 0.0 if rng.random() < 0.4 else float(rng.normal(0.0, 2.0))
-    return FeatureVector(
+    return ReferenceFeatures(
         ids={
             "user_id": (int(rng.integers(40)),),
             "tags": tuple(int(i) for i in rng.integers(0, 7, int(rng.integers(0, 5)))),
@@ -314,7 +318,7 @@ def _random_fv(rng):
 
 
 def _batch_of(fvs):
-    """The FeatureBatch holding these FeatureVectors as its rows, in order."""
+    """The FeatureBatch holding these rows' features as its rows, in order."""
     ids = {}
     for name in fvs[0].ids:
         lists = [fv.ids[name] for fv in fvs]
@@ -325,7 +329,7 @@ def _batch_of(fvs):
 
 
 def _step(params, opt, batch, reg, slot_scale=None):
-    """train_step on (FeatureVector, label) pairs."""
+    """train_step on (ReferenceFeatures, label) pairs."""
     labels = np.array([label for _, label in batch])
     rows = np.arange(1, len(batch) + 1)
     return train_step(params, opt, _batch_of([fv for fv, _ in batch]), labels, rows, reg, slot_scale)
@@ -391,8 +395,8 @@ class TestBatchedStepMatchesPerSample:
                     expect = [want[kind][slot][r] for r in rows.ids.tolist()]
                     assert np.array_equal(rows.values.reshape(len(rows), -1),
                                           np.array(expect, dtype=np.float32).reshape(len(rows), -1))
-            assert list(got.dense_tensors) == sorted(want["dense"], key=list(params.tensors).index)
-            for name, g in got.dense_tensors.items():
+            assert list(dense_grads(got)) == sorted(want["dense"], key=list(params.tensors).index)
+            for name, g in dense_grads(got).items():
                 assert np.array_equal(g, want["dense"][name]), name
             if gated:
                 for name in names:
