@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import PipelineConfig, build_config, canonical_json, to_plain
 from .errors import ConfigError, FormatError, IoError
-from .model import empty_params
+from .model import ModelParams, empty_params
 
 MAGIC = b"ERMODEL1"
 

@@ -141,16 +141,6 @@ class FeatureBatch:
     def __len__(self) -> int:
         return self.size
 
-    def slice(self, start: int, stop: int) -> FeatureBatch:
-        """Rows start..stop-1, in order."""
-        ids = {}
-        for name, s in self.ids.items():
-            offsets = s.offsets[start : stop + 1]
-            ids[name] = SlotIds(s.ids[offsets[0] : offsets[-1]], offsets - offsets[0])
-        errors = {r - start: e for r, e in self.errors.items() if start <= r < stop}
-        dense = {name: values[start:stop] for name, values in self.dense.items()}
-        return FeatureBatch(stop - start, ids, dense, errors)
-
     def take(self, index: np.ndarray) -> FeatureBatch:
         """The rows `index` names, in that order."""
         index = np.asarray(index, dtype=np.int64)

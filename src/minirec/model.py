@@ -9,29 +9,34 @@ embedding tables are row ranges of one `emb` array of shape (total rows,
 D), their first-order tables the same row ranges of one `fo` array of
 shape (total rows, 1), and the MLP weights and the bias lie end to end in
 one flat `dense` vector. Slot i's tables start at the global row
-`base[i]`, so training works on global rows: `backward` dedups every
-slot's rows at once, and the optimizer and the delta stream make one
-update or one gather per arena. `ModelParams.tensors` names a view of
-each table and dense tensor for the callers that read one by name.
+`base[i]`, so training works on global rows: a step's rows of every
+slot are deduplicated at once, the optimizer makes one update for the
+emb and fo arenas together, and the delta stream one gather per arena.
+`ModelParams.tensors` names a view of each table and dense tensor for
+the callers that read one by name.
 
 The forward pass is split into `compute_parts` (per-slot pooled embedding
 and first-order sums) and `assemble` (FM + MLP + bias on top of the
-parts). Both `forward` and `compute_parts` turn a `FeatureBatch` into one
-`ArenaEntries` list with `lookup_entries`: every table row that the
-batch's samples read, as a global arena row, weighed by its value and
-binned by (slot, sample). Pooling is one fold per arena over those bins,
-and `backward` reads the same entries that `forward` pooled. Serving
-computes a request's parts over every slot in one call and assembles
-them in one pass; its cache holds item features, not parts, so cached
-and uncached scores run the same float operations. Both work on
-N rows at once, and training's `backward` and the optimizer take a whole
-batch in one pass; every row gets the bits its own one-row pass would
-give.
+parts, and the probabilities of every row in one pass). Features become
+one `ArenaEntries` list in `lookup_entries`: every table row that the
+samples read, as a global arena row, weighed by its value and binned by
+(slot, sample). Pooling is one fold per arena over those bins. Training
+plans an epoch once: `plan_steps` sorts the shuffled batch's entries
+sample-major, one stretch per step, and finds each step's (row, sample)
+pairs, so `forward` pools a planned step and `backward` folds its
+gradient by the planned pairs; both only gather, fold and multiply.
+Serving computes a request's parts over every slot in
+one call and assembles them in one pass; its cache holds item features,
+not parts, so cached and uncached scores run the same float operations.
+Both work on N rows at once, and training's `backward` and the optimizer
+take a whole batch in one pass; every row gets the bits its own one-row
+pass would give.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -145,20 +150,45 @@ class SlotPart(NamedTuple):
 
 
 class ArenaEntries(NamedTuple):
-    """The table rows that N samples read, as one flat list, slot after slot.
+    """The table rows that N samples read, as one flat list.
 
     Entry e reads the global row `row[e]` of the emb and fo arenas into the
-    bin `bin[e]`, which is `k * N + sample` for the model's k-th slot, so
-    each bin's entries are in id-list order. `value[e]` weighs the row: 1
-    for a hashed or bucketized id, the raw value for numeric_raw, whose one
-    row every sample reads. `divisor[b]` is bin b's float32 entry count in
-    a mean-pooled slot; it is 1 in a sum-pooled slot or an empty bin.
+    bin `bin[e]`, which is `k * N + sample` for the model's k-th slot, and
+    each bin's entries are in id-list order. `lookup_entries` lists them
+    slot after slot, a step of `plan_steps` sample after sample. `value[e]`
+    weighs the row: 1 for a hashed or bucketized id, the raw value for
+    numeric_raw, whose one row every sample reads. `divisor[b]` is bin b's
+    float32 entry count in a mean-pooled slot; it is 1 in a sum-pooled
+    slot or an empty bin.
     """
 
     row: np.ndarray
     bin: np.ndarray
     value: np.ndarray
     divisor: np.ndarray
+
+
+class StepEntries(NamedTuple):
+    """One training step's `n` samples: the entries `forward` pools and the pair map `backward` folds by.
+
+    The other fields cover the entries with a nonzero value, the ones with
+    a gradient, in `entries` order: each one's `bin`, `sample`, `value`
+    and pooling `weight` (value over its bin's divisor), and `pair`, its
+    (row, sample) pair. Pairs sort by row, then by sample: `pair_row` is
+    each pair's global row, `ids` the sorted distinct rows and `pair_id`
+    the position of each pair's row in `ids`.
+    """
+
+    n: int
+    entries: ArenaEntries
+    bin: np.ndarray
+    sample: np.ndarray
+    value: np.ndarray
+    weight: np.ndarray
+    pair: np.ndarray
+    pair_row: np.ndarray
+    pair_id: np.ndarray
+    ids: np.ndarray
 
 
 @dataclass
@@ -168,8 +198,8 @@ class ForwardTrace:
     Per-slot intermediates are sequences in slot order: `fo` holds (N,)
     arrays, and `pooled` and `scaled_pooled` (N, D) arrays, or are None
     for logreg. `scale` holds each slot's float32 scale for each row,
-    (N,), or is None without slot scales. `entries` is set by `forward`
-    for `backward`.
+    (N,), or is None without slot scales. `step` is set by `forward` for
+    `backward`: the step it pooled.
     """
 
     params: ModelParams
@@ -182,7 +212,7 @@ class ForwardTrace:
     activations: list[np.ndarray]
     logit: np.ndarray
     probability: np.ndarray
-    entries: ArenaEntries | None = None
+    step: StepEntries | None = None
 
 
 @dataclass
@@ -437,10 +467,66 @@ def compute_parts(params: ModelParams, batch: FeatureBatch) -> dict[str, SlotPar
     return _pool(params, lookup_entries(params, batch), len(batch))
 
 
-def _clip_probability(logit: float) -> float:
-    # Past -700 the probability clips to PROB_CLIP anyway; math.exp(709.8) overflows.
-    p = 1.0 / (1.0 + math.exp(min(-logit, 700.0)))
-    return min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
+def plan_steps(params: ModelParams, batch: FeatureBatch, size: int) -> list[StepEntries]:
+    """The batch's samples in steps of `size`, the last one ragged, each ready for `forward`.
+
+    One `lookup_entries` call covers the batch. A stable sort puts its
+    entries sample-major, so each step's entries are one stretch and each
+    (slot, sample) bin keeps its id-list order: every fold runs as it
+    would over the step's own lookup. One more sort finds the (row,
+    sample) pairs of every step, ordered by step, row and sample.
+    """
+    e = lookup_entries(params, batch)
+    n, rows = len(batch), params.layout.rows
+    # An empty batch is one empty step.
+    slot, sample = np.divmod(e.bin, max(n, 1))
+    order = np.argsort(sample, kind="stable")
+    slot, sample, row, value, bins = slot[order], sample[order], e.row[order], e.value[order], e.bin[order]
+    starts = np.arange(0, max(n, 1), size)
+    step, local = np.divmod(sample, size)
+    local_bin = slot * (np.minimum(starts + size, n) - starts)[step] + local
+
+    touched = np.flatnonzero(value != 0.0)
+    t_step, t_row, t_local = step[touched], row[touched], local[touched]
+    pairs, pair = np.unique((t_step * rows + t_row) * size + t_local, return_inverse=True)
+    step_row = pairs // size
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = step_row[1:] != step_row[:-1]
+    pair_step = step_row // rows
+    bounds = np.arange(len(starts) + 1)
+    pair_cut = np.searchsorted(pair_step, bounds)
+    id_cut = np.searchsorted(pair_step[first], bounds)
+    # Pair and row positions within each step.
+    pair = pair - pair_cut[t_step]
+    pair_id = np.cumsum(first) - 1 - id_cut[pair_step]
+    pair_row = step_row % rows
+    t_bin, t_value = local_bin[touched], value[touched]
+    weight = t_value / e.divisor[bins[touched]]
+    ids = pair_row[first]
+    divisor = e.divisor.reshape(len(params.specs), n)
+
+    cuts = zip([*starts.tolist(), n], np.searchsorted(step, bounds).tolist(),
+               np.searchsorted(t_step, bounds).tolist(), pair_cut.tolist(), id_cut.tolist())
+    plan = []
+    for (a, ea, ta, pa, ia), (b, eb, tb, pb, ib) in itertools.pairwise(cuts):
+        entries = ArenaEntries(row[ea:eb], local_bin[ea:eb], value[ea:eb], divisor[:, a:b].reshape(-1))
+        plan.append(StepEntries(
+            b - a, entries, t_bin[ta:tb], t_local[ta:tb], t_value[ta:tb], weight[ta:tb],
+            pair[ta:tb], pair_row[pa:pb], pair_id[pa:pb], ids[ia:ib],
+        ))
+    return plan
+
+
+def _probability(logit: np.ndarray) -> np.ndarray:
+    """Each logit's probability, clipped to [PROB_CLIP, 1 - PROB_CLIP], as float32.
+
+    math.exp runs per row, since np.exp need not round like it; the
+    add, divide and clip run in float64 numpy, which rounds as Python
+    floats do. Past -700 the probability clips to PROB_CLIP anyway, and
+    math.exp(709.8) overflows. A NaN logit gives a NaN probability.
+    """
+    e = np.array(list(map(math.exp, np.minimum(-logit.astype(np.float64), 700.0).tolist())))
+    return np.minimum(np.maximum(1.0 / (1.0 + e), PROB_CLIP), 1.0 - PROB_CLIP).astype(_F32)
 
 
 def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -499,8 +585,7 @@ def assemble(
             activations.append(x)
         logit = logit + x.T[0]
 
-    # math.exp per row: np.exp need not round like it.
-    probability = np.array([_clip_probability(v) for v in logit.tolist()], dtype=_F32)
+    probability = _probability(logit)
     return ForwardTrace(
         params=params,
         fo=fo,
@@ -517,13 +602,16 @@ def assemble(
 
 def forward(
     params: ModelParams,
-    batch: FeatureBatch,
+    batch: FeatureBatch | StepEntries,
     slot_scale: Mapping[str, float | np.ndarray] | None = None,
 ) -> ForwardTrace:
-    """Forward pass over the batch's N samples; one sample is a one-row batch."""
-    entries = lookup_entries(params, batch)
-    trace = assemble(params, _pool(params, entries, len(batch)), slot_scale)
-    trace.entries = entries
+    """Forward pass over N samples: a step of `plan_steps`, or a batch, planned as one step.
+
+    One sample is a one-row batch.
+    """
+    step = batch if isinstance(batch, StepEntries) else plan_steps(params, batch, max(len(batch), 1))[0]
+    trace = assemble(params, _pool(params, step.entries, step.n), slot_scale)
+    trace.step = step
     return trace
 
 
@@ -574,32 +662,23 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
             gate = gate + np.array(dots, dtype=_F32).reshape(gate.shape)
         slot_scale = dict(zip(params.slot_names, gate))
 
-    e = trace.entries
-    # A numeric_raw value of zero reads its row but has no gradient there.
-    touched = e.value != 0.0
-    row, bins, value = e.row[touched], e.bin[touched], e.value[touched]
-    owner = bins % n
-    # Entries fold per (row, sample) pair in id-list order: a sample's own
-    # gradient of the row, where the regularizer joins once. Pairs sort
-    # row-major, so each row then folds its samples in batch order.
-    pairs, pair_of_entry = np.unique(row * n + owner, return_inverse=True)
-    pair_rows = pairs // n
-    first = np.ones(len(pairs), dtype=bool)
-    first[1:] = pair_rows[1:] != pair_rows[:-1]
-    ids, row_of_pair = pair_rows[first], np.cumsum(first) - 1
-    ds = d[owner] if scale is None else d[owner] * scale.reshape(-1)[bins]
-    fo_pair = _fold(pair_of_entry, ds * value, len(pairs))
-    fo = SparseRows(ids, _fold(row_of_pair, fo_pair, len(ids))[:, None] * mean)
-    emb = SparseRows(ids[:0], np.zeros((0, params.embedding_dim), dtype=_F32))
+    # Only entries with a nonzero value: a numeric_raw zero reads its row
+    # but has no gradient there. Entries fold per (row, sample) pair in
+    # id-list order: a sample's own gradient of the row, where the
+    # regularizer joins once. Each row then folds its samples in batch order.
+    s = trace.step
+    ds = d[s.sample] if scale is None else d[s.sample] * scale.reshape(-1)[s.bin]
+    fo_pair = _fold(s.pair, ds * s.value, len(s.pair_row))
+    fo = SparseRows(s.ids, _fold(s.pair_id, fo_pair, len(s.ids))[:, None] * mean)
+    emb = SparseRows(s.ids[:0], np.zeros((0, params.embedding_dim), dtype=_F32))
     if grad_pooled is not None:
         # In a mean slot the weight is the float32 reciprocal of the count:
         # multiplying by it rounds differently from dividing by the count.
-        weight = value / e.divisor[bins]
-        grad_entries = np.take(grad_pooled.reshape(-1, params.embedding_dim), bins, axis=0) * weight[:, None]
-        emb_pair = _fold(pair_of_entry, grad_entries, len(pairs))
+        grad_entries = np.take(grad_pooled.reshape(-1, params.embedding_dim), s.bin, axis=0) * s.weight[:, None]
+        emb_pair = _fold(s.pair, grad_entries, len(s.pair_row))
         if reg > 0.0:
-            emb_pair += _F32(2.0 * reg) * params.emb[pair_rows]
-        emb = SparseRows(ids, _fold(row_of_pair, emb_pair, len(ids)) * mean)
+            emb_pair += _F32(2.0 * reg) * params.emb[s.pair_row]
+        emb = SparseRows(s.ids, _fold(s.pair_id, emb_pair, len(s.ids)) * mean)
     return SparseGradient(params.layout, emb, fo, np.concatenate(dense[::-1]), slot_scale)
 
 

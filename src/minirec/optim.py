@@ -5,10 +5,15 @@ slot i's from global row `base[i]`; see `model.ArenaLayout`) keep
 per-row moment vectors and per-row step counts: a row's moments and
 bias-correction exponent advance only when a batch touches it. Untouched
 rows stay bit-identical across steps, which is what makes "parameters
-changed this period" a well-defined small set for delta streaming. A
-step updates each arena's touched global rows in one vectorized pass;
-every operation is elementwise, so each row gets the bits a one-row
-update of its own table would give it.
+changed this period" a well-defined small set for delta streaming.
+
+A sample that reads a row reads both its embedding and its first-order
+weight, so `backward` gives the two arenas the same rows. They share one
+row state: a global row's emb and fo moments side by side, D + 1 values
+(1 for logreg, which never reads the embeddings), and one step count. A
+step updates the touched rows in one vectorized pass with one
+bias-correction gather; every operation is elementwise, so each value
+gets the bits a one-row update of its own table would give it.
 
 The dense vector (MLP weights, global bias) is updated as a one-row table
 that every step touches, so its step count is shared by all its values.
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .model import ModelParams, SparseGradient
 
 _F32 = np.float32
@@ -27,7 +33,7 @@ _F32 = np.float32
 
 @dataclass
 class _RowState:
-    """Moments and step counts of every row of one arena; untouched rows stay zero.
+    """Moments and step counts, one row per parameter row; untouched rows stay zero.
 
     The arrays come from np.zeros, whose pages the OS maps on first write,
     so memory grows with the rows touched, not with the vocabulary.
@@ -36,6 +42,11 @@ class _RowState:
     m: np.ndarray
     v: np.ndarray
     step: np.ndarray
+
+    @classmethod
+    def zeros(cls, rows: int, width: int) -> _RowState:
+        return cls(np.zeros((rows, width), dtype=_F32), np.zeros((rows, width), dtype=_F32),
+                   np.zeros(rows, dtype=np.int64))
 
 
 @dataclass
@@ -46,7 +57,9 @@ class AdamOptimizer:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        self._state: dict[str, _RowState] = {}
+        # The emb and fo arenas' shared row state, and the dense vector's, made at first use.
+        self._sparse: _RowState | None = None
+        self._dense: _RowState | None = None
         # Row t: float32(1 - beta1**t), float32(1 - beta2**t), the powers in Python floats.
         self._corrections = np.zeros((1, 2), dtype=_F32)
 
@@ -58,36 +71,46 @@ class AdamOptimizer:
             self._corrections = np.concatenate([self._corrections, np.array(more, dtype=_F32)])
         return self._corrections[steps]
 
-    def _row_update(self, arena: str, table: np.ndarray, ids: np.ndarray | slice, grad: np.ndarray) -> None:
-        """One Adam step on the rows `ids` of `table`, each with its own step count."""
-        state = self._state.get(arena)
-        if state is None:
-            state = _RowState(
-                m=np.zeros(table.shape, dtype=_F32),
-                v=np.zeros(table.shape, dtype=_F32),
-                step=np.zeros(table.shape[0], dtype=np.int64),
-            )
-            self._state[arena] = state
+    def _row_update(self, state: _RowState, ids: np.ndarray | slice, cols: slice, grad: np.ndarray) -> np.ndarray:
+        """One Adam step on the columns `cols` of the rows `ids` of `state`; the amounts to subtract."""
         b1, b2 = _F32(self.beta1), _F32(self.beta2)
         t = state.step[ids] + 1
-        m = b1 * state.m[ids] + (_F32(1.0) - b1) * grad
-        v = b2 * state.v[ids] + (_F32(1.0) - b2) * (grad * grad)
-        state.m[ids] = m
-        state.v[ids] = v
+        m = b1 * state.m[ids, cols] + (_F32(1.0) - b1) * grad
+        v = b2 * state.v[ids, cols] + (_F32(1.0) - b2) * (grad * grad)
+        state.m[ids, cols] = m
+        state.v[ids, cols] = v
         state.step[ids] = t
         correction = self._bias_corrections(t)
         m_hat = m / correction[:, 0:1]
         v_hat = v / correction[:, 1:2]
-        table[ids] -= _F32(self.learning_rate) * m_hat / (np.sqrt(v_hat) + _F32(self.epsilon))
+        return _F32(self.learning_rate) * m_hat / (np.sqrt(v_hat) + _F32(self.epsilon))
 
     def apply(self, params: ModelParams, grad: SparseGradient) -> None:
-        """Update params in place, one row update per arena. Rows absent from grad are not read."""
-        if len(grad.emb):
-            self._row_update("emb", params.emb, grad.emb.ids, grad.emb.values)
-        if len(grad.fo):
-            self._row_update("fo", params.fo, grad.fo.ids, grad.fo.values)
-        # A view of the dense vector as one row, which the update writes through.
-        self._row_update("dense", params.dense[None], slice(None), grad.dense[None])
+        """Update params in place: the touched emb and fo rows in one update, then the dense vector.
+
+        grad's emb rows must be its fo rows for deepfm, and none for logreg:
+        a row's emb and fo values share one step count. Rows absent from
+        grad are not read.
+        """
+        emb, fo = grad.emb, grad.fo
+        rows = fo.ids if params.model_type == "deepfm" else fo.ids[:0]
+        if not (emb.ids is rows or np.array_equal(emb.ids, rows)):
+            raise DimensionMismatch("the emb gradient does not cover the fo gradient's rows")
+        if len(fo):
+            if self._sparse is None:
+                width = params.embedding_dim + 1 if params.model_type == "deepfm" else 1
+                self._sparse = _RowState.zeros(len(params.fo), width)
+            if len(emb):
+                step = self._row_update(self._sparse, fo.ids, slice(None),
+                                        np.concatenate([emb.values, fo.values], axis=1))
+                params.emb[fo.ids] -= step[:, :-1]
+            else:
+                step = self._row_update(self._sparse, fo.ids, slice(-1, None), fo.values)
+            params.fo[fo.ids] -= step[:, -1:]
+        if self._dense is None:
+            self._dense = _RowState.zeros(1, len(params.dense))
+        # The dense vector as one row, which the update writes through.
+        params.dense[None] -= self._row_update(self._dense, slice(None), slice(None), grad.dense[None])
 
 
 @dataclass

@@ -8,9 +8,11 @@ reserved for gate noise in feature selection.
 
 Features are generated once per file: `load_dataset` reads the CSV into
 columns and makes one `generate` call, whose FeatureBatch holds every
-row. Each epoch gathers that batch once in its shuffled order, and each
-step takes a contiguous row slice of the gathered batch, so no Python
-loop runs per row or per step.
+row. Each epoch is planned once: the batch is gathered in its shuffled
+order and `model.plan_steps` looks up its table rows in one call and
+splits them into one stretch per step, with the (row, sample) pairs that
+`backward` folds by. A step then does only the work that reads the
+parameters: gather, fold and update. No Python loop runs per row.
 """
 
 from __future__ import annotations
@@ -31,12 +33,14 @@ from .features import Columns, FeatureBatch, generate, is_utf8
 from .model import (
     ModelParams,
     SparseGradient,
+    StepEntries,
     assemble,
     backward,
     compute_parts,
     evaluate_metrics,
     forward,
     init_params,
+    plan_steps,
 )
 from .optim import AdamOptimizer
 
@@ -157,7 +161,7 @@ def evaluate_params(
 def train_step(
     params: ModelParams,
     optimizer: AdamOptimizer,
-    batch: FeatureBatch,
+    batch: FeatureBatch | StepEntries,
     labels: np.ndarray,
     rows: np.ndarray,
     reg: float,
@@ -165,12 +169,13 @@ def train_step(
 ) -> SparseGradient:
     """One optimizer step on the batch's mean gradient, which it returns.
 
-    The whole batch goes through one forward and one backward call.
-    `rows` holds the batch's 1-based data row numbers; if any logit is
-    not finite, NonFinite names them and nothing is updated. slot_scale,
-    when given, holds each slot's per-sample scales (the feature-selection
-    gates). forward and backward are looked up in this module, so wrappers
-    installed on trainer.forward/backward see every training batch.
+    The batch, a step of `plan_steps` or a FeatureBatch, goes through one
+    forward and one backward call. `rows` holds the batch's 1-based data
+    row numbers; if any logit is not finite, NonFinite names them and
+    nothing is updated. slot_scale, when given, holds each slot's
+    per-sample scales (the feature-selection gates). forward and backward
+    are looked up in this module, so wrappers installed on
+    trainer.forward/backward see every training batch.
     """
     trace = forward(params, batch, slot_scale)
     finite = np.isfinite(trace.logit)
@@ -237,11 +242,11 @@ def fit(
     for epoch in range(1, t.num_epochs + 1):
         batch, labels = data
         order = shuffle_rng.permutation(len(labels))
-        shuffled, shuffled_labels, rows = batch.take(order), labels[order], order + 1
-        for start in range(0, len(order), t.batch_size):
-            stop = min(start + t.batch_size, len(order))
-            scale = None if gates is None else gates.scales(stop - start)
-            step = shuffled.slice(start, stop)
+        steps = plan_steps(params, batch.take(order), t.batch_size)
+        shuffled_labels, rows = labels[order], order + 1
+        for start, step in zip(range(0, len(order), t.batch_size), steps):
+            stop = start + step.n
+            scale = None if gates is None else gates.scales(step.n)
             acc.add(train_step(params, optimizer, step, shuffled_labels[start:stop], rows[start:stop], reg, scale))
             report.steps += 1
             if scale is not None:

@@ -697,6 +697,13 @@ def _oracle_parts(params, fv):
     return parts
 
 
+def clip_probability(logit: float) -> float:
+    """One logit's probability in Python floats, clipped to [1e-7, 1 - 1e-7]: the per-row form of assemble's pass."""
+    # Past -700 the probability clips to 1e-7 anyway; math.exp(709.8) overflows.
+    p = 1.0 / (1.0 + math.exp(min(-logit, 700.0)))
+    return min(max(p, 1e-7), 1.0 - 1e-7)
+
+
 def oracle_forward(params, fv, scale=None):
     """One sample's float32 forward; returns the intermediates backward needs."""
     parts = _oracle_parts(params, fv)

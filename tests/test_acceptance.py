@@ -769,7 +769,7 @@ def test_criterion_12_training_quality(tmp_path):
         assert report.final_metrics["auc"] >= 0.95
 
         fvs, labels = load_dataset(cfg, cfg.data_config.eval_path)
-        scores = [float(forward(artifact.params, fvs.slice(i, i + 1)).probability[0])
+        scores = [float(forward(artifact.params, fvs.take([i])).probability[0])
                   for i in range(len(fvs))]
         assert report.final_metrics["auc"] == pairwise_auc(scores, labels.tolist())
         assert report.final_metrics["logloss"] == mean_logloss(scores, labels.tolist())

@@ -122,7 +122,7 @@ class TestExportAndPredict:
 
         art = load_artifact(str(model_dir / "model.erm"))
         batch = generate(trainer.read_columns(str(eval_csv)), art.config.feature_config)
-        want = [float(forward(art.params, batch.slice(i, i + 1)).probability[0])
+        want = [float(forward(art.params, batch.take([i])).probability[0])
                 for i in range(len(batch))]
         got = [float(line) for line in scores_path.read_text().splitlines()]
         assert got == want

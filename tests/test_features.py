@@ -436,7 +436,7 @@ class TestColumnarMatchesOracle:
 
 
 class TestBatchRows:
-    """slice, take and stack_rows move whole rows: each row keeps its own features."""
+    """take and stack_rows move whole rows: each row keeps its own features."""
 
     def _batch(self, seed, n=60):
         rng = np.random.default_rng(seed)
@@ -450,19 +450,19 @@ class TestBatchRows:
     def test_slice_take_stack(self):
         batch = self._batch(5)
         rows = self._rows(batch)
-        assert self._rows(batch.slice(7, 31)) == rows[7:31]
-        assert self._rows(batch.slice(4, 4)) == []
+        assert self._rows(batch.take(np.arange(7, 31))) == rows[7:31]
+        assert self._rows(batch.take(np.arange(4, 4))) == []
         order = np.random.default_rng(6).permutation(len(batch))
         assert self._rows(batch.take(order)) == [rows[i] for i in order]
         assert self._rows(batch.take(np.array([3, 3, 0]))) == [rows[3], rows[3], rows[0]]
-        stacked = stack_rows([batch.slice(i, i + 1) for i in range(len(batch))])
+        stacked = stack_rows([batch.take([i]) for i in range(len(batch))])
         assert self._rows(stacked) == rows
         assert stacked.errors.keys() == batch.errors.keys()
         for name, slot in stacked.ids.items():
             assert np.array_equal(slot.ids, batch.ids[name].ids)
             assert np.array_equal(slot.offsets, batch.ids[name].offsets)
         with pytest.raises(ValueError):
-            stack_rows([batch.slice(0, 2)])
+            stack_rows([batch.take([0, 1])])
 
     def test_errors_follow_their_rows(self):
         batch = self._batch(8)
@@ -470,7 +470,7 @@ class TestBatchRows:
         order = np.random.default_rng(9).permutation(len(batch))
         taken = batch.take(order)
         assert {int(order[k]) for k in taken.errors} == set(batch.errors)
-        assert {k + 10 for k in batch.slice(10, 40).errors} == {r for r in batch.errors if 10 <= r < 40}
+        assert {k + 10 for k in batch.take(np.arange(10, 40)).errors} == {r for r in batch.errors if 10 <= r < 40}
 
 
 class TestHashIds:

@@ -15,7 +15,7 @@ from minirec.errors import (
 from minirec.features import FeatureBatch, FeatureSpec, SlotIds, columns_of, generate
 from minirec.model import (
     PROB_CLIP,
-    _clip_probability,
+    _probability,
     _sum_samples,
     auc,
     backward,
@@ -32,6 +32,7 @@ from minirec.model import (
 from minirec.serving import partition_slots
 
 from helpers import (
+    clip_probability,
     dense_grads,
     make_config,
     mean_logloss,
@@ -428,20 +429,47 @@ class TestMetrics:
 
 
 class TestClipProbability:
+    """assemble's probability pass, one array at a time, against `clip_probability` row by row."""
+
+    @staticmethod
+    def _logits():
+        rng = np.random.default_rng(14)
+        return [*np.linspace(-709.0, 709.0, 20_001), *rng.uniform(-709.0, 709.0, 20_000),
+                *rng.uniform(-40.0, 40.0, 20_000), -709.0, -700.0, 0.0, 709.0]
+
+    @staticmethod
+    def _per_row(logits):
+        return np.array([clip_probability(v) for v in logits.tolist()], dtype=np.float32)
+
     def test_very_negative_logit_clips(self):
-        assert _clip_probability(-1e6) == PROB_CLIP
-        assert _clip_probability(-math.inf) == PROB_CLIP
+        assert clip_probability(-1e6) == PROB_CLIP
+        assert clip_probability(-math.inf) == PROB_CLIP
+        assert _probability(np.array([-1e6, -math.inf], dtype=np.float32)).tolist() == [np.float32(PROB_CLIP)] * 2
 
     def test_same_bits_where_exp_does_not_overflow(self):
         def unclamped(logit):
             p = 1.0 / (1.0 + math.exp(-logit))
             return min(max(p, PROB_CLIP), 1.0 - PROB_CLIP)
 
-        rng = np.random.default_rng(14)
-        logits = [*np.linspace(-709.0, 709.0, 20_001), *rng.uniform(-709.0, 709.0, 20_000),
-                  *rng.uniform(-40.0, 40.0, 20_000), -709.0, -700.0, 0.0, 709.0]
-        for logit in map(float, logits):
-            assert _clip_probability(logit) == unclamped(logit), logit
+        for logit in map(float, self._logits()):
+            assert clip_probability(logit) == unclamped(logit), logit
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_array_form_equals_per_row_form(self, dtype):
+        """Every logit's bits equal the per-row form's: the training logits are float32, the oracle's float64."""
+        top = float(np.finfo(np.float32).max)
+        special = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 700.0, -700.0, 710.0, -710.0, top, -top]
+        logits = np.array([*self._logits(), *special], dtype=dtype)
+        got, want = _probability(logits), self._per_row(logits)
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        tail = got[-len(special):]
+        assert np.isnan(tail[:2]).all()
+        assert tail[2:].tolist() == [np.float32(1.0 - PROB_CLIP), np.float32(PROB_CLIP), 0.5, 0.5,
+                                     *[np.float32(1.0 - PROB_CLIP), np.float32(PROB_CLIP)] * 3]
+
+    def test_empty(self):
+        assert _probability(np.zeros(0, dtype=np.float32)).shape == (0,)
 
 
 def test_copy_params_is_deep(tmp_path):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from minirec.model import SparseGradient, SparseRows, init_params
+from minirec.errors import DimensionMismatch
+from minirec.model import SparseGradient, SparseRows, copy_params, init_params, params_equal
 from minirec.optim import AdamOptimizer, ScalarAdam
 
 from helpers import make_config
 
 
-def _config(tmp_path):
+def _config(tmp_path, model_type="deepfm"):
     features = [
         {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 20},
         {"name": "item_id", "kind": "id", "source_columns": ["item_id"], "vocab_size": 20},
@@ -17,7 +18,7 @@ def _config(tmp_path):
     return make_config(
         tmp_path,
         feature_config=features,
-        model_config={"model_type": "deepfm", "embedding_dim": 4, "mlp_hidden_dims": [6]},
+        model_config={"model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [6]},
     )
 
 
@@ -68,7 +69,7 @@ class TestLazySparseAdam:
         start = float(params.tensors["emb:user_id"][5, 0])
         opt = AdamOptimizer(learning_rate=0.01)
         for _ in range(3):
-            opt.apply(params, _grad(params, {"user_id": [5]}, {}, fill=0.1))
+            opt.apply(params, _grad(params, {"user_id": [5]}, {"user_id": [5]}, fill=0.1))
         want = _adam_reference(start, [0.1, 0.1, 0.1])
         assert float(params.tensors["emb:user_id"][5, 0]) == pytest.approx(want, rel=1e-5)
 
@@ -79,9 +80,9 @@ class TestLazySparseAdam:
         early = float(params.tensors["emb:user_id"][1, 0])
         late = float(params.tensors["emb:user_id"][2, 0])
         opt = AdamOptimizer(learning_rate=0.01)
-        opt.apply(params, _grad(params, {"user_id": [1]}, {}, fill=0.2))
-        opt.apply(params, _grad(params, {"user_id": [1]}, {}, fill=0.2))
-        opt.apply(params, _grad(params, {"user_id": [1, 2]}, {}, fill=0.2))
+        opt.apply(params, _grad(params, {"user_id": [1]}, {"user_id": [1]}, fill=0.2))
+        opt.apply(params, _grad(params, {"user_id": [1]}, {"user_id": [1]}, fill=0.2))
+        opt.apply(params, _grad(params, {"user_id": [1, 2]}, {"user_id": [1, 2]}, fill=0.2))
         # float32 arithmetic leaves ~1e-7 noise; a wrong step count would be
         # off by ~3.6e-3 (the t=3 bias correction shrinks the step by a third)
         assert float(params.tensors["emb:user_id"][1, 0]) == pytest.approx(
@@ -94,7 +95,7 @@ class TestLazySparseAdam:
         params = init_params(cfg, np.random.default_rng([4, 0]))
         start = float(params.tensors["fo:item_id"][7, 0])
         opt = AdamOptimizer(learning_rate=0.05)
-        opt.apply(params, _grad(params, {}, {"item_id": [7]}, fill=0.3))
+        opt.apply(params, _grad(params, {"item_id": [7]}, {"item_id": [7]}, fill=0.3))
         want = _adam_reference(start, [0.3], lr=0.05)
         assert float(params.tensors["fo:item_id"][7, 0]) == pytest.approx(want, rel=1e-5)
 
@@ -116,6 +117,32 @@ class TestLazySparseAdam:
         opt = AdamOptimizer(learning_rate=0.01)
         opt.apply(params, _grad(params, {}, {}, fill=-0.4))
         assert float(params.tensors["bias"][0]) == pytest.approx(_adam_reference(start, [-0.4]), rel=1e-5)
+
+    @pytest.mark.parametrize("emb_rows, fo_rows", [([3], []), ([3], [4]), ([3, 4], [3]), ([], [3])])
+    def test_emb_rows_must_be_fo_rows(self, tmp_path, emb_rows, fo_rows):
+        """The arenas share one row state, so a gradient whose emb rows are not its fo rows is refused, unapplied."""
+        cfg = _config(tmp_path)
+        params = init_params(cfg, np.random.default_rng([8, 0]))
+        before = copy_params(params)
+        opt = AdamOptimizer(learning_rate=0.01)
+        with pytest.raises(DimensionMismatch):
+            opt.apply(params, _grad(params, {"user_id": emb_rows}, {"user_id": fo_rows}))
+        assert params_equal(params, before)
+
+    def test_logreg_takes_no_emb_rows(self, tmp_path):
+        """logreg never reads the embeddings, so its row state holds fo moments only and an emb row is refused."""
+        cfg = _config(tmp_path, "logreg")
+        params = init_params(cfg, np.random.default_rng([9, 0]))
+        start = float(params.tensors["fo:item_id"][7, 0])
+        opt = AdamOptimizer(learning_rate=0.05)
+        opt.apply(params, _grad(params, {}, {"item_id": [7]}, fill=0.3))
+        want = _adam_reference(start, [0.3], lr=0.05)
+        assert float(params.tensors["fo:item_id"][7, 0]) == pytest.approx(want, rel=1e-5)
+        assert opt._sparse.m.shape == (params.layout.rows, 1)
+        before = copy_params(params)
+        with pytest.raises(DimensionMismatch):
+            opt.apply(params, _grad(params, {"item_id": [7]}, {"item_id": [7]}))
+        assert params_equal(params, before)
 
     def test_deterministic_replay(self, tmp_path):
         cfg = _config(tmp_path)

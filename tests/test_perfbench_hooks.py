@@ -146,16 +146,26 @@ def test_rows_per_step_observer_counts_distinct_rows(tmp_path, monkeypatch):
     write_csv(tmp_path / "eval.csv", ["label", "user_id", "item_tags", "item_price"], rows[:10])
     cfg = make_config(tmp_path, feature_config=features, train_config={"num_epochs": 2, "batch_size": 8})
 
+    # Each step's rows, counted from its rows of the training batch in the epoch's shuffled order:
+    # each hashed slot's distinct ids, plus row 0 of a numeric_raw slot with a nonzero value,
+    # counted once in the embedding tables and once in the first-order tables.
+    batch, _ = trainer.load_dataset(cfg, cfg.data_config.train_path)
+    shuffle = np.random.default_rng([cfg.train_config.seed, 1])
     expected = []
+    for _ in range(2):
+        order = shuffle.permutation(len(batch))
+        for start in range(0, len(order), 8):
+            step = batch.take(order[start:start + 8])
+            touched = sum(len(set(step.ids[name].ids.tolist())) for name in step.ids)
+            touched += sum(bool(np.any(values != 0.0)) for values in step.dense.values())
+            expected.append(2 * touched)
+
+    samples = []
     forward = trainer.forward
 
-    def counting_forward(params, batch, slot_scale=None):
-        # Each hashed slot's distinct ids, plus row 0 of a numeric_raw slot with a nonzero value,
-        # counted once in the embedding tables and once in the first-order tables.
-        touched = sum(len(set(batch.ids[name].ids.tolist())) for name in batch.ids)
-        touched += sum(bool(np.any(values != 0.0)) for values in batch.dense.values())
-        expected.append(2 * touched)
-        return forward(params, batch, slot_scale)
+    def counting_forward(params, step, slot_scale=None):
+        samples.append(step.n)
+        return forward(params, step, slot_scale)
 
     monkeypatch.setattr(trainer, "forward", counting_forward)
     tracer = common.Tracer()
@@ -165,5 +175,6 @@ def test_rows_per_step_observer_counts_distinct_rows(tmp_path, monkeypatch):
     finally:
         tracer.restore()
     assert report.steps == 10
+    assert samples == [8] * 10
     assert tracer.values["optim.rows"] == expected
     assert trainer.forward is counting_forward

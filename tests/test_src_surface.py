@@ -9,6 +9,9 @@ methods are left out: the language calls them, not the code.
 """
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +68,26 @@ def unreached(root: Path) -> dict[str, str]:
 
 def test_every_definition_is_reached_by_the_product():
     assert unreached(ROOT) == {}
+
+
+def test_every_annotation_resolves():
+    """Annotations are postponed, so a name that is never imported shows only when something resolves it."""
+    unresolved = []
+    for path in sorted((ROOT / "src" / "minirec").glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"minirec.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [v for v in vars(obj).values() if inspect.isfunction(v)] if inspect.isclass(obj) else []
+            for target in (obj, *members):
+                if inspect.isclass(target) or inspect.isfunction(target):
+                    try:
+                        typing.get_type_hints(target)
+                    except NameError as exc:
+                        unresolved.append((module.__name__, target.__qualname__, str(exc)))
+    assert unresolved == []
 
 
 def test_exemptions_are_still_defined():

@@ -23,6 +23,7 @@ from helpers import (
     OracleAdam,
     ReferenceFeatures,
     dense_grads,
+    generate_reference,
     make_config,
     oracle_train_step,
     records_of,
@@ -289,7 +290,7 @@ class TestDeltaEmission:
                     np.asarray(record.values, np.float32), arr[record.row_id])
 
 
-def _step_config(tmp_path, model_type):
+def _step_config(tmp_path, model_type, reg=0.0, **tweaks):
     features = [
         {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 40},
         {"name": "tags", "kind": "multi_id", "source_columns": ["tags"], "vocab_size": 7},
@@ -300,7 +301,8 @@ def _step_config(tmp_path, model_type):
          "boundaries": [18.0, 30.0, 50.0]},
     ]
     return make_config(tmp_path, feature_config=features, model_config={
-        "model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [6, 3]})
+        "model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [6, 3],
+        "embedding_regularization": reg}, **tweaks)
 
 
 def _random_fv(rng):
@@ -336,29 +338,41 @@ def _step(params, opt, batch, reg, slot_scale=None):
 
 
 def _assert_state_equal(opt, oracle, params):
-    """The optimizer keeps one row state per arena, read here per tensor slice; the dense vector is one row."""
+    """The optimizer's row states, read here per tensor slice, equal the per-row oracle's.
+
+    The emb and fo arenas share one row state, a row's emb moments and
+    then its fo moment with one step count; logreg keeps only the fo
+    column. The dense vector is one row of its own state.
+    """
     spans = params.layout.spans
-    for name, (arena, start, stop) in spans.items():
-        if arena == "dense" or arena not in opt._state:
-            continue
-        rows = oracle.sparse.get(name, {})
-        state = opt._state[arena]
-        m_all, v_all, step_all = state.m[start:stop], state.v[start:stop], state.step[start:stop]
-        touched = np.zeros(len(step_all), dtype=bool)
-        touched[list(rows)] = True
-        for row, (m, v, t) in rows.items():
-            assert np.array_equal(m_all[row], m) and np.array_equal(v_all[row], v), (name, row)
-            assert step_all[row] == t, (name, row)
-        assert not m_all[~touched].any() and not v_all[~touched].any()
-        assert not step_all[~touched].any()
+    sparse, dense = opt._sparse, opt._dense
+    arenas = {spans[name][0] for name in oracle.sparse}
+    assert (sparse is None) == (not arenas)
+    if sparse is not None:
+        width = params.embedding_dim + 1 if "emb" in arenas else 1
+        assert sparse.m.shape == sparse.v.shape == (params.layout.rows, width)
+        assert sparse.step.shape == (params.layout.rows,)
+        columns = {"emb": slice(0, -1), "fo": slice(-1, None)}
+        for name, (arena, start, stop) in spans.items():
+            if arena == "dense" or arena not in arenas:
+                continue
+            rows = oracle.sparse.get(name, {})
+            m_all, v_all = sparse.m[start:stop, columns[arena]], sparse.v[start:stop, columns[arena]]
+            step_all = sparse.step[start:stop]
+            touched = np.zeros(len(step_all), dtype=bool)
+            touched[list(rows)] = True
+            for row, (m, v, t) in rows.items():
+                assert np.array_equal(m_all[row], m) and np.array_equal(v_all[row], v), (name, row)
+                assert step_all[row] == t, (name, row)
+            assert not m_all[~touched].any() and not v_all[~touched].any()
+            assert not step_all[~touched].any()
+    assert (dense is None) == (not oracle.dense)
     for name, (m, v, t) in oracle.dense.items():
-        state = opt._state["dense"]
         _, start, stop = spans[name]
-        assert state.m.shape == state.v.shape == (1, params.dense.size), name
-        assert np.array_equal(state.m[0, start:stop], m.reshape(-1)), name
-        assert np.array_equal(state.v[0, start:stop], v.reshape(-1)), name
-        assert state.step.tolist() == [t], name
-    assert set(opt._state) == {spans[name][0] for name in (*oracle.sparse, *oracle.dense)}
+        assert dense.m.shape == dense.v.shape == (1, params.dense.size), name
+        assert np.array_equal(dense.m[0, start:stop], m.reshape(-1)), name
+        assert np.array_equal(dense.v[0, start:stop], v.reshape(-1)), name
+        assert dense.step.tolist() == [t], name
 
 
 class TestBatchedStepMatchesPerSample:
@@ -415,6 +429,74 @@ class TestBatchedStepMatchesPerSample:
         with pytest.raises(IndexOutOfRange):
             _step(params, AdamOptimizer(0.05), batch, 0.0)
         assert params_equal(params, before)
+
+
+class _Gates:
+    """fit's gate hook with seeded per-sample slot scales, each step's kept; its gate step does nothing."""
+
+    def __init__(self, names, seed):
+        self.names, self.rng, self.drawn = names, np.random.default_rng(seed), []
+
+    def scales(self, count):
+        z = self.rng.uniform(0.05, 1.0, (count, len(self.names)))
+        self.drawn.append([dict(zip(self.names, row)) for row in z.tolist()])
+        return dict(zip(self.names, z.T))
+
+    def step(self, params, shuffle_rng):
+        pass
+
+
+class TestFitMatchesPerSampleSteps:
+    """A whole `fit` run, each epoch planned once, gives the per-sample steps' bits over the same shuffled order."""
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+    @pytest.mark.parametrize("reg", [0.0, 0.01])
+    @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
+    def test_bitwise_over_epochs(self, tmp_path, monkeypatch, model_type, reg, gated):
+        rng = np.random.default_rng([17, reg > 0, gated, model_type == "logreg"])
+        rows = []
+        for _ in range(45):
+            tags = [f"t{int(t)}" for t in rng.integers(0, 9, int(rng.integers(0, 4)))]
+            # Mean-pooled cats repeat their first category, so a bin holds one row twice.
+            cats = [f"c{int(c)}" for c in rng.integers(0, 6, int(rng.integers(0, 3)))]
+            price = 0.0 if rng.random() < 0.4 else round(float(rng.normal(0.0, 2.0)), 3)
+            rows.append([int(rng.integers(2)), f"u{int(rng.integers(30))}", "|".join(tags),
+                         "|".join(cats + cats[:1]), price, int(rng.integers(10, 70))])
+        header = ["label", "user_id", "tags", "cats", "price", "age"]
+        write_csv(tmp_path / "train.csv", header, rows)
+        cfg = _step_config(tmp_path, model_type, reg, train_config={
+            "num_epochs": 3, "batch_size": 8, "learning_rate": 0.05, "seed": 5})
+        t = cfg.train_config
+        optimizers = []
+
+        class RecordingAdam(AdamOptimizer):
+            def __post_init__(self):
+                super().__post_init__()
+                optimizers.append(self)
+
+        monkeypatch.setattr(trainer, "AdamOptimizer", RecordingAdam)
+        gates = _Gates([spec.name for spec in cfg.feature_config], 23) if gated else None
+        art, report = fit(cfg, load_dataset(cfg, str(tmp_path / "train.csv")), gates=gates)
+        assert report.steps == 3 * 6
+
+        samples = [(generate_reference(dict(zip(header, map(str, row))), cfg.feature_config), row[0])
+                   for row in rows]
+        assert any(fv.dense["price"] == 0.0 for fv, _ in samples)
+        assert any(len(set(fv.ids["cats"])) < len(fv.ids["cats"]) for fv, _ in samples)
+        params = init_params(cfg, np.random.default_rng([t.seed, 0]))
+        oracle = OracleAdam(t.learning_rate, t.adam_beta1, t.adam_beta2, t.adam_epsilon)
+        shuffle = np.random.default_rng([t.seed, 1])
+        step = 0
+        for _ in range(t.num_epochs):
+            order = shuffle.permutation(len(samples)).tolist()
+            for start in range(0, len(order), t.batch_size):
+                batch = [samples[i] for i in order[start:start + t.batch_size]]
+                oracle_train_step(params, oracle, batch, reg, gates.drawn[step] if gated else None)
+                step += 1
+        assert len(batch) == 5
+        assert params_equal(art.params, params)
+        (opt,) = optimizers
+        _assert_state_equal(opt, oracle, art.params)
 
 
 class TestNonFiniteLogits:
