@@ -84,12 +84,11 @@ class _GateStep:
         self.noise = np.random.default_rng([cfg.train_config.seed, 2])
         self.optimizer = ScalarAdam(learning_rate)
 
-    def scales(self, count: int) -> dict[str, np.ndarray]:
-        """Gates of `count` samples per slot, from one noise draw read sample by sample in slot order."""
+    def scales(self, count: int) -> np.ndarray:
+        """The (S, count) gates of each slot in each sample, from one noise draw read sample by sample in slot order."""
         u = np.clip(self.noise.random((count, len(self.names))), _U_CLIP, 1.0 - _U_CLIP)
         alphas, tau = self.log_alpha.tolist(), self.tau
-        z = np.array([[gate_value(a, x, tau) for a, x in zip(alphas, row)] for row in u.tolist()])
-        return dict(zip(self.names, z.T))
+        return np.array([[gate_value(a, x, tau) for a, x in zip(alphas, row)] for row in u.tolist()]).T
 
     def step(self, params: ModelParams, shuffle_rng: np.random.Generator) -> None:
         """One ScalarAdam step on a validation batch's logloss plus lambda_g * sum_i p_i."""
@@ -100,10 +99,9 @@ class _GateStep:
         if len(picked) < self.count:
             self.order, self.pos = shuffle_rng.permutation(len(self.valid_labels)), self.count - len(picked)
             picked = np.concatenate([picked, self.order[: self.pos]])
-        scales = self.scales(len(picked))
-        trace = forward(params, self.valid.take(picked), slot_scale=scales)
-        g = np.stack(list(backward(trace, self.valid_labels[picked], 0.0).slot_scale.values()))
-        z = np.stack(list(scales.values()))
+        z = self.scales(len(picked))
+        trace = forward(params, self.valid.take(picked), slot_scale=z)
+        g = backward(trace, self.valid_labels[picked], 0.0).slot_scale
         # Each slot's terms summed in sample order as a left fold from zero:
         # cumsum adds in order, and adding 0.0 turns a -0.0 total into +0.0.
         terms = g.astype(np.float64) * z * (1.0 - z) / self.tau

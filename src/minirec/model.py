@@ -15,9 +15,12 @@ emb and fo arenas together, and the delta stream one gather per arena.
 `ModelParams.tensors` names a view of each table and dense tensor for
 the callers that read one by name.
 
-The forward pass is split into `compute_parts` (per-slot pooled embedding
-and first-order sums) and `assemble` (FM + MLP + bias on top of the
-parts, and the probabilities of every row in one pass). Features become
+The forward pass is split into `compute_parts` (every slot's pooled
+embedding and first-order sum) and `assemble` (FM + MLP + bias on top of
+the parts, and the probabilities of every row in one pass). Per-slot
+values are slot-major arrays for S slots and N rows, from pooling to the
+gate gradients: (S, N, D) pooled embeddings, and (S, N) first-order
+sums, slot scales and gate gradients. Features become
 one `ArenaEntries` list in `lookup_entries`: every table row that the
 samples read, as a global arena row, weighed by its value and binned by
 (slot, sample). Pooling is one fold per arena over those bins. Training
@@ -133,20 +136,17 @@ class ModelParams:
     def __post_init__(self) -> None:
         self.tensors = self.layout.views(self.emb, self.fo, self.dense)
 
-    @property
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.specs)
 
+class Parts(NamedTuple):
+    """Every slot's forward intermediates over N rows, slot-major, slots in config order.
 
-class SlotPart(NamedTuple):
-    """Per-slot forward intermediates of N rows: pooled embeddings and first-order sums.
-
-    `pooled` is (N, D), or None for the logreg model type, which never
-    reads the embedding tables; `fo` is (N,).
+    `fo` is the (S, N) first-order sums; `pooled` is the (S, N, D) pooled
+    embeddings, or None for the logreg model type, which never reads the
+    embedding tables.
     """
 
-    pooled: np.ndarray | None
     fo: np.ndarray
+    pooled: np.ndarray | None
 
 
 class ArenaEntries(NamedTuple):
@@ -195,18 +195,17 @@ class StepEntries(NamedTuple):
 class ForwardTrace:
     """Intermediates of `assemble` over N rows; `logit` and `probability` are (N,).
 
-    Per-slot intermediates are sequences in slot order: `fo` holds (N,)
-    arrays, and `pooled` and `scaled_pooled` (N, D) arrays, or are None
-    for logreg. `scale` holds each slot's float32 scale for each row,
-    (N,), or is None without slot scales. `step` is set by `forward` for
-    `backward`: the step it pooled.
+    Per-slot intermediates are slot-major arrays, slots in config order:
+    `fo` is (S, N), and `pooled` and `scaled_pooled` are (S, N, D), or None
+    for logreg. `scale` is the (S, N) float32 slot scales, or None without
+    them. `step` is set by `forward` for `backward`: the step it pooled.
     """
 
     params: ModelParams
-    fo: Sequence[np.ndarray]
-    pooled: Sequence[np.ndarray] | None
-    scale: list[np.ndarray] | None
-    scaled_pooled: Sequence[np.ndarray] | None
+    fo: np.ndarray
+    pooled: np.ndarray | None
+    scale: np.ndarray | None
+    scaled_pooled: np.ndarray | None
     mlp_input: np.ndarray | None
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
@@ -232,15 +231,15 @@ class SparseGradient:
 
     `emb_rows` and `fo_rows` are the same sparse gradient per table by
     name, for callers that read one by name.
-    `slot_scale`, present when the forward pass had slot scales, holds the
-    gradient of each slot's scale, one per sample.
+    `slot_scale`, present when the forward pass had slot scales, is the
+    (S, N) gradient of each slot's scale for each sample.
     """
 
     layout: ArenaLayout
     emb: SparseRows
     fo: SparseRows
     dense: np.ndarray
-    slot_scale: dict[str, np.ndarray] | None = None
+    slot_scale: np.ndarray | None = None
 
     def _by_table(self, rows: SparseRows) -> dict[str, SparseRows]:
         """Each slot's rows of `rows` as table rows; slots without rows are left out."""
@@ -372,25 +371,20 @@ def _sum_samples(values: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(values), axis=0, initial=_F32(0.0))
 
 
-def fm_second_order(pooled: Sequence[np.ndarray]) -> np.float32:
+def fm_second_order(pooled: np.ndarray) -> np.float32 | np.ndarray:
     """Second-order FM term via 0.5 * sum_k[(sum_i e_ik)^2 - sum_i e_ik^2].
 
-    Equal to the sum of pairwise dot products of the vectors. Vectors of
-    shape (N, D) give one term per row. Each sum is a `_sum_samples` fold
-    from zero, over the slots and then over k, which runs in the same
-    order for every row, so a row's term does not depend on the others.
+    Equal to the sum of pairwise dot products of the S vectors along the
+    first axis: (S, D) gives one term, (S, N, D) one per row. Each sum is a
+    `_sum_samples` fold from zero, over the slots and then over k, which
+    runs in the same order for every row, so a row's term does not depend
+    on the others. No vectors give 0.
     """
-    vectors = list(pooled)
-    if not vectors:
+    if not len(pooled):
         return _F32(0.0)
-    dim = vectors[0].shape[-1]
-    for v in vectors:
-        if v.shape[-1] != dim:
-            raise DimensionMismatch(f"expected dim {dim}, got {v.shape[-1]}")
-    stacked = np.stack(vectors)
-    total = _sum_samples(stacked)
+    total = _sum_samples(pooled)
     # Transposed so that the fold over k runs down the first axis.
-    return _F32(0.5) * _sum_samples((total * total - _sum_samples(stacked * stacked)).T)
+    return _F32(0.5) * _sum_samples((total * total - _sum_samples(pooled * pooled)).T)
 
 
 def lookup_entries(params: ModelParams, batch: FeatureBatch) -> ArenaEntries:
@@ -439,24 +433,24 @@ def lookup_entries(params: ModelParams, batch: FeatureBatch) -> ArenaEntries:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pool(params: ModelParams, entries: ArenaEntries, n: int) -> dict[str, SlotPart]:
-    """Each slot's part over N samples: one fold per arena over the entries' bins.
+def _pool(params: ModelParams, entries: ArenaEntries, n: int) -> Parts:
+    """Every slot's parts over N samples: one fold per arena over the entries' bins.
 
     A value too large for float32 arithmetic overflows to a non-finite
     part without a warning; the logit it reaches tells the caller.
     """
     e, specs = entries, params.specs
     fo = _fold(e.bin, params.fo[:, 0][e.row] * e.value, len(e.divisor)).reshape(len(specs), n)
-    pooled: Sequence[np.ndarray | None] = [None] * len(specs)
+    pooled = None
     if params.model_type == "deepfm":
         summed = _fold(e.bin, np.take(params.emb, e.row, axis=0) * e.value[:, None], len(e.divisor))
         summed /= e.divisor[:, None]
         pooled = summed.reshape(len(specs), n, params.embedding_dim)
-    return {spec.name: SlotPart(p, f) for spec, p, f in zip(specs, pooled, fo)}
+    return Parts(fo, pooled)
 
 
-def compute_parts(params: ModelParams, batch: FeatureBatch) -> dict[str, SlotPart]:
-    """Per-slot pooled embeddings and first-order sums of the batch's N samples, stacked.
+def compute_parts(params: ModelParams, batch: FeatureBatch) -> Parts:
+    """Every slot's pooled embeddings and first-order sums over the batch's N samples.
 
     A slot's part depends only on that slot's features and tables, never
     on other slots, and a row's part never on the other rows. Serving
@@ -542,39 +536,35 @@ def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def assemble(
-    params: ModelParams,
-    parts: dict[str, SlotPart],
-    slot_scale: Mapping[str, float | np.ndarray] | None = None,
-) -> ForwardTrace:
-    """Combine the stacked per-slot parts of N rows into (N,) logits and probabilities.
+def assemble(params: ModelParams, parts: Parts, slot_scale: np.ndarray | None = None) -> ForwardTrace:
+    """Combine the slot-major parts of N rows into (N,) logits and probabilities.
 
     Every operation is elementwise or per row, so each row's result is
-    bit-identical to assembling that row alone.
+    bit-identical to assembling that row alone. Parts without pooled
+    embeddings (logreg) have no FM or MLP term.
 
-    `slot_scale` multiplies a slot's pooled embedding and first-order
-    contribution before they enter the logit: one scale for every row, or
-    an (N,) array of per-row scales. The feature-selection gates drive this
-    hook. Absent slots default to scale 1. A non-finite part or an
-    overflow gives a non-finite logit, without a numpy warning.
+    `slot_scale`, an (S, N) array, multiplies each slot's pooled embedding
+    and first-order contribution in each row, as float32, before they
+    enter the logit; the feature-selection gates drive this hook. A
+    non-finite part or an overflow gives a non-finite logit, without a
+    numpy warning.
     """
-    pooled, fo = zip(*[parts[spec.name] for spec in params.specs])
-    scale = None
-    if slot_scale is not None:
-        scale = [np.broadcast_to(np.asarray(slot_scale.get(spec.name, 1.0), dtype=_F32), fo[0].shape)
-                 for spec in params.specs]
+    fo, pooled = parts
+    scale = None if slot_scale is None else slot_scale.astype(_F32)
     logit = params.tensors["bias"][0]
-    for term in fo if scale is None else [s * f for s, f in zip(scale, fo)]:
+    for term in fo if scale is None else scale * fo:
         logit = logit + term
 
-    scaled_pooled: Sequence[np.ndarray] | None = None
+    scaled_pooled: np.ndarray | None = None
     mlp_input: np.ndarray | None = None
     pre_activations: list[np.ndarray] = []
     activations: list[np.ndarray] = []
-    if params.model_type == "deepfm":
-        scaled_pooled = pooled if scale is None else [s[:, None] * p for s, p in zip(scale, pooled)]
+    if pooled is not None:
+        scaled_pooled = pooled if scale is None else scale[..., None] * pooled
         logit = logit + fm_second_order(scaled_pooled)
-        mlp_input = np.concatenate(scaled_pooled, axis=-1)
+        slots, n, dim = scaled_pooled.shape
+        # Each row's slots end to end.
+        mlp_input = scaled_pooled.transpose(1, 0, 2).reshape(n, slots * dim)
         x = mlp_input
         layers = mlp_layers(params)
         last = len(layers) - 1
@@ -589,7 +579,7 @@ def assemble(
     return ForwardTrace(
         params=params,
         fo=fo,
-        pooled=pooled if params.model_type == "deepfm" else None,
+        pooled=pooled,
         scale=scale,
         scaled_pooled=scaled_pooled,
         mlp_input=mlp_input,
@@ -603,7 +593,7 @@ def assemble(
 def forward(
     params: ModelParams,
     batch: FeatureBatch | StepEntries,
-    slot_scale: Mapping[str, float | np.ndarray] | None = None,
+    slot_scale: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Forward pass over N samples: a step of `plan_steps`, or a batch, planned as one step.
 
@@ -623,19 +613,20 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
     order, times the float32 1/N. Sparse entries cover exactly the rows the
     samples reference; for the logreg model type the embedding tables never
     enter the loss, so only first-order rows and the bias appear. With
-    gates on, `slot_scale` holds each sample's own gate gradient, unscaled.
+    gates on, `slot_scale` is the (S, N) gradient of each slot's scale in
+    each sample, its own and unscaled.
     """
     params = trace.params
     n = len(trace.logit)
     mean = _F32(1.0 / n)
     d = trace.probability - np.asarray(labels, dtype=_F32)
 
-    scale = None if trace.scale is None else np.stack(trace.scale)
+    scale = trace.scale
     # Dense gradients from the output side in, so reversed they are in tensor order.
     dense = [_sum_samples(d[:, None]) * mean]
     grad_pooled: np.ndarray | None = None
     grad_scaled: np.ndarray | None = None
-    if params.model_type == "deepfm":
+    if trace.pooled is not None:
         layers = mlp_layers(params)
         delta = d[:, None]
         for i in range(len(layers) - 1, -1, -1):
@@ -645,22 +636,20 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
             delta = _rowwise_matmul(delta, layers[i][0].T)
             if i > 0:
                 delta = delta * (trace.pre_activations[i - 1] > 0)
-        # The slots' scaled pooled embeddings as (S, N, D), folded over the slots in order.
-        u = np.stack(trace.scaled_pooled)
+        # The (S, N, D) scaled pooled embeddings, folded over the slots in order.
+        u = trace.scaled_pooled
         fm_total = np.add.reduce(u, axis=0, initial=_F32(0.0))
         grad_scaled = d[None, :, None] * (fm_total - u) + delta.reshape(n, len(u), -1).transpose(1, 0, 2)
         grad_pooled = grad_scaled if scale is None else scale[..., None] * grad_scaled
 
-    slot_scale = None
+    gate = None
     if scale is not None:
-        gate = d * np.stack(trace.fo)
+        gate = d * trace.fo
         if grad_scaled is not None:
             dim = params.embedding_dim
-            pooled = np.stack(trace.pooled).reshape(-1, dim)
             # One dot per (slot, row): a batched reduction need not round like it.
-            dots = [np.dot(g, p) for g, p in zip(grad_scaled.reshape(-1, dim), pooled)]
+            dots = [np.dot(g, p) for g, p in zip(grad_scaled.reshape(-1, dim), trace.pooled.reshape(-1, dim))]
             gate = gate + np.array(dots, dtype=_F32).reshape(gate.shape)
-        slot_scale = dict(zip(params.slot_names, gate))
 
     # Only entries with a nonzero value: a numeric_raw zero reads its row
     # but has no gradient there. Entries fold per (row, sample) pair in
@@ -679,7 +668,7 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
         if reg > 0.0:
             emb_pair += _F32(2.0 * reg) * params.emb[s.pair_row]
         emb = SparseRows(s.ids, _fold(s.pair_id, emb_pair, len(s.ids)) * mean)
-    return SparseGradient(params.layout, emb, fo, np.concatenate(dense[::-1]), slot_scale)
+    return SparseGradient(params.layout, emb, fo, np.concatenate(dense[::-1]), gate)
 
 
 def logloss(scores: Iterable[float], labels: Iterable[float]) -> float:

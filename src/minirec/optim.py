@@ -64,10 +64,14 @@ class AdamOptimizer:
         self._corrections = np.zeros((1, 2), dtype=_F32)
 
     def _bias_corrections(self, steps: np.ndarray) -> np.ndarray:
-        """The (len(steps), 2) bias corrections of both moments at each step count."""
+        """The (len(steps), 2) bias corrections of both moments at each step count.
+
+        The table at least doubles when a step count passes its end, so a
+        run copies it O(log steps) times, not once per step.
+        """
         have, top = len(self._corrections), int(steps.max())
         if top >= have:
-            more = [(1.0 - self.beta1**t, 1.0 - self.beta2**t) for t in range(have, top + 1)]
+            more = [(1.0 - self.beta1**t, 1.0 - self.beta2**t) for t in range(have, max(top + 1, 2 * have))]
             self._corrections = np.concatenate([self._corrections, np.array(more, dtype=_F32)])
         return self._corrections[steps]
 

@@ -165,16 +165,16 @@ def train_step(
     labels: np.ndarray,
     rows: np.ndarray,
     reg: float,
-    slot_scale: Mapping[str, np.ndarray] | None = None,
+    slot_scale: np.ndarray | None = None,
 ) -> SparseGradient:
     """One optimizer step on the batch's mean gradient, which it returns.
 
     The batch, a step of `plan_steps` or a FeatureBatch, goes through one
     forward and one backward call. `rows` holds the batch's 1-based data
     row numbers; if any logit is not finite, NonFinite names them and
-    nothing is updated. slot_scale, when given, holds each slot's
-    per-sample scales (the feature-selection gates). forward and backward
-    are looked up in this module, so wrappers installed on
+    nothing is updated. slot_scale, when given, is the (S, N) scales of
+    each slot in each sample (the feature-selection gates). forward and
+    backward are looked up in this module, so wrappers installed on
     trainer.forward/backward see every training batch.
     """
     trace = forward(params, batch, slot_scale)

@@ -213,7 +213,7 @@ def test_criterion_03_fm_oracle():
             count = int(rng.integers(0, 7))
             vecs = [rng.uniform(-1, 1, dim).astype(np.float32)
                     for _ in range(count)]
-            got = float(fm_second_order(vecs))
+            got = float(fm_second_order(np.array(vecs, dtype=np.float32).reshape(count, dim)))
             want = sum(
                 float(vecs[i].astype(np.float64) @ vecs[j].astype(np.float64))
                 for i in range(count) for j in range(i + 1, count))

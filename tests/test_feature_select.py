@@ -70,29 +70,41 @@ def _gate_config(tmp_path):
     )
 
 
+def _gated_trials(cfg, seed, trials=30):
+    """Seeded (params, records) pairs: parameters moved off their init, 1 to 6 records per batch."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        params = init_params(cfg, np.random.default_rng([seed, trial]))
+        for arr in params.tensors.values():
+            arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
+        records = [{name: f"{name[0]}{int(rng.integers(30))}" for name in ("alpha", "beta", "gamma")}
+                   for _ in range(int(rng.integers(1, 7)))]
+        yield params, records
+
+
 class TestGatedForward:
     def test_unit_gates_reduce_to_plain_forward(self, tmp_path):
         cfg = _gate_config(tmp_path)
-        params = init_params(cfg, np.random.default_rng([40, 0]))
         specs = cfg.feature_config
-        batch = generate(columns_of([{"alpha": "a1", "beta": "b2", "gamma": "c3"}], specs), specs)
-        plain = forward(params, batch)
-        parts = compute_parts(params, batch)
-        scale = {spec.name: 1.0 for spec in cfg.feature_config}
-        gated = assemble(params, parts, slot_scale=scale)
-        assert float(gated.probability[0]) == pytest.approx(float(plain.probability[0]), abs=1e-6)
+        for params, records in _gated_trials(cfg, 40):
+            batch = generate(columns_of(records, specs), specs)
+            plain = forward(params, batch)
+            gated = assemble(params, compute_parts(params, batch), slot_scale=np.ones((len(specs), len(records))))
+            assert np.array_equal(gated.logit, plain.logit)
+            assert np.array_equal(gated.probability, plain.probability)
 
     def test_zero_gate_silences_slot(self, tmp_path):
         cfg = _gate_config(tmp_path)
-        params = init_params(cfg, np.random.default_rng([41, 0]))
         specs = cfg.feature_config
-        batch = generate(columns_of([{"alpha": "a1", "beta": "b2", "gamma": "c3"}], specs), specs)
-        absent = generate(columns_of([{"beta": "b2", "gamma": "c3"}], specs), specs)
-        parts = compute_parts(params, batch)
-        scale = {"alpha": 0.0, "beta": 1.0, "gamma": 1.0}
-        gated = assemble(params, parts, slot_scale=scale)
-        plain = forward(params, absent)
-        assert float(gated.probability[0]) == pytest.approx(float(plain.probability[0]), abs=1e-6)
+        for params, records in _gated_trials(cfg, 41):
+            batch = generate(columns_of(records, specs), specs)
+            absent = generate(columns_of([{**r, "alpha": ""} for r in records], specs), specs)
+            scale = np.ones((len(specs), len(records)))
+            scale[0] = 0.0
+            gated = assemble(params, compute_parts(params, batch), slot_scale=scale)
+            plain = forward(params, absent)
+            assert np.array_equal(gated.logit, plain.logit)
+            assert np.array_equal(gated.probability, plain.probability)
 
 
 class TestGateGradient:
@@ -120,13 +132,13 @@ class TestGateGradient:
                 return loss + lambda_g * penalty
 
             scale = {n: gate_value(log_alpha[n], u[n], tau) for n in log_alpha}
-            trace = forward(params, batch, slot_scale=scale)
+            trace = forward(params, batch, slot_scale=np.array([[scale[s.name]] for s in cfg.feature_config]))
             grad = backward(trace, [label], 0.0)
             h = 1e-4
-            for name in log_alpha:
+            for k, name in enumerate(log_alpha):
                 z = scale[name]
                 p_keep = 1.0 / (1.0 + math.exp(-log_alpha[name]))
-                analytic = (float(grad.slot_scale[name][0]) * z * (1 - z) / tau
+                analytic = (float(grad.slot_scale[k, 0]) * z * (1 - z) / tau
                             + lambda_g * p_keep * (1 - p_keep))
                 up = dict(log_alpha); up[name] += h
                 down = dict(log_alpha); down[name] -= h

@@ -57,7 +57,7 @@ def _one_row_part(tmp_path, table, ids, pooling="sum"):
     params.tensors["emb:tags"][...] = table
     params.tensors["fo:tags"][...] = table[:, :1]
     batch = FeatureBatch(1, {"tags": SlotIds(np.array(ids, dtype=np.int64), np.array([0, len(ids)]))}, {})
-    return compute_parts(params, batch)["tags"]
+    return compute_parts(params, batch)
 
 
 def _features(record, specs):
@@ -69,13 +69,13 @@ def _features(record, specs):
 class TestPooledLookup:
     def test_duplicate_row_doubles(self, tmp_path):
         table = _table(np.random.default_rng(0))
-        out = _one_row_part(tmp_path, table, [3, 3], "sum").pooled[0]
+        out = _one_row_part(tmp_path, table, [3, 3], "sum").pooled[0, 0]
         np.testing.assert_allclose(out, 2 * table[3], rtol=1e-6)
 
     def test_empty_ids_zero_vector(self, tmp_path):
         table = _table(np.random.default_rng(1))
         for pooling in ("sum", "mean"):
-            np.testing.assert_array_equal(_one_row_part(tmp_path, table, [], pooling).pooled[0],
+            np.testing.assert_array_equal(_one_row_part(tmp_path, table, [], pooling).pooled[0, 0],
                                           np.zeros(4, np.float32))
 
     def test_matches_scalar_loop(self, tmp_path):
@@ -84,7 +84,7 @@ class TestPooledLookup:
             table = _table(rng, vocab=int(rng.integers(2, 30)), dim=int(rng.integers(1, 9)))
             ids = list(rng.integers(0, table.shape[0], size=rng.integers(0, 8)))
             for pooling in ("sum", "mean"):
-                got = _one_row_part(tmp_path, table, ids, pooling).pooled[0]
+                got = _one_row_part(tmp_path, table, ids, pooling).pooled[0, 0]
                 want = np.zeros(table.shape[1], dtype=np.float64)
                 for i in ids:
                     want += table[i].astype(np.float64)
@@ -141,30 +141,34 @@ def test_compute_parts_equals_per_slot_fold(tmp_path, pooling, model_type):
             arr += rng.normal(0, 0.3, arr.shape).astype(np.float32)
         records = [_five_kind_record(rng) for _ in range(rows)]
         got = compute_parts(params, generate(columns_of(records, cfg.feature_config), cfg.feature_config))
-        assert list(got) == [spec.name for spec in cfg.feature_config]
+        slots = [spec.name for spec in cfg.feature_config]
+        assert got.fo.shape == (len(slots), rows)
+        if model_type == "logreg":
+            assert got.pooled is None
+        else:
+            assert got.pooled.shape == (len(slots), rows, 4)
         for specs in (cfg.feature_config, part.user, part.item, part.cross):
             # Each side's slots generated on their own, as serving generates them.
             want = per_slot_parts(params, generate(columns_of(records, specs), specs), specs)
             assert list(want) == [spec.name for spec in specs]
             for name, (pooled, fo) in want.items():
-                assert np.array_equal(got[name].fo, fo)
-                if pooled is None:
-                    assert got[name].pooled is None
-                else:
-                    assert np.array_equal(got[name].pooled, pooled)
+                k = slots.index(name)
+                assert np.array_equal(got.fo[k], fo)
+                assert (pooled is None) == (got.pooled is None)
+                if pooled is not None:
+                    assert np.array_equal(got.pooled[k], pooled)
 
 
 class TestFmSecondOrder:
     def test_single_vector_is_zero(self):
-        assert fm_second_order([np.ones(3, np.float32)]) == 0.0
+        assert fm_second_order(np.ones((1, 3), np.float32)) == 0.0
 
     def test_known_pair(self):
-        got = fm_second_order([np.array([1, 2], np.float32), np.array([3, 4], np.float32)])
+        got = fm_second_order(np.array([[1, 2], [3, 4]], np.float32))
         assert got == pytest.approx(11.0)
 
     def test_known_triple(self):
-        vecs = [np.array([1, 0], np.float32), np.array([0, 1], np.float32),
-                np.array([1, 1], np.float32)]
+        vecs = np.array([[1, 0], [0, 1], [1, 1]], np.float32)
         assert fm_second_order(vecs) == pytest.approx(2.0)
 
     def test_pairwise_oracle_fuzz(self):
@@ -177,11 +181,8 @@ class TestFmSecondOrder:
             for i in range(count):
                 for j in range(i + 1, count):
                     want += float(vecs[i].astype(np.float64) @ vecs[j].astype(np.float64))
-            assert float(fm_second_order(vecs)) == pytest.approx(want, abs=1e-5, rel=1e-5)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            fm_second_order([np.zeros(2, np.float32), np.zeros(3, np.float32)])
+            stacked = np.array(vecs, dtype=np.float32).reshape(count, dim)
+            assert float(fm_second_order(stacked)) == pytest.approx(want, abs=1e-5, rel=1e-5)
 
 
 def _three_slot_config(tmp_path, model_type="deepfm"):
@@ -532,7 +533,7 @@ def test_first_order_sum_scalar_loop(tmp_path):
     table = _table(rng, dim=1)
     ids = [1, 5, 1]
     want = sum(float(table[i, 0]) for i in ids)
-    assert float(_one_row_part(tmp_path, table, ids).fo[0]) == pytest.approx(want, rel=1e-6)
+    assert float(_one_row_part(tmp_path, table, ids).fo[0, 0]) == pytest.approx(want, rel=1e-6)
 
 
 @pytest.mark.parametrize("shape", [(32, 1), (7, 1), (32, 64), (32, 56, 64), (32, 32, 1), (1, 3)])

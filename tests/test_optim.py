@@ -144,6 +144,24 @@ class TestLazySparseAdam:
             opt.apply(params, _grad(params, {"item_id": [7]}, {"item_id": [7]}))
         assert params_equal(params, before)
 
+    def test_bias_correction_table_grows_geometrically(self, tmp_path):
+        """5,000 dense steps: the table keeps the per-step formula's bits and grows only O(log steps) times."""
+        cfg = _config(tmp_path, "logreg")
+        params = init_params(cfg, np.random.default_rng([10, 0]))
+        opt = AdamOptimizer(learning_rate=0.01)
+        grad = _grad(params, {}, {})
+        lengths = []
+        for step in range(1, 5001):
+            opt.apply(params, grad)
+            table = opt._corrections
+            assert step < len(table) <= 2 * step
+            if not lengths or lengths[-1] != len(table):
+                lengths.append(len(table))
+        # Doubling from one row covers 5,001 rows after 13 growths.
+        assert len(lengths) <= 13
+        want = [(1.0 - opt.beta1**t, 1.0 - opt.beta2**t) for t in range(len(table))]
+        assert np.array_equal(table, np.array(want, dtype=np.float32))
+
     def test_deterministic_replay(self, tmp_path):
         cfg = _config(tmp_path)
         runs = []

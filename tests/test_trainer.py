@@ -389,14 +389,13 @@ class TestBatchedStepMatchesPerSample:
             arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
         reference = copy_params(params)
         opt, oracle = AdamOptimizer(0.05), OracleAdam(0.05)
-        names = params.slot_names
+        names = [spec.name for spec in cfg.feature_config]
         for size in (7, 1, 12, 5):
             batch = [(_random_fv(rng), int(rng.integers(2))) for _ in range(size)]
             scales = None
             if gated:
                 scales = [{n: float(rng.uniform(0.05, 1.0)) for n in names} for _ in batch]
-            per_row = None if scales is None else {
-                n: np.array([s[n] for s in scales]) for n in names}
+            per_row = None if scales is None else np.array([[s[n] for s in scales] for n in names])
             want, samples = oracle_train_step(reference, oracle, batch, reg, scales)
             got = _step(params, opt, batch, reg, per_row)
 
@@ -413,8 +412,7 @@ class TestBatchedStepMatchesPerSample:
             for name, g in dense_grads(got).items():
                 assert np.array_equal(g, want["dense"][name]), name
             if gated:
-                for name in names:
-                    assert got.slot_scale[name].tolist() == [g["gate"][name] for g in samples]
+                assert got.slot_scale.tolist() == [[g["gate"][name] for g in samples] for name in names]
             else:
                 assert got.slot_scale is None
 
@@ -440,7 +438,7 @@ class _Gates:
     def scales(self, count):
         z = self.rng.uniform(0.05, 1.0, (count, len(self.names)))
         self.drawn.append([dict(zip(self.names, row)) for row in z.tolist()])
-        return dict(zip(self.names, z.T))
+        return z.T
 
     def step(self, params, shuffle_rng):
         pass
