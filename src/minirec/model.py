@@ -535,6 +535,16 @@ def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ w)[:, 0, :]
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each pair of last-axis vectors of two same-shaped arrays, in one call.
+
+    Stacked as (R, 1, D) @ (R, D, 1), numpy computes each product with the
+    vector dot that a 1-D np.dot runs, so every value has np.dot's bits.
+    """
+    dim = a.shape[-1]
+    return (a.reshape(-1, 1, dim) @ b.reshape(-1, dim, 1)).reshape(a.shape[:-1])
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def assemble(params: ModelParams, parts: Parts, slot_scale: np.ndarray | None = None) -> ForwardTrace:
     """Combine the slot-major parts of N rows into (N,) logits and probabilities.
@@ -646,10 +656,7 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
     if scale is not None:
         gate = d * trace.fo
         if grad_scaled is not None:
-            dim = params.embedding_dim
-            # One dot per (slot, row): a batched reduction need not round like it.
-            dots = [np.dot(g, p) for g, p in zip(grad_scaled.reshape(-1, dim), trace.pooled.reshape(-1, dim))]
-            gate = gate + np.array(dots, dtype=_F32).reshape(gate.shape)
+            gate = gate + _row_dots(grad_scaled, trace.pooled)
 
     # Only entries with a nonzero value: a numeric_raw zero reads its row
     # but has no gradient there. Entries fold per (row, sample) pair in

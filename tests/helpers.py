@@ -380,6 +380,23 @@ def decode_reference(frame: bytes) -> Records:
 # JSON texts that json.loads refuses with a ValueError or RecursionError
 # that is not a JSONDecodeError: arrays nested past the recursion limit, and
 # an event_time past Python's 4,300-digit integer conversion limit.
+def nested(depth, leaf="x"):
+    value = leaf
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# JSON values a client may send in any position of a /v1/predict body; as text they
+# are also hostile CSV cells.
+HOSTILE_VALUES = (
+    None, True, False, math.nan, math.inf, -math.inf, 0, -1, 3.5,
+    1e30, -1e30, 1e-30, 1e300, -1e300, 1e-300, 2**70, -(2**70), 1e20, -1e20,
+    "", "abc", "1e300", "nan", "-inf", "t1||t2|", "\ud800", "a\udfffb", "x" * 5000,
+    [], {}, ["a", 1], {"a": {"b": [1]}}, nested(50), nested(900),
+)
+
+
 UNPARSABLE_JSON = {
     "deep_nesting": "[" * 100_000,
     "long_integer": '{"kind": "impression", "event_time": ' + "1" * 5001
@@ -497,6 +514,23 @@ def two_slot_feature_config():
     return [
         {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 2000},
         {"name": "item_id", "kind": "id", "source_columns": ["item_id"], "vocab_size": 2000},
+    ]
+
+
+def five_kind_feature_config():
+    """All five feature kinds over user, item and cross slots."""
+    return [
+        {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 200},
+        {"name": "user_tags", "kind": "multi_id", "source_columns": ["user_tags"],
+         "vocab_size": 50, "pooling": "mean"},
+        {"name": "user_age", "kind": "numeric_bucket", "source_columns": ["user_age"],
+         "boundaries": [18, 30, 50]},
+        {"name": "item_id", "kind": "id", "source_columns": ["item_id"], "vocab_size": 200},
+        {"name": "item_cats", "kind": "multi_id", "source_columns": ["item_cats"],
+         "vocab_size": 30},
+        {"name": "item_price", "kind": "numeric_raw", "source_columns": ["item_price"]},
+        {"name": "user_x_item", "kind": "cross",
+         "source_columns": ["user_id", "item_id"], "vocab_size": 500},
     ]
 
 

@@ -1,7 +1,13 @@
 """End-to-end command-line flows driven through main(argv)."""
 
+import csv
+import io
 import json
+import re
+import statistics
+import time
 
+import numpy as np
 import pytest
 
 from minirec import feature_select, serving, trainer
@@ -9,11 +15,13 @@ from minirec.artifact import load_artifact, save_artifact
 from minirec.cli import main
 from minirec.config import parse_config
 from minirec.features import generate
-from minirec.model import forward
+from minirec.model import PROB_CLIP, forward
 
 from helpers import (
+    HOSTILE_VALUES,
     UNPARSABLE_JSON,
     config_dict,
+    five_kind_feature_config,
     informative_feature_config,
     write_csv,
     write_informative_dataset,
@@ -548,3 +556,113 @@ class TestExitCodes:
         assert code == 2
         assert "bad data row 4" in err and "'user_age'" in err and "'abc'" in err
         assert "Traceback" not in err
+
+
+_FUZZ_HEADER = ["label", "user_id", "user_tags", "user_age", "item_id", "item_cats", "item_price"]
+# Written as the one byte 0xff, which no UTF-8 text holds.
+_NON_UTF8 = "\ue000"
+# The HTTP corpus as cell text (JSON text for what is not a string), a non-UTF-8 byte and a 200 kB field.
+_HOSTILE_CELLS = [v if isinstance(v, str) else json.dumps(v) for v in HOSTILE_VALUES] + [
+    f"u{_NON_UTF8}", "x" * 200_000]
+
+
+def _write_fuzz_csv(path, rows):
+    """The rows under the header; lone surrogates written as their surrogatepass bytes."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([_FUZZ_HEADER, *rows])
+    path.write_bytes(text.getvalue().encode("utf-8", "surrogatepass").replace(_NON_UTF8.encode(), b"\xff"))
+
+
+def _fuzz_files(tmp_path, good):
+    """Seeded CSVs: each hostile cell in each column of data row 4, then mixtures; with their hostile rows."""
+    cases = []
+    for cell in _HOSTILE_CELLS:
+        for col in range(len(_FUZZ_HEADER)):
+            rows = [list(row) for row in good]
+            rows[3][col] = cell
+            cases.append((rows, {4}))
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        rows, bad = [list(row) for row in good], set()
+        for _ in range(int(rng.integers(1, 6))):
+            row, col = int(rng.integers(len(rows))), int(rng.integers(len(_FUZZ_HEADER)))
+            rows[row][col] = _HOSTILE_CELLS[int(rng.integers(len(_HOSTILE_CELLS)))]
+            bad.add(row + 1)
+        cases.append((rows, bad))
+    for i, (rows, bad) in enumerate(cases):
+        path = tmp_path / f"fuzz{i}.csv"
+        _write_fuzz_csv(path, rows)
+        yield path, bad
+
+
+class TestCliFuzz:
+    def test_hostile_cells_exit_0_or_2_and_name_their_row(self, tmp_path, capsys):
+        """train, eval and predict-file on CSVs with hostile cells exit 0 or 2, each within a measured budget.
+
+        An exit 2 prints one error line, no traceback, that names a data
+        row holding a hostile cell (training names the batch of its data
+        rows). An exit 0 writes outputs of the right shape. The oracle
+        reads exit codes, messages and output shapes, never scores.
+        """
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_dict(tmp_path, feature_config=five_kind_feature_config())))
+        good = [[i % 2, f"u{i}", "t1|t2", str(15 + 7 * i), f"i{i}", "c1", "2.5"] for i in range(8)]
+        clean = tmp_path / "clean.csv"
+        _write_fuzz_csv(clean, good)
+        model = tmp_path / "model" / "model.erm"
+        assert main(["export", "-c", str(config), "--model-dir", str(model.parent)]) == 0
+        scores = tmp_path / "scores.txt"
+
+        def argv(command, path):
+            return {"train": ["train", "-c", str(config), "--train", str(path), "--eval", str(clean),
+                              "--model-dir", str(tmp_path / "trained")],
+                    "eval": ["eval", "-c", str(config), "--model", str(model), "--eval", str(path)],
+                    "predict-file": ["predict-file", "--model", str(model), "--input", str(path),
+                                     "--out", str(scores)]}[command]
+
+        def run(command, path):
+            capsys.readouterr()
+            start = time.perf_counter()
+            code = main(argv(command, path))
+            elapsed = time.perf_counter() - start
+            out, err = capsys.readouterr()
+            return code, elapsed, out, err
+
+        # The budget: a generous multiple of the command's median time on the clean file.
+        budget = {}
+        for command in ("train", "eval", "predict-file"):
+            times = []
+            for _ in range(3):
+                code, elapsed, _, _ = run(command, clean)
+                assert code == 0
+                times.append(elapsed)
+            budget[command] = 0.5 + 25 * statistics.median(times)
+
+        codes = set()
+        for path, bad in _fuzz_files(tmp_path, good):
+            for command in ("train", "eval", "predict-file"):
+                scores.unlink(missing_ok=True)
+                code, elapsed, out, err = run(command, path)
+                case = (command, path.name)
+                assert code in (0, 2), case
+                assert elapsed < budget[command], (case, elapsed, budget[command])
+                assert "Traceback" not in err, case
+                codes.add(code)
+                if code == 2:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (case, err[:300])
+                    named = re.search(r"bad data row (\d+):|data rows \[([\d, ]+)\]", err)
+                    assert named, (case, err[:300])
+                    rows = {int(named[1])} if named[1] else {int(r) for r in named[2].split(",")}
+                    assert rows & bad, (case, err[:300])
+                    assert not scores.exists(), case
+                    continue
+                summary = json.loads(out.strip().splitlines()[-1])
+                if command == "train":
+                    assert summary["steps"] > 0 and (tmp_path / "trained" / "model.erm").is_file(), case
+                elif command == "eval":
+                    assert summary["rows"] == len(good) and 0.0 <= summary["auc"] <= 1.0, case
+                else:
+                    values = [float(line) for line in scores.read_text().splitlines()]
+                    assert len(values) == len(good), case
+                    assert all(np.float32(PROB_CLIP) <= v <= np.float32(1.0 - PROB_CLIP) for v in values), case
+        assert codes == {0, 2}

@@ -1,10 +1,15 @@
 """Lazy sparse Adam: per-row moments, frozen untouched rows, dense updates."""
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from minirec.config import build_config
 from minirec.errors import DimensionMismatch
-from minirec.model import SparseGradient, SparseRows, copy_params, init_params, params_equal
+from minirec.model import SparseGradient, SparseRows, copy_params, empty_params, init_params, params_equal
 from minirec.optim import AdamOptimizer, ScalarAdam
 
 from helpers import make_config
@@ -138,7 +143,7 @@ class TestLazySparseAdam:
         opt.apply(params, _grad(params, {}, {"item_id": [7]}, fill=0.3))
         want = _adam_reference(start, [0.3], lr=0.05)
         assert float(params.tensors["fo:item_id"][7, 0]) == pytest.approx(want, rel=1e-5)
-        assert opt._sparse.m.shape == (params.layout.rows, 1)
+        assert opt._sparse.m.shape[1] == 1
         before = copy_params(params)
         with pytest.raises(DimensionMismatch):
             opt.apply(params, _grad(params, {"item_id": [7]}, {"item_id": [7]}))
@@ -176,6 +181,78 @@ class TestLazySparseAdam:
             runs.append({name: arr.copy() for name, arr in params.tensors.items()})
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name], runs[1][name])
+
+
+def _perfbench_config(scale):
+    """The train_publish benchmark's config, every hashed vocabulary times `scale`."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+    spec = importlib.util.spec_from_file_location("perfbench_common", path)
+    common = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(common)
+    raw = common.pipeline_config(0)
+    for feature in raw["feature_config"]:
+        if "vocab_size" in feature:
+            feature["vocab_size"] *= scale
+    return build_config(raw)
+
+
+class TestStateFollowsTouchedRows:
+    def test_same_gradients_at_1x_and_40x_vocabulary(self):
+        """The state is the same bytes whatever the vocabulary; only the rows a run touches count.
+
+        Seeded gradients over table rows that both sizes have go to the
+        perfbench config at 1x and at 40x its vocabularies (3.1M arena
+        rows). The touched rows end with the same parameter and moment
+        bits, the optimizer's m, v and step arrays are byte-equal, and
+        those arrays are reallocated O(log rows) times.
+        """
+        small = init_params(_perfbench_config(1), np.random.default_rng([11, 0]))
+        # The large arenas are never written whole: only the rows the gradients touch are set and read.
+        large = empty_params(_perfbench_config(40))
+        slots = [spec.name for spec in small.specs]
+        assert large.layout.rows > 40 * (small.layout.rows - 7)
+        large.dense[:] = small.dense
+        rng = np.random.default_rng(12)
+        steps = []
+        for _ in range(60):
+            rows = {}
+            for slot in slots:
+                _, start, stop = small.layout.spans[f"fo:{slot}"]
+                rows[slot] = np.unique(rng.integers(0, min(stop - start, 400), int(rng.integers(1, 40))))
+            n = sum(len(r) for r in rows.values())
+            steps.append((rows, rng.normal(0, 1, (n, 8)).astype(np.float32),
+                          rng.normal(0, 1, (n, 1)).astype(np.float32),
+                          rng.normal(0, 1, small.dense.shape).astype(np.float32)))
+        touched = {slot: np.unique(np.concatenate([rows[slot] for rows, *_ in steps])) for slot in slots}
+        for slot, table_rows in touched.items():
+            for arena in ("emb", "fo"):
+                large.tensors[f"{arena}:{slot}"][table_rows] = small.tensors[f"{arena}:{slot}"][table_rows]
+
+        states = []
+        for params in (small, large):
+            opt = AdamOptimizer(learning_rate=0.01)
+            sizes = []
+            for rows, emb, fo, dense in steps:
+                spans = params.layout.spans
+                ids = np.concatenate([spans[f"fo:{slot}"][1] + rows[slot] for slot in slots])
+                opt.apply(params, SparseGradient(params.layout, SparseRows(ids, emb), SparseRows(ids, fo), dense))
+                if not sizes or sizes[-1] != len(opt._sparse.step):
+                    sizes.append(len(opt._sparse.step))
+            states.append(opt._sparse)
+            used = sum(len(r) for r in touched.values())
+            assert opt._sparse.used == used
+            assert used <= sizes[-1] < 2 * used
+            assert len(sizes) <= math.ceil(math.log2(used)) + 1
+        for slot, table_rows in touched.items():
+            for arena in ("emb", "fo"):
+                name = f"{arena}:{slot}"
+                assert small.tensors[name][table_rows].tobytes() == large.tensors[name][table_rows].tobytes(), name
+            slot_of = [state.slot[params.layout.spans[f"fo:{slot}"][1] + table_rows]
+                       for state, params in zip(states, (small, large))]
+            assert np.array_equal(*slot_of), slot
+        assert small.dense.tobytes() == large.dense.tobytes()
+        for array in ("m", "v", "step"):
+            assert getattr(states[0], array).tobytes() == getattr(states[1], array).tobytes(), array
 
 
 class TestScalarAdam:

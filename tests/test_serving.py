@@ -39,8 +39,10 @@ from minirec.serving import (
 from minirec.trainer import score_all, train
 
 from helpers import (
+    HOSTILE_VALUES,
     LruSimulator,
     SparseRecord,
+    five_kind_feature_config,
     make_config,
     message_of,
     replay_reference,
@@ -302,20 +304,7 @@ class TestScore:
 
 def _five_kind_model(tmp_path, model_type, seed=64):
     """All five feature kinds over user, item and cross slots; perturbed weights."""
-    features = [
-        {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 200},
-        {"name": "user_tags", "kind": "multi_id", "source_columns": ["user_tags"],
-         "vocab_size": 50, "pooling": "mean"},
-        {"name": "user_age", "kind": "numeric_bucket", "source_columns": ["user_age"],
-         "boundaries": [18, 30, 50]},
-        {"name": "item_id", "kind": "id", "source_columns": ["item_id"], "vocab_size": 200},
-        {"name": "item_cats", "kind": "multi_id", "source_columns": ["item_cats"],
-         "vocab_size": 30},
-        {"name": "item_price", "kind": "numeric_raw", "source_columns": ["item_price"]},
-        {"name": "user_x_item", "kind": "cross",
-         "source_columns": ["user_id", "item_id"], "vocab_size": 500},
-    ]
-    cfg = make_config(tmp_path, feature_config=features, model_config={
+    cfg = make_config(tmp_path, feature_config=five_kind_feature_config(), model_config={
         "model_type": model_type, "embedding_dim": 8, "mlp_hidden_dims": [64, 32]})
     params = init_params(cfg, np.random.default_rng([seed, 0]))
     rng = np.random.default_rng(seed)
@@ -926,20 +915,6 @@ class TestHostileInputs:
         assert "Traceback" not in capfd.readouterr().err
 
 
-def _nested(depth, leaf="x"):
-    value = leaf
-    for _ in range(depth):
-        value = [value]
-    return value
-
-
-# JSON values a client may send in any position of a /v1/predict body.
-_HOSTILE_VALUES = (
-    None, True, False, math.nan, math.inf, -math.inf, 0, -1, 3.5,
-    1e30, -1e30, 1e-30, 1e300, -1e300, 1e-300, 2**70, -(2**70), 1e20, -1e20,
-    "", "abc", "1e300", "nan", "-inf", "t1||t2|", "\ud800", "a\udfffb", "x" * 5000,
-    [], {}, ["a", 1], {"a": {"b": [1]}}, _nested(50), _nested(900),
-)
 _USER_SLOTS = ("user_id", "user_tags", "user_age")
 _ITEM_SLOTS = ("item_id", "item_cats", "item_price")
 
@@ -968,10 +943,10 @@ def _hostile_bodies(rng):
         lambda v: {"user": v, "items": [good_item()]},
         lambda v: v,
     ]
-    bodies = [json.dumps(shape(v)).encode() for shape in shapes for v in _HOSTILE_VALUES]
+    bodies = [json.dumps(shape(v)).encode() for shape in shapes for v in HOSTILE_VALUES]
     for _ in range(150):
         def pick():
-            return _HOSTILE_VALUES[int(rng.integers(len(_HOSTILE_VALUES)))]
+            return HOSTILE_VALUES[int(rng.integers(len(HOSTILE_VALUES)))]
 
         user = {s: pick() if rng.random() < 0.3 else v for s, v in good_user.items()}
         items = []

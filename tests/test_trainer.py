@@ -338,11 +338,12 @@ def _step(params, opt, batch, reg, slot_scale=None):
 
 
 def _assert_state_equal(opt, oracle, params):
-    """The optimizer's row states, read here per tensor slice, equal the per-row oracle's.
+    """The optimizer's row states, read here per tensor row through the slot map, equal the per-row oracle's.
 
     The emb and fo arenas share one row state, a row's emb moments and
     then its fo moment with one step count; logreg keeps only the fo
-    column. The dense vector is one row of its own state.
+    column. A row gets a slot only when a step touches it, so every
+    untouched row has none. The dense vector is one row of its own state.
     """
     spans = params.layout.spans
     sparse, dense = opt._sparse, opt._dense
@@ -350,22 +351,24 @@ def _assert_state_equal(opt, oracle, params):
     assert (sparse is None) == (not arenas)
     if sparse is not None:
         width = params.embedding_dim + 1 if "emb" in arenas else 1
-        assert sparse.m.shape == sparse.v.shape == (params.layout.rows, width)
-        assert sparse.step.shape == (params.layout.rows,)
+        assert sparse.m.shape[1] == sparse.v.shape[1] == width
+        assert len(sparse.m) == len(sparse.v) == len(sparse.step) >= sparse.used
+        assert sparse.slot.shape == (params.layout.rows,)
         columns = {"emb": slice(0, -1), "fo": slice(-1, None)}
+        touched = np.zeros(params.layout.rows, dtype=bool)
         for name, (arena, start, stop) in spans.items():
             if arena == "dense" or arena not in arenas:
                 continue
-            rows = oracle.sparse.get(name, {})
-            m_all, v_all = sparse.m[start:stop, columns[arena]], sparse.v[start:stop, columns[arena]]
-            step_all = sparse.step[start:stop]
-            touched = np.zeros(len(step_all), dtype=bool)
-            touched[list(rows)] = True
-            for row, (m, v, t) in rows.items():
-                assert np.array_equal(m_all[row], m) and np.array_equal(v_all[row], v), (name, row)
-                assert step_all[row] == t, (name, row)
-            assert not m_all[~touched].any() and not v_all[~touched].any()
-            assert not step_all[~touched].any()
+            for row, (m, v, t) in oracle.sparse.get(name, {}).items():
+                touched[start + row] = True
+                slot = sparse.slot[start + row]
+                assert 0 <= slot < sparse.used, (name, row)
+                assert np.array_equal(sparse.m[slot, columns[arena]], m), (name, row)
+                assert np.array_equal(sparse.v[slot, columns[arena]], v), (name, row)
+                assert sparse.step[slot] == t, (name, row)
+        # Each touched row holds a slot of its own, and no other row holds one.
+        assert sorted(sparse.slot[touched].tolist()) == list(range(sparse.used))
+        assert (sparse.slot[~touched] == -1).all()
     assert (dense is None) == (not oracle.dense)
     for name, (m, v, t) in oracle.dense.items():
         _, start, stop = spans[name]
