@@ -150,6 +150,8 @@ def _cmd_train(args) -> None:
             "epochs_run": report.epochs_run,
             "deltas_emitted": report.deltas_emitted,
             "final_metrics": report.final_metrics,
+            "samples_per_s": report.samples_per_s,
+            "phase_s": report.phase_s,
         }
     )
 

@@ -44,13 +44,14 @@ class NonFinite(MinirecError):
 
     Raised for a feature value, a score passed to `auc`, a value in a
     delta message and a training batch's logit; `rows` then holds the
-    batch's 1-based data row numbers.
+    1-based data row numbers of the batch's non-finite logits, in batch
+    order, and `value` the first of those logits.
     """
 
     def __init__(self, value: float, rows: list[int] | None = None):
         self.value = value
         self.rows = rows
-        where = "" if rows is None else f" in the batch of data rows {rows}"
+        where = "" if rows is None else f" in the logits of data rows {rows}"
         super().__init__(f"non-finite value: {value!r}{where}")
 
 

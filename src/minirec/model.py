@@ -364,11 +364,27 @@ def _sum_samples(values: np.ndarray) -> np.ndarray:
     it sums the column pairwise, which rounds differently. np.cumsum adds
     in order; its fold starts at the first row, not at zero, which differs
     only where every row is -0.0, and adding zero gives the +0.0 a fold
-    from zero would.
+    from zero would. `_sum_outer` gives these bits for a sum of outer
+    products without building the (N, a, b) products.
     """
     if values[0].size == 1:
         return np.cumsum(values, axis=0)[-1] + _F32(0.0)
     return np.add.reduce(np.ascontiguousarray(values), axis=0, initial=_F32(0.0))
+
+
+def _sum_outer(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Sum over n of outer(x[n], delta[n]), with the bits of `_sum_samples` over the (N, a, b) products.
+
+    np.einsum without optimize runs numpy's own iterator, never a BLAS
+    call. On C-ordered inputs the output's zero stride on the sample
+    axis keeps that axis outermost, so each element takes one separately
+    rounded multiply and add per sample, in order, from zero. A 1x1
+    output makes the sample axis einsum's inner loop, which sums with
+    several accumulators, so it is folded from the products instead.
+    """
+    if x.shape[1] == delta.shape[1] == 1:
+        return _sum_samples(x[:, :, None] * delta[:, None, :])
+    return np.einsum("na,nb->ab", np.ascontiguousarray(x), np.ascontiguousarray(delta), optimize=False)
 
 
 def fm_second_order(pooled: np.ndarray) -> np.float32 | np.ndarray:
@@ -620,9 +636,11 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
 
     `trace` comes from `forward` over the samples that `labels` label.
     Every gradient is a left fold from zero over the samples in batch
-    order, times the float32 1/N. Sparse entries cover exactly the rows the
-    samples reference; for the logreg model type the embedding tables never
-    enter the loss, so only first-order rows and the bias appear. With
+    order, times the float32 1/N; an MLP weight's is one `_sum_outer`
+    contraction of the layer's inputs and deltas. Sparse entries cover
+    exactly the rows the samples reference; for the logreg model type the
+    embedding tables never enter the loss, so only first-order rows and
+    the bias appear. With
     gates on, `slot_scale` is the (S, N) gradient of each slot's scale in
     each sample, its own and unscaled.
     """
@@ -642,7 +660,7 @@ def backward(trace: ForwardTrace, labels: Sequence[int], reg: float = 0.0) -> Sp
         for i in range(len(layers) - 1, -1, -1):
             x = trace.activations[i - 1] if i > 0 else trace.mlp_input
             dense.append(_sum_samples(delta) * mean)
-            dense.append((_sum_samples(x[:, :, None] * delta[:, None, :]) * mean).reshape(-1))
+            dense.append((_sum_outer(x, delta) * mean).reshape(-1))
             delta = _rowwise_matmul(delta, layers[i][0].T)
             if i > 0:
                 delta = delta * (trace.pre_activations[i - 1] > 0)

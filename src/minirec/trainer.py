@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import time
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Sequence
@@ -47,11 +48,37 @@ from .optim import AdamOptimizer
 
 @dataclass
 class TrainReport:
+    """What a run did, and where its time went.
+
+    `phase_s` holds wall seconds per phase: load (reading and featurizing
+    the files, set by `train`), steps (planning epochs, optimizer and gate
+    steps), eval (metrics and the epoch callback) and emit (encoding and
+    publishing deltas). `samples_per_s` is the training samples stepped
+    per second of the steps phase. Both vary from run to run, so
+    reports compare equal without them; the rest does not vary.
+    """
+
     curves: list[dict] = field(default_factory=list)
     final_metrics: dict | None = None
     epochs_run: int = 0
     steps: int = 0
     deltas_emitted: int = 0
+    samples_per_s: float = field(default=0.0, compare=False)
+    phase_s: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(("load", "steps", "eval", "emit"), 0.0), compare=False)
+
+
+class _PhaseClock:
+    """Adds the wall time since the last lap to a phase: one perf_counter call per phase switch."""
+
+    def __init__(self, seconds: dict[str, float]):
+        self.seconds = seconds
+        self.mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self.mark
+        self.mark = now
 
 
 def read_columns(path: str, delimiter: str = ",") -> Columns:
@@ -171,16 +198,17 @@ def train_step(
 
     The batch, a step of `plan_steps` or a FeatureBatch, goes through one
     forward and one backward call. `rows` holds the batch's 1-based data
-    row numbers; if any logit is not finite, NonFinite names them and
-    nothing is updated. slot_scale, when given, is the (S, N) scales of
-    each slot in each sample (the feature-selection gates). forward and
-    backward are looked up in this module, so wrappers installed on
+    row numbers; if any logit is not finite, NonFinite names the rows
+    whose logit is not, in batch order, and nothing is updated.
+    slot_scale, when given, is the (S, N) scales of each slot in each
+    sample (the feature-selection gates). forward and backward are
+    looked up in this module, so wrappers installed on
     trainer.forward/backward see every training batch.
     """
     trace = forward(params, batch, slot_scale)
     finite = np.isfinite(trace.logit)
     if not finite.all():
-        raise NonFinite(float(trace.logit[~finite][0]), rows=rows.tolist())
+        raise NonFinite(float(trace.logit[~finite][0]), rows=rows[~finite].tolist())
     grad = backward(trace, labels, reg)
     optimizer.apply(params, grad)
     return grad
@@ -210,7 +238,12 @@ def train(
     d = dataclasses.replace(d, train_path=d.train_path if train_path is None else train_path,
                             eval_path=d.eval_path if eval_path is None else eval_path)
     cfg = dataclasses.replace(cfg, data_config=d)
-    return fit(cfg, *load_splits(cfg), sink=sink, epoch_callback=epoch_callback)
+    start = time.perf_counter()
+    splits = load_splits(cfg)
+    load_s = time.perf_counter() - start
+    artifact, report = fit(cfg, *splits, sink=sink, epoch_callback=epoch_callback)
+    report.phase_s["load"] = load_s
+    return artifact, report
 
 
 def fit(
@@ -237,6 +270,7 @@ def fit(
     optimizer = AdamOptimizer(t.learning_rate, t.adam_beta1, t.adam_beta2, t.adam_epsilon)
     acc = DeltaAccumulator(params.layout.rows)
     report = TrainReport()
+    clock = _PhaseClock(report.phase_s)
 
     reg = cfg.model_config.embedding_regularization
     for epoch in range(1, t.num_epochs + 1):
@@ -252,21 +286,29 @@ def fit(
             if scale is not None:
                 gates.step(params, shuffle_rng)
             if sink is not None and report.steps % t.delta_period_steps == 0:
+                clock.lap("steps")
                 sink.publish(encode_delta(emit_delta(acc, params)))
                 report.deltas_emitted += 1
+                clock.lap("emit")
         report.epochs_run = epoch
+        clock.lap("steps")
 
         metrics = None
         if eval_data is not None and epoch % cfg.eval_config.eval_interval == 0:
             metrics = evaluate_params(cfg, params, eval_data[0], eval_data[1])
             report.curves.append({"epoch": epoch, **metrics})
             report.final_metrics = metrics
-        if epoch_callback is not None and epoch_callback(epoch, metrics):
+        stop_early = epoch_callback is not None and epoch_callback(epoch, metrics)
+        clock.lap("eval")
+        if stop_early:
             break
 
     if sink is not None and acc.steps_since_emit > 0:
         sink.publish(encode_delta(emit_delta(acc, params)))
         report.deltas_emitted += 1
+        clock.lap("emit")
+    if report.phase_s["steps"] > 0.0:
+        report.samples_per_s = report.epochs_run * len(data[1]) / report.phase_s["steps"]
 
     artifact = ModelArtifact(config=cfg, params=params, seed=t.seed, step_count=report.steps)
     return artifact, report

@@ -83,6 +83,24 @@ class TestTrainCommand:
         assert paths[0] != paths[1]
         assert paths[0] == paths[2]
 
+    def test_summary_times_the_phases_and_report_json_is_stable(self, workspace, tmp_path, capsys):
+        """stdout reports samples/s and seconds per phase; report.json holds neither, so two runs write the same bytes."""
+        reports = []
+        for name in ("a", "b"):
+            model_dir = tmp_path / name
+            start = time.perf_counter()
+            code, summary = _run(capsys, ["train", "-c", str(workspace), "--model-dir", str(model_dir),
+                                          "--queue", f"file://{tmp_path / name}.dq"])
+            wall = time.perf_counter() - start
+            assert code == 0
+            phases = summary["phase_s"]
+            assert set(phases) == {"load", "steps", "eval", "emit"}
+            assert all(seconds > 0.0 for seconds in phases.values()), phases
+            assert sum(phases.values()) <= wall
+            assert summary["samples_per_s"] == 2 * 300 / phases["steps"]
+            reports.append((model_dir / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_empty_training_file_refused_before_training(self, workspace, tmp_path, capsys, monkeypatch):
         empty = tmp_path / "empty.csv"
         write_csv(empty, ["label", "user_id", "item_id"], [])
@@ -600,8 +618,8 @@ class TestCliFuzz:
         """train, eval and predict-file on CSVs with hostile cells exit 0 or 2, each within a measured budget.
 
         An exit 2 prints one error line, no traceback, that names a data
-        row holding a hostile cell (training names the batch of its data
-        rows). An exit 0 writes outputs of the right shape. The oracle
+        row holding a hostile cell (training names the data rows whose
+        logit is not finite). An exit 0 writes outputs of the right shape. The oracle
         reads exit codes, messages and output shapes, never scores.
         """
         config = tmp_path / "config.json"

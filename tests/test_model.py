@@ -17,6 +17,7 @@ from minirec.model import (
     PROB_CLIP,
     _probability,
     _row_dots,
+    _sum_outer,
     _sum_samples,
     auc,
     backward,
@@ -581,3 +582,47 @@ def test_row_dots_have_per_pair_dot_bits(seed):
                             dtype=np.float32).reshape(shape[:-1])
         assert got.dtype == np.float32 and got.shape == shape[:-1]
         assert got.tobytes() == want.tobytes(), (dim, rows)
+
+
+def _layout(x, layout):
+    """x as a C-ordered, F-ordered or strided array of the same values."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.empty((2 * x.shape[0], 3 * x.shape[1]), dtype=x.dtype)
+        wide[::2, 1::3] = x
+        return wide[::2, 1::3]
+    return np.ascontiguousarray(x)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 257, 4096])
+def test_sum_outer_has_the_bits_of_the_summed_products(n, layout):
+    """The MLP weight gradient's contraction equals `_sum_samples` over the (N, a, b) products, bit for bit.
+
+    Shapes 1x1 (which the contraction may not take), 1xk, kx1 and random
+    ones; magnitudes from 1e-6 to 1e6, mixed with zeros, -0.0,
+    subnormals, infinities, NaN and values near the float32 limit. A NaN
+    result is compared by position only: its sign and payload are not
+    pinned.
+    """
+    rng = np.random.default_rng([31, n, len(layout)])
+    shapes = [(1, 1), (1, int(rng.integers(2, 65))), (int(rng.integers(2, 65)), 1)]
+    shapes += [tuple(int(k) for k in rng.integers(1, 130, 2)) for _ in range(9)]
+    for trial, (a, b) in enumerate(shapes):
+        # Keep the oracle's (N, a, b) products to at most 16 MB.
+        a = min(a, max(1, 2 ** 22 // (n * b)))
+        x, delta = ((rng.normal(0, 1, (n, k)) * 10.0 ** rng.uniform(-6, 6, (n, k))).astype(np.float32)
+                    for k in (a, b))
+        if trial % 2:
+            for v in (x, delta):
+                hit = rng.random(v.shape) < 0.1
+                v[hit] = rng.choice(_EDGE_VALUES, int(hit.sum()))
+        x, delta = _layout(x, layout), _layout(delta, layout)
+        with np.errstate(all="ignore"):
+            got = _sum_outer(x, delta)
+            want = _sum_samples(x[:, :, None] * delta[:, None, :])
+        assert got.dtype == np.float32 and got.shape == (a, b)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), (n, a, b)
+        assert got[~nan].tobytes() == want[~nan].tobytes(), (n, a, b)

@@ -1,5 +1,7 @@
 """Training loop: determinism, metric curves, and delta emission."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from minirec.delta_stream import (
 )
 from minirec.errors import DataError, IndexOutOfRange, IoError, NonFinite
 from minirec.features import FeatureBatch, SlotIds
-from minirec.model import copy_params, init_params, params_equal
+from minirec.model import copy_params, forward, init_params, params_equal
 from minirec.optim import AdamOptimizer
 from minirec import trainer
 from minirec.trainer import fit, load_dataset, read_columns, train, train_step
@@ -188,6 +190,27 @@ class _ListSink:
         self.frames.append(frame)
 
 
+class TestPhaseTimes:
+    def test_phases_are_timed_within_the_wall_time(self, tmp_path):
+        """Every phase takes some time, and together they take no more than `train` itself."""
+        _small_dataset(tmp_path)
+        cfg = make_config(tmp_path, train_config={"num_epochs": 2, "batch_size": 16, "delta_period_steps": 3})
+        start = time.perf_counter()
+        _, report = train(cfg, sink=_ListSink())
+        wall = time.perf_counter() - start
+        assert set(report.phase_s) == {"load", "steps", "eval", "emit"}
+        assert all(seconds > 0.0 for seconds in report.phase_s.values()), report.phase_s
+        assert sum(report.phase_s.values()) <= wall
+        assert report.samples_per_s == 2 * 120 / report.phase_s["steps"]
+
+    def test_fit_without_files_or_sink_times_only_its_steps(self, tmp_path):
+        _small_dataset(tmp_path)
+        cfg = make_config(tmp_path, train_config={"num_epochs": 1, "batch_size": 16})
+        _, report = fit(cfg, load_dataset(cfg, cfg.data_config.train_path))
+        assert report.phase_s["load"] == report.phase_s["emit"] == 0.0
+        assert report.phase_s["steps"] > 0.0 and report.samples_per_s > 0.0
+
+
 class TestDeltaEmission:
     def test_cadence_and_versions(self, tmp_path):
         _small_dataset(tmp_path)
@@ -290,7 +313,7 @@ class TestDeltaEmission:
                     np.asarray(record.values, np.float32), arr[record.row_id])
 
 
-def _step_config(tmp_path, model_type, reg=0.0, **tweaks):
+def _step_config(tmp_path, model_type, reg=0.0, hidden=(6, 3), **tweaks):
     features = [
         {"name": "user_id", "kind": "id", "source_columns": ["user_id"], "vocab_size": 40},
         {"name": "tags", "kind": "multi_id", "source_columns": ["tags"], "vocab_size": 7},
@@ -301,7 +324,7 @@ def _step_config(tmp_path, model_type, reg=0.0, **tweaks):
          "boundaries": [18.0, 30.0, 50.0]},
     ]
     return make_config(tmp_path, feature_config=features, model_config={
-        "model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": [6, 3],
+        "model_type": model_type, "embedding_dim": 4, "mlp_hidden_dims": list(hidden),
         "embedding_regularization": reg}, **tweaks)
 
 
@@ -385,15 +408,24 @@ class TestBatchedStepMatchesPerSample:
     @pytest.mark.parametrize("reg", [0.0, 0.01])
     @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
     def test_bitwise_over_steps(self, tmp_path, model_type, reg, gated):
-        cfg = _step_config(tmp_path, model_type)
         rng = np.random.default_rng([7, reg > 0, gated, model_type == "logreg"])
+        self._check_steps(_step_config(tmp_path, model_type), rng, (7, 1, 12, 5), reg, gated)
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+    def test_bitwise_with_a_one_unit_layer_and_a_long_step(self, tmp_path, gated):
+        """mlp_hidden_dims [1] makes the last weight 1x1 and the first kx1; one step holds 320 rows."""
+        rng = np.random.default_rng([8, gated])
+        self._check_steps(_step_config(tmp_path, "deepfm", hidden=(1,)), rng, (320, 3), 0.01, gated)
+
+    @staticmethod
+    def _check_steps(cfg, rng, sizes, reg, gated):
         params = init_params(cfg, np.random.default_rng([1, 0]))
         for arr in params.tensors.values():
             arr += rng.normal(0.0, 0.3, arr.shape).astype(np.float32)
         reference = copy_params(params)
         opt, oracle = AdamOptimizer(0.05), OracleAdam(0.05)
         names = [spec.name for spec in cfg.feature_config]
-        for size in (7, 1, 12, 5):
+        for size in sizes:
             batch = [(_random_fv(rng), int(rng.integers(2))) for _ in range(size)]
             scales = None
             if gated:
@@ -455,8 +487,22 @@ class TestFitMatchesPerSampleSteps:
     @pytest.mark.parametrize("model_type", ["deepfm", "logreg"])
     def test_bitwise_over_epochs(self, tmp_path, monkeypatch, model_type, reg, gated):
         rng = np.random.default_rng([17, reg > 0, gated, model_type == "logreg"])
+        cfg = _step_config(tmp_path, model_type, reg, train_config={
+            "num_epochs": 3, "batch_size": 8, "learning_rate": 0.05, "seed": 5})
+        self._check_fit(tmp_path, monkeypatch, cfg, rng, 45, gated)
+
+    @pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+    def test_bitwise_with_a_one_unit_layer_and_a_long_step(self, tmp_path, monkeypatch, gated):
+        """mlp_hidden_dims [1] makes the last weight 1x1 and the first kx1; a step holds 310 rows."""
+        rng = np.random.default_rng([18, gated])
+        cfg = _step_config(tmp_path, "deepfm", 0.01, hidden=(1,), train_config={
+            "num_epochs": 2, "batch_size": 310, "learning_rate": 0.05, "seed": 5})
+        self._check_fit(tmp_path, monkeypatch, cfg, rng, 315, gated)
+
+    @staticmethod
+    def _check_fit(tmp_path, monkeypatch, cfg, rng, count, gated):
         rows = []
-        for _ in range(45):
+        for _ in range(count):
             tags = [f"t{int(t)}" for t in rng.integers(0, 9, int(rng.integers(0, 4)))]
             # Mean-pooled cats repeat their first category, so a bin holds one row twice.
             cats = [f"c{int(c)}" for c in rng.integers(0, 6, int(rng.integers(0, 3)))]
@@ -465,9 +511,8 @@ class TestFitMatchesPerSampleSteps:
                          "|".join(cats + cats[:1]), price, int(rng.integers(10, 70))])
         header = ["label", "user_id", "tags", "cats", "price", "age"]
         write_csv(tmp_path / "train.csv", header, rows)
-        cfg = _step_config(tmp_path, model_type, reg, train_config={
-            "num_epochs": 3, "batch_size": 8, "learning_rate": 0.05, "seed": 5})
         t = cfg.train_config
+        reg = cfg.model_config.embedding_regularization
         optimizers = []
 
         class RecordingAdam(AdamOptimizer):
@@ -478,7 +523,7 @@ class TestFitMatchesPerSampleSteps:
         monkeypatch.setattr(trainer, "AdamOptimizer", RecordingAdam)
         gates = _Gates([spec.name for spec in cfg.feature_config], 23) if gated else None
         art, report = fit(cfg, load_dataset(cfg, str(tmp_path / "train.csv")), gates=gates)
-        assert report.steps == 3 * 6
+        assert report.steps == t.num_epochs * -(-count // t.batch_size)
 
         samples = [(generate_reference(dict(zip(header, map(str, row))), cfg.feature_config), row[0])
                    for row in rows]
@@ -494,7 +539,7 @@ class TestFitMatchesPerSampleSteps:
                 batch = [samples[i] for i in order[start:start + t.batch_size]]
                 oracle_train_step(params, oracle, batch, reg, gates.drawn[step] if gated else None)
                 step += 1
-        assert len(batch) == 5
+        assert len(batch) == count % t.batch_size
         assert params_equal(art.params, params)
         (opt,) = optimizers
         _assert_state_equal(opt, oracle, art.params)
@@ -503,9 +548,11 @@ class TestFitMatchesPerSampleSteps:
 class TestNonFiniteLogits:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_diverging_learning_rate_fails_at_the_batch(self, tmp_path):
-        """Training stops at the first batch whose logits overflow and names its rows.
+        """Training stops at the first batch whose logits overflow and names the rows that overflowed.
 
-        Every delta published before it holds finite values only.
+        Every delta published before it holds finite values only. With a
+        delta every step, replaying them gives the parameters the failing
+        step read, and forward over its batch picks out the named rows.
         """
         _small_dataset(tmp_path, rows=64)
         cfg = make_config(tmp_path, train_config={
@@ -518,10 +565,30 @@ class TestNonFiniteLogits:
         for _ in range(3):
             order = shuffle.permutation(64)
             batches += [(order[start:start + 16] + 1).tolist() for start in range(0, 64, 16)]
-        assert err.value.rows == batches[len(sink.frames)]
-        assert str(err.value.rows) in str(err.value)
         assert 0 < len(sink.frames) < len(batches)
         params = init_params(cfg, np.random.default_rng([cfg.train_config.seed, 0]))
         for frame in sink.frames:
             params = apply_delta(params, decode_delta(frame))
         assert all(np.isfinite(t).all() for t in params.tensors.values())
+        failing = batches[len(sink.frames)]
+        batch, _ = load_dataset(cfg, cfg.data_config.train_path)
+        logits = forward(params, batch.take(np.array(failing) - 1)).logit
+        bad = [row for row, logit in zip(failing, logits.tolist()) if not np.isfinite(logit)]
+        assert bad and err.value.rows == bad
+        assert str(err.value.rows) in str(err.value)
+
+    def test_step_names_only_the_rows_whose_logit_is_not_finite(self, tmp_path):
+        """Two rows of six overflow: the error names those two, in batch order, and nothing is updated."""
+        cfg = _step_config(tmp_path, "deepfm")
+        params = init_params(cfg, np.random.default_rng([2, 0]))
+        before = copy_params(params)
+        rng = np.random.default_rng(4)
+        fvs = [_random_fv(rng) for _ in range(6)]
+        for i in (4, 1):
+            fvs[i].dense["price"] = 3e38
+        rows = np.array([31, 7, 12, 40, 3, 25])
+        with pytest.raises(NonFinite) as err:
+            train_step(params, AdamOptimizer(0.05), _batch_of(fvs), np.zeros(6, np.int64), rows, 0.0)
+        assert err.value.rows == [7, 3]
+        assert "data rows [7, 3]" in str(err.value)
+        assert params_equal(params, before)
