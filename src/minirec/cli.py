@@ -133,9 +133,14 @@ def _cmd_train(args) -> None:
     sink = open_publisher(args.queue) if args.queue else None
     try:
         art, report = trainer.train(cfg, train_path=args.train, eval_path=args.eval, sink=sink)
-    finally:
+    except BaseException:
         if sink is not None:
-            sink.close()
+            # The training error is the one to report; a close error after it is a consequence.
+            with contextlib.suppress(Exception):
+                sink.close()
+        raise
+    if sink is not None:
+        sink.close()
     path = os.path.join(args.model_dir, ARTIFACT_FILENAME)
     report_json = json.dumps({"curves": report.curves, "final_metrics": report.final_metrics}, indent=2)
     with _outputs(path, os.path.join(args.model_dir, "report.json")) as (model_tmp, report_tmp):

@@ -31,17 +31,23 @@ splits them into one run per table.
 Two transports share one publish/consume interface: append-only file
 (file://) and TCP (tcp://), both with u32 length-prefixed framing. A file
 consumer replays its queue from the first frame, so any artifact plus the
-replay is the trainer's state; TCP is live.
+replay is the trainer's state; TCP is live. A file publisher makes each
+frame durable on one helper thread while its caller trains on: the
+frame's fsync has returned by the time the next publish, or close,
+returns, and before the next frame is written.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import socket
 import struct
+import threading
 import time
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -96,19 +102,29 @@ class DeltaMessage:
     dense_runs: tuple[DenseRun, ...] = ()
 
 
+@functools.cache
 def _sparse_dtype(dim: int) -> np.dtype:
-    """One sparse record of `dim` values as it lies on the wire, packed."""
+    """One sparse record of `dim` values as it lies on the wire, packed; a dim is a u16, so the cache stays small."""
     return np.dtype([("t", "<u2"), ("r", "<u8"), ("d", "<u2"), ("v", "<f4", (dim,))])
 
 
 def encode_delta(msg: DeltaMessage) -> bytes:
-    sparse_count = sum(len(run.rows) for run in msg.sparse_runs)
-    parts = [DELTA_MAGIC, struct.pack("<IQII", FORMAT_VERSION, msg.model_version, sparse_count, len(msg.dense_runs))]
-    for run in msg.sparse_runs:
-        dim = run.values.shape[1]
-        records = np.empty(len(run.rows), _sparse_dtype(dim))
-        records["t"], records["r"], records["d"], records["v"] = run.tensor_index, run.rows, dim, run.values
-        parts.append(records.tobytes())
+    """The frame of msg. The sparse records of each dim are packed in one array, which the frame takes in run order."""
+    runs = msg.sparse_runs
+    parts = [DELTA_MAGIC, struct.pack("<IQII", FORMAT_VERSION, msg.model_version,
+                                      sum(len(run.rows) for run in runs), len(msg.dense_runs))]
+    pieces = {}
+    for dim in {run.values.shape[1] for run in runs}:
+        mine = [run for run in runs if run.values.shape[1] == dim]
+        lengths = [len(run.rows) for run in mine]
+        records = np.empty(sum(lengths), _sparse_dtype(dim))
+        records["t"] = np.repeat([run.tensor_index for run in mine], lengths)
+        records["r"] = np.concatenate([run.rows for run in mine])
+        records["d"] = dim
+        records["v"] = np.concatenate([run.values for run in mine])
+        data, size, ends = memoryview(records.view(np.uint8)), records.itemsize, accumulate(lengths)
+        pieces[dim] = iter([data[size * (end - k):size * end] for k, end in zip(lengths, ends)])
+    parts += [next(pieces[run.values.shape[1]]) for run in runs]
     for run in msg.dense_runs:
         parts += (struct.pack("<HI", run.tensor_index, len(run.values)), run.values.astype("<f4").tobytes())
     body = b"".join(parts)
@@ -335,21 +351,86 @@ class _FrameReader:
 
 
 class FilePublisher:
-    """Appends length-prefixed frames to <base>.dq, flushing per frame."""
+    """Appends length-prefixed frames to <base>.dq; each frame's fsync runs while the caller goes on.
+
+    `publish` first waits for the previous frame's fsync, then writes and
+    flushes the frame, which consumers can read from then on, and hands
+    its fsync to one helper thread. So every frame is fsynced exactly
+    once, in order, and frame k's fsync has returned before frame k+1 is
+    written: a crash loses at most the last frame, whole or in part. A
+    frame is known durable once the next `publish` or `close` returns.
+    A failed write or flush raises IoError naming the file from its own
+    `publish`, and a failed fsync from the next `publish`, which then
+    writes nothing, or from `close`. After an error, only close it.
+    """
 
     def __init__(self, base: str):
+        self._path = base + ".dq"
         try:
-            self._fh = open(base + ".dq", "ab")
+            self._fh = open(self._path, "ab")
         except OSError as exc:
             raise IoError(f"cannot open queue file: {exc}") from exc
+        # publish signals `_handed` once per frame and close once more with
+        # nothing in flight, which stops the helper; the helper signals
+        # `_synced` after each fsync.
+        self._handed, self._synced = threading.Semaphore(0), threading.Semaphore(0)
+        self._helper: threading.Thread | None = None
+        self._in_flight = False
+        self._sync_error: Exception | None = None
 
     def publish(self, frame: bytes) -> None:
-        self._fh.write(_length_prefixed(frame))
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        data = _length_prefixed(frame)
+        self._wait()
+        try:
+            self._fh.write(data)
+            self._fh.flush()
+        except OSError as exc:
+            raise IoError(f"cannot write queue file {self._path!r}: {exc}") from exc
+        if self._helper is None:
+            self._helper = threading.Thread(target=self._fsync_each, name=f"fsync {self._path}", daemon=True)
+            self._helper.start()
+        self._in_flight = True
+        self._handed.release()
+
+    def _fsync_each(self) -> None:
+        """The helper's loop: one fsync per frame handed over, until close hands over none.
+
+        os.fsync is looked up on every call, so a wrapper installed on it
+        sees every frame's fsync.
+        """
+        while self._handed.acquire() and self._in_flight:
+            try:
+                os.fsync(self._fh.fileno())
+            except Exception as exc:  # raised again in the publisher's thread
+                self._sync_error = exc
+            self._synced.release()
+
+    def _wait(self) -> None:
+        """Wait for the fsync in flight, if any, and raise its error."""
+        if not self._in_flight:
+            return
+        self._synced.acquire()
+        self._in_flight = False
+        error, self._sync_error = self._sync_error, None
+        if isinstance(error, OSError):
+            raise IoError(f"cannot sync queue file {self._path!r}: {error}") from error
+        if error is not None:
+            raise error
 
     def close(self) -> None:
-        self._fh.close()
+        """Wait for the last frame's fsync, then stop the helper and close the file, even if the wait raised."""
+        try:
+            self._wait()
+        finally:
+            if self._helper is not None:
+                self._in_flight = False
+                self._handed.release()
+                self._helper.join()
+                self._helper = None
+            try:
+                self._fh.close()
+            except OSError as exc:
+                raise IoError(f"cannot write queue file {self._path!r}: {exc}") from exc
 
 
 class FileConsumer(_FrameReader):

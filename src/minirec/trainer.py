@@ -51,11 +51,15 @@ class TrainReport:
     """What a run did, and where its time went.
 
     `phase_s` holds wall seconds per phase: load (reading and featurizing
-    the files, set by `train`), steps (planning epochs, optimizer and gate
-    steps), eval (metrics and the epoch callback) and emit (encoding and
-    publishing deltas). `samples_per_s` is the training samples stepped
-    per second of the steps phase. Both vary from run to run, so
-    reports compare equal without them; the rest does not vary.
+    the files, set by `train`), init (drawing the initial parameters and
+    setting up the optimizer and the delta accumulator), steps (planning
+    epochs, optimizer and gate steps), eval (metrics and the epoch
+    callback) and emit (emitting, encoding and publishing deltas). A
+    file:// publish holds no fsync of its own frame, only a wait for the
+    previous frame's; the sink's close waits for the last one.
+    `samples_per_s` is the training samples stepped per second of the
+    steps phase. Both vary from run to run, so reports compare equal
+    without them; the rest does not vary.
     """
 
     curves: list[dict] = field(default_factory=list)
@@ -65,7 +69,7 @@ class TrainReport:
     deltas_emitted: int = 0
     samples_per_s: float = field(default=0.0, compare=False)
     phase_s: dict[str, float] = field(
-        default_factory=lambda: dict.fromkeys(("load", "steps", "eval", "emit"), 0.0), compare=False)
+        default_factory=lambda: dict.fromkeys(("load", "init", "steps", "eval", "emit"), 0.0), compare=False)
 
 
 class _PhaseClock:
@@ -263,14 +267,15 @@ def fit(
     gate step; `gates.scales(n)` gives the slot scales of a weight step's
     n samples, and `gates.step(params, shuffle_rng)` runs after that step.
     """
+    report = TrainReport()
+    clock = _PhaseClock(report.phase_s)
     t = cfg.train_config
     init_rng = np.random.default_rng([t.seed, 0])
     shuffle_rng = np.random.default_rng([t.seed, 1])
     params = init_params(cfg, init_rng)
     optimizer = AdamOptimizer(t.learning_rate, t.adam_beta1, t.adam_beta2, t.adam_epsilon)
     acc = DeltaAccumulator(params.layout.rows)
-    report = TrainReport()
-    clock = _PhaseClock(report.phase_s)
+    clock.lap("init")
 
     reg = cfg.model_config.embedding_regularization
     for epoch in range(1, t.num_epochs + 1):

@@ -1,8 +1,10 @@
 """End-to-end command-line flows driven through main(argv)."""
 
 import csv
+import errno
 import io
 import json
+import os
 import re
 import statistics
 import time
@@ -14,6 +16,7 @@ from minirec import feature_select, serving, trainer
 from minirec.artifact import load_artifact, save_artifact
 from minirec.cli import main
 from minirec.config import parse_config
+from minirec.errors import DataError
 from minirec.features import generate
 from minirec.model import PROB_CLIP, forward
 
@@ -94,7 +97,7 @@ class TestTrainCommand:
             wall = time.perf_counter() - start
             assert code == 0
             phases = summary["phase_s"]
-            assert set(phases) == {"load", "steps", "eval", "emit"}
+            assert set(phases) == {"load", "init", "steps", "eval", "emit"}
             assert all(seconds > 0.0 for seconds in phases.values()), phases
             assert sum(phases.values()) <= wall
             assert summary["samples_per_s"] == 2 * 300 / phases["steps"]
@@ -111,6 +114,59 @@ class TestTrainCommand:
         assert code == 2
         assert "training file" in err and "has no data rows" in err and "Traceback" not in err
         assert not (model_dir / "model.erm").exists()
+
+
+class TestTrainQueueFaults:
+    """A queue file that cannot be written or synced ends `train` with exit 2, one error line and no outputs."""
+
+    @staticmethod
+    def _failing_fsync(monkeypatch):
+        calls = []
+
+        def fsync(fd):
+            calls.append(fd)
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return calls
+
+    @staticmethod
+    def _train(capsys, config, tmp_path, queue):
+        model_dir = tmp_path / "model"
+        code = main(["train", "-c", str(config), "--model-dir", str(model_dir), "--queue", f"file://{queue}"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert not (model_dir / "model.erm").exists()
+        return code, err
+
+    def test_failed_sync_of_the_last_frame(self, workspace, tmp_path, capsys, monkeypatch):
+        """Training succeeds; the last frame's fsync fails while the queue closes, and that is the error."""
+        calls = self._failing_fsync(monkeypatch)
+        code, err = self._train(capsys, workspace, tmp_path, tmp_path / "q")
+        assert code == 2 and len(calls) == 1
+        assert len(err) == 1 and re.fullmatch(r"error: cannot sync queue file .*q\.dq.*injected fsync failure", err[0])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose writes fail")
+    def test_failed_write(self, workspace, tmp_path, capsys):
+        (tmp_path / "q.dq").symlink_to("/dev/full")
+        code, err = self._train(capsys, workspace, tmp_path, tmp_path / "q")
+        assert code == 2
+        assert len(err) == 1 and re.fullmatch(r"error: cannot write queue file .*q\.dq.*", err[0])
+
+    def test_training_error_is_reported_before_a_close_error(self, workspace, tmp_path, capsys, monkeypatch):
+        """Frame 1 is published after step 10 and its fsync fails; then eval fails, and eval's error is the one shown."""
+        cfg = json.loads(workspace.read_text())
+        cfg["train_config"]["delta_period_steps"] = 10
+        config = tmp_path / "period10.json"
+        config.write_text(json.dumps(cfg))
+        calls = self._failing_fsync(monkeypatch)
+
+        def failing_eval(*args):
+            raise DataError(1, "planted eval failure")
+
+        monkeypatch.setattr(trainer, "evaluate_params", failing_eval)
+        code, err = self._train(capsys, config, tmp_path, tmp_path / "q")
+        assert code == 2 and len(calls) == 1
+        assert err == ["error: bad data row 1: planted eval failure"]
 
 
 class TestEvalCommand:

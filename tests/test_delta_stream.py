@@ -1,11 +1,15 @@
 """Delta wire format, the copy-on-write applier, and queue transports."""
 
+import contextlib
+import errno
 import importlib.util
 import math
+import os
 import socket
 import struct
 import threading
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -551,6 +555,84 @@ class TestFileQueue:
         assert con.consume(timeout=1.0) == b"late"
         con.close()
         pub.close()
+
+
+class _RecordingFsync:
+    """os.fsync that notes the file's size as each call starts and returns, and its thread; it can linger or fail.
+
+    Lingering gives a publisher that does not wait for the fsync time to
+    write the next frame before the call returns.
+    """
+
+    def __init__(self, fail_at=None, linger=0.0):
+        self.fail_at, self.linger = fail_at, linger
+        self.calls = []
+        self.real = os.fsync
+
+    def __call__(self, fd):
+        start = os.fstat(fd).st_size
+        time.sleep(self.linger)
+        if len(self.calls) == self.fail_at:
+            self.calls.append((start, None, threading.current_thread()))
+            raise OSError(errno.EIO, "injected fsync failure")
+        self.real(fd)
+        self.calls.append((start, os.fstat(fd).st_size, threading.current_thread()))
+
+
+class TestFilePublisherSync:
+    """Each frame is fsynced once, on a helper thread, and before the next frame is written."""
+
+    def test_each_frame_is_synced_once_before_the_next_is_written(self, tmp_path, monkeypatch):
+        fsync = _RecordingFsync(linger=0.01)
+        monkeypatch.setattr(os, "fsync", fsync)
+        base = str(tmp_path / "stream")
+        frames = [bytes([i]) * (10 + i) for i in range(6)]
+        publisher = FilePublisher(base)
+        for frame in frames:
+            publisher.publish(frame)
+        publisher.close()
+        ends = list(accumulate(4 + len(frame) for frame in frames))
+        # Each call starts with its frame as the file's end, and the next frame is not there when it returns.
+        assert [(start, end) for start, end, _ in fsync.calls] == [(end, end) for end in ends]
+        helpers = {thread for _, _, thread in fsync.calls}
+        assert len(helpers) == 1 and threading.main_thread() not in helpers
+        assert not helpers.pop().is_alive()
+        assert _dq_frames(base) == frames
+
+    def test_failed_sync_raises_from_the_next_publish_which_writes_nothing(self, tmp_path, monkeypatch):
+        fsync = _RecordingFsync(fail_at=1)
+        monkeypatch.setattr(os, "fsync", fsync)
+        base = str(tmp_path / "stream")
+        publisher = FilePublisher(base)
+        publisher.publish(b"one")
+        publisher.publish(b"two")
+        with pytest.raises(IoError, match=r"cannot sync queue file .*stream\.dq.*injected fsync failure"):
+            publisher.publish(b"three")
+        assert _dq_frames(base) == [b"one", b"two"]
+        publisher.close()
+        assert len(fsync.calls) == 2 and not fsync.calls[0][2].is_alive()
+
+    def test_failed_sync_of_the_last_frame_raises_from_close(self, tmp_path, monkeypatch):
+        fsync = _RecordingFsync(fail_at=0)
+        monkeypatch.setattr(os, "fsync", fsync)
+        base = str(tmp_path / "stream")
+        publisher = FilePublisher(base)
+        publisher.publish(b"only")
+        with pytest.raises(IoError, match="cannot sync queue file"):
+            publisher.close()
+        assert not fsync.calls[0][2].is_alive()
+        assert _dq_frames(base) == [b"only"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose writes fail")
+    def test_failed_write_is_io_error(self, tmp_path):
+        base = tmp_path / "stream"
+        Path(f"{base}.dq").symlink_to("/dev/full")
+        publisher = FilePublisher(str(base))
+        with pytest.raises(IoError, match=r"cannot write queue file .*stream\.dq"):
+            publisher.publish(b"frame")
+        # close flushes what the buffer still holds, which may fail again: as an IoError too.
+        with contextlib.suppress(IoError):
+            publisher.close()
 
 
 class TestTcpQueue:

@@ -11,11 +11,13 @@ metric at zero, so the hot names are also checked to be reached.
 import ast
 import importlib
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from minirec import sample_stream, serving, trainer
+from minirec import delta_stream, sample_stream, serving, trainer
 from minirec.model import init_params
 from minirec.sample_stream import JoinConfig
 
@@ -101,11 +103,21 @@ def test_hooks_are_reached(tmp_path, monkeypatch):
     rows = [[k % 2, f"u{k % 5}", f"i{k % 3}"] for k in range(20)]
     write_csv(tmp_path / "train.csv", ["label", "user_id", "item_id"], rows)
     write_csv(tmp_path / "eval.csv", ["label", "user_id", "item_id"], rows)
-    cfg = make_config(tmp_path, train_config={"num_epochs": 1, "batch_size": 8})
+    cfg = make_config(tmp_path, train_config={"num_epochs": 1, "batch_size": 8, "delta_period_steps": 1})
     _, report = trainer.train(cfg)
     assert report.steps == 3
     assert calls["trainer.load_dataset"] == calls["trainer.generate"] == 2
     assert calls["trainer.forward"] == calls["trainer.backward"] == 3
+
+    # train_publish's traced run times os.fsync, which a file publisher calls from its helper thread
+    threads = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (threads.append(threading.current_thread()), fsync(fd)))
+    publisher = delta_stream.FilePublisher(str(tmp_path / "queue"))
+    _, report = trainer.train(cfg, sink=publisher)
+    publisher.close()
+    assert report.deltas_emitted == 3 and len(threads) == 3
+    assert threading.main_thread() not in threads
 
     model = serving.ServingModel(init_params(cfg, np.random.default_rng(0)), cfg)
     items = [{"key": k, "features": {"item_id": k}} for k in ("a", "b")]

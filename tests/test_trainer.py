@@ -198,7 +198,7 @@ class TestPhaseTimes:
         start = time.perf_counter()
         _, report = train(cfg, sink=_ListSink())
         wall = time.perf_counter() - start
-        assert set(report.phase_s) == {"load", "steps", "eval", "emit"}
+        assert set(report.phase_s) == {"load", "init", "steps", "eval", "emit"}
         assert all(seconds > 0.0 for seconds in report.phase_s.values()), report.phase_s
         assert sum(report.phase_s.values()) <= wall
         assert report.samples_per_s == 2 * 120 / report.phase_s["steps"]
@@ -208,6 +208,7 @@ class TestPhaseTimes:
         cfg = make_config(tmp_path, train_config={"num_epochs": 1, "batch_size": 16})
         _, report = fit(cfg, load_dataset(cfg, cfg.data_config.train_path))
         assert report.phase_s["load"] == report.phase_s["emit"] == 0.0
+        assert report.phase_s["init"] > 0.0
         assert report.phase_s["steps"] > 0.0 and report.samples_per_s > 0.0
 
 
