@@ -61,11 +61,12 @@ def save_artifact(artifact: ModelArtifact, path: str) -> None:
         "tensors": directory,
     }
     header_bytes = canonical_json(header).encode("utf-8")
-    # Written whole beside the target, then renamed over it: a reader sees
-    # the old artifact or the new one, never a partial file.
-    tmp_path = path + ".tmp"
+    # Written whole to a temp file of its own beside the target, then renamed
+    # over it: a reader sees the old artifact or a new one, never a partial
+    # file, and two saves to one path do not share a temp file.
+    tmp_path = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp_path, "wb") as fh:
+        with open(tmp_path, "xb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(header_bytes)))
             fh.write(header_bytes)

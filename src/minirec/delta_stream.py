@@ -17,16 +17,18 @@ between hold rows it does not. When a frame writes one row twice, the
 later record wins.
 
 This module owns the message: `emit_delta` builds one from the rows the
-trainer touched, and `apply_delta` turns a snapshot plus a message into
-the next snapshot. Both read a tensor_index as a position in
-`ModelParams.tensors`. In memory a message is columnar: a `SparseRun` is
-a stretch of consecutive sparse records of one tensor and dim, held as a
-row array and a (k, dim) value array, and a `DenseRun` is one dense
-record. Emit, encode, decode and apply work a run at a time with numpy.
-The trainer tracks touched rows as global rows of the emb and fo arenas
-(slot i's table row r is global row base[i] + r; see `model.ArenaLayout`),
-and `emit_delta` gathers each arena's rows with one fancy index and
-splits them into one run per table.
+trainer touched, and `apply_delta` checks a whole message and then
+writes it into the parameters in place. A server holds one copy of its
+parameters and applies each message under the one lock its scoring
+also takes (`serving.ServingModel.lock`). Both functions read a
+tensor_index as a position in `ModelParams.tensors`. In memory a message
+is columnar: a `SparseRun` is a stretch of consecutive sparse records of
+one tensor and dim, held as a row array and a (k, dim) value array, and
+a `DenseRun` is one dense record. Emit, encode, decode and apply work a
+run at a time with numpy. The trainer tracks touched rows as global rows
+of the emb and fo arenas (slot i's table row r is global row base[i] + r;
+see `model.ArenaLayout`), and `emit_delta` gathers each arena's rows with
+one fancy index and splits them into one run per table.
 
 Two transports share one publish/consume interface: append-only file
 (file://) and TCP (tcp://), both with u32 length-prefixed framing. A file
@@ -64,7 +66,7 @@ from .errors import (
     UnknownTensor,
     VersionGap,
 )
-from .model import ModelParams, SparseGradient, copy_params, is_sparse_tensor
+from .model import ModelParams, SparseGradient, is_sparse_tensor
 
 DELTA_MAGIC = b"ERDU"
 FORMAT_VERSION = 1
@@ -217,17 +219,16 @@ def _last_writes(run: SparseRun) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], values[keep]
 
 
-def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
-    """The snapshot after msg, or None if params already holds its version.
+def apply_delta(params: ModelParams, msg: DeltaMessage) -> int | None:
+    """Write msg into params in place; returns the new version, or None if params already holds it.
 
     A version above params' version + 1 raises VersionGap. Every run is
     checked against params, and every value for being finite, before
-    anything is copied, so a rejected message raises and leaves params as
+    anything is written, so a rejected message raises and leaves params as
     it was. The error is the one the first bad record would raise when
     checked one by one: non-finite values over all records first, then
-    the sparse records in frame order, then the dense ones. The result
-    shares every untouched arena with params and holds fresh copies of
-    the touched ones; its model_version is set last.
+    the sparse records in frame order, then the dense ones. model_version
+    is set last. The caller keeps readers out while it writes.
     """
     if msg.model_version <= params.model_version:
         return None
@@ -256,18 +257,14 @@ def apply_delta(params: ModelParams, msg: DeltaMessage) -> ModelParams | None:
             raise DimensionMismatch(
                 f"record for {name!r} has {len(run.values)} values, tensor has {arr.size}"
             )
-    spans = params.layout.spans
-    fresh = copy_params(params, {spans[items[run.tensor_index][0]][0]
-                                 for run in (*msg.sparse_runs, *msg.dense_runs)})
-    arrays = list(fresh.tensors.values())
     for run in msg.sparse_runs:
         rows, values = _last_writes(run)
-        arrays[run.tensor_index][rows] = values
+        items[run.tensor_index][1][rows] = values
     for run in msg.dense_runs:
-        arr = arrays[run.tensor_index]
+        arr = items[run.tensor_index][1]
         arr[...] = run.values.reshape(arr.shape)
-    fresh.model_version = msg.model_version
-    return fresh
+    params.model_version = msg.model_version
+    return msg.model_version
 
 
 class DeltaAccumulator:

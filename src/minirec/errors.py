@@ -108,7 +108,7 @@ class ChecksumError(MinirecError):
 
 
 class VersionGap(MinirecError):
-    """A delta frame more than one version above the snapshot it would update."""
+    """A delta frame more than one version above the parameters it would update."""
 
 
 # --- serving ---------------------------------------------------------------

@@ -38,7 +38,6 @@ pass would give.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -325,11 +324,6 @@ def mlp_layers(params: ModelParams) -> list[tuple[np.ndarray, np.ndarray]]:
 def is_sparse_tensor(name: str) -> bool:
     """Sparse tensors are row-addressable in deltas; dense ones ship whole."""
     return name.startswith("emb:") or name.startswith("fo:")
-
-
-def copy_params(params: ModelParams, arenas: Iterable[str] = ("emb", "fo", "dense")) -> ModelParams:
-    """Copy with fresh arrays for the named arenas (default all); the rest are shared."""
-    return dataclasses.replace(params, **{arena: getattr(params, arena).copy() for arena in arenas})
 
 
 def params_equal(a: ModelParams, b: ModelParams) -> bool:

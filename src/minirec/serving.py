@@ -1,12 +1,14 @@
 """Low-latency scoring service with live incremental updates.
 
-Readers score against an immutable parameter snapshot grabbed once per
-request; `delta_stream.apply_delta` builds the next snapshot, copying only
-the parameter arenas a message touches, and the server publishes it with
-a single reference swap. Readers never lock and never observe a
-half-applied message. A frame more than one version ahead is refused and
-counted as `deltas_gap`: the server stays at its last good version rather
-than report one whose earlier rows it lacks.
+A server holds one copy of its parameters and one re-entrant lock,
+`ServingModel.lock`. `delta_stream.apply_delta` checks a whole frame and
+then writes it into that copy in place, under the lock; scoring reads
+the parameters under the same lock. So no request sees a half-applied
+frame, and a reply's `model_version` is the version its scores came
+from. A frame is decoded before the lock is taken. A frame more than
+one version ahead is refused and counted as `deltas_gap`: the server
+stays at its last good version rather than report one whose earlier
+rows it lacks.
 
 A request's features come from one columnar `generate` call per side:
 user, items, cross; with a cache, the item call covers only the keys it
@@ -21,15 +23,18 @@ repeated to every item, and one `compute_parts` over every slot and one
 `assemble` score the request. Cached or not, the features go through
 the same calls, so cached and uncached scores are bit-identical.
 
-The HTTP server scores one request at a time: a scoring lane (one lock)
-covers a request from its JSON decode to its encoded reply, but no
-socket read or write, so a client that stalls its body or its reply
-holds up no one else. Two requests scored at once would trade the GIL
-mid-request and both finish later than one after the other.
+The HTTP server scores one request at a time: the model's lock covers a
+request from its JSON decode to its encoded reply, but no socket read or
+write, so a client that stalls its body or its reply holds up no one
+else. Two requests scored at once would trade the GIL mid-request and
+both finish later than one after the other. At most `MAX_CONNECTIONS`
+connections are served at once, each on its own thread; one more is
+answered 503 and closed without a thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import itertools
@@ -38,7 +43,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 
@@ -66,6 +71,8 @@ METRICS_WINDOW = 10_000
 MAX_BODY_BYTES = 1 << 20
 # Seconds a /v1/predict body may take to arrive once its headers are read.
 BODY_TIMEOUT_S = 5.0
+# Connections served at once, one thread each; a connection over the cap is answered 503 and closed.
+MAX_CONNECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -266,32 +273,29 @@ class ScoreResponse:
 
 
 class ServingModel:
-    """Versioned parameter store with copy-on-write delta application."""
+    """One versioned copy of the parameters; frames apply in place under `lock`, which scoring also holds."""
 
     def __init__(self, params: ModelParams, config: PipelineConfig):
         self._params = params
         self.config = config
         self.partition = partition_slots(config.feature_config)
-        self._write_lock = threading.Lock()
+        self.lock = threading.RLock()
 
     @property
     def version(self) -> int:
         return self._params.model_version
 
     def snapshot(self) -> ModelParams:
+        """The live parameters, not a copy: `apply_delta` writes into them, so hold `lock` to read one version."""
         return self._params
 
     def apply_delta(self, msg: DeltaMessage) -> int | None:
-        """Apply one message; returns the new version, or None if already held.
+        """Apply one message in place; returns the new version, or None if already held.
 
         A rejected message raises and leaves version and parameters untouched.
         """
-        with self._write_lock:
-            fresh = apply_delta(self._params, msg)
-            if fresh is None:
-                return None
-            self._params = fresh
-            return fresh.model_version
+        with self.lock:
+            return apply_delta(self._params, msg)
 
 
 def load_model(path: str) -> ServingModel:
@@ -302,7 +306,7 @@ def load_model(path: str) -> ServingModel:
 def score(
     model: ServingModel, request: dict, cache: LruCache | None = None
 ) -> ScoreResponse:
-    """Score every item in the request against one parameter snapshot.
+    """Score every item in the request against the parameters at one version.
 
     Features come from one `generate` call per request side: the user's record
     as one row, the items' records (with a cache, only those of the keys it
@@ -314,9 +318,9 @@ def score(
     others. A per-item feature failure yields a null score in that position,
     and so does a row whose logit is not finite (counted in `nulled`); a
     user-side feature failure raises. cache_hits counts item-side cache
-    hits.
+    hits. The features are generated outside the model's lock, and the
+    parameters and their version are read under it.
     """
-    params = model.snapshot()
     part = model.partition
     user_record = record_from_json(request.get("user") or {})
     user = generate(columns_of([user_record], part.user), part.user)
@@ -350,68 +354,87 @@ def score(
     else:
         item_batch, hits, failed = cache.item_rows(part.item, keys, generate_items, cross.errors)
     valid = [k for k in range(len(keys)) if k not in failed and k not in cross.errors]
-    if valid:
-        n = len(valid)
-        if n < len(keys):
-            cross = cross.take(np.array(valid))
-        if cache is None and n < len(keys):
-            item_batch = item_batch.take(np.array(valid))
-        # The user's one row, repeated to every valid item.
-        ids = {name: SlotIds(np.tile(ids, n), np.arange(n + 1, dtype=np.int64) * len(ids))
-               for name, (ids, _) in user.ids.items()}
-        dense = {name: np.repeat(values, n) for name, values in user.dense.items()}
-        for side in (item_batch, cross):
-            ids.update(side.ids)
-            dense.update(side.dense)
-        trace = assemble(params, compute_parts(params, FeatureBatch(n, ids, dense)))
-        for k, logit, probability in zip(valid, trace.logit.tolist(), trace.probability.tolist()):
-            # A float32 overflow (a huge numeric_raw value) leaves no score to give.
-            if math.isfinite(logit):
-                scores[positions[k]] = probability
-            else:
-                nulled += 1
-    return ScoreResponse(scores=scores, model_version=params.model_version, cache_hits=hits, nulled=nulled)
+    with model.lock:
+        params = model.snapshot()
+        if valid:
+            n = len(valid)
+            if n < len(keys):
+                cross = cross.take(np.array(valid))
+            if cache is None and n < len(keys):
+                item_batch = item_batch.take(np.array(valid))
+            # The user's one row, repeated to every valid item.
+            ids = {name: SlotIds(np.tile(ids, n), np.arange(n + 1, dtype=np.int64) * len(ids))
+                   for name, (ids, _) in user.ids.items()}
+            dense = {name: np.repeat(values, n) for name, values in user.dense.items()}
+            for side in (item_batch, cross):
+                ids.update(side.ids)
+                dense.update(side.dense)
+            trace = assemble(params, compute_parts(params, FeatureBatch(n, ids, dense)))
+            for k, logit, probability in zip(valid, trace.logit.tolist(), trace.probability.tolist()):
+                # A float32 overflow (a huge numeric_raw value) leaves no score to give.
+                if math.isfinite(logit):
+                    scores[positions[k]] = probability
+                else:
+                    nulled += 1
+        version = params.model_version
+    return ScoreResponse(scores=scores, model_version=version, cache_hits=hits, nulled=nulled)
 
 
 class _Metrics:
+    """Counters, and windows of the latest requests' timings.
+
+    `latency_*` times `score` alone. `request_*` times a /v1/predict request
+    from its request line read to its reply written, and `lock_wait_*` the
+    part of it spent waiting for the model's lock, behind other requests
+    and frame applies.
+    """
+
     def __init__(self):
         self._lock = threading.Lock()
         self._window: deque = deque(maxlen=METRICS_WINDOW)
+        # The latest requests' (request_us, lock_wait_us), a ring of floats: 16 bytes a request.
+        self._requests = np.zeros((METRICS_WINDOW, 2))
         # Frames applied, failed decode or validation, dropped as already held or
-        # refused for a version gap; consume calls that raised; scores nulled.
+        # refused for a version gap; consume calls that raised; scores nulled;
+        # /v1/predict requests whose body arrived.
         self.counters = {"deltas_applied": 0, "deltas_rejected": 0, "deltas_stale": 0,
-                         "deltas_gap": 0, "queue_errors": 0, "scores_nulled": 0}
+                         "deltas_gap": 0, "queue_errors": 0, "scores_nulled": 0, "requests": 0}
 
     def record(self, latency_us: float, cache_hits: int, items: int) -> None:
         with self._lock:
             self._window.append((time.monotonic(), latency_us, cache_hits, items))
+
+    def record_request(self, request_us: float, lock_wait_us: float) -> None:
+        with self._lock:
+            self._requests[self.counters["requests"] % METRICS_WINDOW] = request_us, lock_wait_us
+            self.counters["requests"] += 1
 
     def count(self, counter: str) -> None:
         with self._lock:
             self.counters[counter] += 1
 
     @staticmethod
-    def _percentile(values: list[float], q: float) -> float:
-        if not values:
-            return 0.0
-        ordered = sorted(values)
-        rank = max(1, min(len(ordered), round(q * len(ordered) + 0.5)))
-        return ordered[rank - 1]
+    def _percentiles(name: str, values) -> dict:
+        """Nearest-rank p50, p95 and p99 of `values` as `<name>_p<q>_us`, from one sort; 0.0 for no values."""
+        ordered = np.sort(np.asarray(values, dtype=np.float64))
+        n = len(ordered)
+        return {f"{name}_p{round(q * 100)}_us": float(ordered[max(1, min(n, round(q * n + 0.5))) - 1]) if n else 0.0
+                for q in (0.50, 0.95, 0.99)}
 
     def snapshot(self) -> dict:
         with self._lock:
             window = list(self._window)
+            requests = self._requests[: self.counters["requests"]].copy()
             counters = dict(self.counters)
-        latencies = [w[1] for w in window]
         total_items = sum(w[3] for w in window)
         total_hits = sum(w[2] for w in window)
         span = window[-1][0] - window[0][0] if len(window) > 1 else 0.0
         return {
             "qps": len(window) / span if span > 0 else 0.0,
             "cache_hit_rate": total_hits / total_items if total_items else 0.0,
-            "latency_p50_us": self._percentile(latencies, 0.50),
-            "latency_p95_us": self._percentile(latencies, 0.95),
-            "latency_p99_us": self._percentile(latencies, 0.99),
+            **self._percentiles("latency", [w[1] for w in window]),
+            **self._percentiles("request", requests[:, 0]),
+            **self._percentiles("lock_wait", requests[:, 1]),
             **counters,
         }
 
@@ -453,10 +476,48 @@ class _Poller(threading.Thread):
                 log.info("applied delta, model_version=%d", version)
 
 
+_BUSY_BODY = json.dumps({"error": "too many connections"}).encode("utf-8")
+_BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
+               b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY))
+
+
+class _Server(HTTPServer):
+    """An HTTP server with one thread per connection and at most MAX_CONNECTIONS of them.
+
+    A connection over the cap is answered 503 with `Connection: close` by
+    the accepting thread, without blocking it, and closed; no thread
+    starts for it. Its request is left unread, so a client still sending
+    it may see a reset in place of the reply.
+    """
+
+    def __init__(self, bind, handler):
+        super().__init__(bind, handler)
+        self._free = threading.Semaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        if not self._free.acquire(blocking=False):
+            request.setblocking(False)
+            with contextlib.suppress(OSError):
+                request.sendall(_BUSY_REPLY)
+            self.shutdown_request(request)
+            return
+        threading.Thread(target=self._serve, args=(request, client_address),
+                         daemon=True, name="minirec-connection").start()
+
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+            self._free.release()
+
+
 @dataclass
 class ServerHandle:
     address: tuple[str, int]
-    _server: ThreadingHTTPServer
+    _server: _Server
     _server_thread: threading.Thread
     _poller: _Poller | None
 
@@ -485,10 +546,6 @@ def http_serve(
     if poll_interval_ms < 1:
         raise InvalidValue("poll_interval_ms", "must be >= 1")
     metrics = _Metrics()
-    # The scoring lane: a request holds it from its JSON decode to its encoded
-    # reply, never across a socket read or write. Two requests scored at once
-    # hand the GIL back and forth mid-request and both finish late.
-    lane = threading.Lock()
 
     def predict(body: bytes) -> tuple[int, dict]:
         try:
@@ -523,6 +580,11 @@ def http_serve(
 
         def log_message(self, fmt, *args):
             log.debug("http: " + fmt, *args)
+
+        def parse_request(self) -> bool:
+            # Called once the request line is read: a request's latency starts here.
+            self.started = time.perf_counter()
+            return super().parse_request()
 
         def _reply(self, status: int, payload: dict, close: bool = False) -> None:
             self._send(status, json.dumps(payload).encode("utf-8"), close)
@@ -589,12 +651,18 @@ def http_serve(
             body = self._read_body(length)
             if body is None:
                 return
-            with lane:
+            # Held from the JSON decode to the encoded reply, never across a
+            # socket read or write. Two requests scored at once hand the GIL
+            # back and forth mid-request and both finish late.
+            waited = time.perf_counter()
+            with model.lock:
+                locked = time.perf_counter()
                 status, payload = predict(body)
                 reply = json.dumps(payload).encode("utf-8")
             self._send(status, reply)
+            metrics.record_request((time.perf_counter() - self.started) * 1e6, (locked - waited) * 1e6)
 
-    server = ThreadingHTTPServer(bind, Handler)
+    server = _Server(bind, Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True, name="minirec-http")
     thread.start()
     poller = None

@@ -14,10 +14,12 @@ join oracle applies the same validation rules as the joiner.
 
 It also holds the plain views that tests compare with: a message's
 records one by one (`records_of`), a feature row in canonical bytes
-(`row_bytes`) and a gradient's dense tensors by name (`dense_grads`).
+(`row_bytes`) and a gradient's dense tensors by name (`dense_grads`),
+and a deep copy of the parameters (`copy_params`) to compare against.
 """
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -269,6 +271,11 @@ class LruSimulator:
 # ---------------------------------------------------------------------
 # Unchecked in-place delta replay: the delta applier's oracle
 # ---------------------------------------------------------------------
+
+def copy_params(params):
+    """A deep copy: fresh emb, fo and dense arenas, and the tensor views into them."""
+    return dataclasses.replace(params, emb=params.emb.copy(), fo=params.fo.copy(), dense=params.dense.copy())
+
 
 def replay_reference(params, msg):
     """Write each record's values into params in place, unchecked, then the version.

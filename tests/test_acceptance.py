@@ -34,7 +34,6 @@ from minirec.errors import ChecksumError, FormatError
 from minirec.features import FeatureSpec, columns_of, generate
 from minirec.hpo import run_search
 from minirec.model import (
-    copy_params,
     fm_second_order,
     forward,
     init_params,
@@ -59,6 +58,7 @@ from helpers import (
     ReferenceFeatures,
     SparseRecord,
     batch_join_reference,
+    copy_params,
     event_time_of,
     feature_bytes,
     generate_reference,

@@ -1,7 +1,9 @@
 """Model artifact file format: roundtrips, header layout, corruption."""
 
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -210,3 +212,39 @@ def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch):
     assert (tmp_path / "model.erm").read_bytes() == previous
     assert params_equal(load_artifact(path).params, _artifact(tmp_path, seed=1).params)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.erm"]
+
+
+def test_concurrent_saves_to_one_path_leave_one_whole_artifact(tmp_path, monkeypatch):
+    """Two threads save different artifacts to one path; both write in full before either renames."""
+    path = str(tmp_path / "model.erm")
+    arts = [_artifact(tmp_path, seed=seed) for seed in (1, 2)]
+    wants = []
+    for seed, art in zip((1, 2), arts):
+        save_artifact(art, str(tmp_path / f"want{seed}.erm"))
+        wants.append((tmp_path / f"want{seed}.erm").read_bytes())
+    assert wants[0] != wants[1]
+    both_written = threading.Barrier(2, timeout=10)
+    replace = os.replace
+
+    def replace_when_both_written(src, dst):
+        both_written.wait()
+        replace(src, dst)
+
+    monkeypatch.setattr(artifact_module.os, "replace", replace_when_both_written)
+    errors = []
+
+    def save(art):
+        try:
+            save_artifact(art, path)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=save, args=(art,)) for art in arts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    monkeypatch.undo()
+    assert errors == []
+    assert (tmp_path / "model.erm").read_bytes() in wants
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.erm", "want1.erm", "want2.erm"]

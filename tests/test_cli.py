@@ -466,7 +466,7 @@ class TestExitCodes:
                                                        monkeypatch, interval, queue):
         model_dir = tmp_path / "init"
         assert main(["export", "-c", str(workspace), "--model-dir", str(model_dir)]) == 0
-        monkeypatch.setattr(serving, "ThreadingHTTPServer",
+        monkeypatch.setattr(serving, "_Server",
                             lambda *args, **kwargs: pytest.fail("server started"))
         argv = ["serve", "--model", str(model_dir / "model.erm"), "--bind", "127.0.0.1:0",
                 "--poll-interval-ms", interval]

@@ -1,4 +1,4 @@
-"""Delta wire format, the copy-on-write applier, and queue transports."""
+"""Delta wire format, the in-place applier, and queue transports."""
 
 import contextlib
 import errno
@@ -42,13 +42,14 @@ from minirec.errors import (
     VersionGap,
 )
 from minirec.config import build_config
-from minirec.model import copy_params, init_params, params_equal
+from minirec.model import init_params, params_equal
 from minirec.serving import load_model
 from minirec.trainer import train
 
 from helpers import (
     DenseRecord,
     SparseRecord,
+    copy_params,
     decode_reference,
     encode_reference,
     make_config,
@@ -244,40 +245,41 @@ def _params(tmp_path):
 class TestValidateAndApply:
     def test_apply_writes_rows_and_version(self, tmp_path):
         cfg, params = _params(tmp_path)
-        before = params.tensors["emb:user_id"].copy()
+        arenas = (params.emb, params.fo, params.dense)
+        want = copy_params(params)
+        want.tensors["emb:user_id"][10] = np.arange(8, dtype=np.float32)
         msg = message_of(1, (SparseRecord(0, 10, tuple(float(i) for i in range(8))),), ())
-        fresh = apply_delta(params, msg)
-        np.testing.assert_array_equal(
-            fresh.tensors["emb:user_id"][10], np.arange(8, dtype=np.float32))
-        assert fresh.model_version == 1
-        # Copy on write: the input snapshot is unchanged, untouched arenas are shared.
-        np.testing.assert_array_equal(params.tensors["emb:user_id"], before)
-        assert params.model_version == 0
-        for name, arr in params.tensors.items():
-            assert np.shares_memory(fresh.tensors[name], arr) == (params.layout.spans[name][0] != "emb"), name
+        assert apply_delta(params, msg) == 1
+        # In place: the one row is written into the same arenas, and nothing else changes.
+        assert params.model_version == 1
+        assert all(a is b for a, b in zip((params.emb, params.fo, params.dense), arenas))
+        assert params_equal(params, want)
 
     def test_idempotent(self, tmp_path):
         cfg, params = _params(tmp_path)
         records = ((SparseRecord(0, 3, tuple([1.0] * 8)),), (DenseRecord(4, tuple([0.5] * 16 * 16)),))
-        once = apply_delta(params, message_of(1, *records))
-        twice = apply_delta(once, message_of(2, *records))
-        assert params_equal(once, twice)
+        assert apply_delta(params, message_of(1, *records)) == 1
+        once = copy_params(params)
+        assert apply_delta(params, message_of(2, *records)) == 2
+        assert params_equal(params, once)
 
     def test_held_version_is_skipped(self, tmp_path):
         cfg, params = _params(tmp_path)
-        fresh = apply_delta(params, message_of(1, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
+        assert apply_delta(params, message_of(1, (SparseRecord(0, 3, tuple([1.0] * 8)),), ())) == 1
+        held = copy_params(params)
         for version in (0, 1):
-            assert apply_delta(fresh, message_of(version, (SparseRecord(0, 3, (2.0,) * 8),), ())) is None
-        assert apply_delta(params, message_of(0)) is None
+            assert apply_delta(params, message_of(version, (SparseRecord(0, 3, (2.0,) * 8),), ())) is None
+        assert params_equal(params, held) and params.model_version == 1
 
     def test_version_gap_is_refused(self, tmp_path):
         cfg, params = _params(tmp_path)
         with pytest.raises(VersionGap):
             apply_delta(params, message_of(2, (SparseRecord(0, 3, tuple([1.0] * 8)),), ()))
-        once = apply_delta(params, message_of(1))
+        assert params.model_version == 0
+        assert apply_delta(params, message_of(1)) == 1
         with pytest.raises(VersionGap):
-            apply_delta(once, message_of(3))
-        assert params.model_version == 0 and once.model_version == 1
+            apply_delta(params, message_of(3))
+        assert params.model_version == 1
 
     def test_unknown_sparse_index(self, tmp_path):
         cfg, params = _params(tmp_path)
@@ -367,13 +369,13 @@ class TestRunsApply:
         records = [SparseRecord(0, row, (float(i),) * 8) for i, row in enumerate(rows)]
         records += [SparseRecord(2, 3, (-1.0,) * 8), SparseRecord(0, rows[0], (-2.0,) * 8)]
         msg = message_of(1, records)
-        fresh = apply_delta(params, decode_delta(encode_delta(msg)))
         reference = copy_params(params)
         replay_reference(reference, msg)
-        assert params_equal(fresh, reference)
+        assert apply_delta(params, decode_delta(encode_delta(msg))) == 1
+        assert params_equal(params, reference)
         last = {row: float(i) for i, row in enumerate(rows)} | {rows[0]: -2.0}
         for row, value in last.items():
-            np.testing.assert_array_equal(fresh.tensors["emb:user_id"][row], np.full(8, value, np.float32))
+            np.testing.assert_array_equal(params.tensors["emb:user_id"][row], np.full(8, value, np.float32))
 
     def test_errors_match_record_by_record_checks(self, tmp_path):
         cfg, params = _params(tmp_path)
@@ -403,9 +405,10 @@ class TestRunsApply:
             msg = message_of(1, sparse, dense)
             want = _first_error(params, msg)
             if want is None:
-                reference = copy_params(params)
+                reference, applied = copy_params(params), copy_params(params)
                 replay_reference(reference, msg)
-                assert params_equal(apply_delta(params, msg), reference)
+                assert apply_delta(applied, msg) == 1
+                assert params_equal(applied, reference)
                 continue
             with pytest.raises(type(want)) as err:
                 apply_delta(params, msg)

@@ -22,7 +22,6 @@ from minirec.model import (
     auc,
     backward,
     compute_parts,
-    copy_params,
     evaluate_metrics,
     fm_second_order,
     forward,
@@ -35,6 +34,7 @@ from minirec.serving import partition_slots
 
 from helpers import (
     clip_probability,
+    copy_params,
     dense_grads,
     make_config,
     mean_logloss,

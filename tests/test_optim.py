@@ -9,10 +9,10 @@ import pytest
 
 from minirec.config import build_config
 from minirec.errors import DimensionMismatch
-from minirec.model import SparseGradient, SparseRows, copy_params, empty_params, init_params, params_equal
+from minirec.model import SparseGradient, SparseRows, empty_params, init_params, params_equal
 from minirec.optim import AdamOptimizer, ScalarAdam
 
-from helpers import make_config
+from helpers import copy_params, make_config
 
 
 def _config(tmp_path, model_type="deepfm"):

@@ -1,6 +1,7 @@
-"""Scoring service: slot partitions, LRU cache, copy-on-write deltas, HTTP."""
+"""Scoring service: slot partitions, LRU cache, in-place deltas, HTTP."""
 
 import http.client
+import importlib
 import itertools
 import json
 import logging
@@ -12,21 +13,32 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from minirec.delta_stream import (
+    apply_delta,
     decode_delta,
     encode_delta,
     open_consumer,
     open_publisher,
 )
-from minirec.errors import MinirecError
+from minirec.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    NonFinite,
+    UnknownSlot,
+    UnknownTensor,
+    VersionGap,
+)
 from minirec import serving
+from minirec.config import build_config
 from minirec.features import FeatureSpec, columns_of, generate
-from minirec.model import PROB_CLIP, copy_params, forward, init_params, params_equal
+from minirec.model import PROB_CLIP, forward, init_params, params_equal
 from minirec.serving import (
     MAX_BODY_BYTES,
     LruCache,
@@ -39,9 +51,11 @@ from minirec.serving import (
 from minirec.trainer import score_all, train
 
 from helpers import (
+    DenseRecord,
     HOSTILE_VALUES,
     LruSimulator,
     SparseRecord,
+    copy_params,
     five_kind_feature_config,
     make_config,
     message_of,
@@ -521,38 +535,14 @@ class TestApplyDelta:
             np.asarray(values, dtype=np.float32),
         )
 
-    def test_old_snapshot_untouched(self, tmp_path):
-        """Readers holding the previous snapshot never see new values."""
-        model = _make_model(tmp_path)
-        old = model.snapshot()
-        row_before = old.tensors["emb:user_id"][7].copy()
-        msg = message_of(model_version=1,
-                           sparse=(SparseRecord(0, 7, (9.0, 9.0, 9.0, 9.0)),))
-        model.apply_delta(msg)
-        np.testing.assert_array_equal(old.tensors["emb:user_id"][7], row_before)
-        assert old.model_version == 0
-
-    def test_copy_on_write_shares_untouched_tensors(self, tmp_path):
-        model = _make_model(tmp_path)
-        old = model.snapshot()
-        msg = message_of(model_version=1,
-                           sparse=(SparseRecord(0, 7, (9.0, 9.0, 9.0, 9.0)),))
-        model.apply_delta(msg)
-        new = model.snapshot()
-        # The touched emb arena is copied whole; the fo arena and the dense vector are shared.
-        assert not np.shares_memory(new.tensors["emb:user_id"], old.tensors["emb:user_id"])
-        assert new.emb is not old.emb
-        np.testing.assert_array_equal(new.tensors["emb:item_id"], old.tensors["emb:item_id"])
-        assert new.fo is old.fo and np.shares_memory(new.tensors["fo:user_id"], old.tensors["fo:user_id"])
-        assert new.dense is old.dense and np.shares_memory(new.tensors["bias"], old.tensors["bias"])
-
     def test_stale_version_skipped(self, tmp_path):
         model = _make_model(tmp_path)
-        before = model.snapshot()
+        before = copy_params(model.snapshot())
         msg = message_of(model_version=0,
                            sparse=(SparseRecord(0, 1, (0.0, 0.0, 0.0, 0.0)),))
         assert model.apply_delta(msg) is None
-        assert model.snapshot() is before
+        assert model.version == 0
+        assert params_equal(model.snapshot(), before)
 
     def test_replay_of_applied_version_is_noop(self, tmp_path):
         model = _make_model(tmp_path)
@@ -562,14 +552,155 @@ class TestApplyDelta:
         assert model.apply_delta(msg) is None
 
     def test_rejected_message_leaves_state(self, tmp_path):
+        """Every error apply_delta raises, after a good sparse and a good dense record, writes nothing.
+
+        Both ways in are checked: delta_stream.apply_delta on the live
+        parameters, and ServingModel.apply_delta.
+        """
         model = _make_model(tmp_path)
-        before = model.snapshot()
-        bad = message_of(model_version=1,
-                           sparse=(SparseRecord(0, 10_000, (0.0, 0.0, 0.0, 0.0)),))
-        with pytest.raises(MinirecError):
-            model.apply_delta(bad)
-        assert model.version == 0
-        assert model.snapshot() is before
+        assert model.apply_delta(message_of(1, (SparseRecord(0, 3, (1.0,) * 4),))) == 1
+        before = copy_params(model.snapshot())
+        good_sparse, good_dense = (SparseRecord(0, 7, (9.0,) * 4),), (DenseRecord(12, (9.0,)),)
+        cases = [
+            (3, (), (), VersionGap),
+            (2, (SparseRecord(13, 0, (1.0,) * 4),), (), UnknownSlot),
+            (2, (SparseRecord(8, 0, (1.0,) * 8),), (), UnknownSlot),
+            (2, (), (DenseRecord(0, (1.0,) * 4),), UnknownTensor),
+            (2, (), (DenseRecord(13, (1.0,)),), UnknownTensor),
+            (2, (SparseRecord(2, 0, (1.0, 2.0)),), (), DimensionMismatch),
+            (2, (), (DenseRecord(9, (1.0,)),), DimensionMismatch),
+            (2, (SparseRecord(2, 500, (1.0,) * 4),), (), IndexOutOfRange),
+            (2, (SparseRecord(2, 1, (1.0, math.nan, 1.0, 1.0)),), (), NonFinite),
+            (2, (), (DenseRecord(11, (math.inf,)),), NonFinite),
+        ]
+        appliers = (lambda msg: apply_delta(model.snapshot(), msg), model.apply_delta)
+        for apply in appliers:
+            for version, sparse, dense, error in cases:
+                with pytest.raises(error):
+                    apply(message_of(version, good_sparse + sparse, good_dense + dense))
+                assert model.version == 1
+                assert params_equal(model.snapshot(), before)
+        assert {case[-1] for case in cases} == {
+            VersionGap, UnknownSlot, UnknownTensor, DimensionMismatch, IndexOutOfRange, NonFinite}
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestApplyWhileScoring:
+    """Frames apply in place while threads score; every reply is the score of the version it reports.
+
+    The frames are those of a seeded run of the benchmark's train_publish
+    config with a delta after every step. The oracle scores each reply's
+    request, uncached, on a separate copy of the version-0 parameters that
+    replay_reference replayed to the reply's version.
+    """
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        """The config, its version-0 parameters, the run's frames and seeded requests over its users and items."""
+        work = tmp_path_factory.mktemp("apply_while_scoring")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.syspath_prepend(str(PERFBENCH))
+            common = importlib.import_module("common")
+        world, rng = common.World(0), np.random.default_rng([0, 1])
+        common.write_training_csv(work / "train.csv", world, rng, 1024)
+        common.write_training_csv(work / "eval.csv", world, rng, 64)
+        cfg = build_config(common.pipeline_config(0, delta_period_steps=1))
+        frames = []
+        train(cfg, str(work / "train.csv"), str(work / "eval.csv"),
+              sink=types.SimpleNamespace(publish=frames.append))
+        assert len(frames) == 32
+        requests = []
+        for _ in range(40):
+            user = int(world.draw_users(rng, 1)[0])
+            items = world.draw_items(rng, int(rng.integers(1, 9))).tolist()
+            requests.append({"user": world.user_features(user),
+                             "items": [{"key": f"i{i}", "features": world.item_features(i)} for i in items]})
+        return cfg, init_params(cfg, np.random.default_rng([0, 0])), frames, requests
+
+    @staticmethod
+    def _apply_while_scoring(model, frames, requests, scorer, threads):
+        """Apply every frame from this thread while `threads` threads call scorer(request, thread).
+
+        Returns every reply as (request index, model_version, scores).
+        """
+        replies, errors, done = [[] for _ in range(threads)], [], threading.Event()
+
+        def score_until_done(t):
+            try:
+                for index in itertools.cycle(range(t, len(requests), threads)):
+                    replies[t].append((index, *scorer(requests[index], t)))
+                    if done.is_set():
+                        return
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        workers = [threading.Thread(target=score_until_done, args=(t,)) for t in range(threads)]
+        try:
+            for worker in workers:
+                worker.start()
+            for frame in frames:
+                time.sleep(0.004)
+                assert model.apply_delta(decode_delta(frame)) is not None
+        finally:
+            done.set()
+            for worker in workers:
+                worker.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert model.version == len(frames)
+        return [reply for thread in replies for reply in thread]
+
+    @staticmethod
+    def _check(run, replies):
+        cfg, start, frames, requests = run
+        asked = {}
+        for index, version, scores in replies:
+            asked.setdefault(version, {}).setdefault(index, set()).add(tuple(scores))
+        # The scorers kept up with the frames: most versions answered some request.
+        assert len(asked) > len(frames) // 2
+        replayed = copy_params(start)
+        for version in range(len(frames) + 1):
+            if version:
+                replay_reference(replayed, decode_delta(frames[version - 1]))
+            reference = ServingModel(replayed, cfg)
+            for index, answers in asked.get(version, {}).items():
+                assert answers == {tuple(score(reference, requests[index]).scores)}, (version, index)
+
+    def test_score_calls(self, run):
+        cfg, start, frames, requests = run
+        model, cache = ServingModel(copy_params(start), cfg), LruCache(64)
+
+        def scorer(request, _):
+            response = score(model, request, cache)
+            return response.model_version, response.scores
+
+        self._check(run, self._apply_while_scoring(model, frames, requests, scorer, threads=3))
+
+    def test_http_predict(self, run):
+        cfg, start, frames, requests = run
+        model = ServingModel(copy_params(start), cfg)
+        handle = http_serve(model, LruCache(64))
+        connections = [http.client.HTTPConnection(*handle.address, timeout=10) for _ in range(3)]
+
+        def scorer(request, t):
+            connections[t].request("POST", "/v1/predict", body=json.dumps(request).encode(),
+                                   headers={"Content-Type": "application/json"})
+            resp = connections[t].getresponse()
+            payload = json.loads(resp.read())
+            assert resp.status == 200, payload
+            return payload["model_version"], payload["scores"]
+
+        try:
+            replies = self._apply_while_scoring(model, frames, requests, scorer, threads=3)
+        finally:
+            for conn in connections:
+                conn.close()
+            handle.shutdown()
+        self._check(run, replies)
 
 
 class TestMetrics:
@@ -581,12 +712,19 @@ class TestMetrics:
             "latency_p50_us": 0.0,
             "latency_p95_us": 0.0,
             "latency_p99_us": 0.0,
+            "request_p50_us": 0.0,
+            "request_p95_us": 0.0,
+            "request_p99_us": 0.0,
+            "lock_wait_p50_us": 0.0,
+            "lock_wait_p95_us": 0.0,
+            "lock_wait_p99_us": 0.0,
             "deltas_applied": 0,
             "deltas_rejected": 0,
             "deltas_stale": 0,
             "deltas_gap": 0,
             "queue_errors": 0,
             "scores_nulled": 0,
+            "requests": 0,
         }
 
     def test_percentiles_and_rates(self):
@@ -802,12 +940,89 @@ class TestHttpService:
         status, snap = _http(handle, "GET", "/v1/metrics")
         assert status == 200
         assert set(snap) == {"qps", "cache_hit_rate", "latency_p50_us",
-                             "latency_p95_us", "latency_p99_us", "deltas_applied",
+                             "latency_p95_us", "latency_p99_us", "request_p50_us",
+                             "request_p95_us", "request_p99_us", "lock_wait_p50_us",
+                             "lock_wait_p95_us", "lock_wait_p99_us", "deltas_applied",
                              "deltas_rejected", "deltas_stale", "deltas_gap", "queue_errors",
-                             "scores_nulled"}
+                             "scores_nulled", "requests"}
         assert snap["latency_p50_us"] > 0.0
         assert snap["cache_hit_rate"] == pytest.approx(0.5)
         assert snap["deltas_applied"] == snap["deltas_rejected"] == snap["deltas_stale"] == 0
+
+
+    def test_request_latency_is_counted_and_within_the_clients(self, served):
+        """After N sequential requests the server counts N, and its request p50 is at most the client's."""
+        _, handle = served
+        body = json.dumps(_request("u1", ["a", "b", "c"])).encode()
+        conn = http.client.HTTPConnection(*handle.address, timeout=10)
+        latencies = []
+        try:
+            for _ in range(25):
+                start = time.perf_counter()
+                conn.request("POST", "/v1/predict", body=body, headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append((time.perf_counter() - start) * 1e6)
+                assert resp.status == 200
+            # On the same connection: the server records a request before it reads the next.
+            conn.request("GET", "/v1/metrics")
+            snap = json.loads(conn.getresponse().read())
+        finally:
+            conn.close()
+        assert snap["requests"] == 25
+        # Nearest rank, as the server computes it: the 13th of 25.
+        client_p50 = sorted(latencies)[12]
+        assert 0.0 < snap["latency_p50_us"] <= snap["request_p50_us"] <= client_p50
+        assert 0.0 <= snap["lock_wait_p50_us"] <= snap["lock_wait_p99_us"] < snap["request_p99_us"]
+
+    def test_connections_over_the_cap_get_503_and_no_thread(self, tmp_path, monkeypatch):
+        """With a cap of 2, a third connection is answered 503 and closed, and no handler thread starts for it."""
+        monkeypatch.setattr(serving, "MAX_CONNECTIONS", 2)
+        started = []
+        start_thread = threading.Thread.start
+
+        def recording_start(thread):
+            if thread.name == "minirec-connection":
+                started.append(thread)
+            start_thread(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        handle = http_serve(_make_model(tmp_path), None)
+
+        def handlers():
+            return sum(t.is_alive() for t in started)
+
+        def version(conn):
+            conn.request("GET", "/v1/version")
+            resp = conn.getresponse()
+            return resp.status, resp.getheader("Connection"), json.loads(resp.read())
+
+        kept = [http.client.HTTPConnection(*handle.address, timeout=10) for _ in range(2)]
+        try:
+            counts = []
+            for conn in kept:
+                assert version(conn)[0] == 200
+                counts.append(handlers())
+            third = http.client.HTTPConnection(*handle.address, timeout=10)
+            try:
+                assert version(third) == (503, "close", {"error": "too many connections"})
+            finally:
+                third.close()
+            counts.append(handlers())
+            assert counts == [1, 2, 2] and len(started) == 2
+            # The kept connections still answer; once one closes, its place is free again.
+            assert [version(conn)[0] for conn in kept] == [200, 200]
+            kept[0].close()
+            deadline = time.monotonic() + 5.0
+            while handlers() > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            kept[0] = http.client.HTTPConnection(*handle.address, timeout=10)
+            assert version(kept[0])[0] == 200
+            assert handlers() == 2 and len(started) == 3
+        finally:
+            for conn in kept:
+                conn.close()
+            handle.shutdown()
 
 
 class TestHostileInputs:

@@ -23,6 +23,8 @@ EXEMPT = {
     "do_POST": "BaseHTTPRequestHandler calls it for a POST request",
     # http.server logs every request through it; the override sends the line to logging.
     "log_message": "BaseHTTPRequestHandler.log_request calls it",
+    # socketserver hands each accepted connection to it.
+    "process_request": "socketserver.BaseServer calls it for each accepted connection",
 }
 
 

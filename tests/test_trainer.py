@@ -16,7 +16,7 @@ from minirec.delta_stream import (
 )
 from minirec.errors import DataError, IndexOutOfRange, IoError, NonFinite
 from minirec.features import FeatureBatch, SlotIds
-from minirec.model import copy_params, forward, init_params, params_equal
+from minirec.model import forward, init_params, params_equal
 from minirec.optim import AdamOptimizer
 from minirec import trainer
 from minirec.trainer import fit, load_dataset, read_columns, train, train_step
@@ -24,6 +24,7 @@ from minirec.trainer import fit, load_dataset, read_columns, train, train_step
 from helpers import (
     OracleAdam,
     ReferenceFeatures,
+    copy_params,
     dense_grads,
     generate_reference,
     make_config,
@@ -569,7 +570,7 @@ class TestNonFiniteLogits:
         assert 0 < len(sink.frames) < len(batches)
         params = init_params(cfg, np.random.default_rng([cfg.train_config.seed, 0]))
         for frame in sink.frames:
-            params = apply_delta(params, decode_delta(frame))
+            apply_delta(params, decode_delta(frame))
         assert all(np.isfinite(t).all() for t in params.tensors.values())
         failing = batches[len(sink.frames)]
         batch, _ = load_dataset(cfg, cfg.data_config.train_path)
