@@ -16,12 +16,12 @@ Late events never trigger retractions: an impression arriving after its
 window closed is dropped and counted; a click arriving after its key's
 emission is counted late_dropped only when it lands inside the closed
 window (it would have changed the label); post-emission clicks outside
-the window are no-ops. Two maps are never evicted: the earliest click
-per key and the impression time of every emitted key (key to integer
-each), which duplicate and late-click detection read, so they grow with
-every distinct (request_id, item_key) seen. The payload-heavy
-impression, pair, and log buffers are evicted by watermark and drain to
-zero after the final flush.
+the window are no-ops. Two maps are never evicted: the seen
+impressions (each accepted key to its time t0, open or closed) and the
+earliest click per key (key to integer each), which duplicate and
+late-click detection read, so they grow with every distinct
+(request_id, item_key) seen. The payload-heavy pair and log buffers are
+evicted by watermark and drain to zero after the final flush.
 
 Boundaries sharing a timestamp are processed closes first, then pair
 expiries, then log evictions, so a log is never evicted ahead of a pair
@@ -30,24 +30,27 @@ emitted at the same boundary.
 Each event takes one pass through the joiner: `Joiner.feed` checks a
 decoded object once with `_event_fields`, which returns its fields as a
 plain tuple, and routes it by kind to the impression, click or
-feature-log handler; an `Event` passed in takes the same route. Windows
+feature-log branch; an `Event` passed in takes the same route. Windows
 that the watermark passes are closed inline in `_advance`. Samples are
-immutable named tuples, and the CSV writer builds each payload's cells
-once, since a request's samples share one payload.
+immutable named tuples. The CSV writer encodes each payload's row once,
+since a request's samples share one payload, and streams each sample's
+label cell and that row.
 
 The oracle is `batch_join_reference` in the test suite's helpers
 (tests/helpers.py): a time-sorted batch join written without this
-module's Joiner, which validates events with the same `_event_fields`.
+module's Joiner, which validates events by the same rules, restated.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import itertools
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import InvalidValue, IoError, MalformedEvent
@@ -86,6 +89,10 @@ class LabeledSample(NamedTuple):
     event_time: int
 
 
+# A LabeledSample from a tuple of its five fields, built without the named tuple's Python-level __new__.
+_sample = functools.partial(tuple.__new__, LabeledSample)
+
+
 @dataclass
 class JoinStats:
     malformed: int = 0
@@ -111,9 +118,25 @@ class JoinStats:
 def _event_fields(obj) -> tuple[str, int, str, str, dict | None]:
     """An event object's (kind, event_time, request_id, item_key, payload); raises MalformedEvent.
 
-    The rules run in order, so the first broken one names the error; the
-    time rule tries the exact int a JSON decoder gives before the rest.
+    The rules run in order, so the first broken one names the error. A
+    decoder's common event, a plain dict of exact ints and strs, passes a
+    shorter check first; anything else takes the rules one by one.
     """
+    if type(obj) is dict:
+        try:
+            kind, t, request_id = obj["kind"], obj["event_time"], obj["request_id"]
+            if type(t) is int and t >= 0 and type(request_id) is str and request_id:
+                if kind == "impression" or kind == "click":
+                    item_key = obj["item_key"]
+                    if type(item_key) is str and item_key:
+                        return kind, t, request_id, item_key, None
+                elif kind == "feature_log":
+                    item_key, raw = obj.get("item_key", ""), obj["payload"]
+                    if (type(item_key) is str and type(raw) is dict
+                            and {*map(type, raw), *map(type, raw.values())} <= {str}):
+                        return kind, t, request_id, item_key, dict(raw)
+        except KeyError:
+            pass
     if not isinstance(obj, dict):
         raise MalformedEvent("event must be a JSON object")
     kind = obj.get("kind")
@@ -121,9 +144,7 @@ def _event_fields(obj) -> tuple[str, int, str, str, dict | None]:
         raise MalformedEvent(f"unknown kind {kind!r}")
     t = obj.get("event_time")
     # An int is finite however long: math.isfinite would overflow converting one past float range.
-    if type(t) is not int and (
-        isinstance(t, bool) or not (isinstance(t, int) or isinstance(t, float) and math.isfinite(t))
-    ) or t < 0:
+    if isinstance(t, bool) or not (isinstance(t, int) or isinstance(t, float) and math.isfinite(t)) or t < 0:
         raise MalformedEvent(f"bad event_time {t!r}")
     request_id = obj.get("request_id")
     if not isinstance(request_id, str) or not request_id:
@@ -134,11 +155,11 @@ def _event_fields(obj) -> tuple[str, int, str, str, dict | None]:
     if kind != "feature_log":
         if not item_key:
             raise MalformedEvent(f"{kind} needs an item_key")
-        return kind, t if type(t) is int else int(t), request_id, item_key, None
+        return kind, int(t), request_id, item_key, None
     raw = obj.get("payload")
     if not isinstance(raw, dict):
         raise MalformedEvent("feature_log needs a payload object")
-    return kind, t if type(t) is int else int(t), request_id, item_key, record_from_json(raw)
+    return kind, int(t), request_id, item_key, record_from_json(raw)
 
 
 @dataclass(slots=True)
@@ -155,6 +176,13 @@ class Joiner:
 
     feed() events in arrival order, then flush(); emitted samples append
     to .samples.
+
+    State: one map from every accepted impression key to its time t0, the
+    earliest click per key, the first feature log per request, the pairs
+    waiting for a log, and a heap of the boundaries the watermark has yet
+    to pass. A key is closed iff t0 + W < watermark: `_advance` closes
+    every due boundary before a feed returns, so between feeds the map
+    tells an open key from a closed one without a second map.
     """
 
     def __init__(self, cfg: JoinConfig):
@@ -164,8 +192,9 @@ class Joiner:
         self._window = cfg.label_window_ms
         self._lateness = cfg.allowed_lateness_ms
         self._watermark = -math.inf
-        self._impressions: dict[tuple[str, str], int] = {}
-        self._emitted: dict[tuple[str, str], int] = {}
+        # impression key -> t0 of every accepted impression, open or closed; never evicted
+        self._seen: dict[tuple[str, str], int] = {}
+        self._open = 0
         self._clicks: dict[tuple[str, str], int] = {}
         # request_id -> (event_time, payload) of its first feature log
         self._logs: dict[str, tuple[int, dict]] = {}
@@ -177,7 +206,7 @@ class Joiner:
     # state-size accessors for the bounded-state property
     @property
     def buffered_impressions(self) -> int:
-        return len(self._impressions)
+        return self._open
 
     @property
     def buffered_logs(self) -> int:
@@ -195,9 +224,30 @@ class Joiner:
             self.stats.malformed += 1
             return
         if kind == "impression":
-            self._impression(t, (rid, item_key))
+            key = rid, item_key
+            if key in self._seen:
+                self.stats.dup_impressions += 1
+            elif self._watermark > t + self._window:
+                self.stats.late_dropped += 1
+            else:
+                self._seen[key] = t
+                self._open += 1
+                heapq.heappush(self._heap, (t + self._window, _CLOSE, next(self._seq), key))
         elif kind == "click":
-            self._click(t, (rid, item_key))
+            key = rid, item_key
+            t0 = self._seen.get(key)
+            if t0 is not None and t0 + self._window < self._watermark:
+                # The key's pair is already labelled: a click inside its window came too late.
+                if t0 <= t <= t0 + self._window:
+                    self.stats.late_dropped += 1
+            else:
+                first = self._clicks.get(key)
+                if first is None:
+                    self._clicks[key] = t
+                else:
+                    self.stats.dup_clicks += 1
+                    if t < first:
+                        self._clicks[key] = t
         else:
             self._feature_log(t, rid, payload or {})
         watermark = t - self._lateness
@@ -207,26 +257,6 @@ class Joiner:
         # feature log pushes an expiry that may already be due.
         if self._heap and self._heap[0][0] < self._watermark:
             self._advance()
-
-    def _impression(self, t: int, key: tuple[str, str]) -> None:
-        if key in self._impressions or key in self._emitted:
-            self.stats.dup_impressions += 1
-        elif self._watermark > t + self._window:
-            self.stats.late_dropped += 1
-        else:
-            self._impressions[key] = t
-            heapq.heappush(self._heap, (t + self._window, _CLOSE, next(self._seq), key))
-
-    def _click(self, t: int, key: tuple[str, str]) -> None:
-        t0 = self._emitted.get(key)
-        if t0 is not None:
-            if t0 <= t <= t0 + self._window:
-                self.stats.late_dropped += 1
-        elif key in self._clicks:
-            self.stats.dup_clicks += 1
-            self._clicks[key] = min(self._clicks[key], t)
-        else:
-            self._clicks[key] = t
 
     def _feature_log(self, t: int, rid: str, payload: dict) -> None:
         if rid in self._logs:
@@ -241,7 +271,7 @@ class Joiner:
                 t0 = pair.event_time
                 if not pair.done and t0 - lateness <= t <= t0 + self._window + lateness:
                     pair.done = True
-                    self.samples.append(LabeledSample(rid, pair.item_key, pair.label, payload, t0))
+                    self.samples.append(_sample((rid, pair.item_key, pair.label, payload, t0)))
                     self.stats.samples += 1
             self._prune_pending(rid)
 
@@ -255,20 +285,20 @@ class Joiner:
     def _advance(self) -> None:
         """Process every boundary the watermark has strictly passed."""
         heap, watermark, pop, push = self._heap, self._watermark, heapq.heappop, heapq.heappush
-        impressions, emitted, clicks, logs = self._impressions, self._emitted, self._clicks, self._logs
-        w, lateness, stats, samples = self._window, self._lateness, self.stats, self.samples
+        seen, clicks, logs, samples = self._seen, self._clicks, self._logs, self.samples
+        w, lateness, stats = self._window, self._lateness, self.stats
+        closed, emitted = 0, len(samples)
         while heap and heap[0][0] < watermark:
             _, priority, _, data = pop(heap)
             if priority == _CLOSE:
-                t0 = impressions.pop(data)
-                emitted[data] = t0
+                closed += 1
+                t0 = seen[data]
                 click = clicks.get(data)
                 label = 1 if click is not None and t0 <= click <= t0 + w else 0
                 rid, item_key = data
                 log = logs.get(rid)
                 if log is not None and t0 - lateness <= log[0] <= t0 + w + lateness:
-                    samples.append(LabeledSample(rid, item_key, label, log[1], t0))
-                    stats.samples += 1
+                    samples.append(_sample((rid, item_key, label, log[1], t0)))
                 else:
                     pair = _Pair(rid, item_key, label, t0)
                     self._pending.setdefault(rid, []).append(pair)
@@ -280,6 +310,8 @@ class Joiner:
                     self._prune_pending(data.request_id)
             else:
                 logs.pop(data, None)
+        self._open -= closed
+        stats.samples += len(samples) - emitted
 
     def flush(self) -> None:
         """Close every open window and drain all buffers."""
@@ -287,23 +319,52 @@ class Joiner:
         self._advance()
 
 
-def _write_samples(path: str, samples: list[LabeledSample], label_column: str, delimiter: str) -> None:
-    """Write the samples as UTF-8 CSV: the label column, then the sorted union of payload keys."""
-    # A request's samples share one payload object, so each payload's cells are built once.
-    payloads = {id(s.payload): s.payload for s in samples}
+def _csv_lines(payloads: dict[int, dict], label_column: str, delimiter: str):
+    """The header line, each label's cell and each payload's row after its label cell, all UTF-8.
+
+    Columns are the label, then the sorted union of the payloads' keys. A
+    sample's line is its label's cell followed by its payload's row, the
+    bytes csv.writer writes for [label, *cells]: the writer quotes each
+    cell on its own, and the row's empty first cell stands in for the
+    label. Raises UnicodeEncodeError if any key or value has no UTF-8 form.
+    """
     columns = sorted({k for payload in payloads.values() for k in payload})
-    if label_column in columns:
+    # writerow returns what the target's write returns: here the line it was given, encoded.
+    line = csv.writer(SimpleNamespace(write=str.encode), delimiter=delimiter).writerow
+    end = line([])
+    labels = {label: line([label])[: -len(end)] for label in (0, 1)}
+    rows = {key: line(["", *[payload.get(c, "") for c in columns]]) if columns else end
+            for key, payload in payloads.items()}
+    return line([label_column, *columns]), labels, rows
+
+
+def _write_samples(path: str, samples: list[LabeledSample], label_column: str, delimiter: str) -> int:
+    """Write the samples as UTF-8 CSV; returns how many were left out for having no UTF-8 form.
+
+    A request's samples share one payload object, so each payload's row is
+    encoded once and every sample writes its label's cell and that row.
+    """
+    payloads = {id(s.payload): s.payload for s in samples}
+    if any(label_column in payload for payload in payloads.values()):
         raise InvalidValue(
             f"payload:{label_column}", "a payload key equal to the label column would overwrite the label"
         )
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter)
-            writer.writerow([label_column, *columns])
-            cells = {key: [payload.get(c, "") for c in columns] for key, payload in payloads.items()}
-            writer.writerows([s.label, *cells[id(s.payload)]] for s in samples)
+        header, labels, rows = _csv_lines(payloads, label_column, delimiter)
+        kept = samples
+    except UnicodeEncodeError:
+        # A JSON escape such as \ud800 parses into a lone surrogate, which
+        # has no UTF-8 form: each sample whose payload holds one is left out.
+        payloads = {key: p for key, p in payloads.items() if is_utf8("".join([*p, *p.values()]))}
+        header, labels, rows = _csv_lines(payloads, label_column, delimiter)
+        kept = [s for s in samples if id(s.payload) in rows]
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.writelines(labels[s.label] + rows[id(s.payload)] for s in kept)
     except OSError as exc:
         raise IoError(f"cannot write samples {path!r}: {exc}") from exc
+    return len(samples) - len(kept)
 
 
 def run_pipeline(
@@ -328,7 +389,7 @@ def run_pipeline(
     feed, stats = joiner.feed, joiner.stats
     # The line is stripped, so a parse that ends at its length accepts
     # exactly the lines json.loads accepts, without its per-call checks.
-    decode = json.JSONDecoder().raw_decode
+    scan = json.JSONDecoder().scan_once
     try:
         # surrogateescape turns a byte that is not UTF-8 into a lone surrogate, which is not is_utf8.
         with open(input_path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -340,9 +401,10 @@ def run_pipeline(
                     stats.malformed += 1
                     continue
                 try:
-                    obj, end = decode(line)
-                except (ValueError, RecursionError):
-                    # ValueError: bad JSON or an integer past Python's digit
+                    obj, end = scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    # StopIteration: no JSON value starts the line; ValueError:
+                    # bad JSON inside one or an integer past Python's digit
                     # limit; RecursionError: arrays or objects nested too deep.
                     stats.malformed += 1
                     continue
@@ -354,16 +416,9 @@ def run_pipeline(
         raise IoError(f"cannot read events {input_path!r}: {exc}") from exc
     joiner.flush()
 
-    try:
-        _write_samples(output_path, joiner.samples, label_column, delimiter)
-    except UnicodeEncodeError:
-        # A JSON escape such as \ud800 parses into a lone surrogate, which
-        # has no UTF-8 form: each sample that holds one is malformed, and
-        # the file is written again without them.
-        kept = [s for s in joiner.samples if is_utf8("".join([*s.payload, *map(str, s.payload.values())]))]
-        joiner.stats.malformed += len(joiner.samples) - len(kept)
-        joiner.stats.samples = len(kept)
-        _write_samples(output_path, kept, label_column, delimiter)
+    dropped = _write_samples(output_path, joiner.samples, label_column, delimiter)
+    stats.malformed += dropped
+    stats.samples -= dropped
     if stats_path is not None:
         try:
             with open(stats_path, "w") as fh:

@@ -7,10 +7,9 @@ straight-line float64 program, the float32 training step one sample at a
 time, a naive list-based LRU, an unchecked in-place delta replay, the
 delta wire format one record at a time with struct, and the stream join
 as a time-sorted batch program, and feature selection's alternating
-weight/gate loop on the per-sample step. None of it shares code with
-the package under test beyond reading its data types, except
-`parse_event`, which wraps the package's event validator so that the
-join oracle applies the same validation rules as the joiner.
+weight/gate loop on the per-sample step, and the joiner's event
+validation rules one by one (`event_fields_reference`). None of it shares
+code with the package under test beyond reading its data types.
 
 It also holds the plain views that tests compare with: a message's
 records one by one (`records_of`), a feature row in canonical bytes
@@ -34,7 +33,7 @@ from minirec.config import parse_config
 from minirec.delta_stream import DeltaMessage, DenseRun, SparseRun
 from minirec.errors import IndexOutOfRange, InvalidValue, MalformedEvent
 from minirec.features import FeatureBatch, SlotIds
-from minirec.sample_stream import Event, JoinStats, LabeledSample, _event_fields
+from minirec.sample_stream import Event, JoinStats, LabeledSample
 
 
 # ---------------------------------------------------------------------
@@ -411,9 +410,58 @@ UNPARSABLE_JSON = {
 }
 
 
+def event_fields_reference(obj) -> tuple:
+    """An event object's (kind, event_time, request_id, item_key, payload); raises MalformedEvent.
+
+    The joiner's validation rules restated one at a time, in the joiner's
+    order and with its messages: the first broken rule names the error.
+    A time is an int or a finite float, not a bool, and not negative; it
+    is truncated to an int. A payload becomes a dict of str keys (via
+    str) and str values: None is empty, a str is kept as it is, anything
+    else goes through str.
+    """
+    if not isinstance(obj, dict):
+        raise MalformedEvent("event must be a JSON object")
+    kind = obj.get("kind")
+    if kind not in ("impression", "click", "feature_log"):
+        raise MalformedEvent(f"unknown kind {kind!r}")
+    t = obj.get("event_time")
+    if isinstance(t, bool):
+        good_time = False
+    elif isinstance(t, int):
+        good_time = t >= 0
+    elif isinstance(t, float):
+        good_time = math.isfinite(t) and t >= 0
+    else:
+        good_time = False
+    if not good_time:
+        raise MalformedEvent(f"bad event_time {t!r}")
+    request_id = obj.get("request_id")
+    if not isinstance(request_id, str) or len(request_id) == 0:
+        raise MalformedEvent("missing request_id")
+    item_key = obj.get("item_key", "")
+    if not isinstance(item_key, str):
+        raise MalformedEvent("item_key must be a string")
+    if kind != "feature_log":
+        if len(item_key) == 0:
+            raise MalformedEvent(f"{kind} needs an item_key")
+        return kind, int(t), request_id, item_key, None
+    raw = obj.get("payload")
+    if not isinstance(raw, dict):
+        raise MalformedEvent("feature_log needs a payload object")
+    payload = {}
+    for key, value in raw.items():
+        if value is None:
+            value = ""
+        elif not isinstance(value, str):
+            value = str(value)
+        payload[str(key)] = value
+    return kind, int(t), request_id, item_key, payload
+
+
 def parse_event(obj) -> Event:
-    """A decoded JSON object as an Event, by the joiner's own validation rules; raises MalformedEvent."""
-    return Event(*_event_fields(obj))
+    """A decoded JSON object as an Event, by `event_fields_reference`; raises MalformedEvent."""
+    return Event(*event_fields_reference(obj))
 
 
 def event_time_of(obj):

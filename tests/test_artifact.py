@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,14 +60,14 @@ def test_save_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.erm"), str(tmp_path / "b.erm")
     save_artifact(art, a)
     save_artifact(art, b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_header_layout(tmp_path):
     art = _artifact(tmp_path)
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:8] == MAGIC
     header_len = struct.unpack("<I", blob[8:12])[0]
     header = json.loads(blob[12:12 + header_len])
@@ -86,7 +87,7 @@ def test_tensor_directory_order(tmp_path, model_type):
     art = _artifact(tmp_path, model_type=model_type)
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
-    names = [t["name"] for t in _split(open(path, "rb").read())[0]["tensors"]]
+    names = [t["name"] for t in _split(Path(path).read_bytes())[0]["tensors"]]
     assert names == list(tensor_shapes(art.config)) == list(art.params.tensors)
     assert names[0].startswith("emb:") and names[1].startswith("fo:")
     assert names[-1] == "bias"
@@ -114,7 +115,7 @@ def test_malformed_header_is_format_error(tmp_path, tamper):
     art = _artifact(tmp_path)
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
-    header, payload = _split(open(path, "rb").read())
+    header, payload = _split(Path(path).read_bytes())
     tamper(header)
     text = json.dumps(header).encode()
     bad = tmp_path / "bad.erm"
@@ -143,7 +144,7 @@ def test_bad_magic(tmp_path):
     art = _artifact(tmp_path)
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[:8] = b"XXMODEL1"
     bad = tmp_path / "bad.erm"
     bad.write_bytes(bytes(blob))
@@ -156,7 +157,7 @@ def test_truncation(tmp_path, cut):
     art = _artifact(tmp_path)
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     bad = tmp_path / "cut.erm"
     bad.write_bytes(blob[:cut] if cut > 0 else blob[:len(blob) - 1])
     with pytest.raises(FormatError):
@@ -168,7 +169,7 @@ def test_trailing_garbage(tmp_path):
     path = str(tmp_path / "model.erm")
     save_artifact(art, path)
     bad = tmp_path / "long.erm"
-    bad.write_bytes(open(path, "rb").read() + b"\x00\x00\x00\x00")
+    bad.write_bytes(Path(path).read_bytes() + b"\x00\x00\x00\x00")
     with pytest.raises(FormatError):
         load_artifact(str(bad))
 

@@ -7,6 +7,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from minirec.errors import InvalidValue, IoError, MalformedEvent
 from minirec.sample_stream import Event, JoinConfig, Joiner, _event_fields, run_pipeline
@@ -15,6 +17,7 @@ from helpers import (
     UNPARSABLE_JSON,
     aggregate_events,
     batch_join_reference,
+    event_fields_reference,
     event_time_of,
     parse_event,
     sample_key,
@@ -457,6 +460,67 @@ def test_feed_validates_like_parse_event():
     assert raw.stats.malformed == refused >= 40
     assert raw.stats.samples > 80
     assert {type(s.event_time) for s in raw.samples} == {int}
+
+
+class _Dict(dict):
+    pass
+
+
+_TEXTS = st.one_of(st.text(max_size=4), st.text(max_size=4).map(_Text))
+_CELLS = st.one_of(_TEXTS, st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.integers(), max_size=2))
+_NOT_DICTS = st.one_of(st.none(), st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2))
+# field -> (values a decoder gives for a good event, values that bend or break a rule)
+_EVENT_FIELDS = {
+    "kind": (st.sampled_from(["impression", "click", "feature_log"]),
+             st.one_of(st.sampled_from(["impression", "click", "feature_log"]).map(_Text),
+                       st.sampled_from(["scroll", "", "Click"]), st.none(), st.integers())),
+    "event_time": (st.integers(min_value=0, max_value=10 ** 6),
+                   st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 62), st.just(10 ** 400),
+                             st.booleans(), st.floats(), st.integers(0, 100).map(_Time),
+                             st.text(max_size=3), st.none())),
+    "request_id": (st.text(min_size=1, max_size=4), st.one_of(st.just(""), _TEXTS.map(_Text), st.none(), st.integers())),
+    "item_key": (st.text(min_size=1, max_size=4), st.one_of(st.just(""), _TEXTS.map(_Text), st.none(), st.integers())),
+    "payload": (st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=4),
+                st.one_of(st.dictionaries(st.one_of(_TEXTS, st.integers(), st.none(), st.booleans()), _CELLS,
+                                          max_size=4),
+                          st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=4).map(_Dict),
+                          _NOT_DICTS)),
+}
+
+
+@st.composite
+def _event_objects(draw):
+    """An event as a dict or dict subclass, or an object that is no dict.
+
+    Up to two fields take a value that bends or breaks a rule, and a field
+    now and then is missing; the rest are what a decoder gives.
+    """
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_NOT_DICTS)
+    hostile = draw(st.sets(st.sampled_from(sorted(_EVENT_FIELDS)), max_size=2))
+    obj = {}
+    for name, (good, bent) in _EVENT_FIELDS.items():
+        if draw(st.integers(0, 11)) > 0:
+            obj[name] = draw(bent if name in hostile else good)
+    return draw(st.sampled_from([dict, dict, _Dict, OrderedDict]))(obj)
+
+
+def _validation(validate, obj):
+    """What the validator gives for obj: its fields with their types, or the MalformedEvent text."""
+    try:
+        fields = validate(obj)
+    except MalformedEvent as exc:
+        return "refused", str(exc)
+    payload = fields[4]
+    cells = None if payload is None else [(type(k), k, type(v), v) for k, v in payload.items()]
+    return "accepted", [(type(f), f) for f in fields[:4]], type(payload), cells
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_event_objects())
+def test_event_fields_agree_with_the_restated_rules(obj):
+    """The joiner's validator, fast path included, gives what the rules restated in helpers give."""
+    assert _validation(_event_fields, obj) == _validation(event_fields_reference, obj)
 
 
 class TestRunPipeline:

@@ -1214,9 +1214,8 @@ class TestPoller:
     def test_polls_applies_and_survives_garbage(self, tmp_path):
         model = _make_model(tmp_path)
         url = f"file://{tmp_path / 'deltas'}"
-        publisher = open_publisher(url)
-        handle = http_serve(model, None, consumer=open_consumer(url),
-                            poll_interval_ms=20)
+        publisher, consumer = open_publisher(url), open_consumer(url)
+        handle = http_serve(model, None, consumer=consumer, poll_interval_ms=20)
         try:
             publisher.publish(b"garbage frame")
             msg = message_of(model_version=1,
@@ -1245,6 +1244,7 @@ class TestPoller:
         finally:
             handle.shutdown()
             publisher.close()
+            consumer.close()
 
     def test_non_finite_frame_is_rejected(self, tmp_path):
         model = _make_model(tmp_path)
