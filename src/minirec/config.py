@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .errors import InvalidValue, MissingSection, UnknownKey
-from .features import FeatureSpec
+from .features import FeatureSpec, is_utf8
 
 SECTION_NAMES = ("data_config", "feature_config", "model_config", "train_config", "eval_config")
 MODEL_TYPES = ("deepfm", "logreg")
@@ -176,6 +176,8 @@ def _validate(cfg: PipelineConfig) -> None:
         raise InvalidValue("data_config.delimiter", "must be a single character")
     if not d.label_column:
         raise InvalidValue("data_config.label_column", "must be non-empty")
+    if not is_utf8(d.label_column):
+        raise InvalidValue("data_config.label_column", "has no UTF-8 form")
     if m.model_type not in MODEL_TYPES:
         raise InvalidValue("model_config.model_type", f"unknown model type {m.model_type!r}")
     if m.embedding_dim < 1:

@@ -380,11 +380,14 @@ def run_pipeline(
     CSV columns: the label column, then the sorted union of payload keys;
     rows appear in emission order, so reruns over the same file are
     byte-identical. Column naming and delimiter follow the training
-    data_config so the output feeds the trainer directly. A payload key
-    equal to the label column raises InvalidValue before the output opens.
-    The output is UTF-8; a sample that has no UTF-8 form is dropped and
-    counted as malformed, so `samples` counts the rows written.
+    data_config so the output feeds the trainer directly. A label column
+    with no UTF-8 form, or a payload key equal to it, raises InvalidValue
+    before the output opens. The output is UTF-8; a sample that has no
+    UTF-8 form is dropped and counted as malformed, so `samples` counts
+    the rows written.
     """
+    if not is_utf8(label_column):
+        raise InvalidValue("label_column", "has no UTF-8 form")
     joiner = Joiner(cfg)
     feed, stats = joiner.feed, joiner.stats
     # The line is stripped, so a parse that ends at its length accepts

@@ -29,7 +29,25 @@ write, so a client that stalls its body or its reply holds up no one
 else. Two requests scored at once would trade the GIL mid-request and
 both finish later than one after the other. At most `MAX_CONNECTIONS`
 connections are served at once, each on its own thread; one more is
-answered 503 and closed without a thread.
+answered 503 without a thread.
+
+The server reads a subset of HTTP/1.1 itself, on `socketserver`: GET
+and POST, a request line and at most 100 header lines of at most 65,536
+bytes each, and a body sized by `Content-Length` alone. HTTP/1.1
+connections stay open unless the client sends `Connection: close`, and
+HTTP/1.0 ones only with `Connection: keep-alive`; `Expect: 100-continue`
+on HTTP/1.1 is answered `100 Continue` before the body is read. A head
+outside the subset is refused with http.server's status and a JSON
+error: 400 for a malformed request line or header line (a folded one
+included) or two different `Content-Length` values, 414 for a request
+line over the limit, 431 for a header line over it or too many headers,
+501 for another method or any `Transfer-Encoding`, 505 for a version
+other than HTTP/1.0 and HTTP/1.1, and 417 for another `Expect`. A reply
+is one write: status line, `Content-Type`, `Content-Length`, `Date`,
+`Connection: close` when the server closes after it, and the body.
+A connection the server ends is half-closed and closed only after
+`MAX_CONNECTIONS` later ones, so a client still sending when it is
+refused reads its reply instead of a reset.
 """
 
 from __future__ import annotations
@@ -39,11 +57,14 @@ import json
 import logging
 import itertools
 import math
+import socket
+import socketserver
 import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http import HTTPStatus
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +94,9 @@ MAX_BODY_BYTES = 1 << 20
 BODY_TIMEOUT_S = 5.0
 # Connections served at once, one thread each; a connection over the cap is answered 503 and closed.
 MAX_CONNECTIONS = 64
+# Longest request or header line and most header lines in a request head, as http.server allows.
+MAX_LINE_BYTES = 65_536
+MAX_HEADERS = 100
 
 
 @dataclass(frozen=True)
@@ -391,8 +415,10 @@ class _Metrics:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._window: deque = deque(maxlen=METRICS_WINDOW)
-        # The latest requests' (request_us, lock_wait_us), a ring of floats: 16 bytes a request.
+        # The latest scores' (monotonic time, latency_us, cache_hits, items) and
+        # requests' (request_us, lock_wait_us): rings of floats, 32 and 16 bytes an entry.
+        self._window = np.zeros((METRICS_WINDOW, 4))
+        self._scored = 0
         self._requests = np.zeros((METRICS_WINDOW, 2))
         # Frames applied, failed decode or validation, dropped as already held or
         # refused for a version gap; consume calls that raised; scores nulled;
@@ -402,7 +428,8 @@ class _Metrics:
 
     def record(self, latency_us: float, cache_hits: int, items: int) -> None:
         with self._lock:
-            self._window.append((time.monotonic(), latency_us, cache_hits, items))
+            self._window[self._scored % METRICS_WINDOW] = time.monotonic(), latency_us, cache_hits, items
+            self._scored += 1
 
     def record_request(self, request_us: float, lock_wait_us: float) -> None:
         with self._lock:
@@ -423,16 +450,17 @@ class _Metrics:
 
     def snapshot(self) -> dict:
         with self._lock:
-            window = list(self._window)
+            window = self._window[: self._scored].copy()
             requests = self._requests[: self.counters["requests"]].copy()
             counters = dict(self.counters)
-        total_items = sum(w[3] for w in window)
-        total_hits = sum(w[2] for w in window)
-        span = window[-1][0] - window[0][0] if len(window) > 1 else 0.0
+        times, latencies, hits, items = window.T
+        # Times are taken under the lock, so the ring's oldest is its least and its newest its greatest.
+        span = float(times.max() - times.min()) if len(times) > 1 else 0.0
+        total_items = items.sum()
         return {
             "qps": len(window) / span if span > 0 else 0.0,
-            "cache_hit_rate": total_hits / total_items if total_items else 0.0,
-            **self._percentiles("latency", [w[1] for w in window]),
+            "cache_hit_rate": float(hits.sum() / total_items) if total_items else 0.0,
+            **self._percentiles("latency", latencies),
             **self._percentiles("request", requests[:, 0]),
             **self._percentiles("lock_wait", requests[:, 1]),
             **counters,
@@ -476,29 +504,111 @@ class _Poller(threading.Thread):
                 log.info("applied delta, model_version=%d", version)
 
 
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _reply(status: int, body: bytes, close: bool = False) -> bytes:
+    """A whole JSON reply: status line, headers, the `Date` in RFC 7231's form, and the body."""
+    t = time.gmtime()
+    return (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nDate: {_DAYS[t.tm_wday]}, {t.tm_mday:02d} "
+            f"{_MONTHS[t.tm_mon - 1]} {t.tm_year} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT\r\n"
+            + ("Connection: close\r\n\r\n" if close else "\r\n")).encode("ascii") + body
+
+
+class _Refused(Exception):
+    """A request head outside the served subset of HTTP/1.1; `status` is its reply's."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+class _Head(NamedTuple):
+    method: str
+    path: str
+    headers: dict[str, str]  # keyed by lower-cased name; a repeated header keeps its first value
+    keep_alive: bool
+    expects_continue: bool
+
+
+def _read_head(request_line: bytes, rfile) -> _Head:
+    """The request head that `request_line` starts, its header lines read from `rfile`.
+
+    Raises `_Refused` with http.server's status for a head outside the
+    subset served (see the module docstring).
+    """
+    if len(request_line) > MAX_LINE_BYTES:
+        raise _Refused(414, f"request line longer than {MAX_LINE_BYTES} bytes")
+    words = request_line.split()
+    if len(words) != 3:
+        raise _Refused(400, "malformed request line")
+    method, target, protocol = words
+    numbers = protocol[5:].split(b".") if protocol.startswith(b"HTTP/") else ()
+    if len(numbers) != 2 or not all(n.isdigit() and len(n) <= 10 for n in numbers):
+        raise _Refused(400, "malformed HTTP version")
+    version = tuple(map(int, numbers))
+    if version not in ((1, 0), (1, 1)):
+        raise _Refused(505, "HTTP version not supported")
+    headers: dict[str, str] = {}
+    for count in itertools.count():
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _Refused(431, f"header line longer than {MAX_LINE_BYTES} bytes")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        if count == MAX_HEADERS:
+            raise _Refused(431, f"more than {MAX_HEADERS} header lines")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name != name.strip():
+            # A line starting with whitespace continues the previous one (obs-fold).
+            raise _Refused(400, "malformed header line")
+        name, value = name.lower(), value.strip(" \t\r\n")
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _Refused(400, "two different Content-Length values")
+        headers.setdefault(name, value)
+    if method not in (b"GET", b"POST"):
+        raise _Refused(501, f"method {method.decode('latin-1')!r} not implemented")
+    if "transfer-encoding" in headers:
+        raise _Refused(501, "Transfer-Encoding not implemented")
+    expect = headers.get("expect")
+    if expect is not None and expect.lower() != "100-continue":
+        raise _Refused(417, f"expectation {expect!r} not supported")
+    connection = headers.get("connection", "").lower()
+    keep_alive = connection != "close" if version == (1, 1) else connection == "keep-alive"
+    return _Head(method.decode("ascii"), target.decode("latin-1"), headers, keep_alive,
+                 expect is not None and version == (1, 1))
+
+
 _BUSY_BODY = json.dumps({"error": "too many connections"}).encode("utf-8")
-_BUSY_REPLY = (b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"
-               b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(_BUSY_BODY), _BUSY_BODY))
 
 
-class _Server(HTTPServer):
-    """An HTTP server with one thread per connection and at most MAX_CONNECTIONS of them.
+class _Server(socketserver.TCPServer):
+    """A TCP server with one thread per connection and at most MAX_CONNECTIONS of them.
 
     A connection over the cap is answered 503 with `Connection: close` by
-    the accepting thread, without blocking it, and closed; no thread
-    starts for it. Its request is left unread, so a client still sending
-    it may see a reset in place of the reply.
+    the accepting thread, without blocking it; no thread starts for it.
+    Every connection the server ends, refused or served, is half-closed
+    and parked: it is closed once MAX_CONNECTIONS later ones are parked,
+    or with the server. A client still sending its request when it is
+    refused thus reads the reply, where a close with its bytes unread
+    would answer them with a reset.
     """
+
+    allow_reuse_address = True
 
     def __init__(self, bind, handler):
         super().__init__(bind, handler)
         self._free = threading.Semaphore(MAX_CONNECTIONS)
+        self._parked: deque | None = deque()
+        self._parked_lock = threading.Lock()
 
     def process_request(self, request, client_address) -> None:
         if not self._free.acquire(blocking=False):
             request.setblocking(False)
             with contextlib.suppress(OSError):
-                request.sendall(_BUSY_REPLY)
+                request.sendall(_reply(503, _BUSY_BODY, close=True))
             self.shutdown_request(request)
             return
         threading.Thread(target=self._serve, args=(request, client_address),
@@ -512,6 +622,25 @@ class _Server(HTTPServer):
         finally:
             self.shutdown_request(request)
             self._free.release()
+
+    def shutdown_request(self, request) -> None:
+        """Half-close `request` and park it; close the oldest parked one past MAX_CONNECTIONS."""
+        with contextlib.suppress(OSError):
+            request.shutdown(socket.SHUT_WR)
+        with self._parked_lock:
+            if self._parked is not None:
+                self._parked.append(request)
+                if len(self._parked) <= MAX_CONNECTIONS:
+                    return
+                request = self._parked.popleft()
+        request.close()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._parked_lock:
+            parked, self._parked = self._parked or (), None
+        for request in parked:
+            request.close()
 
 
 @dataclass
@@ -572,85 +701,51 @@ def http_serve(
             metrics.count("scores_nulled")
         return 200, response.to_plain()
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # Headers and body go out in two writes; with Nagle on, the second
-        # waits for the client's delayed ACK (about 40 ms) on keep-alive.
+    class Handler(socketserver.StreamRequestHandler):
+        # A reply over one segment, or 100 Continue and then a reply, would
+        # otherwise wait for the client's delayed ACK (about 40 ms).
         disable_nagle_algorithm = True
 
-        def log_message(self, fmt, *args):
-            log.debug("http: " + fmt, *args)
+        def handle(self) -> None:
+            # A client that resets the connection has left; there is no one to answer.
+            with contextlib.suppress(ConnectionError):
+                while self._serve_one():
+                    pass
 
-        def parse_request(self) -> bool:
-            # Called once the request line is read: a request's latency starts here.
-            self.started = time.perf_counter()
-            return super().parse_request()
-
-        def _reply(self, status: int, payload: dict, close: bool = False) -> None:
-            self._send(status, json.dumps(payload).encode("utf-8"), close)
-
-        def _send(self, status: int, body: bytes, close: bool = False) -> None:
+        def _serve_one(self) -> bool:
+            """Read and answer one request; whether the connection stays open for the next."""
+            request_line = self.rfile.readline(MAX_LINE_BYTES + 1)
+            if not request_line:
+                return False
+            # A request's latency starts once its request line is read.
+            started = time.perf_counter()
             try:
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                if close:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(body)
-            except (BrokenPipeError, ConnectionResetError):
-                # The client has hung up; there is no one left to answer.
-                self.close_connection = True
-
-        def _read_body(self, length: int) -> bytes | None:
-            """The body, or None after a 400 if fewer than `length` bytes come within BODY_TIMEOUT_S.
-
-            The timeout covers the body only, so idle keep-alive connections
-            between requests are not affected.
-            """
-            idle_timeout = self.connection.gettimeout()
-            self.connection.settimeout(BODY_TIMEOUT_S)
-            try:
-                body = self.rfile.read(length)
-            except TimeoutError:
-                body = b""
-            finally:
-                self.connection.settimeout(idle_timeout)
-            if len(body) < length:
-                self._reply(400, {"error": f"body shorter than its Content-Length {length}"}, close=True)
-                return None
-            return body
-
-        def _body_length(self) -> int | None:
-            """The declared body length, or None unless it is digits up to MAX_BODY_BYTES."""
-            text = self.headers.get("Content-Length", "0")
+                head = _read_head(request_line, self.rfile)
+            except _Refused as exc:
+                self._send(exc.status, {"error": str(exc)}, close=True)
+                return False
+            if head.method == "GET":
+                if head.path == "/v1/version":
+                    self._send(200, {"model_version": model.version}, not head.keep_alive)
+                elif head.path == "/v1/metrics":
+                    self._send(200, metrics.snapshot(), not head.keep_alive)
+                else:
+                    self._send(404, {"error": f"no such path {head.path!r}"}, not head.keep_alive)
+                return head.keep_alive
+            # A refused POST leaves its body unread, so the connection cannot be reused.
+            if head.path != "/v1/predict":
+                self._send(404, {"error": f"no such path {head.path!r}"}, close=True)
+                return False
+            text = head.headers.get("content-length", "0")
             if not (text.isascii() and text.isdigit()) or int(text) > MAX_BODY_BYTES:
-                return None
-            return int(text)
-
-        def do_GET(self) -> None:
-            if self.path == "/v1/version":
-                self._reply(200, {"model_version": model.version})
-            elif self.path == "/v1/metrics":
-                self._reply(200, metrics.snapshot())
-            else:
-                self._reply(404, {"error": f"no such path {self.path!r}"})
-
-        def do_POST(self) -> None:
-            if self.path != "/v1/predict":
-                self._reply(404, {"error": f"no such path {self.path!r}"})
-                return
-            length = self._body_length()
-            if length is None:
-                # The body is left unread, so the connection cannot be reused.
-                self._reply(
-                    400, {"error": f"Content-Length must be an integer in 0..{MAX_BODY_BYTES}"},
-                    close=True,
-                )
-                return
-            body = self._read_body(length)
+                self._send(400, {"error": f"Content-Length must be an integer in 0..{MAX_BODY_BYTES}"},
+                           close=True)
+                return False
+            if head.expects_continue:
+                self._write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = self._read_body(int(text))
             if body is None:
-                return
+                return False
             # Held from the JSON decode to the encoded reply, never across a
             # socket read or write. Two requests scored at once hand the GIL
             # back and forth mid-request and both finish late.
@@ -659,8 +754,35 @@ def http_serve(
                 locked = time.perf_counter()
                 status, payload = predict(body)
                 reply = json.dumps(payload).encode("utf-8")
-            self._send(status, reply)
-            metrics.record_request((time.perf_counter() - self.started) * 1e6, (locked - waited) * 1e6)
+            self._write(_reply(status, reply, not head.keep_alive))
+            metrics.record_request((time.perf_counter() - started) * 1e6, (locked - waited) * 1e6)
+            return head.keep_alive
+
+        def _send(self, status: int, payload: dict, close: bool) -> None:
+            self._write(_reply(status, json.dumps(payload).encode("utf-8"), close))
+
+        def _write(self, data: bytes) -> None:
+            # A client that has hung up gets no reply; the next read sees it gone.
+            with contextlib.suppress(ConnectionError):
+                self.connection.sendall(data)
+
+        def _read_body(self, length: int) -> bytes | None:
+            """The body, or None after a 400 if fewer than `length` bytes come within BODY_TIMEOUT_S.
+
+            The timeout covers the body only, so idle keep-alive connections
+            between requests are not affected.
+            """
+            self.connection.settimeout(BODY_TIMEOUT_S)
+            try:
+                body = self.rfile.read(length)
+            except TimeoutError:
+                body = b""
+            finally:
+                self.connection.settimeout(None)
+            if len(body) < length:
+                self._send(400, {"error": f"body shorter than its Content-Length {length}"}, close=True)
+                return None
+            return body
 
     server = _Server(bind, Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True, name="minirec-http")

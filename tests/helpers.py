@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import struct
+import time
 import zlib
 from functools import reduce
 from typing import NamedTuple
@@ -401,6 +402,71 @@ HOSTILE_VALUES = (
     "", "abc", "1e300", "nan", "-inf", "t1||t2|", "\ud800", "a\udfffb", "x" * 5000,
     [], {}, ["a", 1], {"a": {"b": [1]}}, nested(50), nested(900),
 )
+
+
+# ---------------------------------------------------------------------
+# HTTP replies read off a bare socket
+# ---------------------------------------------------------------------
+
+class HttpReply(NamedTuple):
+    status: int
+    headers: dict  # lower-cased name -> value
+    body: bytes
+
+
+class HttpReplies:
+    """The replies that arrive on a socket, one at a time, parsed without an HTTP library.
+
+    A reply's head is a status line "HTTP/1.1 NNN reason" and header lines
+    "Name: value", each name at most once, then an empty line; a 1xx reply
+    has no body and any other one exactly Content-Length bytes of it. Bytes
+    past a reply stay for the next. Anything else fails an assertion, and a
+    reply not whole by its deadline raises TimeoutError.
+    """
+
+    def __init__(self, sock):
+        self.sock, self.buffer = sock, b""
+
+    def _recv(self, deadline: float) -> bytes:
+        self.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+        return self.sock.recv(65536)
+
+    def _fill(self, deadline: float) -> None:
+        chunk = self._recv(deadline)
+        assert chunk, f"connection ended inside a reply: {self.buffer[:200]!r}"
+        self.buffer += chunk
+
+    def next(self, timeout: float = 1.0) -> HttpReply:
+        deadline = time.monotonic() + timeout
+        while b"\r\n\r\n" not in self.buffer:
+            self._fill(deadline)
+        head, _, self.buffer = self.buffer.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("ascii").split("\r\n")
+        version, code, reason = status_line.split(" ", 2)
+        assert version == "HTTP/1.1" and len(code) == 3 and code.isdigit() and reason, status_line
+        headers = {}
+        for line in lines:
+            name, sep, value = line.partition(": ")
+            assert sep and name.isascii() and name.replace("-", "").isalnum(), line
+            assert name.lower() not in headers, f"{name} twice"
+            headers[name.lower()] = value
+        status = int(code)
+        if status < 200:
+            assert "content-length" not in headers, head
+            return HttpReply(status, headers, b"")
+        length = headers["content-length"]
+        assert length.isdigit(), head
+        while len(self.buffer) < int(length):
+            self._fill(deadline)
+        body, self.buffer = self.buffer[: int(length)], self.buffer[int(length):]
+        return HttpReply(status, headers, body)
+
+    def ended(self, timeout: float = 1.0) -> bool:
+        """Whether the peer ends the connection, with no more bytes, within `timeout`."""
+        try:
+            return not self.buffer and self._recv(time.monotonic() + timeout) == b""
+        except TimeoutError:
+            return False
 
 
 UNPARSABLE_JSON = {

@@ -334,8 +334,8 @@ def test_criterion_05_update_freshness(tmp_path):
         model = load_model(str(tmp_path / "model.erm"))
         url = f"file://{tmp_path / 'deltas'}"
         publisher = open_publisher(url)
-        handle = http_serve(model, LruCache(128), consumer=open_consumer(url),
-                            poll_interval_ms=1000)
+        consumer = open_consumer(url)
+        handle = http_serve(model, LruCache(128), consumer=consumer, poll_interval_ms=1000)
         try:
             artifact, report = train(cfg, sink=publisher)
             assert report.deltas_emitted > 0
@@ -368,6 +368,7 @@ def test_criterion_05_update_freshness(tmp_path):
                     assert abs(got - want) <= 1e-6
         finally:
             handle.shutdown()
+            consumer.close()
             publisher.close()
 
 

@@ -363,6 +363,21 @@ class TestStreamJoinCommand:
         assert "'payload:label'" in err and "Traceback" not in err
         assert not out_path.exists()
 
+    def test_label_column_without_utf8_form_is_runtime_error(self, workspace, tmp_path, capsys):
+        cfg = json.loads(workspace.read_text())
+        cfg["data_config"]["label_column"] = "\ud800"
+        # json.dumps writes the lone surrogate as the escape \ud800, which json.loads reads back.
+        workspace.write_text(json.dumps(cfg))
+        events_path = tmp_path / "events.jsonl"
+        events_path.write_text('{"kind": "impression", "event_time": 10, "request_id": "r1", "item_key": "a"}\n')
+        out_path = tmp_path / "samples.csv"
+        code = main(["stream-join", "-c", str(workspace), "--events", str(events_path),
+                     "--window-ms", "5", "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "data_config.label_column" in err and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_non_utf8_line_is_malformed(self, workspace, tmp_path, capsys):
         events_path = tmp_path / "events.jsonl"
         events = [

@@ -83,6 +83,15 @@ def test_invalid_values(tmp_path, section, field, value):
         parse_config(json.dumps(obj))
 
 
+def test_label_column_without_utf8_form_rejected(tmp_path):
+    """A JSON escape such as \\ud800 parses into a lone surrogate, which no CSV header can hold."""
+    obj = config_dict(tmp_path)
+    obj["data_config"]["label_column"] = "\ud800"
+    with pytest.raises(InvalidValue) as err:
+        parse_config(json.dumps(obj))
+    assert "data_config.label_column" in str(err.value)
+
+
 def test_bool_rejected_for_numeric_field(tmp_path):
     obj = config_dict(tmp_path)
     obj["train_config"]["batch_size"] = True

@@ -572,6 +572,15 @@ class TestRunPipeline:
                      label_column="clicked", delimiter="\t")
         assert out.read_text().splitlines()[0] == "clicked\titem_id\tprice\tuser_id"
 
+    def test_label_column_without_utf8_form_raises_before_the_output_opens(self, tmp_path):
+        events = tmp_path / "events.jsonl"
+        self._write_events(events)
+        out = tmp_path / "samples.csv"
+        with pytest.raises(InvalidValue) as err:
+            run_pipeline(str(events), JoinConfig(label_window_ms=5), str(out), label_column="\ud800")
+        assert "label_column" in str(err.value)
+        assert not out.exists()
+
     def test_lone_surrogate_sample_is_malformed(self, tmp_path):
         """A \\ud800 escape in a payload drops that sample from the UTF-8 output."""
         events = tmp_path / "events.jsonl"

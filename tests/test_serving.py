@@ -6,9 +6,12 @@ import itertools
 import json
 import logging
 import math
+import random
+import re
 import socket
 import statistics
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -53,6 +56,7 @@ from minirec.trainer import score_all, train
 from helpers import (
     DenseRecord,
     HOSTILE_VALUES,
+    HttpReplies,
     LruSimulator,
     SparseRecord,
     copy_params,
@@ -1025,6 +1029,42 @@ class TestHttpService:
             handle.shutdown()
 
 
+    def test_refused_client_still_sending_reads_the_503(self, tmp_path, monkeypatch):
+        """With a cap of 1 taken, each POST that sends its body after its head still reads its 503."""
+        monkeypatch.setattr(serving, "MAX_CONNECTIONS", 1)
+        started = []
+        start_thread = threading.Thread.start
+
+        def recording_start(thread):
+            if thread.name == "minirec-connection":
+                started.append(thread)
+            start_thread(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        handle = http_serve(_make_model(tmp_path), None)
+        kept = http.client.HTTPConnection(*handle.address, timeout=10)
+        replies = []
+        try:
+            kept.request("GET", "/v1/version")
+            assert kept.getresponse().read() == b'{"model_version": 0}'
+            for n in range(150):
+                body = b"x" * (291 if n % 2 else 28_011)
+                with socket.create_connection(handle.address, timeout=5) as sock:
+                    try:
+                        sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+                                     % len(body))
+                        sock.sendall(body)
+                        reply = HttpReplies(sock).next()
+                        replies.append((reply.status, reply.headers.get("connection"), json.loads(reply.body)))
+                    except OSError as exc:
+                        replies.append(type(exc).__name__)
+        finally:
+            kept.close()
+            handle.shutdown()
+        assert replies == [(503, "close", {"error": "too many connections"})] * 150
+        assert len(started) == 1
+
+
 class TestHostileInputs:
     """Hostile bodies get a status and a JSON reply, never a 500 or a dropped connection."""
 
@@ -1346,3 +1386,173 @@ class TestQueueFaults:
         finally:
             handle.shutdown()
             consumer.close()
+
+
+_VERSION = b"GET /v1/version HTTP/1.1\r\nHost: x\r\n\r\n"
+_PREDICT_BODY = b'{"items": [{"key": "a"}]}'
+
+
+def _post(headers: bytes, body: bytes = _PREDICT_BODY) -> bytes:
+    return b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n%s\r\n" % (len(body), headers)
+
+
+# Each case is what a client sends and the replies it reads, in order: bytes
+# are sent, and (status, close) is a reply with that status that carries
+# `Connection: close` if and only if `close`, after which the server ends the
+# connection. A case that ends without close leaves the connection open for
+# another request.
+_HEAD_CASES = {
+    "http11": [_VERSION, (200, False)],
+    "http11_close": [b"GET /v1/version HTTP/1.1\r\nConnection: close\r\n\r\n", (200, True)],
+    "http10": [b"GET /v1/version HTTP/1.0\r\n\r\n", (200, True)],
+    "http10_keep_alive": [b"GET /v1/version HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", (200, False),
+                          _VERSION, (200, False)],
+    "pipelined": [_VERSION + _post(b"") + _PREDICT_BODY, (200, False), (200, False)],
+    "pipelined_then_close": [_post(b"") + _PREDICT_BODY + b"GET /v1/metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
+                             (200, False), (200, True)],
+    "expect_100_continue": [_post(b"Expect: 100-continue\r\n"), (100, False), _PREDICT_BODY, (200, False)],
+    "expect_100_continue_http10_ignored": [
+        b"POST /v1/predict HTTP/1.0\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(_PREDICT_BODY)
+        + _PREDICT_BODY, (200, True)],
+    "target_bytes_0x80_up": [b"GET /v1/\x80version\xff HTTP/1.1\r\n\r\n", (404, False), _VERSION, (200, False)],
+    "post_target_bytes_0x80_up": [b"POST /v1/predict\xfe HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}", (404, True)],
+    "header_value_bytes_0x80_up": [b"GET /v1/version HTTP/1.1\r\nX-Name: \xe9\xff\x80\r\n\r\n", (200, False)],
+    "hundred_headers": [b"GET /v1/version HTTP/1.1\r\n" + b"X-A: b\r\n" * 100 + b"\r\n", (200, False)],
+    "same_content_length_twice": [_post(b"Content-Length: %d\r\n" % len(_PREDICT_BODY)) + _PREDICT_BODY,
+                                  (200, False)],
+    # 400: the request line or a header line is malformed.
+    "request_line_two_words": [b"GET /v1/version\r\n\r\n", (400, True)],
+    "request_line_four_words": [b"GET /v1/version HTTP/1.1 x\r\n\r\n", (400, True)],
+    "request_line_empty": [b"\r\n" + _VERSION, (400, True)],
+    "version_not_http": [b"GET /v1/version HTTQ/1.1\r\n\r\n", (400, True)],
+    "version_one_number": [b"GET /v1/version HTTP/1\r\n\r\n", (400, True)],
+    "version_not_digits": [b"GET /v1/version HTTP/1.x\r\n\r\n", (400, True)],
+    "header_without_colon": [b"GET /v1/version HTTP/1.1\r\nHost x\r\n\r\n", (400, True)],
+    "header_space_before_colon": [b"GET /v1/version HTTP/1.1\r\nHost : x\r\n\r\n", (400, True)],
+    "header_obs_fold": [b"GET /v1/version HTTP/1.1\r\nX-A: b\r\n c\r\n\r\n", (400, True)],
+    "header_obs_fold_tab": [b"GET /v1/version HTTP/1.1\r\nX-A: b\r\n\tc\r\n\r\n", (400, True)],
+    "two_content_lengths": [_post(b"Content-Length: 3\r\n") + _PREDICT_BODY, (400, True)],
+    "content_length_not_digits": [_post(b"").replace(b"Length: 25", b"Length: +25") + _PREDICT_BODY, (400, True)],
+    # 414, 431: over the limits.
+    "request_line_too_long": [b"GET /" + b"a" * 65_536 + b" HTTP/1.1\r\n\r\n", (414, True)],
+    "header_line_too_long": [b"GET /v1/version HTTP/1.1\r\nX-A: " + b"b" * 65_536 + b"\r\n\r\n", (431, True)],
+    "too_many_headers": [b"GET /v1/version HTTP/1.1\r\n" + b"X-A: b\r\n" * 101 + b"\r\n", (431, True)],
+    # 501: another method, or a Transfer-Encoding; the client is still sending the body when refused.
+    "method_put": [b"PUT /v1/predict HTTP/1.1\r\nContent-Length: 2\r\n\r\n", (501, True), b"{}"],
+    "method_head": [b"HEAD /v1/version HTTP/1.1\r\n\r\n", (501, True)],
+    "method_lower_case": [b"get /v1/version HTTP/1.1\r\n\r\n", (501, True)],
+    "transfer_encoding_chunked": [b"POST /v1/predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                                  (501, True), b"2\r\n{}\r\n0\r\n\r\n"],
+    "transfer_encoding_identity": [_post(b"Transfer-Encoding: identity\r\n") + _PREDICT_BODY, (501, True)],
+    # 505: a version other than HTTP/1.0 and HTTP/1.1.
+    "version_2": [b"GET /v1/version HTTP/2.0\r\n\r\n", (505, True)],
+    "version_0_9": [b"GET /v1/version HTTP/0.9\r\n\r\n", (505, True)],
+    "version_1_2": [b"GET /v1/version HTTP/1.2\r\n\r\n", (505, True)],
+    # 417: an expectation other than 100-continue.
+    "expect_other": [_post(b"Expect: 200-ok\r\n"), (417, True), _PREDICT_BODY],
+}
+# Cases whose header lines the fuzz may not add to or change: their count or spelling is the point.
+_EXACT_HEADERS = {"hundred_headers", "too_many_headers", "header_space_before_colon", "request_line_empty",
+                  "request_line_two_words", "request_line_four_words"}
+_HEADER_NAMES = re.compile(rb"^(connection|content-length|expect|transfer-encoding|host)(?=:)", re.I | re.M)
+
+
+def _fuzzed(steps, name, rng):
+    """The case with its sends cut at random points, its header names in random case, a random header
+    added and a good request in front, each at random; the replies it must read do not change."""
+    steps = list(steps)
+    if name not in _EXACT_HEADERS and rng.random() < 0.5:
+        head = steps[0].split(b"\r\n", 1)
+        value = bytes(rng.choice([*range(0x21, 0x7f), *range(0x80, 0x100)]) for _ in range(rng.randrange(40)))
+        steps[0] = head[0] + b"\r\nX-Fuzz: " + value + b"\r\n" + head[1]
+    if name not in _EXACT_HEADERS and rng.random() < 0.5:
+        def flip(match):
+            return bytes(c ^ 0x20 if chr(c).isalpha() and rng.random() < 0.5 else c for c in match.group(0))
+
+        steps = [_HEADER_NAMES.sub(flip, step) if isinstance(step, bytes) else step for step in steps]
+    if rng.random() < 0.3:
+        steps = [_VERSION, (200, False), *steps]
+    cut = []
+    for step in steps:
+        if isinstance(step, bytes) and len(step) > 1 and rng.random() < 0.5:
+            points = sorted(rng.sample(range(1, len(step)), min(3, len(step) - 1)))
+            cut += [step[a:b] for a, b in zip([0, *points], [*points, len(step)])]
+        else:
+            cut.append(step)
+    return cut
+
+
+class TestHostileHeads:
+    """Request heads inside and outside the served subset of HTTP/1.1, read by a parser of their own.
+
+    Each reply arrives within a second with the status the case gives, a
+    JSON error on every 4xx and 5xx, and `Connection: close` exactly where
+    the server then ends the connection. Afterwards the server still
+    answers, nothing is logged at ERROR and nothing is printed.
+    """
+
+    @pytest.fixture(scope="class")
+    def handle(self, tmp_path_factory):
+        handle = http_serve(_make_model(tmp_path_factory.mktemp("heads")), LruCache(16))
+        yield handle
+        handle.shutdown()
+
+    @staticmethod
+    def _run(handle, steps):
+        with socket.create_connection(handle.address, timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+            replies, closed = HttpReplies(sock), False
+            for step in steps:
+                if isinstance(step, bytes):
+                    sock.sendall(step)
+                    continue
+                status, close = step
+                start = time.perf_counter()
+                reply = replies.next(timeout=1.0)
+                assert time.perf_counter() - start < 1.0
+                assert reply.status == status, (reply, steps[:1])
+                assert reply.headers.get("connection") == ("close" if close else None), reply
+                if status >= 400:
+                    assert isinstance(json.loads(reply.body)["error"], str), reply
+                elif status >= 200:
+                    assert reply.headers["content-type"] == "application/json"
+                    assert re.fullmatch(r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d (Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep"
+                                        r"|Oct|Nov|Dec) \d{4} \d\d:\d\d:\d\d GMT", reply.headers["date"])
+                closed = close
+            if closed:
+                assert replies.ended()
+            else:
+                sock.sendall(_VERSION)
+                assert replies.next().status == 200
+
+    def _check_after(self, handle, caplog, capfd):
+        with socket.create_connection(handle.address, timeout=5) as sock:
+            sock.sendall(_VERSION)
+            reply = HttpReplies(sock).next()
+        assert (reply.status, reply.body) == (200, b'{"model_version": 0}')
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+        assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("name", _HEAD_CASES)
+    def test_case(self, handle, caplog, capfd, name):
+        caplog.set_level(logging.WARNING, logger="minirec")
+        self._run(handle, _HEAD_CASES[name])
+        self._check_after(handle, caplog, capfd)
+
+    def test_fuzz(self, handle, caplog, capfd):
+        caplog.set_level(logging.WARNING, logger="minirec")
+        rng = random.Random(34)
+        for _ in range(3):
+            for name, steps in _HEAD_CASES.items():
+                self._run(handle, _fuzzed(steps, name, rng))
+        self._check_after(handle, caplog, capfd)
+
+
+def test_importing_the_cli_loads_no_http_library():
+    """The server reads HTTP itself; http.server would load http.client, email and ssl."""
+    code = ("import sys, minirec.cli; "
+            "print(sorted(m for m in ('ssl', 'http.client', 'http.server', 'email') if m in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "[]"

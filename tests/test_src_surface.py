@@ -16,15 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Definitions that the standard library calls by a name built at run time.
+# Definitions that only the standard library calls: socketserver's callbacks.
 EXEMPT = {
-    # http.server dispatches a request to "do_" + its method.
-    "do_GET": "BaseHTTPRequestHandler calls it for a GET request",
-    "do_POST": "BaseHTTPRequestHandler calls it for a POST request",
-    # http.server logs every request through it; the override sends the line to logging.
-    "log_message": "BaseHTTPRequestHandler.log_request calls it",
     # socketserver hands each accepted connection to it.
     "process_request": "socketserver.BaseServer calls it for each accepted connection",
+    # socketserver serves a connection by constructing a handler, which calls it.
+    "handle": "socketserver.BaseRequestHandler.__init__ calls it for each connection",
 }
 
 
